@@ -42,12 +42,14 @@ from .propagation import (
     step_split_operator,
 )
 from .variational import (
+    ActionIntegrals,
     ActionValue,
     LagrangianSample,
     RayleighRitzResult,
     StationarityResult,
     TrialFamily,
     action,
+    action_integrals,
     box_sine_family,
     gaussian_family,
     gaussian_phase_family,

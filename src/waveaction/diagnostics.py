@@ -17,7 +17,7 @@ from .hamiltonian import (
     apply_hamiltonian,
     apply_mechanical_momentum,
     hamiltonian_matrix,
-    mean_field_density_values,
+    mean_field_diagonal,
 )
 
 
@@ -91,10 +91,7 @@ def canonical_fields(cfg: HamiltonianConfig, psi: Wavefunction, t: float = 0.0) 
     """
     hbar = cfg.constants.hbar
     pi = 1j * hbar * np.conj(psi.amplitudes)
-    extra = None
-    if cfg.interaction is not None:
-        density = np.abs(psi.amplitudes) ** 2
-        extra = 0.5 * mean_field_density_values(cfg.interaction, psi.grid, density)
+    extra = mean_field_diagonal(cfg, psi, 0.5)
     h_psi = hamiltonian_matrix(cfg, psi.grid, t, extra).matvec(psi.amplitudes)
     value = quadrature(psi.grid, pi * h_psi) / (1j * hbar)
     return CanonicalFields(pi=pi, hamiltonian_functional=float(value.real))

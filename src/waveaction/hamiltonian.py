@@ -276,15 +276,20 @@ def hamiltonian_matrix(
     return TridiagonalHamiltonian(grid, diag, upper, lower)
 
 
-def _mean_field_diag(
-    cfg: HamiltonianConfig, psi: Wavefunction, source: Optional[Wavefunction], weight: float
+def mean_field_diagonal(
+    cfg: HamiltonianConfig, source: Optional[Wavefunction], weight: float
 ) -> Optional[np.ndarray]:
+    """weight times the mean field built from source's density; None without an interaction.
+
+    Weight 1/2 gives the variational (energy, Lagrangian) diagonal, weight 1
+    the one that drives the dynamics and the chemical potential.
+    """
     if cfg.interaction is None:
         return None
     if source is None:
         raise ValueError("interaction configured but no mean-field source supplied")
     density = np.abs(source.amplitudes) ** 2
-    return weight * mean_field_density_values(cfg.interaction, psi.grid, density)
+    return weight * mean_field_density_values(cfg.interaction, source.grid, density)
 
 
 def apply_mechanical_momentum(
@@ -308,13 +313,13 @@ def apply_hamiltonian(
     Reduces exactly to the linear Schrodinger Hamiltonian when the
     interaction is absent or N = 1.
     """
-    extra = _mean_field_diag(cfg, psi, mean_field_source, 1.0)
+    extra = mean_field_diagonal(cfg, mean_field_source, 1.0)
     h = hamiltonian_matrix(cfg, psi.grid, t, extra)
     return Wavefunction(psi.grid, h.matvec(psi.amplitudes), psi.time)
 
 
-def _expectation(cfg, psi, t, weight: float, source: Wavefunction) -> float:
-    extra = _mean_field_diag(cfg, psi, source, weight)
+def _expectation(cfg, psi, t, weight: float) -> float:
+    extra = mean_field_diagonal(cfg, psi, weight)
     h = hamiltonian_matrix(cfg, psi.grid, t, extra)
     val = quadrature(psi.grid, np.conj(psi.amplitudes) * h.matvec(psi.amplitudes))
     if abs(val.imag) > 1e-8:
@@ -331,9 +336,9 @@ def energy(cfg: HamiltonianConfig, psi: Wavefunction, t: float = 0.0) -> float:
     the weighting under which the energy is conserved by the mean-field
     dynamics.  Expects a normalized state.
     """
-    return _expectation(cfg, psi, t, 0.5, psi)
+    return _expectation(cfg, psi, t, 0.5)
 
 
 def chemical_potential(cfg: HamiltonianConfig, phi: Wavefunction, t: float = 0.0) -> float:
     """<phi|H|phi> with the full-weight mean field (the nonlinear eigenvalue)."""
-    return _expectation(cfg, phi, t, 1.0, phi)
+    return _expectation(cfg, phi, t, 1.0)

@@ -67,6 +67,11 @@ class PropagationPlan:
             raise ValueError(f"nonlinear_update must be one of {_NONLINEAR_MODES}")
         if self.record_stride < 1:
             raise ValueError("record_stride must be at least 1")
+        if self.n_steps % self.record_stride != 0:
+            raise ValueError(
+                f"record_stride {self.record_stride} must divide n_steps {self.n_steps}, "
+                "so the final state is recorded"
+            )
 
 
 @dataclass(frozen=True, eq=False)

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import operator
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, astuple, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Optional
 
@@ -32,25 +33,12 @@ from .scenario import (
     scenario_json,
 )
 from .variational import (
-    action,
+    action_integrals,
     box_sine_family,
     gaussian_family,
     gaussian_phase_family,
-    lagrangian_reality_deviations,
     rayleigh_ritz_minimize,
     stationarity_test,
-)
-
-CSV_COLUMNS = (
-    "step",
-    "time",
-    "norm",
-    "energy",
-    "continuity_sup",
-    "continuity_l2",
-    "action_simple_running",
-    "action_standard_running",
-    "hamilton_r1",
 )
 
 VERIFY_THRESHOLDS = {
@@ -84,6 +72,9 @@ class DiagnosticsRecord:
     hamilton_r1: float
 
 
+CSV_COLUMNS = tuple(f.name for f in fields(DiagnosticsRecord))
+
+
 @dataclass
 class RunManifest:
     """Summary of one scenario run; every scalar also appears in the output files."""
@@ -97,15 +88,7 @@ class RunManifest:
     summary: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "task": self.task,
-            "scenario_hash": self.scenario_hash,
-            "toolkit_version": self.toolkit_version,
-            "wall_time_s": self.wall_time_s,
-            "converged": self.converged,
-            "summary": self.summary,
-        }
+        return asdict(self)
 
 
 def _fmt(x: float) -> str:
@@ -145,25 +128,12 @@ def _hash_scenario(scenario: Scenario) -> str:
     return hashlib.sha256(scenario_json(scenario).encode()).hexdigest()
 
 
-def _running_actions(cfg, traj: Trajectory):
-    """Cumulative trapezoid integrals of both density integrals over the snapshots."""
-    from .variational import _density_integrals  # shared assembly, single source
-
-    simple, standard, times = _density_integrals(cfg, traj)
-    simple = simple.real
-    run_simple = np.concatenate([[0.0], np.cumsum(0.5 * np.diff(times) * (simple[1:] + simple[:-1]))])
-    run_standard = np.concatenate(
-        [[0.0], np.cumsum(0.5 * np.diff(times) * (standard[1:] + standard[:-1]))]
-    )
-    return run_simple, run_standard
-
-
-def _diagnostics_rows(cfg, traj: Trajectory, stride: int):
+def _diagnostics_rows(cfg, traj: Trajectory, stride: int, integrals):
     states = traj.states
     times = traj.times
     rows = []
-    if len(states) >= 3:
-        run_simple, run_standard = _running_actions(cfg, traj)
+    if integrals is not None:
+        run_simple, run_standard = integrals.running("simple"), integrals.running("standard")
     else:
         run_simple = run_standard = np.zeros(len(states))
     for i, (t, psi) in enumerate(zip(times, states)):
@@ -189,7 +159,8 @@ def _diagnostics_rows(cfg, traj: Trajectory, stride: int):
     return rows
 
 
-def _run_propagation(scenario: Scenario, out_dir: Path, stride: Optional[int], quiet: bool):
+def _run_propagation(scenario: Scenario, out_dir: Path, stride: Optional[int]):
+    """Propagate and write the CSV and snapshots; the action integrals are None below 3 records."""
     cfg = build_config(scenario)
     grid = build_grid(scenario)
     psi0 = build_initial_state(scenario, grid)
@@ -202,8 +173,9 @@ def _run_propagation(scenario: Scenario, out_dir: Path, stride: Optional[int], q
         norm_drift["max"] = max(norm_drift["max"], abs(norm(psi) - 1.0))
 
     traj = propagate(cfg, psi0, plan, observers=[watch_norm])
-    rows = _diagnostics_rows(cfg, traj, plan.record_stride)
-    _write_csv(out_dir / "diagnostics.csv", CSV_COLUMNS, [_record_tuple(r) for r in rows])
+    integrals = action_integrals(cfg, traj) if len(traj.snapshots) >= 3 else None
+    rows = _diagnostics_rows(cfg, traj, plan.record_stride, integrals)
+    _write_csv(out_dir / "diagnostics.csv", CSV_COLUMNS, [astuple(r) for r in rows])
     for row, (t, psi) in zip(rows, traj.snapshots):
         _write_snapshot(out_dir / f"snapshot_{row.step:08d}.csv", psi, row.step)
     summary = {
@@ -216,21 +188,7 @@ def _run_propagation(scenario: Scenario, out_dir: Path, stride: Optional[int], q
         "n_steps": plan.n_steps,
         "record_stride": plan.record_stride,
     }
-    return cfg, traj, summary
-
-
-def _record_tuple(r: DiagnosticsRecord):
-    return (
-        r.step,
-        r.time,
-        r.norm,
-        r.energy,
-        r.continuity_sup,
-        r.continuity_l2,
-        r.action_simple_running,
-        r.action_standard_running,
-        r.hamilton_r1,
-    )
+    return cfg, traj, integrals, summary
 
 
 def run_scenario(
@@ -249,46 +207,28 @@ def run_scenario(
     summary: dict = {}
 
     if task in ("propagate", "gp-propagate"):
-        cfg, traj, summary = _run_propagation(scenario, out_dir, stride, quiet)
+        cfg, traj, _, summary = _run_propagation(scenario, out_dir, stride)
 
     elif task == "verify":
-        cfg, traj, summary = _run_propagation(scenario, out_dir, stride, quiet)
-        s_simple = action(cfg, traj, "simple").value
-        s_standard = action(cfg, traj, "standard").value
-        reality = lagrangian_reality_deviations(cfg, traj)
+        cfg, traj, integrals, summary = _run_propagation(scenario, out_dir, stride)
+        if integrals is None:
+            raise ValueError("verify needs at least 3 recorded snapshots")
+        s_simple = integrals.action("simple").value
+        s_standard = integrals.action("standard").value
         bump = _verify_bump(traj)
         slope = stationarity_test(cfg, traj, bump, scenario.task["epsilons"]).slope
+        th = VERIFY_THRESHOLDS
+        slope_band = [th["stationarity_slope_low"], th["stationarity_slope_high"]]
+        table = (
+            ("norm_drift", summary["norm_drift"], th["norm_drift"], operator.lt),
+            ("reality_max", float(integrals.reality_deviations().max()), th["reality_max"], operator.lt),
+            ("action_equivalence", abs(s_simple - s_standard), th["action_equivalence"], operator.lt),
+            ("stationarity_slope", slope, slope_band, lambda v, band: band[0] < v < band[1]),
+            ("continuity_sup", summary["max_continuity_sup"], th["continuity_sup_max"], operator.lt),
+        )
         checks = {
-            "norm_drift": {
-                "value": summary["norm_drift"],
-                "threshold": VERIFY_THRESHOLDS["norm_drift"],
-                "passed": summary["norm_drift"] < VERIFY_THRESHOLDS["norm_drift"],
-            },
-            "reality_max": {
-                "value": float(reality.max()),
-                "threshold": VERIFY_THRESHOLDS["reality_max"],
-                "passed": float(reality.max()) < VERIFY_THRESHOLDS["reality_max"],
-            },
-            "action_equivalence": {
-                "value": abs(s_simple - s_standard),
-                "threshold": VERIFY_THRESHOLDS["action_equivalence"],
-                "passed": abs(s_simple - s_standard) < VERIFY_THRESHOLDS["action_equivalence"],
-            },
-            "stationarity_slope": {
-                "value": slope,
-                "threshold": [
-                    VERIFY_THRESHOLDS["stationarity_slope_low"],
-                    VERIFY_THRESHOLDS["stationarity_slope_high"],
-                ],
-                "passed": VERIFY_THRESHOLDS["stationarity_slope_low"]
-                < slope
-                < VERIFY_THRESHOLDS["stationarity_slope_high"],
-            },
-            "continuity_sup": {
-                "value": summary["max_continuity_sup"],
-                "threshold": VERIFY_THRESHOLDS["continuity_sup_max"],
-                "passed": summary["max_continuity_sup"] < VERIFY_THRESHOLDS["continuity_sup_max"],
-            },
+            name: {"value": value, "threshold": limit, "passed": rule(value, limit)}
+            for name, value, limit, rule in table
         }
         summary["action_simple"] = s_simple
         summary["action_standard"] = s_standard

@@ -321,6 +321,9 @@ def parse_scenario_dict(data: dict) -> Scenario:
     stride = _get_int(output, "scenario.output", "record_stride", default=1)
     if stride < 1:
         _fail("scenario.output.record_stride", "must be at least 1")
+    if "n_steps" in task and task["n_steps"] % stride != 0:
+        _fail("scenario.output.record_stride",
+              f"must divide task.n_steps = {task['n_steps']}, got {stride}")
     for key in ("v1", "a0", "a"):
         p = potentials[key]
         if p["kind"] == "sampled" and len(p["values"]) != grid["n_points"]:

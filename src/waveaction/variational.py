@@ -39,7 +39,7 @@ from .hamiltonian import (
     apply_mechanical_momentum,
     energy,
     hamiltonian_matrix,
-    mean_field_density_values,
+    mean_field_diagonal,
 )
 from .propagation import Trajectory
 
@@ -68,6 +68,46 @@ class ActionValue:
 
 
 @dataclass(frozen=True, eq=False)
+class ActionIntegrals:
+    """Spatial integrals of both densities at each snapshot of one trajectory.
+
+    simple is complex (its imaginary part tracks the norm change), standard
+    is real; the time-integration rules live here and nowhere else.
+    """
+
+    times: np.ndarray
+    simple: np.ndarray
+    standard: np.ndarray
+
+    def _series(self, which: str) -> np.ndarray:
+        if which == "simple":
+            return self.simple.real
+        if which == "standard":
+            return self.standard
+        raise ValueError("which must be 'simple' or 'standard'")
+
+    def action(self, which: str = "simple") -> ActionValue:
+        """Trapezoidal time integral of the chosen series over the whole window."""
+        times = self.times
+        return ActionValue(
+            value=float(np.trapezoid(self._series(which), times)),
+            time_window=(float(times[0]), float(times[-1])),
+            dt=float(times[1] - times[0]),
+            which_density=which,
+        )
+
+    def running(self, which: str = "simple") -> np.ndarray:
+        """Cumulative trapezoid integral up to each snapshot (0 at the first)."""
+        series = self._series(which)
+        steps = 0.5 * np.diff(self.times) * (series[1:] + series[:-1])
+        return np.concatenate([[0.0], np.cumsum(steps)])
+
+    def reality_deviations(self) -> np.ndarray:
+        """|Im| of the compact integral at the interior snapshots."""
+        return np.abs(self.simple.imag[1:-1])
+
+
+@dataclass(frozen=True, eq=False)
 class StationarityResult:
     """Action increments per perturbation amplitude and their log-log slope."""
 
@@ -92,15 +132,6 @@ class RayleighRitzResult:
     history: np.ndarray
     converged: bool
     message: str
-
-
-def _effective_hamiltonian(cfg: HamiltonianConfig, psi: Wavefunction, t: float):
-    """H with the variational half-weight mean field (linear H if no interaction)."""
-    extra = None
-    if cfg.interaction is not None:
-        density = np.abs(psi.amplitudes) ** 2
-        extra = 0.5 * mean_field_density_values(cfg.interaction, psi.grid, density)
-    return hamiltonian_matrix(cfg, psi.grid, t, extra), extra
 
 
 def _forward_kinetic_density(cfg: HamiltonianConfig, psi: Wavefunction, t: float) -> np.ndarray:
@@ -144,8 +175,8 @@ def lagrangian_densities(
     amp = psi.amplitudes
     damp = dpsi_dt.amplitudes
 
-    h_eff, extra = _effective_hamiltonian(cfg, psi, t)
-    h_psi = h_eff.matvec(amp)
+    extra = mean_field_diagonal(cfg, psi, 0.5)
+    h_psi = hamiltonian_matrix(cfg, grid, t, extra).matvec(amp)
     l_simple = np.conj(amp) * (1j * c.hbar * damp - h_psi)
 
     time_part = -c.hbar * np.imag(np.conj(amp) * damp)
@@ -182,8 +213,12 @@ def _check_uniform(times: np.ndarray) -> float:
     return float(steps[0])
 
 
-def _density_integrals(cfg: HamiltonianConfig, traj: Trajectory):
-    """Per-snapshot spatial integrals of both densities."""
+def action_integrals(cfg: HamiltonianConfig, traj: Trajectory) -> ActionIntegrals:
+    """One pass over the snapshots: the spatial integral of both densities at each.
+
+    Every action-derived quantity of a trajectory (both actions, their
+    running integrals, the reality deviations) is read from the result.
+    """
     states = traj.states
     times = traj.times
     if len(states) < 3:
@@ -199,7 +234,7 @@ def _density_integrals(cfg: HamiltonianConfig, traj: Trajectory):
         )
         simple[k] = quadrature(grid, sample.l_simple)
         standard[k] = quadrature(grid, sample.l_standard).real
-    return simple, standard, times
+    return ActionIntegrals(times, simple, standard)
 
 
 def action(cfg: HamiltonianConfig, traj: Trajectory, which: str = "simple") -> ActionValue:
@@ -209,17 +244,7 @@ def action(cfg: HamiltonianConfig, traj: Trajectory, which: str = "simple") -> A
     density integrates to the norm change and vanishes on unitary
     trajectories (see lagrangian_reality_deviations).
     """
-    if which not in ("simple", "standard"):
-        raise ValueError("which must be 'simple' or 'standard'")
-    simple, standard, times = _density_integrals(cfg, traj)
-    series = simple.real if which == "simple" else standard
-    value = float(np.trapezoid(series, times))
-    return ActionValue(
-        value=value,
-        time_window=(float(times[0]), float(times[-1])),
-        dt=float(times[1] - times[0]),
-        which_density=which,
-    )
+    return action_integrals(cfg, traj).action(which)
 
 
 def lagrangian_reality_deviations(cfg: HamiltonianConfig, traj: Trajectory) -> np.ndarray:
@@ -229,8 +254,7 @@ def lagrangian_reality_deviations(cfg: HamiltonianConfig, traj: Trajectory) -> n
     endpoints carry a first-order phase error that is not a statement
     about the density itself.
     """
-    simple, _, _ = _density_integrals(cfg, traj)
-    return np.abs(simple.imag[1:-1])
+    return action_integrals(cfg, traj).reality_deviations()
 
 
 def stationarity_test(

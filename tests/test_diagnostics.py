@@ -2,11 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from waveaction import (
     HamiltonianConfig,
     PotentialField,
     PropagationPlan,
+    TwoBodyInteraction,
+    Wavefunction,
     apply_hamiltonian,
     apply_mechanical_momentum,
     canonical_fields,
@@ -17,6 +21,7 @@ from waveaction import (
     ground_state_imaginary_time,
     hamilton_equations_residual,
     inner_product,
+    lagrangian_densities,
     make_grid,
     norm,
     normalize,
@@ -140,6 +145,29 @@ def test_canonical_fields_momentum_definition_and_energy_identity():
     fields = canonical_fields(HARMONIC, psi)
     np.testing.assert_array_equal(fields.pi, 1j * np.conj(psi.amplitudes))
     assert fields.hamiltonian_functional == pytest.approx(energy(HARMONIC, psi), abs=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    g=st.floats(0.0, 200.0),
+    n_particles=st.integers(1, 50),
+    center=st.floats(-3.0, 3.0),
+    width=st.floats(0.3, 2.0),
+)
+def test_half_weight_mean_field_is_shared(g, n_particles, center, width):
+    # canonical functional, energy and the zero-rate compact Lagrangian all
+    # see the same half-weight interaction
+    grid = make_grid(-10, 10, 257)
+    cfg = HamiltonianConfig(
+        v1=PotentialField.harmonic(), interaction=TwoBodyInteraction.contact(g, n_particles)
+    )
+    psi = gaussian_wavepacket(grid, center=center, width=width)
+    e = energy(cfg, psi)
+    tol = 1e-12 * max(1.0, abs(e))
+    assert abs(canonical_fields(cfg, psi).hamiltonian_functional - e) <= tol
+    zero_rate = Wavefunction(grid, np.zeros(grid.n_points))
+    l_integral = quadrature(grid, lagrangian_densities(cfg, psi, zero_rate).l_simple)
+    assert abs(l_integral + e) <= tol
 
 
 def test_canonical_functional_oscillator_value():

@@ -48,6 +48,15 @@ def test_plan_validation():
         PropagationPlan(dt=0.1, n_steps=1, nonlinear_update="full")
 
 
+def test_record_stride_must_divide_n_steps():
+    # a non-dividing stride would silently drop the final state
+    with pytest.raises(ValueError, match="must divide n_steps"):
+        PropagationPlan(dt=1e-3, n_steps=25, record_stride=10)
+    g = make_grid(-10, 10, 201)
+    traj = propagate(HARMONIC, gaussian_wavepacket(g), PropagationPlan(dt=1e-3, n_steps=30, record_stride=10))
+    np.testing.assert_allclose(traj.times, [0.0, 0.01, 0.02, 0.03], rtol=0, atol=1e-15)
+
+
 def test_cn_single_step_stationary_phase():
     _, psi = grid_and_ground()
     dt = 0.01

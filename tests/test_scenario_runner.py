@@ -79,6 +79,25 @@ def test_gp_task_requires_interaction():
         parse_scenario_dict(data)
 
 
+@pytest.mark.parametrize("kind", ["propagate", "gp-propagate", "verify"])
+def test_record_stride_must_divide_n_steps(kind):
+    data = minimal_ground_state()
+    data["task"] = {"kind": kind, "n_steps": 25}
+    data["output"] = {"record_stride": 10}
+    if kind == "gp-propagate":
+        data["interaction"] = {"kind": "contact", "g": 1.0, "n_particles": 2}
+    with pytest.raises(ScenarioError, match=r"scenario\.output\.record_stride.*divide"):
+        parse_scenario_dict(data)
+    data["task"]["n_steps"] = 30
+    assert parse_scenario_dict(data).output == {"record_stride": 10}
+
+
+def test_record_stride_ignored_without_steps():
+    data = minimal_ground_state()
+    data["output"] = {"record_stride": 7}
+    assert parse_scenario_dict(data).output == {"record_stride": 7}
+
+
 def test_spec_version_checked():
     data = minimal_ground_state()
     data["spec_version"] = 2
@@ -215,6 +234,46 @@ def test_cli_stride_override(tmp_path):
     assert code == 0
     rows = (tmp_path / "out" / "diagnostics.csv").read_text().strip().splitlines()[1:]
     assert [r.split(",")[0] for r in rows] == ["0", "10", "20"]
+
+
+def test_cli_stride_that_does_not_divide_n_steps_exits_1(tmp_path):
+    data = minimal_ground_state("stride-mismatch")
+    data["task"] = {"kind": "propagate", "n_steps": 20}
+    good = write_scenario(tmp_path, data, "good.json")
+    assert main(["run", str(good), "--out", str(tmp_path / "a"), "--stride", "7", "--quiet"]) == 1
+    assert not (tmp_path / "a" / "manifest.json").exists()
+    data["output"] = {"record_stride": 7}
+    bad = write_scenario(tmp_path, data, "bad.json")
+    assert main(["validate", str(bad)]) == 1
+    assert main(["run", str(bad), "--out", str(tmp_path / "b"), "--quiet"]) == 1
+
+
+def test_verify_makes_one_action_pass_besides_stationarity(tmp_path, monkeypatch):
+    # the runner's pass feeds the CSV, both actions and reality; the
+    # stationarity probe adds its base plus one pass per epsilon
+    import waveaction.variational as variational
+
+    calls = []
+    original = variational.lagrangian_densities
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(variational, "lagrangian_densities", counted)
+    data = minimal_ground_state("verify-count")
+    data["grid"]["n_points"] = 201
+    data["task"] = {"kind": "verify", "n_steps": 20, "epsilons": [1e-2, 1e-3, 1e-4]}
+    manifest = run_scenario(parse_scenario_dict(data), tmp_path / "out", quiet=True)
+    assert "checks" in manifest.summary
+    assert len(calls) == 5 * 21
+
+
+def test_verify_needs_three_records(tmp_path):
+    data = minimal_ground_state("verify-short")
+    data["task"] = {"kind": "verify", "n_steps": 1}
+    path = write_scenario(tmp_path, data)
+    assert main(["run", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 1
 
 
 def test_cli_batch_runs_directory(tmp_path, monkeypatch):

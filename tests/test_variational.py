@@ -10,6 +10,7 @@ from waveaction import (
     Trajectory,
     Wavefunction,
     action,
+    action_integrals,
     apply_hamiltonian,
     box_sine_family,
     gaussian_family,
@@ -148,10 +149,8 @@ def test_time_reversal_conjugates_the_action():
     traj = propagate(HARMONIC, gs.state, PropagationPlan(dt=dt, n_steps=2500))
 
     def complex_action(t):
-        from waveaction.variational import _density_integrals
-
-        simple, _, times = _density_integrals(HARMONIC, t)
-        return np.trapezoid(simple, times)
+        integrals = action_integrals(HARMONIC, t)
+        return np.trapezoid(integrals.simple, integrals.times)
 
     s = complex_action(traj)
     times = traj.times
@@ -165,6 +164,19 @@ def test_time_reversal_conjugates_the_action():
     assert abs(s_rev - np.conj(s)) < 1e-12
     # for a near-stationary window both are ~0, so the reversal negates it too
     assert abs(action(HARMONIC, Trajectory(reversed_snaps)).value + action(HARMONIC, traj).value) < 1e-8
+
+
+@pytest.mark.parametrize("which", ["simple", "standard"])
+def test_running_action_ends_at_the_action(which):
+    g = make_grid(-10, 10, 1001)
+    psi = gaussian_wavepacket(g, center=1.5, width=0.8, wavenumber=0.5)
+    traj = propagate(HARMONIC, psi, PropagationPlan(dt=1e-3, n_steps=200, record_stride=2))
+    integrals = action_integrals(HARMONIC, traj)
+    running = integrals.running(which)
+    value = integrals.action(which).value
+    assert running.shape == (len(traj.snapshots),) and running[0] == 0.0
+    assert abs(running[-1] - value) <= 1e-12 * abs(value)
+    assert value == action(HARMONIC, traj, which).value
 
 
 def test_gauge_phase_leaves_action_invariant():
