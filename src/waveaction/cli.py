@@ -1,7 +1,7 @@
 """Batch front door: run | validate | batch.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 solver
-non-convergence (or a failed verify battery), 3 I/O failure.
+non-convergence, a failed verify battery or a solver error, 3 I/O failure.
 """
 
 from __future__ import annotations
@@ -69,6 +69,9 @@ def _run_one(path: Path, out_dir: Path, stride, quiet: bool) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except (RuntimeError, MemoryError) as exc:  # includes ObserverError
+        print(f"solver error: {exc}", file=sys.stderr)
+        return EXIT_NOT_CONVERGED
     return EXIT_OK if manifest.converged else EXIT_NOT_CONVERGED
 
 

@@ -242,6 +242,13 @@ class TridiagonalHamiltonian:
             out[-1] = 0.0
         return out
 
+    def plus_diagonal(self, extra: np.ndarray) -> "TridiagonalHamiltonian":
+        """This H with a real potential added to the diagonal."""
+        return TridiagonalHamiltonian(
+            self.grid, self.diag + extra, self.upper, self.lower,
+            self.corner_first_last, self.corner_last_first,
+        )
+
 
 def hamiltonian_matrix(
     cfg: HamiltonianConfig,
@@ -261,8 +268,6 @@ def hamiltonian_matrix(
     a = cfg.a_vec.evaluate(grid, t)
 
     diag = (2.0 * kin + c.charge**2 * a**2 / (2.0 * c.mass) + v).astype(complex)
-    if extra_diagonal is not None:
-        diag = diag + extra_diagonal
 
     coup = 1j * c.hbar * c.charge / (4.0 * c.mass * dx)
     a_link = a[:-1] + a[1:]
@@ -272,8 +277,10 @@ def hamiltonian_matrix(
         a_wrap = a[-1] + a[0]
         corner_fl = -kin - coup * a_wrap  # H[0, n-1]
         corner_lf = -kin + coup * a_wrap  # H[n-1, 0]
-        return TridiagonalHamiltonian(grid, diag, upper, lower, corner_fl, corner_lf)
-    return TridiagonalHamiltonian(grid, diag, upper, lower)
+        h = TridiagonalHamiltonian(grid, diag, upper, lower, corner_fl, corner_lf)
+    else:
+        h = TridiagonalHamiltonian(grid, diag, upper, lower)
+    return h if extra_diagonal is None else h.plus_diagonal(extra_diagonal)
 
 
 def mean_field_diagonal(

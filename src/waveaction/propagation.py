@@ -10,6 +10,11 @@ exactly for Hermitian H.  Imaginary time uses the implicit (backward
 Euler) filter (1 + dtau H / hbar)^-1 with renormalization after every
 step, which damps every excited component regardless of dtau and makes
 the energy sequence monotonically non-increasing.
+
+Both implicit schemes go through one tridiagonal solver that factors
+1 + s H with LAPACK and reuses the factors for as long as H is unchanged:
+once per run for a static linear H, at every midpoint for a time-dependent
+H, and at every mean-field update.
 """
 
 from __future__ import annotations
@@ -18,9 +23,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.linalg import solve_banded
-from scipy.sparse import csc_matrix
-from scipy.sparse.linalg import splu
+from scipy import fft as sp_fft
+from scipy.linalg.lapack import zgttrf, zgttrs
 
 from .grids import Grid, Wavefunction, norm, normalize
 from .hamiltonian import (
@@ -115,49 +119,156 @@ class GroundStateResult:
     energy_history: np.ndarray
 
 
-def _tridiag_shift_solve(h: TridiagonalHamiltonian, scale: complex, rhs: np.ndarray) -> np.ndarray:
-    """Solve (1 + scale * H) x = rhs with the grid's boundary convention."""
-    grid = h.grid
-    n = grid.n_points
-    if grid.is_periodic:
-        diag = 1.0 + scale * h.diag
-        upper = scale * h.upper
-        lower = scale * h.lower
-        mat = csc_matrix(
-            (
-                np.concatenate(
-                    [diag, upper, lower, [scale * h.corner_first_last, scale * h.corner_last_first]]
-                ),
-                (
-                    np.concatenate([np.arange(n), np.arange(n - 1), np.arange(1, n), [0, n - 1]]),
-                    np.concatenate([np.arange(n), np.arange(1, n), np.arange(n - 1), [n - 1, 0]]),
-                ),
-            ),
-            shape=(n, n),
-        )
-        return splu(mat).solve(rhs)
-    m = n - 2
-    ab = np.zeros((3, m), dtype=complex)
-    ab[0, 1:] = scale * h.upper[1 : n - 2]
-    ab[1, :] = 1.0 + scale * h.diag[1 : n - 1]
-    ab[2, :-1] = scale * h.lower[1 : n - 2]
-    out = np.zeros(n, dtype=complex)
-    out[1:-1] = solve_banded((1, 1), ab, rhs[1:-1])
-    return out
+class _CayleySolver:
+    """Factors of 1 + scale * H for one assembled tridiagonal H (LAPACK zgttrf).
+
+    ``solve`` applies (1 + scale H)^-1 with one zgttrs call on the stored
+    factors; ``cayley`` applies (1 + scale H)^-1 (1 - scale H).  Dirichlet
+    grids factor the interior block and keep the endpoints at zero.
+    Periodic grids factor the tridiagonal part with both end diagonals
+    shifted, A = B + u v^T with u = (gamma, 0, ..., 0, c_lf) and
+    v = (1, 0, ..., 0, c_fl / gamma), and restore the two corners by a
+    Sherman-Morrison correction on the same factors.
+    """
+
+    def __init__(self, h: TridiagonalHamiltonian, scale: complex):
+        self.h = h
+        self.scale = scale
+        n = h.grid.n_points
+        if not h.grid.is_periodic:
+            self._factors = self._factor(
+                scale * h.lower[1 : n - 2], 1.0 + scale * h.diag[1 : n - 1], scale * h.upper[1 : n - 2]
+            )
+            return
+        d = 1.0 + scale * h.diag
+        c_fl = scale * h.corner_first_last
+        c_lf = scale * h.corner_last_first
+        gamma = -d[0] if d[0] != 0 else -1.0  # -d[0] avoids cancellation in B[0, 0]
+        d[0] -= gamma
+        d[-1] -= c_lf * c_fl / gamma
+        self._factors = self._factor(scale * h.lower, d, scale * h.upper)
+        u = np.zeros(n, dtype=complex)
+        u[0] = gamma
+        u[-1] = c_lf
+        self._z = self._lu_solve(u)
+        # The corner response decays geometrically away from both ends.  Its
+        # subnormal entries change no amplitude, but make the per-solve
+        # product alpha * z many times slower, so they are flushed to zero.
+        z_parts = self._z.view(np.float64)
+        z_parts[np.abs(z_parts) < np.finfo(np.float64).tiny] = 0.0
+        self._v_last = c_fl / gamma
+        self._denominator = 1.0 + self._z[0] + self._v_last * self._z[-1]
+        if self._denominator == 0:
+            raise np.linalg.LinAlgError(
+                f"singular matrix: the corner correction of 1 + s H vanishes (s = {scale:.6g})"
+            )
+
+    def _factor(self, dl, d, du) -> tuple:
+        dl, d, du, du2, ipiv, info = zgttrf(dl, d, du, overwrite_dl=1, overwrite_d=1, overwrite_du=1)
+        if info > 0:
+            raise np.linalg.LinAlgError(
+                f"singular matrix: zero pivot in row {info} of 1 + s H (s = {self.scale:.6g})"
+            )
+        if info < 0:
+            raise ValueError(f"zgttrf rejected argument {-info}")
+        return dl, d, du, du2, ipiv
+
+    def _lu_solve(self, rhs: np.ndarray) -> np.ndarray:
+        x, info = zgttrs(*self._factors, rhs)
+        if info != 0:
+            raise ValueError(f"zgttrs rejected argument {-info}")
+        return x
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """x with (1 + scale H) x = rhs under the grid's boundary convention."""
+        if self.h.grid.is_periodic:
+            y = self._lu_solve(rhs)
+            return y - ((y[0] + self._v_last * y[-1]) / self._denominator) * self._z
+        out = np.zeros(len(rhs), dtype=complex)
+        out[1:-1] = self._lu_solve(rhs[1:-1])
+        return out
+
+    def cayley(self, amp: np.ndarray) -> np.ndarray:
+        return self.solve(amp - self.scale * self.h.matvec(amp))
 
 
-def _cayley_step(
-    cfg: HamiltonianConfig,
-    psi: Wavefunction,
-    t: float,
-    dt: float,
-    extra_diag: Optional[np.ndarray],
-) -> Wavefunction:
-    h = hamiltonian_matrix(cfg, psi.grid, t + dt / 2.0, extra_diag)
-    lam = 1j * dt / (2.0 * cfg.constants.hbar)
-    rhs = psi.amplitudes - lam * h.matvec(psi.amplitudes)
-    out = _tridiag_shift_solve(h, lam, rhs)
-    return Wavefunction(psi.grid, out, psi.time + dt)
+def _hamiltonian_at(cfg: HamiltonianConfig, grid: Grid) -> Callable[[float], TridiagonalHamiltonian]:
+    """t -> H(t) without mean field; assembled once when the potentials are static."""
+    if cfg.is_static:
+        h = hamiltonian_matrix(cfg, grid)
+        return lambda t: h
+    return lambda t: hamiltonian_matrix(cfg, grid, t)
+
+
+def _cayley_substep(h_at, hbar: float, amp: np.ndarray, t: float, dt: float, extra_diag=None) -> np.ndarray:
+    """amp advanced from t by dt with H at the midpoint (plus extra_diag), factored afresh."""
+    h = h_at(t + dt / 2.0)
+    if extra_diag is not None:
+        h = h.plus_diagonal(extra_diag)
+    return _CayleySolver(h, 1j * dt / (2.0 * hbar)).cayley(amp)
+
+
+# Steppers map (amplitudes at t, t) to the amplitudes at t + dt.  Each is
+# built once per run, so static factors and phases are built once too.
+
+
+def _cn_stepper(cfg: HamiltonianConfig, grid: Grid, dt: float):
+    hbar = cfg.constants.hbar
+    if cfg.is_static:
+        solver = _CayleySolver(hamiltonian_matrix(cfg, grid), 1j * dt / (2.0 * hbar))
+        return lambda amp, t: solver.cayley(amp)
+    h_at = _hamiltonian_at(cfg, grid)
+    return lambda amp, t: _cayley_substep(h_at, hbar, amp, t, dt)
+
+
+def _split_stepper(cfg: HamiltonianConfig, grid: Grid, dt: float):
+    if cfg.interaction is not None:
+        raise ValueError("split-operator stepping supports linear Hamiltonians only")
+    if not grid.is_periodic:
+        raise ValueError("split-operator stepping requires a periodic grid")
+    if cfg.a_vec.kind != "free":
+        raise ValueError("split-operator stepping requires zero vector potential")
+    c = cfg.constants
+    k = 2.0 * np.pi * sp_fft.fftfreq(grid.n_points, d=grid.dx)
+    kinetic = np.exp(-1j * c.hbar * k**2 * dt / (2.0 * c.mass))
+
+    def half_v_at(t_mid):
+        v = cfg.v1.evaluate(grid, t_mid) + c.charge * cfg.a0.evaluate(grid, t_mid)
+        return np.exp(-1j * v * dt / (2.0 * c.hbar))
+
+    def strang(half_v, amp):
+        return half_v * sp_fft.ifft(kinetic * sp_fft.fft(half_v * amp))
+
+    if not cfg.is_static:
+        return lambda amp, t: strang(half_v_at(t + dt / 2.0), amp)
+    half_v = half_v_at(0.0)
+    return lambda amp, t: strang(half_v, amp)
+
+
+def _gp_stepper(cfg: HamiltonianConfig, grid: Grid, dt: float, mode: str):
+    """Density-averaged predictor-corrector, or two mean-field-refreshed dt/2 substeps."""
+    hbar = cfg.constants.hbar
+    h_at = _hamiltonian_at(cfg, grid)
+
+    def mean_field(rho):
+        return mean_field_density_values(cfg.interaction, grid, rho)
+
+    if mode == NONLINEAR_HALF_STEP:
+
+        def advance(amp, t):
+            half = _cayley_substep(h_at, hbar, amp, t, dt / 2.0, mean_field(np.abs(amp) ** 2))
+            u = mean_field(np.abs(half) ** 2)
+            return _cayley_substep(h_at, hbar, half, t + dt / 2.0, dt / 2.0, u)
+
+        return advance
+
+    def advance(amp, t):
+        rho = np.abs(amp) ** 2
+        predicted = _cayley_substep(h_at, hbar, amp, t, dt, mean_field(rho))
+        rho_avg = 0.5 * (np.abs(predicted) ** 2 + rho)
+        return _cayley_substep(h_at, hbar, amp, t, dt, mean_field(rho_avg))
+
+    return advance
 
 
 def step_crank_nicolson(
@@ -166,30 +277,14 @@ def step_crank_nicolson(
     """One Cayley step of the linear Schrodinger equation; norm-preserving."""
     if cfg.interaction is not None:
         raise ValueError("step_crank_nicolson is the linear stepper; use step_gp")
-    return _cayley_step(cfg, psi, t, dt, None)
+    return Wavefunction(psi.grid, _cn_stepper(cfg, psi.grid, dt)(psi.amplitudes, t), psi.time + dt)
 
 
 def step_split_operator(
     cfg: HamiltonianConfig, psi: Wavefunction, t: float, dt: float
 ) -> Wavefunction:
     """Strang-split FFT step; periodic grids with zero vector potential only."""
-    if cfg.interaction is not None:
-        raise ValueError("split-operator stepping supports linear Hamiltonians only")
-    grid = psi.grid
-    if not grid.is_periodic:
-        raise ValueError("split-operator stepping requires a periodic grid")
-    if cfg.a_vec.kind != "free":
-        raise ValueError("split-operator stepping requires zero vector potential")
-    c = cfg.constants
-    t_mid = t + dt / 2.0
-    v = cfg.v1.evaluate(grid, t_mid) + c.charge * cfg.a0.evaluate(grid, t_mid)
-    half_v = np.exp(-1j * v * dt / (2.0 * c.hbar))
-    k = 2.0 * np.pi * np.fft.fftfreq(grid.n_points, d=grid.dx)
-    kinetic = np.exp(-1j * c.hbar * k**2 * dt / (2.0 * c.mass))
-    amp = half_v * psi.amplitudes
-    amp = np.fft.ifft(kinetic * np.fft.fft(amp))
-    amp = half_v * amp
-    return Wavefunction(grid, amp, psi.time + dt)
+    return Wavefunction(psi.grid, _split_stepper(cfg, psi.grid, dt)(psi.amplitudes, t), psi.time + dt)
 
 
 def step_gp(
@@ -210,18 +305,8 @@ def step_gp(
     if cfg.interaction is None:
         raise ValueError("step_gp requires a configured interaction")
     mode = plan.nonlinear_update if plan is not None else NONLINEAR_PREDICTOR_CORRECTOR
-    grid = psi.grid
-    rho = np.abs(psi.amplitudes) ** 2
-    if mode == NONLINEAR_HALF_STEP:
-        u = mean_field_density_values(cfg.interaction, grid, rho)
-        half = _cayley_step(cfg, psi, t, dt / 2.0, u)
-        u = mean_field_density_values(cfg.interaction, grid, np.abs(half.amplitudes) ** 2)
-        return _cayley_step(cfg, half, t + dt / 2.0, dt / 2.0, u)
-    u0 = mean_field_density_values(cfg.interaction, grid, rho)
-    predicted = _cayley_step(cfg, psi, t, dt, u0)
-    rho_avg = 0.5 * (np.abs(predicted.amplitudes) ** 2 + rho)
-    u1 = mean_field_density_values(cfg.interaction, grid, rho_avg)
-    return _cayley_step(cfg, psi, t, dt, u1)
+    advance = _gp_stepper(cfg, psi.grid, dt, mode)
+    return Wavefunction(psi.grid, advance(psi.amplitudes, t), psi.time + dt)
 
 
 def propagate(
@@ -246,18 +331,20 @@ def propagate(
     if plan.scheme == SPLIT_OPERATOR and has_interaction:
         raise ValueError("split-operator scheme supports linear Hamiltonians only")
 
-    psi = Wavefunction(psi0.grid, psi0.amplitudes, plan.t_start)
+    grid = psi0.grid
+    if has_interaction:
+        advance = _gp_stepper(cfg, grid, plan.dt, plan.nonlinear_update)
+    elif plan.scheme == SPLIT_OPERATOR:
+        advance = _split_stepper(cfg, grid, plan.dt)
+    else:
+        advance = _cn_stepper(cfg, grid, plan.dt)
+    psi = Wavefunction(grid, psi0.amplitudes, plan.t_start)
     snapshots = [(plan.t_start, psi)]
     t = plan.t_start
     for k in range(1, plan.n_steps + 1):
-        if has_interaction:
-            psi = step_gp(cfg, psi, t, plan.dt, plan)
-        elif plan.scheme == SPLIT_OPERATOR:
-            psi = step_split_operator(cfg, psi, t, plan.dt)
-        else:
-            psi = _cayley_step(cfg, psi, t, plan.dt, None)
+        amp = advance(psi.amplitudes, t)
         t = plan.t_start + k * plan.dt
-        psi = Wavefunction(psi.grid, psi.amplitudes, t)
+        psi = Wavefunction(grid, amp, t)
         for obs in observers:
             try:
                 obs(k, t, psi)
@@ -292,20 +379,20 @@ def ground_state_imaginary_time(
     psi = normalize(psi0)
     grid = psi.grid
     scale = dtau / cfg.constants.hbar
-    has_interaction = cfg.interaction is not None
-    h_static = None if has_interaction else hamiltonian_matrix(cfg, grid, 0.0)
+    h = hamiltonian_matrix(cfg, grid)
+    if cfg.interaction is None:
+        solve = _CayleySolver(h, scale).solve
+    else:
+
+        def solve(amp):
+            u = mean_field_density_values(cfg.interaction, grid, np.abs(amp) ** 2)
+            return _CayleySolver(h.plus_diagonal(u), scale).solve(amp)
 
     history = [energy(cfg, psi, 0.0)]
     converged = False
     iterations = 0
     for _ in range(max_iter):
-        if has_interaction:
-            u = mean_field_density_values(cfg.interaction, grid, np.abs(psi.amplitudes) ** 2)
-            h = hamiltonian_matrix(cfg, grid, 0.0, u)
-        else:
-            h = h_static
-        amp = _tridiag_shift_solve(h, scale, psi.amplitudes)
-        psi = normalize(Wavefunction(grid, amp, psi.time))
+        psi = normalize(Wavefunction(grid, solve(psi.amplitudes), psi.time))
         iterations += 1
         history.append(energy(cfg, psi, 0.0))
         if abs(history[-1] - history[-2]) < tol:

@@ -5,7 +5,7 @@ products, explicit double loops, and direct tridiagonal diagonalization.
 """
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import eigh_tridiagonal, solve_banded
 
 from waveaction import Wavefunction, make_grid
 
@@ -72,3 +72,31 @@ def loop_inner_product(bra, ket):
     for j in range(bra.grid.n_points):
         total += w[j] * np.conj(bra.amplitudes[j]) * ket.amplitudes[j]
     return total
+
+
+def dense_shifted_matrix(h, scale):
+    """Explicit n x n matrix of 1 + scale * H, periodic corners included."""
+    n = h.grid.n_points
+    m = np.eye(n, dtype=complex)
+    for j in range(n):
+        m[j, j] += scale * h.diag[j]
+        if j + 1 < n:
+            m[j, j + 1] += scale * h.upper[j]
+            m[j + 1, j] += scale * h.lower[j]
+    if h.grid.is_periodic:
+        m[0, n - 1] += scale * h.corner_first_last
+        m[n - 1, 0] += scale * h.corner_last_first
+    return m
+
+
+def banded_shift_solve(h, scale, rhs):
+    """(1 + scale H) x = rhs on the Dirichlet interior by scipy's solve_banded (LAPACK zgtsv)."""
+    n = h.grid.n_points
+    m = n - 2
+    ab = np.zeros((3, m), dtype=complex)
+    ab[0, 1:] = scale * h.upper[1 : n - 2]
+    ab[1, :] = 1.0 + scale * h.diag[1 : n - 1]
+    ab[2, :-1] = scale * h.lower[1 : n - 2]
+    out = np.zeros(n, dtype=complex)
+    out[1:-1] = solve_banded((1, 1), ab, rhs[1:-1])
+    return out

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from waveaction import (
     HamiltonianConfig,
@@ -26,7 +28,16 @@ from waveaction import (
     wavefunction_from_samples,
 )
 
-from helpers import dense_ground_energy, random_state, richardson_order
+from waveaction.hamiltonian import hamiltonian_matrix
+from waveaction.propagation import _CayleySolver
+
+from helpers import (
+    banded_shift_solve,
+    dense_ground_energy,
+    dense_shifted_matrix,
+    random_state,
+    richardson_order,
+)
 
 HARMONIC = HamiltonianConfig(v1=PotentialField.harmonic())
 
@@ -375,3 +386,179 @@ def test_imaginary_time_agrees_with_variational_route():
     imag = ground_state_imaginary_time(HARMONIC, gaussian_wavepacket(g), dtau=0.1, tol=1e-12)
     ritz = rayleigh_ritz_minimize(HARMONIC, gaussian_family(), [0.0, 1.0], grid=g)
     assert ritz.energy == pytest.approx(imag.energy, abs=1e-7)
+
+
+# ---------------------------------------------------------------------------
+# The factored solver: dense and banded oracles, and the factor-once paths
+# ---------------------------------------------------------------------------
+
+
+def _random_config(grid, seed, v_scale, a_scale):
+    """Non-negative random potential and a smooth vector potential with a constant part."""
+    rng = np.random.default_rng(seed)
+    length = grid.x_max - grid.x_min
+    mode = rng.integers(0, 4)
+    a = a_scale * (rng.uniform(0.2, 1.0) + np.sin(2.0 * np.pi * mode * grid.x / length + rng.uniform(0, 6)))
+    cfg = HamiltonianConfig(
+        v1=PotentialField.from_samples(v_scale * rng.uniform(0.0, 1.0, grid.n_points)),
+        a_vec=PotentialField.from_samples(a),
+    )
+    rhs = rng.standard_normal(grid.n_points) + 1j * rng.standard_normal(grid.n_points)
+    return cfg, rhs
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(8, 300),
+    seed=st.integers(0, 2**32 - 1),
+    v_scale=st.floats(0.0, 100.0),
+    a_scale=st.floats(0.1, 3.0),
+    dt=st.floats(1e-4, 1.0),
+)
+def test_periodic_factored_solve_matches_dense(n, seed, v_scale, a_scale, dt):
+    # Sherman-Morrison over the corners against the full cyclic matrix, for a
+    # Cayley (imaginary) scale and an imaginary-time (real) scale
+    g = make_grid(-5.0, 5.0, n, "periodic")
+    cfg, rhs = _random_config(g, seed, v_scale, a_scale)
+    h = hamiltonian_matrix(cfg, g)
+    assert h.corner_first_last != np.conj(h.corner_first_last)  # complex, non-symmetric corners
+    for scale in (1j * dt / 2.0, dt):
+        x = _CayleySolver(h, scale).solve(rhs)
+        ref = np.linalg.solve(dense_shifted_matrix(h, scale), rhs)
+        assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(8, 300),
+    seed=st.integers(0, 2**32 - 1),
+    v_scale=st.floats(-50.0, 100.0),
+    a_scale=st.floats(0.0, 3.0),
+    dt=st.floats(1e-4, 1.0),
+)
+def test_dirichlet_factored_solve_equals_solve_banded(n, seed, v_scale, a_scale, dt):
+    g = make_grid(-5.0, 5.0, n)
+    cfg, rhs = _random_config(g, seed, v_scale, a_scale)
+    h = hamiltonian_matrix(cfg, g)
+    for scale in (1j * dt / 2.0, dt):
+        x = _CayleySolver(h, scale).solve(rhs)
+        np.testing.assert_array_equal(x, banded_shift_solve(h, scale, rhs))
+
+
+def test_periodic_solve_with_zero_leading_diagonal():
+    # dx = 1, s = 1 and V[0] = -2 make (1 + s H)[0, 0] exactly zero, the case
+    # where the usual Sherman-Morrison shift -d[0] cannot be used
+    g = make_grid(0.0, 8.0, 8, "periodic")
+    v = np.zeros(8)
+    v[0] = -2.0
+    h = hamiltonian_matrix(HamiltonianConfig(v1=PotentialField.from_samples(v)), g)
+    dense = dense_shifted_matrix(h, 1.0)
+    assert dense[0, 0] == 0
+    rhs = np.arange(1.0, 9.0) + 0.5j
+    ref = np.linalg.solve(dense, rhs)
+    x = _CayleySolver(h, 1.0).solve(rhs)
+    assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def _driven(x, t):
+    return 0.5 * x**2 + 0.4 * x * np.sin(3.0 * t)
+
+
+_CONTACT = TwoBodyInteraction.contact(30.0, 3)
+_STEPPING_CASES = {
+    "cn-dirichlet-static": ("dirichlet", HARMONIC, PropagationPlan(dt=2e-3, n_steps=12, record_stride=3)),
+    "cn-dirichlet-driven": (
+        "dirichlet",
+        HamiltonianConfig(v1=PotentialField.from_callable(_driven)),
+        PropagationPlan(dt=2e-3, n_steps=12, t_start=0.3, record_stride=3),
+    ),
+    "cn-periodic-static": (
+        "periodic",
+        HamiltonianConfig(v1=PotentialField.harmonic(), a_vec=PotentialField.from_samples(np.full(257, 0.4))),
+        PropagationPlan(dt=2e-3, n_steps=12, record_stride=3),
+    ),
+    "cn-periodic-driven": (
+        "periodic",
+        HamiltonianConfig(v1=PotentialField.from_callable(_driven)),
+        PropagationPlan(dt=2e-3, n_steps=12, t_start=0.3, record_stride=3),
+    ),
+    "split-static": ("periodic", HARMONIC, PropagationPlan(dt=2e-3, n_steps=12, scheme="split-operator")),
+    "split-driven": (
+        "periodic",
+        HamiltonianConfig(v1=PotentialField.from_callable(_driven)),
+        PropagationPlan(dt=2e-3, n_steps=12, t_start=0.3, scheme="split-operator"),
+    ),
+    "gp-predictor-corrector": (
+        "dirichlet",
+        HamiltonianConfig(v1=PotentialField.harmonic(), interaction=_CONTACT),
+        PropagationPlan(dt=2e-3, n_steps=12, record_stride=4, nonlinear_update="predictor-corrector"),
+    ),
+    "gp-half-step": (
+        "periodic",
+        HamiltonianConfig(v1=PotentialField.from_callable(_driven), interaction=_CONTACT),
+        PropagationPlan(dt=2e-3, n_steps=12, t_start=0.3, nonlinear_update="recompute-each-half-step"),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_STEPPING_CASES))
+def test_propagate_equals_a_loop_of_single_steps(case):
+    # propagate factors (or builds phases) once for a static H and reassembles
+    # at every midpoint for a driven one; either way it must reproduce the
+    # public one-step functions bit for bit
+    boundary, cfg, plan = _STEPPING_CASES[case]
+    g = make_grid(-8.0, 8.0, 257, boundary)
+    psi0 = gaussian_wavepacket(g, center=0.5, width=0.8, wavenumber=1.0)
+    if cfg.interaction is not None:
+        step = lambda psi, t: step_gp(cfg, psi, t, plan.dt, plan)
+    elif plan.scheme == "split-operator":
+        step = lambda psi, t: step_split_operator(cfg, psi, t, plan.dt)
+    else:
+        step = lambda psi, t: step_crank_nicolson(cfg, psi, t, plan.dt)
+    traj = propagate(cfg, psi0, plan)
+    psi, t = psi0, plan.t_start
+    expected = [psi0.amplitudes]
+    for k in range(1, plan.n_steps + 1):
+        psi = step(psi, t)
+        t = plan.t_start + k * plan.dt
+        if k % plan.record_stride == 0:
+            expected.append(psi.amplitudes)
+    assert len(traj.states) == len(expected)
+    for state, amp in zip(traj.states, expected):
+        np.testing.assert_array_equal(state.amplitudes, amp)
+
+
+@pytest.mark.parametrize(
+    "boundary, scheme, interaction, per_step",
+    [
+        ("dirichlet", "crank-nicolson", None, 1),
+        ("periodic", "split-operator", None, 1),
+        ("dirichlet", "crank-nicolson", _CONTACT, 2),  # predictor and corrector
+    ],
+)
+def test_driven_propagation_reassembles_at_every_midpoint(boundary, scheme, interaction, per_step):
+    g = make_grid(-8.0, 8.0, 129, boundary)
+    seen = []
+
+    def potential(x, t):
+        seen.append(t)
+        return _driven(x, t)
+
+    cfg = HamiltonianConfig(v1=PotentialField.from_callable(potential), interaction=interaction)
+    mode = "none" if interaction is None else "predictor-corrector"
+    plan = PropagationPlan(dt=1e-2, n_steps=5, t_start=0.25, scheme=scheme, nonlinear_update=mode)
+    propagate(cfg, gaussian_wavepacket(g), plan)
+    starts = [plan.t_start] + [plan.t_start + k * plan.dt for k in range(1, plan.n_steps)]
+    assert seen == [t + plan.dt / 2.0 for t in starts for _ in range(per_step)]
+
+
+def test_singular_pivot_raises_linalg_error():
+    # dx = 1, dtau = 1 and V = -1.5 make 1 + dtau H = tridiag(-1/2, 1/2, -1/2)
+    # on the 8 interior points, whose determinant vanishes exactly
+    g = make_grid(0.0, 9.0, 10)
+    cfg = HamiltonianConfig(v1=PotentialField.from_samples(np.full(10, -1.5)))
+    psi = wavefunction_from_samples(g, np.sin(np.pi * g.x / 9.0))
+    with pytest.raises(np.linalg.LinAlgError, match="singular"):
+        banded_shift_solve(hamiltonian_matrix(cfg, g), 1.0, psi.amplitudes)
+    with pytest.raises(np.linalg.LinAlgError, match="singular"):
+        ground_state_imaginary_time(cfg, psi, dtau=1.0)

@@ -303,6 +303,50 @@ def test_cli_batch_parallel_width(tmp_path, monkeypatch):
     assert (tmp_path / "runs" / "p2" / "manifest.json").exists()
 
 
+HERMITICITY_ERROR = "energy has imaginary part 1.000e-03; Hamiltonian assembly is not Hermitian"
+
+
+@pytest.mark.parametrize("error", [RuntimeError(HERMITICITY_ERROR), MemoryError("out of memory")])
+def test_cli_run_solver_error_exits_2(tmp_path, monkeypatch, capsys, error):
+    import waveaction.cli as cli
+
+    def failing(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, "run_scenario", failing)
+    path = write_scenario(tmp_path, minimal_ground_state())
+    assert main(["run", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 2
+    assert f"solver error: {error}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("width", ["1", "2"])
+def test_cli_batch_reports_every_scenario_after_a_solver_error(tmp_path, monkeypatch, capsys, width):
+    # the patched runner reaches the width-2 workers because they are forked
+    import waveaction.cli as cli
+
+    original = cli.run_scenario
+
+    def guarded(scenario, out_dir, **kwargs):
+        if scenario.name == "broken":
+            raise RuntimeError(HERMITICITY_ERROR)
+        return original(scenario, out_dir, **kwargs)
+
+    monkeypatch.setattr(cli, "run_scenario", guarded)
+    monkeypatch.setenv("WAVEACTION_BATCH_WIDTH", width)
+    scen_dir = tmp_path / "scenarios"
+    scen_dir.mkdir()
+    for name in ("broken", "good", "later"):
+        write_scenario(scen_dir, minimal_ground_state(name), f"{name}.json")
+    code = main(["batch", str(scen_dir), "--out", str(tmp_path / "runs")])
+    captured = capsys.readouterr()
+    assert code == 2
+    exits = dict(line.rsplit(": exit ", 1) for line in captured.out.splitlines() if ": exit " in line)
+    assert exits == {str(scen_dir / f"{n}.json"): c for n, c in (("broken", "2"), ("good", "0"), ("later", "0"))}
+    assert (tmp_path / "runs" / "later" / "manifest.json").exists()
+    if width == "1":
+        assert f"solver error: {HERMITICITY_ERROR}" in captured.err
+
+
 def test_cli_module_entry_point(tmp_path):
     path = write_scenario(tmp_path, minimal_ground_state())
     proc = subprocess.run(
