@@ -19,8 +19,8 @@ H, and at every mean-field update.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy import fft as sp_fft
@@ -39,11 +39,6 @@ CRANK_NICOLSON = "crank-nicolson"
 SPLIT_OPERATOR = "split-operator"
 _SCHEMES = (CRANK_NICOLSON, SPLIT_OPERATOR)
 
-NONLINEAR_NONE = "none"
-NONLINEAR_HALF_STEP = "recompute-each-half-step"
-NONLINEAR_PREDICTOR_CORRECTOR = "predictor-corrector"
-_NONLINEAR_MODES = (NONLINEAR_NONE, NONLINEAR_HALF_STEP, NONLINEAR_PREDICTOR_CORRECTOR)
-
 
 class ObserverError(RuntimeError):
     """Raised when a diagnostic callback fails during propagation."""
@@ -57,7 +52,6 @@ class PropagationPlan:
     n_steps: int
     t_start: float = 0.0
     scheme: str = CRANK_NICOLSON
-    nonlinear_update: str = NONLINEAR_NONE
     record_stride: int = 1
 
     def __post_init__(self):
@@ -67,8 +61,6 @@ class PropagationPlan:
             raise ValueError("n_steps must be non-negative")
         if self.scheme not in _SCHEMES:
             raise ValueError(f"scheme must be one of {_SCHEMES}")
-        if self.nonlinear_update not in _NONLINEAR_MODES:
-            raise ValueError(f"nonlinear_update must be one of {_NONLINEAR_MODES}")
         if self.record_stride < 1:
             raise ValueError("record_stride must be at least 1")
         if self.n_steps % self.record_stride != 0:
@@ -80,32 +72,45 @@ class PropagationPlan:
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Ordered (time, state) snapshots from one propagation run."""
+    """States recorded on one grid: times of shape (T,), amplitudes of shape (T, N).
 
-    snapshots: tuple
-    record_stride: int = 1
+    Both arrays are copied and stored read-only.  Each row obeys the
+    Wavefunction rules (finite, Dirichlet endpoints clamped to zero).
+    """
+
+    grid: Grid
+    times: np.ndarray
+    amplitudes: np.ndarray
 
     def __post_init__(self):
-        if len(self.snapshots) == 0:
-            raise ValueError("trajectory needs at least one snapshot")
-        times = [t for t, _ in self.snapshots]
-        if any(t1 <= t0 for t0, t1 in zip(times, times[1:])):
+        times = np.array(self.times, dtype=np.float64)
+        amp = np.array(self.amplitudes, dtype=np.complex128)
+        if times.ndim != 1 or len(times) == 0:
+            raise ValueError("trajectory needs a 1-D array of at least one snapshot time")
+        if amp.shape != (len(times), self.grid.n_points):
+            raise ValueError(
+                f"amplitude array has shape {amp.shape}, expected ({len(times)}, {self.grid.n_points})"
+            )
+        if not np.all(np.isfinite(times)):
+            raise ValueError("snapshot times must be finite")
+        if np.any(np.diff(times) <= 0):
             raise ValueError("snapshot times must be strictly increasing")
-        g = self.snapshots[0][1].grid
-        if any(s.grid is not g for _, s in self.snapshots):
-            raise ValueError("all snapshots must share one grid")
+        if not np.all(np.isfinite(amp.view(np.float64))):
+            raise ValueError("amplitudes must be finite")
+        if not self.grid.is_periodic:
+            amp[:, 0] = 0.0
+            amp[:, -1] = 0.0
+        times.setflags(write=False)
+        amp.setflags(write=False)
+        object.__setattr__(self, "times", times)
+        object.__setattr__(self, "amplitudes", amp)
 
     @property
-    def times(self) -> np.ndarray:
-        return np.array([t for t, _ in self.snapshots])
-
-    @property
-    def states(self) -> list:
-        return [s for _, s in self.snapshots]
-
-    @property
-    def grid(self) -> Grid:
-        return self.snapshots[0][1].grid
+    def snapshots(self) -> tuple:
+        """(time, Wavefunction) pairs, built on each access."""
+        return tuple(
+            (float(t), Wavefunction(self.grid, amp, float(t))) for t, amp in zip(self.times, self.amplitudes)
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -245,22 +250,13 @@ def _split_stepper(cfg: HamiltonianConfig, grid: Grid, dt: float):
     return lambda amp, t: strang(half_v, amp)
 
 
-def _gp_stepper(cfg: HamiltonianConfig, grid: Grid, dt: float, mode: str):
-    """Density-averaged predictor-corrector, or two mean-field-refreshed dt/2 substeps."""
+def _gp_stepper(cfg: HamiltonianConfig, grid: Grid, dt: float):
+    """The density-averaged predictor-corrector of step_gp."""
     hbar = cfg.constants.hbar
     h_at = _hamiltonian_at(cfg, grid)
 
     def mean_field(rho):
         return mean_field_density_values(cfg.interaction, grid, rho)
-
-    if mode == NONLINEAR_HALF_STEP:
-
-        def advance(amp, t):
-            half = _cayley_substep(h_at, hbar, amp, t, dt / 2.0, mean_field(np.abs(amp) ** 2))
-            u = mean_field(np.abs(half) ** 2)
-            return _cayley_substep(h_at, hbar, half, t + dt / 2.0, dt / 2.0, u)
-
-        return advance
 
     def advance(amp, t):
         rho = np.abs(amp) ** 2
@@ -287,26 +283,15 @@ def step_split_operator(
     return Wavefunction(psi.grid, _split_stepper(cfg, psi.grid, dt)(psi.amplitudes, t), psi.time + dt)
 
 
-def step_gp(
-    cfg: HamiltonianConfig,
-    psi: Wavefunction,
-    t: float,
-    dt: float,
-    plan: Optional[PropagationPlan] = None,
-) -> Wavefunction:
-    """One nonlinear mean-field step.
+def step_gp(cfg: HamiltonianConfig, psi: Wavefunction, t: float, dt: float) -> Wavefunction:
+    """One nonlinear mean-field step by the density-averaged predictor-corrector.
 
-    Default is the density-averaged predictor-corrector: predict with
-    the mean field frozen at the current state, rebuild it from the
-    average density (|phi_pred|^2 + |phi|^2)/2, then correct.  The
-    "recompute-each-half-step" mode takes two dt/2 Cayley substeps,
-    refreshing the mean field before each.
+    Predict with the mean field frozen at the current state, rebuild it
+    from the average density (|phi_pred|^2 + |phi|^2)/2, then correct.
     """
     if cfg.interaction is None:
         raise ValueError("step_gp requires a configured interaction")
-    mode = plan.nonlinear_update if plan is not None else NONLINEAR_PREDICTOR_CORRECTOR
-    advance = _gp_stepper(cfg, psi.grid, dt, mode)
-    return Wavefunction(psi.grid, advance(psi.amplitudes, t), psi.time + dt)
+    return Wavefunction(psi.grid, _gp_stepper(cfg, psi.grid, dt)(psi.amplitudes, t), psi.time + dt)
 
 
 def propagate(
@@ -323,36 +308,38 @@ def propagate(
     """
     if abs(norm(psi0) - 1.0) > 1e-6:
         raise ValueError("initial state must be normalized")
-    has_interaction = cfg.interaction is not None
-    if has_interaction and plan.nonlinear_update == NONLINEAR_NONE:
-        raise ValueError("interaction configured: choose a nonlinear_update mode")
-    if not has_interaction and plan.nonlinear_update != NONLINEAR_NONE:
-        raise ValueError("nonlinear_update set but no interaction configured")
-    if plan.scheme == SPLIT_OPERATOR and has_interaction:
+    if plan.scheme == SPLIT_OPERATOR and cfg.interaction is not None:
         raise ValueError("split-operator scheme supports linear Hamiltonians only")
 
     grid = psi0.grid
-    if has_interaction:
-        advance = _gp_stepper(cfg, grid, plan.dt, plan.nonlinear_update)
+    if cfg.interaction is not None:
+        advance = _gp_stepper(cfg, grid, plan.dt)
     elif plan.scheme == SPLIT_OPERATOR:
         advance = _split_stepper(cfg, grid, plan.dt)
     else:
         advance = _cn_stepper(cfg, grid, plan.dt)
     psi = Wavefunction(grid, psi0.amplitudes, plan.t_start)
-    snapshots = [(plan.t_start, psi)]
-    t = plan.t_start
+    n_records = plan.n_steps // plan.record_stride + 1
+    times = np.empty(n_records)
+    amplitudes = np.empty((n_records, grid.n_points), dtype=complex)
+    times[0] = t = plan.t_start
+    amplitudes[0] = psi.amplitudes
     for k in range(1, plan.n_steps + 1):
         amp = advance(psi.amplitudes, t)
         t = plan.t_start + k * plan.dt
-        psi = Wavefunction(grid, amp, t)
+        try:
+            psi = Wavefunction(grid, amp, t)
+        except ValueError as exc:
+            raise RuntimeError(f"step {k} (t = {t:.6g}) failed: {exc}") from exc
         for obs in observers:
             try:
                 obs(k, t, psi)
             except Exception as exc:
                 raise ObserverError(f"observer failed at step {k}, t = {t:.6g}") from exc
         if k % plan.record_stride == 0:
-            snapshots.append((t, psi))
-    return Trajectory(tuple(snapshots), plan.record_stride)
+            times[k // plan.record_stride] = t
+            amplitudes[k // plan.record_stride] = psi.amplitudes
+    return Trajectory(grid, times, amplitudes)
 
 
 def ground_state_imaginary_time(
@@ -392,8 +379,12 @@ def ground_state_imaginary_time(
     converged = False
     iterations = 0
     for _ in range(max_iter):
-        psi = normalize(Wavefunction(grid, solve(psi.amplitudes), psi.time))
+        amp = solve(psi.amplitudes)
         iterations += 1
+        try:
+            psi = normalize(Wavefunction(grid, amp, psi.time))
+        except ValueError as exc:
+            raise RuntimeError(f"imaginary-time iteration {iterations} failed: {exc}") from exc
         history.append(energy(cfg, psi, 0.0))
         if abs(history[-1] - history[-2]) < tol:
             converged = True

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .diagnostics import continuity_residual, hamilton_equations_residual
-from .grids import Wavefunction, norm, quadrature
+from .grids import Grid, Wavefunction, norm, quadrature
 from .hamiltonian import chemical_potential, energy
 from .propagation import Trajectory, ground_state_imaginary_time, propagate
 from .scenario import (
@@ -38,7 +38,6 @@ from .variational import (
     gaussian_family,
     gaussian_phase_family,
     rayleigh_ritz_minimize,
-    stationarity_test,
 )
 
 VERIFY_THRESHOLDS = {
@@ -108,14 +107,13 @@ def _write_csv(path: Path, columns, rows) -> None:
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
-def _write_snapshot(path: Path, psi: Wavefunction, step: int) -> None:
-    g = psi.grid
+def _write_snapshot(path: Path, g: Grid, amplitudes: np.ndarray, t: float, step: int) -> None:
     header = (
         f"# x_min={_fmt(g.x_min)} x_max={_fmt(g.x_max)} n_points={g.n_points} "
-        f"boundary={g.boundary} dx={_fmt(g.dx)} time={_fmt(psi.time)} step={step}\n"
+        f"boundary={g.boundary} dx={_fmt(g.dx)} time={_fmt(t)} step={step}\n"
     )
     body = "re,im\n" + "\n".join(
-        f"{_fmt(a.real)},{_fmt(a.imag)}" for a in psi.amplitudes
+        f"{_fmt(a.real)},{_fmt(a.imag)}" for a in amplitudes
     )
     _atomic_write(path, header + body + "\n")
 
@@ -129,20 +127,21 @@ def _hash_scenario(scenario: Scenario) -> str:
 
 
 def _diagnostics_rows(cfg, traj: Trajectory, stride: int, integrals):
-    states = traj.states
-    times = traj.times
     rows = []
     if integrals is not None:
         run_simple, run_standard = integrals.running("simple"), integrals.running("standard")
     else:
-        run_simple = run_standard = np.zeros(len(states))
-    for i, (t, psi) in enumerate(zip(times, states)):
-        if i == 0:
+        run_simple = run_standard = np.zeros(len(traj.times))
+    previous = None
+    for i, (t, amp) in enumerate(zip(traj.times, traj.amplitudes)):
+        psi = Wavefunction(traj.grid, amp, t)
+        if previous is None:
             cont_sup = cont_l2 = r1 = 0.0
         else:
-            report = continuity_residual(cfg, states[i - 1], psi)
+            report = continuity_residual(cfg, previous, psi)
             cont_sup, cont_l2 = report.sup_norm, report.l2_norm
-            r1, _ = hamilton_equations_residual(cfg, states[i - 1], psi)
+            r1, _ = hamilton_equations_residual(cfg, previous, psi)
+        previous = psi
         rows.append(
             DiagnosticsRecord(
                 step=i * stride,
@@ -173,11 +172,11 @@ def _run_propagation(scenario: Scenario, out_dir: Path, stride: Optional[int]):
         norm_drift["max"] = max(norm_drift["max"], abs(norm(psi) - 1.0))
 
     traj = propagate(cfg, psi0, plan, observers=[watch_norm])
-    integrals = action_integrals(cfg, traj) if len(traj.snapshots) >= 3 else None
+    integrals = action_integrals(cfg, traj) if len(traj.times) >= 3 else None
     rows = _diagnostics_rows(cfg, traj, plan.record_stride, integrals)
     _write_csv(out_dir / "diagnostics.csv", CSV_COLUMNS, [astuple(r) for r in rows])
-    for row, (t, psi) in zip(rows, traj.snapshots):
-        _write_snapshot(out_dir / f"snapshot_{row.step:08d}.csv", psi, row.step)
+    for row, amp in zip(rows, traj.amplitudes):
+        _write_snapshot(out_dir / f"snapshot_{row.step:08d}.csv", traj.grid, amp, row.time, row.step)
     summary = {
         "final_energy": rows[-1].energy,
         "final_norm": rows[-1].norm,
@@ -188,7 +187,7 @@ def _run_propagation(scenario: Scenario, out_dir: Path, stride: Optional[int]):
         "n_steps": plan.n_steps,
         "record_stride": plan.record_stride,
     }
-    return cfg, traj, integrals, summary
+    return traj, integrals, summary
 
 
 def run_scenario(
@@ -207,16 +206,16 @@ def run_scenario(
     summary: dict = {}
 
     if task in ("propagate", "gp-propagate"):
-        cfg, traj, _, summary = _run_propagation(scenario, out_dir, stride)
+        _, _, summary = _run_propagation(scenario, out_dir, stride)
 
     elif task == "verify":
-        cfg, traj, integrals, summary = _run_propagation(scenario, out_dir, stride)
+        traj, integrals, summary = _run_propagation(scenario, out_dir, stride)
         if integrals is None:
             raise ValueError("verify needs at least 3 recorded snapshots")
         s_simple = integrals.action("simple").value
         s_standard = integrals.action("standard").value
         bump = _verify_bump(traj)
-        slope = stationarity_test(cfg, traj, bump, scenario.task["epsilons"]).slope
+        slope = integrals.stationarity(bump, scenario.task["epsilons"]).slope
         th = VERIFY_THRESHOLDS
         slope_band = [th["stationarity_slope_low"], th["stationarity_slope_high"]]
         table = (
@@ -252,7 +251,8 @@ def run_scenario(
             ("iteration", "energy"),
             list(enumerate(result.energy_history)),
         )
-        _write_snapshot(out_dir / "ground_state.csv", result.state, result.iterations)
+        state = result.state
+        _write_snapshot(out_dir / "ground_state.csv", grid, state.amplitudes, state.time, result.iterations)
         converged = result.converged
         summary = {
             "final_energy": result.energy,

@@ -432,12 +432,10 @@ def build_plan(scenario: Scenario) -> PropagationPlan:
     task = scenario.task
     if task["kind"] not in ("propagate", "gp-propagate", "verify"):
         raise ValueError(f"task {task['kind']!r} has no propagation plan")
-    nonlinear = "predictor-corrector" if scenario.interaction is not None else "none"
     return PropagationPlan(
         dt=task["dt"],
         n_steps=task["n_steps"],
         t_start=task["t_start"],
         scheme=task["scheme"],
-        nonlinear_update=nonlinear,
         record_stride=scenario.output["record_stride"],
     )

@@ -26,17 +26,9 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 from scipy.optimize import minimize
 
-from .grids import (
-    Grid,
-    Wavefunction,
-    central_difference,
-    gaussian_wavepacket,
-    normalize,
-    quadrature,
-)
+from .grids import Grid, Wavefunction, gaussian_wavepacket, normalize, quadrature
 from .hamiltonian import (
     HamiltonianConfig,
-    apply_mechanical_momentum,
     energy,
     hamiltonian_matrix,
     mean_field_diagonal,
@@ -46,11 +38,10 @@ from .propagation import Trajectory
 
 @dataclass(frozen=True, eq=False)
 class LagrangianSample:
-    """Pointwise values of both densities and their divergence difference."""
+    """Pointwise values of both densities at one instant."""
 
     l_simple: np.ndarray
     l_standard: np.ndarray
-    divergence_term: np.ndarray
     time: float
 
     @property
@@ -75,9 +66,14 @@ class ActionIntegrals:
     is real; the time-integration rules live here and nowhere else.
     """
 
-    times: np.ndarray
+    cfg: HamiltonianConfig
+    trajectory: Trajectory
     simple: np.ndarray
     standard: np.ndarray
+
+    @property
+    def times(self) -> np.ndarray:
+        return self.trajectory.times
 
     def _series(self, which: str) -> np.ndarray:
         if which == "simple":
@@ -105,6 +101,44 @@ class ActionIntegrals:
     def reality_deviations(self) -> np.ndarray:
         """|Im| of the compact integral at the interior snapshots."""
         return np.abs(self.simple.imag[1:-1])
+
+    def stationarity(self, perturbation: Wavefunction, epsilons: Sequence[float]) -> StationarityResult:
+        """Measure how the action responds to psi -> psi + eps * window * eta.
+
+        The spatial envelope eta is supplied; a sin^2 window in time makes
+        the perturbation vanish at both endpoints of the trajectory, as the
+        variational boundary conditions require.  The base action is this
+        result's; each epsilon costs one pass over a perturbed trajectory.
+        Returns the action change for each epsilon and the least-squares
+        slope of log|dS| vs log eps (2 on solution trajectories, 1 off-shell).
+        """
+        eps_list = [float(e) for e in epsilons]
+        positive = sorted({e for e in eps_list if e > 0})
+        if len(positive) < 2:
+            raise ValueError("need at least two distinct positive epsilons for a slope")
+        traj = self.trajectory
+        if perturbation.grid.n_points != traj.grid.n_points:
+            raise ValueError("perturbation envelope lives on a different grid")
+        times = traj.times
+        window = np.sin(np.pi * (times - times[0]) / (times[-1] - times[0])) ** 2
+        base = self.action("simple").value
+
+        def perturbed_action(eps: float) -> float:
+            amps = np.outer(eps * window, perturbation.amplitudes)
+            amps += traj.amplitudes
+            return action(self.cfg, Trajectory(traj.grid, times, amps), "simple").value
+
+        points = []
+        for eps in eps_list:
+            delta = perturbed_action(eps) - base if eps != 0.0 else 0.0
+            points.append((eps, delta))
+        fit_points = [(e, d) for e, d in points if e > 0]
+        if any(d == 0.0 for _, d in fit_points):
+            raise ValueError("degenerate epsilon list: zero action change at nonzero epsilon")
+        log_e = np.log([e for e, _ in fit_points])
+        log_d = np.log([abs(d) for _, d in fit_points])
+        slope = float(np.polyfit(log_e, log_d, 1)[0])
+        return StationarityResult(points=tuple(points), slope=slope)
 
 
 @dataclass(frozen=True, eq=False)
@@ -185,25 +219,7 @@ def lagrangian_densities(
     if extra is not None:
         scalar = scalar + extra
     l_standard = time_part - kinetic - scalar * np.abs(amp) ** 2
-
-    flux = np.imag(np.conj(amp) * apply_mechanical_momentum(cfg, psi, t).amplitudes)
-    divergence_term = -(c.hbar / (2.0 * c.mass)) * central_difference(grid, flux)
-    return LagrangianSample(l_simple, l_standard, divergence_term, t)
-
-
-def _time_derivatives(states, times) -> list:
-    """Centered differences at interior snapshots, one-sided at the ends."""
-    k_last = len(states) - 1
-    out = []
-    for k in range(len(states)):
-        if k == 0:
-            d = (states[1].amplitudes - states[0].amplitudes) / (times[1] - times[0])
-        elif k == k_last:
-            d = (states[k].amplitudes - states[k - 1].amplitudes) / (times[k] - times[k - 1])
-        else:
-            d = (states[k + 1].amplitudes - states[k - 1].amplitudes) / (times[k + 1] - times[k - 1])
-        out.append(d)
-    return out
+    return LagrangianSample(l_simple, l_standard, t)
 
 
 def _check_uniform(times: np.ndarray) -> float:
@@ -216,25 +232,28 @@ def _check_uniform(times: np.ndarray) -> float:
 def action_integrals(cfg: HamiltonianConfig, traj: Trajectory) -> ActionIntegrals:
     """One pass over the snapshots: the spatial integral of both densities at each.
 
-    Every action-derived quantity of a trajectory (both actions, their
-    running integrals, the reality deviations) is read from the result.
+    The time derivative at each row is the centred difference of its
+    neighbours (one-sided at the ends), formed one row at a time.  Every
+    action-derived quantity of a trajectory (both actions, their running
+    integrals, the reality deviations, the stationarity probe) is read
+    from the result.
     """
-    states = traj.states
     times = traj.times
-    if len(states) < 3:
+    amps = traj.amplitudes
+    if len(times) < 3:
         raise ValueError("need at least 3 snapshots to integrate the action")
     _check_uniform(times)
     grid = traj.grid
-    simple = np.empty(len(states), dtype=complex)
-    standard = np.empty(len(states))
-    derivs = _time_derivatives(states, times)
-    for k, (state, damp) in enumerate(zip(states, derivs)):
-        sample = lagrangian_densities(
-            cfg, state, Wavefunction(grid, damp, times[k]), times[k]
-        )
+    simple = np.empty(len(times), dtype=complex)
+    standard = np.empty(len(times))
+    for k, t in enumerate(times):
+        lo, hi = max(k - 1, 0), min(k + 1, len(times) - 1)
+        damp = (amps[hi] - amps[lo]) / (times[hi] - times[lo])
+        psi = Wavefunction(grid, amps[k], t)
+        sample = lagrangian_densities(cfg, psi, Wavefunction(grid, damp, t), t)
         simple[k] = quadrature(grid, sample.l_simple)
         standard[k] = quadrature(grid, sample.l_standard).real
-    return ActionIntegrals(times, simple, standard)
+    return ActionIntegrals(cfg, traj, simple, standard)
 
 
 def action(cfg: HamiltonianConfig, traj: Trajectory, which: str = "simple") -> ActionValue:
@@ -263,44 +282,8 @@ def stationarity_test(
     perturbation: Wavefunction,
     epsilons: Sequence[float],
 ) -> StationarityResult:
-    """Measure how the action responds to psi -> psi + eps * window * eta.
-
-    The spatial envelope eta is supplied; a sin^2 window in time makes the
-    perturbation vanish at both endpoints of the trajectory, as the
-    variational boundary conditions require.  Returns the action change
-    for each epsilon and the least-squares slope of log|dS| vs log eps
-    (2 on solution trajectories, 1 off-shell).
-    """
-    eps_list = [float(e) for e in epsilons]
-    positive = sorted({e for e in eps_list if e > 0})
-    if len(positive) < 2:
-        raise ValueError("need at least two distinct positive epsilons for a slope")
-    if perturbation.grid.n_points != traj.grid.n_points:
-        raise ValueError("perturbation envelope lives on a different grid")
-    states = traj.states
-    times = traj.times
-    grid = traj.grid
-    window = np.sin(np.pi * (times - times[0]) / (times[-1] - times[0])) ** 2
-    base = action(cfg, traj, "simple").value
-
-    def perturbed_action(eps: float) -> float:
-        snaps = tuple(
-            (times[k], Wavefunction(grid, states[k].amplitudes + eps * window[k] * perturbation.amplitudes, times[k]))
-            for k in range(len(states))
-        )
-        return action(cfg, Trajectory(snaps, traj.record_stride), "simple").value
-
-    points = []
-    for eps in eps_list:
-        delta = perturbed_action(eps) - base if eps != 0.0 else 0.0
-        points.append((eps, delta))
-    fit_points = [(e, d) for e, d in points if e > 0]
-    if any(d == 0.0 for _, d in fit_points):
-        raise ValueError("degenerate epsilon list: zero action change at nonzero epsilon")
-    log_e = np.log([e for e, _ in fit_points])
-    log_d = np.log([abs(d) for _, d in fit_points])
-    slope = float(np.polyfit(log_e, log_d, 1)[0])
-    return StationarityResult(points=tuple(points), slope=slope)
+    """Action response to psi -> psi + eps * window * eta; see ActionIntegrals.stationarity."""
+    return action_integrals(cfg, traj).stationarity(perturbation, epsilons)
 
 
 def gaussian_family(

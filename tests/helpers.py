@@ -7,7 +7,7 @@ products, explicit double loops, and direct tridiagonal diagonalization.
 import numpy as np
 from scipy.linalg import eigh_tridiagonal, solve_banded
 
-from waveaction import Wavefunction, make_grid
+from waveaction import Wavefunction, lagrangian_densities, make_grid, quadrature
 
 
 def dense_momentum_matrix(grid, a_values, hbar=1.0, charge=1.0):
@@ -100,3 +100,30 @@ def banded_shift_solve(h, scale, rhs):
     out = np.zeros(n, dtype=complex)
     out[1:-1] = solve_banded((1, 1), ab, rhs[1:-1])
     return out
+
+
+def loop_action_integrals(cfg, traj):
+    """(simple, standard) by a loop over snapshot Wavefunctions with a list of derivatives.
+
+    Builds every time derivative first, centred at interior snapshots and
+    one-sided at the ends, then evaluates the densities snapshot by snapshot.
+    """
+    states = [psi for _, psi in traj.snapshots]
+    times = traj.times
+    last = len(states) - 1
+    derivs = []
+    for k in range(len(states)):
+        if k == 0:
+            d = (states[1].amplitudes - states[0].amplitudes) / (times[1] - times[0])
+        elif k == last:
+            d = (states[k].amplitudes - states[k - 1].amplitudes) / (times[k] - times[k - 1])
+        else:
+            d = (states[k + 1].amplitudes - states[k - 1].amplitudes) / (times[k + 1] - times[k - 1])
+        derivs.append(d)
+    simple = np.empty(len(states), dtype=complex)
+    standard = np.empty(len(states))
+    for k, (state, d) in enumerate(zip(states, derivs)):
+        sample = lagrangian_densities(cfg, state, Wavefunction(traj.grid, d, times[k]), times[k])
+        simple[k] = quadrature(traj.grid, sample.l_simple)
+        standard[k] = quadrature(traj.grid, sample.l_standard).real
+    return simple, standard

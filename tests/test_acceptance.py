@@ -25,7 +25,6 @@ from waveaction import (
     PropagationPlan,
     Trajectory,
     TwoBodyInteraction,
-    Wavefunction,
     action,
     apply_hamiltonian,
     box_sine_family,
@@ -194,11 +193,8 @@ def test_criterion_05_stationarity_slopes(solution_trajectory_n2001):
     g, traj = solution_trajectory_n2001
     bump = normalize(wavefunction_from_samples(g, np.exp(-g.x**2)))
     on_shell = stationarity_test(HARMONIC, traj, bump, [1e-2, 1e-3, 1e-4]).slope
-    corrupted = tuple(
-        (t, Wavefunction(g, psi.amplitudes * np.exp(-1j * 0.05 * t), t))
-        for t, psi in traj.snapshots
-    )
-    off_shell = stationarity_test(HARMONIC, Trajectory(corrupted), bump, [1e-2, 1e-3, 1e-4]).slope
+    corrupted = Trajectory(g, traj.times, traj.amplitudes * np.exp(-1j * 0.05 * traj.times)[:, None])
+    off_shell = stationarity_test(HARMONIC, corrupted, bump, [1e-2, 1e-3, 1e-4]).slope
     ok_on = abs(on_shell - 2.0) <= 0.15
     ok_off = abs(off_shell - 1.0) <= 0.15
     ok = report("5", ok_on and ok_off, f"slopes: on-shell {on_shell:.3f} (2.0+-0.15), off-shell {off_shell:.3f} (1.0+-0.15)")
@@ -288,7 +284,8 @@ def test_criterion_08_hamilton_equations(solution_trajectory_n2001):
     def r1_at(dt):
         gs = ground_state_imaginary_time(HARMONIC, gaussian_wavepacket(g), dtau=0.1, tol=1e-13)
         traj = propagate(HARMONIC, gs.state, PropagationPlan(dt=dt, n_steps=20, record_stride=10))
-        return hamilton_equations_residual(HARMONIC, traj.states[0], traj.states[1])[0]
+        (_, first), (_, second), _ = traj.snapshots
+        return hamilton_equations_residual(HARMONIC, first, second)[0]
 
     r_coarse = r1_at(1e-3)
     r_fine = r1_at(5e-4)
@@ -311,7 +308,7 @@ def test_criterion_08_hamilton_equations(solution_trajectory_n2001):
 
 def test_criterion_09_gauge_invariance(solution_trajectory_n2001):
     g, traj = solution_trajectory_n2001
-    psi = traj.states[0]
+    psi = traj.snapshots[0][1]
     rotated = gauge_transform(psi, 0.37)
     f0 = probability_fields(HARMONIC, psi)
     f1 = probability_fields(HARMONIC, rotated)
@@ -319,7 +316,7 @@ def test_criterion_09_gauge_invariance(solution_trajectory_n2001):
     d_j = float(np.max(np.abs(f1.current - f0.current)))
     d_e = abs(energy(HARMONIC, rotated) - energy(HARMONIC, psi))
     s0 = action(HARMONIC, traj, "simple").value
-    rotated_traj = Trajectory(tuple((t, gauge_transform(s, 0.37)) for t, s in traj.snapshots))
+    rotated_traj = Trajectory(g, traj.times, [gauge_transform(s, 0.37).amplitudes for _, s in traj.snapshots])
     d_s = abs(action(HARMONIC, rotated_traj, "simple").value - s0)
     ok = report(
         "9",

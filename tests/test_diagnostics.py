@@ -192,7 +192,8 @@ def residual_pair(dt, stride):
     traj = propagate(
         HARMONIC, gs.state, PropagationPlan(dt=dt, n_steps=2 * stride, record_stride=stride)
     )
-    return traj.states[0], traj.states[1]
+    (_, first), (_, second), _ = traj.snapshots
+    return first, second
 
 
 def test_hamilton_residual_scale_and_order():

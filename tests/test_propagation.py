@@ -10,6 +10,7 @@ from waveaction import (
     ObserverError,
     PotentialField,
     PropagationPlan,
+    Trajectory,
     TwoBodyInteraction,
     Wavefunction,
     apply_hamiltonian,
@@ -55,8 +56,6 @@ def test_plan_validation():
         PropagationPlan(dt=0.1, n_steps=-1)
     with pytest.raises(ValueError, match="scheme"):
         PropagationPlan(dt=0.1, n_steps=1, scheme="euler")
-    with pytest.raises(ValueError, match="nonlinear"):
-        PropagationPlan(dt=0.1, n_steps=1, nonlinear_update="full")
 
 
 def test_record_stride_must_divide_n_steps():
@@ -134,6 +133,52 @@ def test_propagate_zero_steps_returns_initial_only():
     np.testing.assert_array_equal(s0.amplitudes, psi.amplitudes)
 
 
+def test_trajectory_checks_copies_and_freezes_its_arrays():
+    g = make_grid(-5, 5, 64)
+    times = np.array([0.0, 0.1, 0.2])
+    amps = np.ones((3, 64), dtype=complex)
+    traj = Trajectory(g, times, amps)
+    assert traj.times.shape == (3,) and traj.amplitudes.shape == (3, 64)
+    # Dirichlet endpoints are clamped in every row, as Wavefunction clamps them
+    np.testing.assert_array_equal(traj.amplitudes[:, [0, -1]], 0.0)
+    np.testing.assert_array_equal(traj.amplitudes[:, 1:-1], 1.0)
+    periodic = make_grid(-5, 5, 64, "periodic")
+    np.testing.assert_array_equal(Trajectory(periodic, times, amps).amplitudes, 1.0)
+    # the caller's arrays are copied, and the stored ones are read-only
+    amps[1, 5] = 7.0
+    times[0] = -1.0
+    assert traj.amplitudes[1, 5] == 1.0 and traj.times[0] == 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        traj.amplitudes[1, 5] = 7.0
+    with pytest.raises(ValueError, match="read-only"):
+        traj.times[0] = -1.0
+    assert [t for t, _ in traj.snapshots] == [0.0, 0.1, 0.2]
+    for (t, psi), row in zip(traj.snapshots, traj.amplitudes):
+        assert psi.grid is g and psi.time == t
+        np.testing.assert_array_equal(psi.amplitudes, row)
+
+    ok_times, ok_amps = [0.0, 0.1, 0.2], np.ones((3, 64))
+    for bad_times, bad_amps in [
+        (ok_times, np.ones((3, 63))),
+        (ok_times, np.ones((2, 64))),
+        (ok_times, np.ones(64)),
+        ([], np.ones((0, 64))),
+        ([[0.0, 0.1, 0.2]], ok_amps),
+    ]:
+        with pytest.raises(ValueError, match="shape|1-D"):
+            Trajectory(g, bad_times, bad_amps)
+    for bad_times in ([0.0, 0.1, 0.1], [0.0, 0.2, 0.1]):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            Trajectory(g, bad_times, ok_amps)
+    with pytest.raises(ValueError, match="finite"):
+        Trajectory(g, [0.0, 0.1, np.inf], ok_amps)
+    for bad in (np.nan, np.inf, complex(0.0, np.nan)):
+        bad_amps = ok_amps.astype(complex)
+        bad_amps[1, 7] = bad
+        with pytest.raises(ValueError, match="amplitudes must be finite"):
+            Trajectory(g, ok_times, bad_amps)
+
+
 def test_propagate_norm_drift_over_thousand_steps():
     g, psi = grid_and_ground(n=801)
     drift = {"max": 0.0}
@@ -163,16 +208,6 @@ def test_propagate_requires_normalized_start():
     loud = wavefunction_from_samples(g, 2.0 * psi.amplitudes)
     with pytest.raises(ValueError, match="normalized"):
         propagate(HARMONIC, loud, PropagationPlan(dt=1e-3, n_steps=1))
-
-
-def test_propagate_nonlinear_mode_consistency():
-    g = make_grid(-5, 5, 64)
-    psi = gaussian_wavepacket(g)
-    cfg = HamiltonianConfig(interaction=TwoBodyInteraction.contact(1.0, 2))
-    with pytest.raises(ValueError, match="nonlinear_update"):
-        propagate(HARMONIC, psi, PropagationPlan(dt=1e-3, n_steps=1, nonlinear_update="predictor-corrector"))
-    with pytest.raises(ValueError, match="nonlinear_update"):
-        propagate(cfg, psi, PropagationPlan(dt=1e-3, n_steps=1))
 
 
 def test_observer_failure_aborts_with_context():
@@ -491,12 +526,12 @@ _STEPPING_CASES = {
     "gp-predictor-corrector": (
         "dirichlet",
         HamiltonianConfig(v1=PotentialField.harmonic(), interaction=_CONTACT),
-        PropagationPlan(dt=2e-3, n_steps=12, record_stride=4, nonlinear_update="predictor-corrector"),
+        PropagationPlan(dt=2e-3, n_steps=12, record_stride=4),
     ),
-    "gp-half-step": (
+    "gp-periodic-driven": (
         "periodic",
         HamiltonianConfig(v1=PotentialField.from_callable(_driven), interaction=_CONTACT),
-        PropagationPlan(dt=2e-3, n_steps=12, t_start=0.3, nonlinear_update="recompute-each-half-step"),
+        PropagationPlan(dt=2e-3, n_steps=12, t_start=0.3),
     ),
 }
 
@@ -510,7 +545,7 @@ def test_propagate_equals_a_loop_of_single_steps(case):
     g = make_grid(-8.0, 8.0, 257, boundary)
     psi0 = gaussian_wavepacket(g, center=0.5, width=0.8, wavenumber=1.0)
     if cfg.interaction is not None:
-        step = lambda psi, t: step_gp(cfg, psi, t, plan.dt, plan)
+        step = lambda psi, t: step_gp(cfg, psi, t, plan.dt)
     elif plan.scheme == "split-operator":
         step = lambda psi, t: step_split_operator(cfg, psi, t, plan.dt)
     else:
@@ -523,9 +558,9 @@ def test_propagate_equals_a_loop_of_single_steps(case):
         t = plan.t_start + k * plan.dt
         if k % plan.record_stride == 0:
             expected.append(psi.amplitudes)
-    assert len(traj.states) == len(expected)
-    for state, amp in zip(traj.states, expected):
-        np.testing.assert_array_equal(state.amplitudes, amp)
+    assert len(traj.amplitudes) == len(expected)
+    for row, amp in zip(traj.amplitudes, expected):
+        np.testing.assert_array_equal(row, amp)
 
 
 @pytest.mark.parametrize(
@@ -545,8 +580,7 @@ def test_driven_propagation_reassembles_at_every_midpoint(boundary, scheme, inte
         return _driven(x, t)
 
     cfg = HamiltonianConfig(v1=PotentialField.from_callable(potential), interaction=interaction)
-    mode = "none" if interaction is None else "predictor-corrector"
-    plan = PropagationPlan(dt=1e-2, n_steps=5, t_start=0.25, scheme=scheme, nonlinear_update=mode)
+    plan = PropagationPlan(dt=1e-2, n_steps=5, t_start=0.25, scheme=scheme)
     propagate(cfg, gaussian_wavepacket(g), plan)
     starts = [plan.t_start] + [plan.t_start + k * plan.dt for k in range(1, plan.n_steps)]
     assert seen == [t + plan.dt / 2.0 for t in starts for _ in range(per_step)]

@@ -248,9 +248,40 @@ def test_cli_stride_that_does_not_divide_n_steps_exits_1(tmp_path):
     assert main(["run", str(bad), "--out", str(tmp_path / "b"), "--quiet"]) == 1
 
 
+@pytest.mark.parametrize(
+    "task, where",
+    [({"kind": "propagate", "n_steps": 4}, "step 1 "), ({"kind": "ground-state"}, "iteration 1 ")],
+    ids=["propagate", "ground-state"],
+)
+def test_cli_state_that_blows_up_exits_2(tmp_path, capsys, task, where):
+    # omega^2 x^2 overflows to inf, so the first stepped state is NaN
+    data = minimal_ground_state("blow-up")
+    data["grid"]["n_points"] = 201
+    data["potentials"]["v1"] = {"kind": "harmonic", "omega": 1e154}
+    data["task"] = task
+    path = write_scenario(tmp_path, data)
+    assert main(["validate", str(path)]) == 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["run", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("solver error: ") and where in err and "amplitudes must be finite" in err
+
+
+def test_cli_non_finite_initial_state_exits_1(tmp_path, capsys):
+    # width**2 underflows to 0, so the Gaussian is 0/0 = NaN at its centre
+    data = minimal_ground_state("nan-start")
+    data["initial_state"] = {"kind": "gaussian", "center": 0.0, "width": 1e-200}
+    for task in ({"kind": "propagate", "n_steps": 4}, {"kind": "ground-state"}):
+        data["task"] = task
+        path = write_scenario(tmp_path, data)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            assert main(["run", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 1
+        assert capsys.readouterr().err == "error: amplitudes must be finite\n"
+
+
 def test_verify_makes_one_action_pass_besides_stationarity(tmp_path, monkeypatch):
-    # the runner's pass feeds the CSV, both actions and reality; the
-    # stationarity probe adds its base plus one pass per epsilon
+    # the runner's pass feeds the CSV, both actions, reality and the
+    # stationarity base; the probe adds one pass per epsilon
     import waveaction.variational as variational
 
     calls = []
@@ -266,7 +297,7 @@ def test_verify_makes_one_action_pass_besides_stationarity(tmp_path, monkeypatch
     data["task"] = {"kind": "verify", "n_steps": 20, "epsilons": [1e-2, 1e-3, 1e-4]}
     manifest = run_scenario(parse_scenario_dict(data), tmp_path / "out", quiet=True)
     assert "checks" in manifest.summary
-    assert len(calls) == 5 * 21
+    assert len(calls) == 4 * 21
 
 
 def test_verify_needs_three_records(tmp_path):

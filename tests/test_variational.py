@@ -2,13 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from waveaction import (
     HamiltonianConfig,
     PotentialField,
     PropagationPlan,
     Trajectory,
-    Wavefunction,
+    TwoBodyInteraction,
     action,
     action_integrals,
     apply_hamiltonian,
@@ -30,7 +32,7 @@ from waveaction.grids import central_difference
 from waveaction.hamiltonian import apply_mechanical_momentum
 from waveaction.variational import TrialFamily
 
-from helpers import dense_ground_energy, random_state
+from helpers import dense_ground_energy, loop_action_integrals, random_state
 
 HARMONIC = HamiltonianConfig(v1=PotentialField.harmonic())
 FREE = HamiltonianConfig()
@@ -75,7 +77,6 @@ def test_standard_density_is_real_array():
         random_state(g, seed=2),
     )
     assert sample.l_standard.dtype.kind == "f"
-    assert sample.divergence_term.dtype.kind == "f"
     np.testing.assert_array_equal(sample.sil, sample.l_simple.real)
 
 
@@ -98,15 +99,13 @@ def test_integrated_density_difference_matches_flux_oracle():
 
 def test_action_requires_three_uniform_snapshots():
     g = make_grid(-5, 5, 64)
-    psi = gaussian_wavepacket(g)
-    snaps = ((0.0, psi), (0.1, psi))
+    amp = gaussian_wavepacket(g).amplitudes
     with pytest.raises(ValueError, match="3 snapshots"):
-        action(HARMONIC, Trajectory(snaps), "simple")
-    bad_spacing = ((0.0, psi), (0.1, psi), (0.35, psi))
+        action(HARMONIC, Trajectory(g, [0.0, 0.1], [amp, amp]), "simple")
     with pytest.raises(ValueError, match="uniform"):
-        action(HARMONIC, Trajectory(bad_spacing), "simple")
+        action(HARMONIC, Trajectory(g, [0.0, 0.1, 0.35], [amp, amp, amp]), "simple")
     with pytest.raises(ValueError, match="simple"):
-        action(HARMONIC, Trajectory(((0.0, psi), (0.1, psi), (0.2, psi))), "sil")
+        action(HARMONIC, Trajectory(g, [0.0, 0.1, 0.2], [amp, amp, amp]), "sil")
 
 
 def test_action_vanishes_on_stationary_trajectory():
@@ -153,17 +152,61 @@ def test_time_reversal_conjugates_the_action():
         return np.trapezoid(integrals.simple, integrals.times)
 
     s = complex_action(traj)
-    times = traj.times
-    states = traj.states
-    reversed_snaps = tuple(
-        (times[k], Wavefunction(g, np.conj(states[len(states) - 1 - k].amplitudes), times[k]))
-        for k in range(len(states))
-    )
-    s_rev = complex_action(Trajectory(reversed_snaps))
+    reversed_traj = Trajectory(g, traj.times, np.conj(traj.amplitudes[::-1]))
+    s_rev = complex_action(reversed_traj)
     # exact discrete identity: reversal + conjugation conjugates the action
     assert abs(s_rev - np.conj(s)) < 1e-12
     # for a near-stationary window both are ~0, so the reversal negates it too
-    assert abs(action(HARMONIC, Trajectory(reversed_snaps)).value + action(HARMONIC, traj).value) < 1e-8
+    assert abs(action(HARMONIC, reversed_traj).value + action(HARMONIC, traj).value) < 1e-8
+
+
+def random_trajectory(seed, n_snapshots, n_points, boundary, dt):
+    """Seeded random amplitudes at uniformly spaced times."""
+    rng = np.random.default_rng(seed)
+    g = make_grid(-4.0, 4.0, n_points, boundary)
+    shape = (n_snapshots, n_points)
+    amps = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    times = rng.uniform(-1.0, 1.0) + dt * np.arange(n_snapshots)
+    return Trajectory(g, times, amps)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_snapshots=st.integers(3, 12),
+    n_points=st.integers(8, 200),
+    boundary=st.sampled_from(["dirichlet", "periodic"]),
+    dt=st.floats(1e-4, 0.1),
+    contact=st.one_of(st.none(), st.floats(0.0, 100.0)),
+)
+def test_action_integrals_equal_the_snapshot_loop(seed, n_snapshots, n_points, boundary, dt, contact):
+    # the row-wise pass must reproduce the per-snapshot loop bit for bit
+    interaction = None if contact is None else TwoBodyInteraction.contact(contact, 3)
+    cfg = HamiltonianConfig(v1=PotentialField.harmonic(), interaction=interaction)
+    traj = random_trajectory(seed, n_snapshots, n_points, boundary, dt)
+    integrals = action_integrals(cfg, traj)
+    simple, standard = loop_action_integrals(cfg, traj)
+    np.testing.assert_array_equal(integrals.simple, simple)
+    np.testing.assert_array_equal(integrals.standard, standard)
+    assert integrals.times is traj.times
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_snapshots=st.integers(3, 12),
+    n_points=st.integers(8, 200),
+    boundary=st.sampled_from(["dirichlet", "periodic"]),
+    dt=st.floats(1e-3, 0.1),
+    phase=st.floats(0.0, 2.0 * np.pi),
+)
+def test_global_phase_leaves_the_action_invariant(seed, n_snapshots, n_points, boundary, dt, phase):
+    traj = random_trajectory(seed, n_snapshots, n_points, boundary, dt)
+    rotated = Trajectory(traj.grid, traj.times, np.exp(1j * phase) * traj.amplitudes)
+    for which in ("simple", "standard"):
+        s = action(HARMONIC, traj, which).value
+        s_rot = action(HARMONIC, rotated, which).value
+        assert abs(s_rot - s) <= 1e-12 * max(1.0, abs(s))
 
 
 @pytest.mark.parametrize("which", ["simple", "standard"])
@@ -185,10 +228,8 @@ def test_gauge_phase_leaves_action_invariant():
     g = make_grid(-10, 10, 1001)
     _, traj = solution_trajectory(g, n_steps=400)
     s = action(HARMONIC, traj, "simple").value
-    rotated = tuple(
-        (t, gauge_transform(psi, 0.37)) for t, psi in traj.snapshots
-    )
-    s_rot = action(HARMONIC, Trajectory(rotated), "simple").value
+    rotated = [gauge_transform(psi, 0.37).amplitudes for _, psi in traj.snapshots]
+    s_rot = action(HARMONIC, Trajectory(g, traj.times, rotated), "simple").value
     assert abs(s_rot - s) < 1e-10
 
 
@@ -205,14 +246,23 @@ def test_stationarity_quadratic_on_solution():
     assert result.slope == pytest.approx(2.0, abs=0.15)
 
 
+def test_stationarity_points_are_perturbed_minus_base_action():
+    # the probe reuses the pass's base action and perturbs every row by
+    # eps * window(t) * eta; rebuild both row by row and compare exactly
+    _, _, traj, bump = stationarity_setup(n_steps=300)
+    result = stationarity_test(HARMONIC, traj, bump, [1e-2, 1e-3])
+    base = action(HARMONIC, traj).value
+    times = traj.times
+    window = np.sin(np.pi * (times - times[0]) / (times[-1] - times[0])) ** 2
+    for eps, delta in result.points:
+        rows = [amp + eps * w * bump.amplitudes for w, amp in zip(window, traj.amplitudes)]
+        assert delta == action(HARMONIC, Trajectory(traj.grid, times, rows)).value - base
+
+
 def test_stationarity_linear_off_shell():
     g, gs, traj, bump = stationarity_setup()
-    times = traj.times
-    wrong_phase = tuple(
-        (t, Wavefunction(g, psi.amplitudes * np.exp(-1j * 0.05 * t), t))
-        for t, psi in traj.snapshots
-    )
-    result = stationarity_test(HARMONIC, Trajectory(wrong_phase), bump, [1e-2, 1e-3, 1e-4])
+    wrong_phase = Trajectory(g, traj.times, traj.amplitudes * np.exp(-1j * 0.05 * traj.times)[:, None])
+    result = stationarity_test(HARMONIC, wrong_phase, bump, [1e-2, 1e-3, 1e-4])
     assert result.slope == pytest.approx(1.0, abs=0.15)
 
 
