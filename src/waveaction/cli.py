@@ -102,6 +102,14 @@ def main(argv=None) -> int:
         return _run_one(args.scenario, out, args.stride, args.quiet)
 
     # batch
+    raw_width = os.environ.get(BATCH_WIDTH_ENV, "1")
+    try:
+        width = int(raw_width)
+    except ValueError:
+        width = 0
+    if width < 1:
+        print(f"usage error: {BATCH_WIDTH_ENV} must be an integer >= 1, got {raw_width!r}", file=sys.stderr)
+        return EXIT_USAGE
     directory: Path = args.directory
     if not directory.is_dir():
         print(f"error: {directory} is not a directory", file=sys.stderr)
@@ -111,7 +119,6 @@ def main(argv=None) -> int:
         print(f"error: no scenario files in {directory}", file=sys.stderr)
         return EXIT_USAGE
     out_root = args.out if args.out is not None else Path("runs")
-    width = max(1, int(os.environ.get(BATCH_WIDTH_ENV, "1")))
     jobs = [(p, out_root / p.stem, args.quiet) for p in paths]
     results = []
     if width == 1:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import Grid, Wavefunction, central_difference, quadrature
+from .grids import Wavefunction, central_difference, quadrature
 from .hamiltonian import (
     HamiltonianConfig,
     apply_hamiltonian,

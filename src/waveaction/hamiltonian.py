@@ -19,7 +19,6 @@ from typing import Callable, Optional
 import numpy as np
 
 from .grids import (
-    DIRICHLET,
     Grid,
     Wavefunction,
     central_difference,

@@ -32,13 +32,7 @@ from .scenario import (
     build_plan,
     scenario_json,
 )
-from .variational import (
-    action_integrals,
-    box_sine_family,
-    gaussian_family,
-    gaussian_phase_family,
-    rayleigh_ritz_minimize,
-)
+from .variational import FAMILIES, action_integrals, rayleigh_ritz_minimize
 
 VERIFY_THRESHOLDS = {
     "norm_drift": 1e-10,
@@ -47,12 +41,6 @@ VERIFY_THRESHOLDS = {
     "stationarity_slope_low": 1.85,
     "stationarity_slope_high": 2.15,
     "continuity_sup_max": 1e-4,
-}
-
-_FAMILIES = {
-    "gaussian": gaussian_family,
-    "gaussian-phase": gaussian_phase_family,
-    "box-sine": box_sine_family,
 }
 
 
@@ -265,7 +253,7 @@ def run_scenario(
     elif task == "rayleigh-ritz":
         cfg = build_config(scenario)
         grid = build_grid(scenario)
-        family = _FAMILIES[scenario.task["family"]]()
+        family = FAMILIES[scenario.task["family"]]()
         result = rayleigh_ritz_minimize(
             cfg,
             family,

@@ -21,7 +21,7 @@ fluxes, exactly as in the continuum.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.optimize import minimize
@@ -43,11 +43,6 @@ class LagrangianSample:
     l_simple: np.ndarray
     l_standard: np.ndarray
     time: float
-
-    @property
-    def sil(self) -> np.ndarray:
-        """The real-part density Re L (a derived view, not a separate assembly)."""
-        return self.l_simple.real
 
 
 @dataclass(frozen=True)
@@ -157,6 +152,16 @@ class TrialFamily:
     parameter_names: tuple
     build: Callable[[np.ndarray, Grid], Wavefunction]
     parameter_bounds: tuple
+
+    def initial_point(self, params) -> np.ndarray:
+        """params as a float array, once their count and bounds are checked."""
+        x0 = np.asarray(params, dtype=float)
+        if x0.shape != (len(self.parameter_names),):
+            raise ValueError(f"family {self.name!r} takes {len(self.parameter_names)} parameters")
+        for value, (lo, hi) in zip(x0, self.parameter_bounds):
+            if not (lo <= value <= hi):
+                raise ValueError(f"initial parameters outside bounds {self.parameter_bounds}")
+        return x0
 
 
 @dataclass(frozen=True, eq=False)
@@ -338,6 +343,14 @@ def box_sine_family(coefficient_bounds=(-5.0, 5.0)) -> TrialFamily:
     )
 
 
+# Trial families by the name a scenario gives them.
+FAMILIES = {
+    "gaussian": gaussian_family,
+    "gaussian-phase": gaussian_phase_family,
+    "box-sine": box_sine_family,
+}
+
+
 def rayleigh_ritz_minimize(
     cfg: HamiltonianConfig,
     family: TrialFamily,
@@ -357,15 +370,7 @@ def rayleigh_ritz_minimize(
     vectors that fail to build (or give non-finite energy) are treated as
     infinitely bad vertices, which shrinks the simplex and continues.
     """
-    x0 = np.asarray(initial_params, dtype=float)
-    if x0.shape != (len(family.parameter_names),):
-        raise ValueError(
-            f"family {family.name!r} takes {len(family.parameter_names)} parameters"
-        )
-    for value, (lo, hi) in zip(x0, family.parameter_bounds):
-        if not (lo <= value <= hi):
-            raise ValueError(f"initial parameters outside bounds {family.parameter_bounds}")
-
+    x0 = family.initial_point(initial_params)
     history = []
 
     def objective(params: np.ndarray) -> float:

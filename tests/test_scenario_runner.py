@@ -1,16 +1,19 @@
 """Scenario schema, runner outputs, CLI exit codes, determinism."""
 
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from waveaction import ScenarioError, parse_scenario, parse_scenario_dict, run_scenario
 from waveaction.cli import main
-from waveaction.scenario import serialize_scenario
+from waveaction.scenario import scenario_json, serialize_scenario
 
 
 def minimal_ground_state(name="harmonic-ground"):
@@ -112,6 +115,167 @@ def test_round_trip_identity():
     first = parse_scenario_dict(data)
     second = parse_scenario_dict(serialize_scenario(first))
     assert first == second
+
+
+@st.composite
+def valid_scenarios(draw):
+    """A valid scenario dict drawn key by key from the section tables.
+
+    Numbers lie in [0.5, 2] (or are the integers 1 and 2, which parse as
+    floats), which every float rule accepts; keys with a default may be
+    left out.  Lists, the grid and the step count take their values from
+    the rest of the scenario.
+    """
+    from waveaction.scenario import (
+        _CONSTANTS,
+        _GRID,
+        _INTERACTION_KINDS,
+        _OUTPUT,
+        _POTENTIAL_KINDS,
+        _STATE_KINDS,
+        _TASK_KINDS,
+    )
+    from waveaction.variational import FAMILIES
+
+    n = draw(st.integers(8, 24))
+    stride = draw(st.sampled_from([1, 2, 4]))  # each divides the verify default of 400 steps
+    fixed = {
+        "x_min": draw(st.floats(-10.0, -1.0)),
+        "x_max": draw(st.floats(1.0, 10.0)),
+        "n_points": n,
+        "values": draw(st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n)),
+        "kernel": [[1.0 / (1 + abs(i - j)) for j in range(n)] for i in range(n)],
+        "epsilons": draw(st.lists(st.floats(1e-4, 1e-1), min_size=2, max_size=4, unique=True)),
+        "n_steps": stride * draw(st.integers(0, 5)),
+        "record_stride": stride,
+    }
+    number = st.one_of(st.floats(0.5, 2.0), st.integers(1, 2))
+
+    def section(table):
+        out = {}
+        for key, rule in table.items():
+            if not isinstance(rule, type) and draw(st.booleans()):
+                continue  # left to its default
+            if key in fixed:
+                out[key] = fixed[key]
+            elif isinstance(rule, tuple):
+                out[key] = draw(st.sampled_from(rule))
+            else:
+                out[key] = draw(number if float in (rule, type(rule)) else st.integers(1, 5))
+        return out
+
+    def kinded(kinds, kind):
+        return {"kind": kind, **section(kinds[kind])}
+
+    task_kind = draw(st.sampled_from(list(_TASK_KINDS)))
+    task = kinded(_TASK_KINDS, task_kind)
+    if task_kind == "rayleigh-ritz":
+        family = FAMILIES[task.get("family", "gaussian")]()
+        task["initial_params"] = [draw(st.floats(0.5, 2.0)) for _ in family.parameter_names]
+    has_interaction = task_kind == "gp-propagate" or (
+        task_kind in ("ground-state", "rayleigh-ritz") and draw(st.booleans())
+    )
+    state = kinded(_STATE_KINDS, draw(st.sampled_from(list(_STATE_KINDS))))
+    data = {
+        "spec_version": 1,
+        "name": draw(st.text(max_size=8)),
+        "grid": section(_GRID),
+        "constants": section(_CONSTANTS),
+        "potentials": {
+            key: kinded(_POTENTIAL_KINDS, draw(st.sampled_from(list(_POTENTIAL_KINDS))))
+            for key in draw(st.lists(st.sampled_from(["v1", "a0", "a"]), unique=True))
+        },
+        "initial_state": state,
+        "rng_seed": draw(st.integers(0, 2**32 - 1)) if state["kind"] == "random" else None,
+        "task": task,
+        "output": section(_OUTPUT),
+    }
+    if has_interaction:
+        data["interaction"] = kinded(_INTERACTION_KINDS, draw(st.sampled_from(list(_INTERACTION_KINDS))))
+    return data
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=valid_scenarios())
+def test_parse_serialize_parse_is_identity(data):
+    first = parse_scenario_dict(data)
+    second = parse_scenario_dict(serialize_scenario(first))
+    assert second == first
+    assert scenario_json(second) == scenario_json(first)
+    assert parse_scenario_dict(json.loads(scenario_json(first))) == first
+
+
+def test_serialized_scenario_is_a_deep_copy():
+    from waveaction.runner import _hash_scenario
+
+    data = minimal_ground_state("copy")
+    data["grid"]["n_points"] = 9
+    data["potentials"]["v1"] = {"kind": "sampled", "values": [0.5 * i for i in range(9)]}
+    data["interaction"] = {"kind": "kernel", "kernel": np.eye(9).tolist(), "n_particles": 2}
+    scenario = parse_scenario_dict(data)
+    text, digest = scenario_json(scenario), _hash_scenario(scenario)
+    copy = serialize_scenario(scenario)
+    copy["interaction"]["kernel"][0][1] = 7.0
+    copy["potentials"]["v1"]["values"].append(1.0)
+    copy["task"]["tol"] = 1.0
+    assert scenario.interaction["kernel"][0][1] == 0.0
+    assert len(scenario.potentials["v1"]["values"]) == 9
+    assert scenario_json(scenario) == text and _hash_scenario(scenario) == digest
+
+
+def _small_ground_state(**changes):
+    data = minimal_ground_state("invalid")
+    data["grid"]["n_points"] = 9
+    for section, value in changes.items():
+        data[section] = value
+    return data
+
+
+_NOT_SYMMETRIC = [[float(i <= j) for j in range(9)] for i in range(9)]
+
+
+@pytest.mark.parametrize(
+    "data, where",
+    [
+        (
+            _small_ground_state(potentials={"v1": {"kind": "sampled", "values": [0.0] * 4 + [math.inf] + [0.0] * 4}}),
+            "scenario.potentials.v1.values[4]",
+        ),
+        (
+            _small_ground_state(interaction={"kind": "kernel", "kernel": _NOT_SYMMETRIC, "n_particles": 2}),
+            "scenario.interaction",
+        ),
+        (_small_ground_state(potentials={"v1": {"kind": "harmonic", "omega": 1e154}}), "scenario.potentials.v1"),
+        (_small_ground_state(initial_state={"kind": "gaussian", "width": 1e-200}), "scenario.initial_state"),
+        (
+            _small_ground_state(task={"kind": "rayleigh-ritz", "initial_params": [0.0, 100.0]}),
+            "scenario.task.initial_params",
+        ),
+        (_small_ground_state(task={"kind": "rayleigh-ritz", "initial_params": [0.0]}), "scenario.task.initial_params"),
+        (
+            _small_ground_state(task={"kind": "verify", "epsilons": [0.01, math.inf]}),
+            "scenario.task.epsilons[1]",
+        ),
+        # omega**2 overflows a Python float; before, run crashed with a traceback
+        (_small_ground_state(potentials={"v1": {"kind": "harmonic", "omega": 1e200}}), "scenario.potentials.v1"),
+        (_small_ground_state(grid={"x_min": -(10**400), "x_max": 10.0, "n_points": 9}), "scenario.grid.x_min"),
+    ],
+    ids=[
+        "sampled-infinity",
+        "kernel-not-symmetric",
+        "potential-overflows",
+        "state-underflows",
+        "params-out-of-bounds",
+        "params-count",
+        "epsilon-infinity",
+        "potential-overflows-python-float",
+        "integer-beyond-double",
+    ],
+)
+def test_cli_validate_rejects_what_run_would(tmp_path, capsys, data, where):
+    path = write_scenario(tmp_path, data)
+    assert main(["validate", str(path)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {where}: ")
 
 
 def test_invalid_json_reports_line(tmp_path):
@@ -253,16 +417,19 @@ def test_cli_stride_that_does_not_divide_n_steps_exits_1(tmp_path):
     [({"kind": "propagate", "n_steps": 4}, "step 1 "), ({"kind": "ground-state"}, "iteration 1 ")],
     ids=["propagate", "ground-state"],
 )
-def test_cli_state_that_blows_up_exits_2(tmp_path, capsys, task, where):
-    # omega^2 x^2 overflows to inf, so the first stepped state is NaN
+def test_cli_state_that_blows_up_exits_2(tmp_path, monkeypatch, capsys, task, where):
+    # a solver that returns NaN makes the first stepped or relaxed state non-finite
+    import waveaction.propagation as propagation
+
+    monkeypatch.setattr(
+        propagation._CayleySolver, "solve", lambda self, rhs: np.full(len(rhs), np.nan, dtype=complex)
+    )
     data = minimal_ground_state("blow-up")
     data["grid"]["n_points"] = 201
-    data["potentials"]["v1"] = {"kind": "harmonic", "omega": 1e154}
     data["task"] = task
     path = write_scenario(tmp_path, data)
     assert main(["validate", str(path)]) == 0
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert main(["run", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 2
+    assert main(["run", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("solver error: ") and where in err and "amplitudes must be finite" in err
 
@@ -275,8 +442,10 @@ def test_cli_non_finite_initial_state_exits_1(tmp_path, capsys):
         data["task"] = task
         path = write_scenario(tmp_path, data)
         with np.errstate(divide="ignore", invalid="ignore"):
+            assert main(["validate", str(path)]) == 1
+            assert capsys.readouterr().err == "error: scenario.initial_state: amplitudes must be finite\n"
             assert main(["run", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 1
-        assert capsys.readouterr().err == "error: amplitudes must be finite\n"
+        assert capsys.readouterr().err == "error: scenario.initial_state: amplitudes must be finite\n"
 
 
 def test_verify_makes_one_action_pass_besides_stationarity(tmp_path, monkeypatch):
@@ -332,6 +501,23 @@ def test_cli_batch_parallel_width(tmp_path, monkeypatch):
     assert code == 0
     assert (tmp_path / "runs" / "p1" / "manifest.json").exists()
     assert (tmp_path / "runs" / "p2" / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("width", ["two", "0"])
+def test_cli_batch_width_must_be_a_positive_integer(tmp_path, monkeypatch, capsys, width):
+    import waveaction.cli as cli
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setenv("WAVEACTION_BATCH_WIDTH", width)
+    scen_dir = tmp_path / "scenarios"
+    scen_dir.mkdir()
+    write_scenario(scen_dir, minimal_ground_state("w"), "w.json")
+    assert main(["batch", str(scen_dir), "--out", str(tmp_path / "runs"), "--quiet"]) == 1
+    assert "WAVEACTION_BATCH_WIDTH" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
 
 
 HERMITICITY_ERROR = "energy has imaginary part 1.000e-03; Hamiltonian assembly is not Hermitian"

@@ -77,7 +77,6 @@ def test_standard_density_is_real_array():
         random_state(g, seed=2),
     )
     assert sample.l_standard.dtype.kind == "f"
-    np.testing.assert_array_equal(sample.sil, sample.l_simple.real)
 
 
 def test_integrated_density_difference_matches_flux_oracle():
