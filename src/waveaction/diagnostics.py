@@ -91,8 +91,8 @@ def canonical_fields(cfg: HamiltonianConfig, psi: Wavefunction, t: float = 0.0) 
     """
     hbar = cfg.constants.hbar
     pi = 1j * hbar * np.conj(psi.amplitudes)
-    extra = mean_field_diagonal(cfg, psi, 0.5)
-    h_psi = hamiltonian_matrix(cfg, psi.grid, t, extra).matvec(psi.amplitudes)
+    h = hamiltonian_matrix(cfg, psi.grid, t).plus_diagonal(mean_field_diagonal(cfg, psi, 0.5))
+    h_psi = h.matvec(psi.amplitudes)
     value = quadrature(psi.grid, pi * h_psi) / (1j * hbar)
     return CanonicalFields(pi=pi, hamiltonian_functional=float(value.real))
 

@@ -65,6 +65,8 @@ class PotentialField:
     @classmethod
     def harmonic(cls, omega: float = 1.0, center: float = 0.0) -> "PotentialField":
         _check_finite_params(omega, center)
+        if not np.isfinite(float(omega) * float(omega)):
+            raise ValueError(f"harmonic omega {omega!r} is too large: omega**2 overflows")
         return cls("harmonic", (float(omega), float(center)))
 
     @classmethod
@@ -241,25 +243,27 @@ class TridiagonalHamiltonian:
             out[-1] = 0.0
         return out
 
-    def plus_diagonal(self, extra: np.ndarray) -> "TridiagonalHamiltonian":
-        """This H with a real potential added to the diagonal."""
+    def plus_diagonal(self, extra: Optional[np.ndarray]) -> "TridiagonalHamiltonian":
+        """This H with a real potential added to the diagonal; this H itself for None."""
+        if extra is None:
+            return self
         return TridiagonalHamiltonian(
             self.grid, self.diag + extra, self.upper, self.lower,
             self.corner_first_last, self.corner_last_first,
         )
 
+    def expectation(self, amp: np.ndarray) -> float:
+        """<psi|H|psi> by grid quadrature; its imaginary part must vanish."""
+        val = quadrature(self.grid, np.conj(amp) * self.matvec(amp))
+        if abs(val.imag) > 1e-8:
+            raise RuntimeError(
+                f"energy has imaginary part {val.imag:.3e}; Hamiltonian assembly is not Hermitian"
+            )
+        return float(val.real)
 
-def hamiltonian_matrix(
-    cfg: HamiltonianConfig,
-    grid: Grid,
-    t: float = 0.0,
-    extra_diagonal: Optional[np.ndarray] = None,
-) -> TridiagonalHamiltonian:
-    """Assemble the tridiagonal matrix of H at time t.
 
-    extra_diagonal adds a real potential to the diagonal (used for the
-    mean-field term and for weighting choices in energy functionals).
-    """
+def hamiltonian_matrix(cfg: HamiltonianConfig, grid: Grid, t: float = 0.0) -> TridiagonalHamiltonian:
+    """Assemble the tridiagonal matrix of H at time t; a mean field is added with plus_diagonal."""
     c = cfg.constants
     dx = grid.dx
     kin = c.hbar**2 / (2.0 * c.mass * dx**2)
@@ -276,10 +280,16 @@ def hamiltonian_matrix(
         a_wrap = a[-1] + a[0]
         corner_fl = -kin - coup * a_wrap  # H[0, n-1]
         corner_lf = -kin + coup * a_wrap  # H[n-1, 0]
-        h = TridiagonalHamiltonian(grid, diag, upper, lower, corner_fl, corner_lf)
-    else:
-        h = TridiagonalHamiltonian(grid, diag, upper, lower)
-    return h if extra_diagonal is None else h.plus_diagonal(extra_diagonal)
+        return TridiagonalHamiltonian(grid, diag, upper, lower, corner_fl, corner_lf)
+    return TridiagonalHamiltonian(grid, diag, upper, lower)
+
+
+def hamiltonian_at(cfg: HamiltonianConfig, grid: Grid) -> Callable[[float], TridiagonalHamiltonian]:
+    """t -> H(t) without mean field; assembled once when the potentials are static."""
+    if cfg.is_static:
+        h = hamiltonian_matrix(cfg, grid)
+        return lambda t: h
+    return lambda t: hamiltonian_matrix(cfg, grid, t)
 
 
 def mean_field_diagonal(
@@ -319,20 +329,13 @@ def apply_hamiltonian(
     Reduces exactly to the linear Schrodinger Hamiltonian when the
     interaction is absent or N = 1.
     """
-    extra = mean_field_diagonal(cfg, mean_field_source, 1.0)
-    h = hamiltonian_matrix(cfg, psi.grid, t, extra)
+    h = hamiltonian_matrix(cfg, psi.grid, t).plus_diagonal(mean_field_diagonal(cfg, mean_field_source, 1.0))
     return Wavefunction(psi.grid, h.matvec(psi.amplitudes), psi.time)
 
 
-def _expectation(cfg, psi, t, weight: float) -> float:
-    extra = mean_field_diagonal(cfg, psi, weight)
-    h = hamiltonian_matrix(cfg, psi.grid, t, extra)
-    val = quadrature(psi.grid, np.conj(psi.amplitudes) * h.matvec(psi.amplitudes))
-    if abs(val.imag) > 1e-8:
-        raise RuntimeError(
-            f"energy has imaginary part {val.imag:.3e}; Hamiltonian assembly is not Hermitian"
-        )
-    return float(val.real)
+def energy_of(cfg: HamiltonianConfig, h: TridiagonalHamiltonian, psi: Wavefunction) -> float:
+    """energy(cfg, psi, t) on h, the H of cfg assembled at t without mean field."""
+    return h.plus_diagonal(mean_field_diagonal(cfg, psi, 0.5)).expectation(psi.amplitudes)
 
 
 def energy(cfg: HamiltonianConfig, psi: Wavefunction, t: float = 0.0) -> float:
@@ -342,9 +345,10 @@ def energy(cfg: HamiltonianConfig, psi: Wavefunction, t: float = 0.0) -> float:
     the weighting under which the energy is conserved by the mean-field
     dynamics.  Expects a normalized state.
     """
-    return _expectation(cfg, psi, t, 0.5)
+    return energy_of(cfg, hamiltonian_matrix(cfg, psi.grid, t), psi)
 
 
 def chemical_potential(cfg: HamiltonianConfig, phi: Wavefunction, t: float = 0.0) -> float:
     """<phi|H|phi> with the full-weight mean field (the nonlinear eigenvalue)."""
-    return _expectation(cfg, phi, t, 1.0)
+    h = hamiltonian_matrix(cfg, phi.grid, t)
+    return h.plus_diagonal(mean_field_diagonal(cfg, phi, 1.0)).expectation(phi.amplitudes)

@@ -30,8 +30,8 @@ from .grids import Grid, Wavefunction, norm, normalize
 from .hamiltonian import (
     HamiltonianConfig,
     TridiagonalHamiltonian,
-    energy,
-    hamiltonian_matrix,
+    energy_of,
+    hamiltonian_at,
     mean_field_density_values,
 )
 
@@ -197,19 +197,9 @@ class _CayleySolver:
         return self.solve(amp - self.scale * self.h.matvec(amp))
 
 
-def _hamiltonian_at(cfg: HamiltonianConfig, grid: Grid) -> Callable[[float], TridiagonalHamiltonian]:
-    """t -> H(t) without mean field; assembled once when the potentials are static."""
-    if cfg.is_static:
-        h = hamiltonian_matrix(cfg, grid)
-        return lambda t: h
-    return lambda t: hamiltonian_matrix(cfg, grid, t)
-
-
 def _cayley_substep(h_at, hbar: float, amp: np.ndarray, t: float, dt: float, extra_diag=None) -> np.ndarray:
     """amp advanced from t by dt with H at the midpoint (plus extra_diag), factored afresh."""
-    h = h_at(t + dt / 2.0)
-    if extra_diag is not None:
-        h = h.plus_diagonal(extra_diag)
+    h = h_at(t + dt / 2.0).plus_diagonal(extra_diag)
     return _CayleySolver(h, 1j * dt / (2.0 * hbar)).cayley(amp)
 
 
@@ -219,20 +209,29 @@ def _cayley_substep(h_at, hbar: float, amp: np.ndarray, t: float, dt: float, ext
 
 def _cn_stepper(cfg: HamiltonianConfig, grid: Grid, dt: float):
     hbar = cfg.constants.hbar
-    if cfg.is_static:
-        solver = _CayleySolver(hamiltonian_matrix(cfg, grid), 1j * dt / (2.0 * hbar))
+    h_at = hamiltonian_at(cfg, grid)
+    if cfg.is_static:  # one H, so one factorization for the whole run
+        solver = _CayleySolver(h_at(0.0), 1j * dt / (2.0 * hbar))
         return lambda amp, t: solver.cayley(amp)
-    h_at = _hamiltonian_at(cfg, grid)
     return lambda amp, t: _cayley_substep(h_at, hbar, amp, t, dt)
 
 
-def _split_stepper(cfg: HamiltonianConfig, grid: Grid, dt: float):
+def check_split_operator(cfg: HamiltonianConfig, grid: Grid) -> None:
+    """Raise ValueError unless the split-operator scheme can step cfg on grid.
+
+    The scheme needs a linear Hamiltonian, a periodic grid and zero vector
+    potential; scenario validation and the stepper both apply this rule.
+    """
     if cfg.interaction is not None:
         raise ValueError("split-operator stepping supports linear Hamiltonians only")
     if not grid.is_periodic:
         raise ValueError("split-operator stepping requires a periodic grid")
     if cfg.a_vec.kind != "free":
         raise ValueError("split-operator stepping requires zero vector potential")
+
+
+def _split_stepper(cfg: HamiltonianConfig, grid: Grid, dt: float):
+    check_split_operator(cfg, grid)
     c = cfg.constants
     k = 2.0 * np.pi * sp_fft.fftfreq(grid.n_points, d=grid.dx)
     kinetic = np.exp(-1j * c.hbar * k**2 * dt / (2.0 * c.mass))
@@ -253,7 +252,7 @@ def _split_stepper(cfg: HamiltonianConfig, grid: Grid, dt: float):
 def _gp_stepper(cfg: HamiltonianConfig, grid: Grid, dt: float):
     """The density-averaged predictor-corrector of step_gp."""
     hbar = cfg.constants.hbar
-    h_at = _hamiltonian_at(cfg, grid)
+    h_at = hamiltonian_at(cfg, grid)
 
     def mean_field(rho):
         return mean_field_density_values(cfg.interaction, grid, rho)
@@ -308,14 +307,12 @@ def propagate(
     """
     if abs(norm(psi0) - 1.0) > 1e-6:
         raise ValueError("initial state must be normalized")
-    if plan.scheme == SPLIT_OPERATOR and cfg.interaction is not None:
-        raise ValueError("split-operator scheme supports linear Hamiltonians only")
 
     grid = psi0.grid
-    if cfg.interaction is not None:
-        advance = _gp_stepper(cfg, grid, plan.dt)
-    elif plan.scheme == SPLIT_OPERATOR:
+    if plan.scheme == SPLIT_OPERATOR:
         advance = _split_stepper(cfg, grid, plan.dt)
+    elif cfg.interaction is not None:
+        advance = _gp_stepper(cfg, grid, plan.dt)
     else:
         advance = _cn_stepper(cfg, grid, plan.dt)
     psi = Wavefunction(grid, psi0.amplitudes, plan.t_start)
@@ -366,7 +363,7 @@ def ground_state_imaginary_time(
     psi = normalize(psi0)
     grid = psi.grid
     scale = dtau / cfg.constants.hbar
-    h = hamiltonian_matrix(cfg, grid)
+    h = hamiltonian_at(cfg, grid)(0.0)
     if cfg.interaction is None:
         solve = _CayleySolver(h, scale).solve
     else:
@@ -375,7 +372,7 @@ def ground_state_imaginary_time(
             u = mean_field_density_values(cfg.interaction, grid, np.abs(amp) ** 2)
             return _CayleySolver(h.plus_diagonal(u), scale).solve(amp)
 
-    history = [energy(cfg, psi, 0.0)]
+    history = [energy_of(cfg, h, psi)]
     converged = False
     iterations = 0
     for _ in range(max_iter):
@@ -385,7 +382,7 @@ def ground_state_imaginary_time(
             psi = normalize(Wavefunction(grid, amp, psi.time))
         except ValueError as exc:
             raise RuntimeError(f"imaginary-time iteration {iterations} failed: {exc}") from exc
-        history.append(energy(cfg, psi, 0.0))
+        history.append(energy_of(cfg, h, psi))
         if abs(history[-1] - history[-2]) < tol:
             converged = True
             break

@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__
 from .diagnostics import continuity_residual, hamilton_equations_residual
 from .grids import Grid, Wavefunction, norm, quadrature
-from .hamiltonian import chemical_potential, energy
+from .hamiltonian import chemical_potential, energy_of, hamiltonian_at
 from .propagation import Trajectory, ground_state_imaginary_time, propagate
 from .scenario import (
     Scenario,
@@ -120,6 +120,7 @@ def _diagnostics_rows(cfg, traj: Trajectory, stride: int, integrals):
         run_simple, run_standard = integrals.running("simple"), integrals.running("standard")
     else:
         run_simple = run_standard = np.zeros(len(traj.times))
+    h_at = hamiltonian_at(cfg, traj.grid)
     previous = None
     for i, (t, amp) in enumerate(zip(traj.times, traj.amplitudes)):
         psi = Wavefunction(traj.grid, amp, t)
@@ -135,7 +136,7 @@ def _diagnostics_rows(cfg, traj: Trajectory, stride: int, integrals):
                 step=i * stride,
                 time=float(t),
                 norm=norm(psi),
-                energy=energy(cfg, psi, float(t)),
+                energy=energy_of(cfg, h_at(float(t)), psi),
                 continuity_sup=cont_sup,
                 continuity_l2=cont_l2,
                 action_simple_running=float(run_simple[i]),

@@ -28,7 +28,7 @@ from .hamiltonian import (
     TwoBodyInteraction,
     mean_field_density_values,
 )
-from .propagation import CRANK_NICOLSON, SPLIT_OPERATOR, PropagationPlan
+from .propagation import CRANK_NICOLSON, SPLIT_OPERATOR, PropagationPlan, check_split_operator
 from .variational import FAMILIES
 
 SPEC_VERSION = 1
@@ -210,6 +210,8 @@ def _check(scenario: Scenario) -> None:
         interaction = _built("scenario.interaction", _build_interaction, scenario.interaction)
         density = np.abs(psi0.amplitudes) ** 2
         _check_finite_on_grid("scenario.interaction", mean_field_density_values, interaction, grid, density)
+    if task.get("scheme") == SPLIT_OPERATOR:
+        _built("scenario.task.scheme", check_split_operator, build_config(scenario), grid)
     if "n_steps" in task:
         # the stride's rule is the plan's, reported at the stride's own path
         plan = _built("scenario.task", build_plan, replace(scenario, output={"record_stride": 1}))

@@ -29,7 +29,8 @@ from scipy.optimize import minimize
 from .grids import Grid, Wavefunction, gaussian_wavepacket, normalize, quadrature
 from .hamiltonian import (
     HamiltonianConfig,
-    energy,
+    energy_of,
+    hamiltonian_at,
     hamiltonian_matrix,
     mean_field_diagonal,
 )
@@ -103,7 +104,7 @@ class ActionIntegrals:
         The spatial envelope eta is supplied; a sin^2 window in time makes
         the perturbation vanish at both endpoints of the trajectory, as the
         variational boundary conditions require.  The base action is this
-        result's; each epsilon costs one pass over a perturbed trajectory.
+        result's; each epsilon costs one pass, perturbing each row as it is read.
         Returns the action change for each epsilon and the least-squares
         slope of log|dS| vs log eps (2 on solution trajectories, 1 off-shell).
         """
@@ -119,9 +120,8 @@ class ActionIntegrals:
         base = self.action("simple").value
 
         def perturbed_action(eps: float) -> float:
-            amps = np.outer(eps * window, perturbation.amplitudes)
-            amps += traj.amplitudes
-            return action(self.cfg, Trajectory(traj.grid, times, amps), "simple").value
+            rows = (amp + w * perturbation.amplitudes for amp, w in zip(traj.amplitudes, eps * window))
+            return float(np.trapezoid(_integrals(self.cfg, traj.grid, times, rows)[0].real, times))
 
         points = []
         for eps in eps_list:
@@ -209,13 +209,16 @@ def lagrangian_densities(
     """
     if dpsi_dt.grid is not psi.grid and dpsi_dt.grid.n_points != psi.grid.n_points:
         raise ValueError("state and its time derivative live on different grids")
+    return _densities(cfg, hamiltonian_matrix(cfg, psi.grid, t), psi, dpsi_dt.amplitudes, t)
+
+
+def _densities(cfg: HamiltonianConfig, h, psi: Wavefunction, damp: np.ndarray, t: float) -> LagrangianSample:
+    """lagrangian_densities on h, the H of cfg assembled at t, with damp the rate's amplitudes."""
     c = cfg.constants
     grid = psi.grid
     amp = psi.amplitudes
-    damp = dpsi_dt.amplitudes
-
     extra = mean_field_diagonal(cfg, psi, 0.5)
-    h_psi = hamiltonian_matrix(cfg, grid, t, extra).matvec(amp)
+    h_psi = h.plus_diagonal(extra).matvec(amp)
     l_simple = np.conj(amp) * (1j * c.hbar * damp - h_psi)
 
     time_part = -c.hbar * np.imag(np.conj(amp) * damp)
@@ -244,21 +247,28 @@ def action_integrals(cfg: HamiltonianConfig, traj: Trajectory) -> ActionIntegral
     from the result.
     """
     times = traj.times
-    amps = traj.amplitudes
     if len(times) < 3:
         raise ValueError("need at least 3 snapshots to integrate the action")
     _check_uniform(times)
-    grid = traj.grid
+    return ActionIntegrals(cfg, traj, *_integrals(cfg, traj.grid, times, traj.amplitudes))
+
+
+def _integrals(cfg: HamiltonianConfig, grid: Grid, times: np.ndarray, rows) -> tuple:
+    """(simple, standard) integrals at each of times, reading each amplitude row once, in order."""
+    h_at = hamiltonian_at(cfg, grid)
+    rows = iter(rows)
+    last = len(times) - 1
+    prev = cur = Wavefunction(grid, next(rows), times[0])
     simple = np.empty(len(times), dtype=complex)
     standard = np.empty(len(times))
     for k, t in enumerate(times):
-        lo, hi = max(k - 1, 0), min(k + 1, len(times) - 1)
-        damp = (amps[hi] - amps[lo]) / (times[hi] - times[lo])
-        psi = Wavefunction(grid, amps[k], t)
-        sample = lagrangian_densities(cfg, psi, Wavefunction(grid, damp, t), t)
+        nxt = Wavefunction(grid, next(rows), times[k + 1]) if k < last else cur
+        damp = (nxt.amplitudes - prev.amplitudes) / (times[min(k + 1, last)] - times[max(k - 1, 0)])
+        sample = _densities(cfg, h_at(t), cur, damp, t)
         simple[k] = quadrature(grid, sample.l_simple)
         standard[k] = quadrature(grid, sample.l_standard).real
-    return ActionIntegrals(cfg, traj, simple, standard)
+        prev, cur = cur, nxt
+    return simple, standard
 
 
 def action(cfg: HamiltonianConfig, traj: Trajectory, which: str = "simple") -> ActionValue:
@@ -371,11 +381,12 @@ def rayleigh_ritz_minimize(
     infinitely bad vertices, which shrinks the simplex and continues.
     """
     x0 = family.initial_point(initial_params)
+    h = hamiltonian_matrix(cfg, grid, t)
     history = []
 
     def objective(params: np.ndarray) -> float:
         try:
-            e = energy(cfg, family.build(params, grid), t)
+            e = energy_of(cfg, h, family.build(params, grid))
         except (ValueError, FloatingPointError, ZeroDivisionError):
             return np.inf
         if not np.isfinite(e):

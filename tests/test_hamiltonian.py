@@ -53,6 +53,16 @@ def test_potential_kinds_evaluate():
         PotentialField.from_samples(np.zeros(10)).evaluate(g)
 
 
+def test_harmonic_rejects_an_omega_whose_square_overflows():
+    # omega**2 on a Python float raises OverflowError, so reject at construction
+    with pytest.raises(ValueError, match="overflows"):
+        PotentialField.harmonic(1e200)
+    with pytest.raises(ValueError, match="overflows"):
+        PotentialField.harmonic(-1e155)
+    g = make_grid(-2, 2, 33)
+    assert np.all(np.isfinite(PotentialField.harmonic(1e150).evaluate(g)))
+
+
 def test_kernel_symmetry_required():
     with pytest.raises(ValueError, match="symmetric"):
         TwoBodyInteraction.from_kernel([[0.0, 1.0], [2.0, 0.0]], n_particles=3)
@@ -292,3 +302,62 @@ def test_energy_real_part_guard():
     direct = inner_product(psi, apply_hamiltonian(HARMONIC, psi))
     assert value == pytest.approx(direct.real, abs=1e-13)
     assert abs(direct.imag) < 1e-10
+
+
+
+def _count_assemblies(monkeypatch) -> list:
+    """One entry per hamiltonian_matrix call, through every module that holds a reference to it."""
+    import sys
+
+    import waveaction.hamiltonian as hamiltonian
+
+    calls = []
+    original = hamiltonian.hamiltonian_matrix
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "waveaction" or name.startswith("waveaction."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+_BOTH = pytest.mark.parametrize(
+    "cfg",
+    [HARMONIC, HamiltonianConfig(v1=PotentialField.harmonic(), interaction=TwoBodyInteraction.contact(20.0, 3))],
+    ids=["linear", "contact"],
+)
+
+
+@_BOTH
+def test_imaginary_time_assembles_a_static_hamiltonian_once(monkeypatch, cfg):
+    calls = _count_assemblies(monkeypatch)
+    g = make_grid(-8, 8, 401)
+    result = ground_state_imaginary_time(cfg, gaussian_wavepacket(g, center=0.5), dtau=0.1, tol=1e-10)
+    assert result.iterations > 5
+    assert len(calls) == 1
+
+
+@_BOTH
+def test_rayleigh_ritz_assembles_a_static_hamiltonian_once(monkeypatch, cfg):
+    from waveaction import gaussian_family, rayleigh_ritz_minimize
+
+    calls = _count_assemblies(monkeypatch)
+    result = rayleigh_ritz_minimize(cfg, gaussian_family(), [0.3, 1.2], grid=make_grid(-8, 8, 401), max_iter=60)
+    assert len(result.history) > 5
+    assert len(calls) == 1
+
+
+@_BOTH
+def test_action_pass_assembles_a_static_hamiltonian_once(monkeypatch, cfg):
+    from waveaction import PropagationPlan, action_integrals, propagate
+
+    g = make_grid(-8, 8, 201)
+    traj = propagate(cfg, gaussian_wavepacket(g, center=0.5), PropagationPlan(dt=1e-2, n_steps=10))
+    calls = _count_assemblies(monkeypatch)
+    assert len(action_integrals(cfg, traj).simple) == 11
+    assert len(calls) == 1

@@ -279,6 +279,14 @@ def test_split_operator_requires_periodic():
         step_split_operator(HARMONIC, gaussian_wavepacket(g), 0.0, 1e-3)
 
 
+def test_propagate_applies_the_split_operator_rule_to_interactions():
+    g = make_grid(-5, 5, 64, "periodic")
+    cfg = HamiltonianConfig(v1=PotentialField.harmonic(), interaction=TwoBodyInteraction.contact(1.0, 2))
+    plan = PropagationPlan(dt=1e-3, n_steps=2, scheme="split-operator")
+    with pytest.raises(ValueError, match="split-operator stepping supports linear Hamiltonians only"):
+        propagate(cfg, gaussian_wavepacket(g), plan)
+
+
 def test_gp_zero_coupling_bitwise_reduction():
     g = make_grid(-10, 10, 401)
     psi = gaussian_wavepacket(g, center=0.3)
@@ -288,6 +296,28 @@ def test_gp_zero_coupling_bitwise_reduction():
     linear = step_crank_nicolson(HARMONIC, psi, 0.0, 1e-3)
     nonlinear = step_gp(cfg, psi, 0.0, 1e-3)
     assert np.array_equal(linear.amplitudes, nonlinear.amplitudes)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(8, 300),
+    seed=st.integers(0, 2**32 - 1),
+    v_scale=st.floats(0.0, 100.0),
+    a_scale=st.floats(0.0, 3.0),
+    n_particles=st.integers(1, 20),
+    boundary=st.sampled_from(["dirichlet", "periodic"]),
+    t=st.floats(-1.0, 1.0),
+    dt=st.floats(1e-4, 1.0),
+)
+def test_zero_coupling_gp_step_equals_linear_step(n, seed, v_scale, a_scale, n_particles, boundary, t, dt):
+    # criterion 7a on random states, sampled potentials and vector potentials
+    g = make_grid(-5.0, 5.0, n, boundary)
+    linear, _ = _random_config(g, seed, v_scale, a_scale)
+    gp = HamiltonianConfig(v1=linear.v1, a_vec=linear.a_vec, interaction=TwoBodyInteraction.contact(0.0, n_particles))
+    psi = random_state(g, seed)
+    np.testing.assert_array_equal(
+        step_gp(gp, psi, t, dt).amplitudes, step_crank_nicolson(linear, psi, t, dt).amplitudes
+    )
 
 
 def test_gp_norm_conserved_per_step():

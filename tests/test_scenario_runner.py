@@ -192,6 +192,13 @@ def valid_scenarios(draw):
     }
     if has_interaction:
         data["interaction"] = kinded(_INTERACTION_KINDS, draw(st.sampled_from(list(_INTERACTION_KINDS))))
+    if task.get("scheme") == "split-operator":
+        # the scheme's own rule: linear, on a periodic grid, with no vector potential
+        if has_interaction:
+            del task["scheme"]
+        else:
+            data["grid"]["boundary"] = "periodic"
+            data["potentials"].pop("a", None)
     return data
 
 
@@ -276,6 +283,34 @@ def test_cli_validate_rejects_what_run_would(tmp_path, capsys, data, where):
     path = write_scenario(tmp_path, data)
     assert main(["validate", str(path)]) == 1
     assert capsys.readouterr().err.startswith(f"error: {where}: ")
+
+
+def _split_operator(kind="propagate", boundary="periodic", **changes):
+    data = _small_ground_state(**changes)
+    data["grid"]["boundary"] = boundary
+    data["task"] = {"kind": kind, "n_steps": 4, "scheme": "split-operator"}
+    return data
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (_split_operator(boundary="dirichlet"), "requires a periodic grid"),
+        (_split_operator(potentials={"a": {"kind": "harmonic"}}), "requires zero vector potential"),
+        (
+            _split_operator("gp-propagate", interaction={"kind": "contact", "g": 1.0, "n_particles": 2}),
+            "supports linear Hamiltonians only",
+        ),
+    ],
+    ids=["dirichlet-grid", "vector-potential", "gp-propagate"],
+)
+def test_cli_validate_rejects_split_operator_misuse(tmp_path, capsys, data, message):
+    # the stepper's own rule, applied when the scenario is parsed
+    path = write_scenario(tmp_path, data)
+    assert main(["validate", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: scenario.task.scheme: ") and message in err
+    assert main(["validate", str(write_scenario(tmp_path, _split_operator(), "linear.json"))]) == 0
 
 
 def test_invalid_json_reports_line(tmp_path):
@@ -450,17 +485,18 @@ def test_cli_non_finite_initial_state_exits_1(tmp_path, capsys):
 
 def test_verify_makes_one_action_pass_besides_stationarity(tmp_path, monkeypatch):
     # the runner's pass feeds the CSV, both actions, reality and the
-    # stationarity base; the probe adds one pass per epsilon
+    # stationarity base; the probe adds one pass per epsilon.  Every pass
+    # evaluates the densities row by row through variational._densities.
     import waveaction.variational as variational
 
     calls = []
-    original = variational.lagrangian_densities
+    original = variational._densities
 
     def counted(*args, **kwargs):
         calls.append(1)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(variational, "lagrangian_densities", counted)
+    monkeypatch.setattr(variational, "_densities", counted)
     data = minimal_ground_state("verify-count")
     data["grid"]["n_points"] = 201
     data["task"] = {"kind": "verify", "n_steps": 20, "epsilons": [1e-2, 1e-3, 1e-4]}

@@ -190,6 +190,37 @@ def test_action_integrals_equal_the_snapshot_loop(seed, n_snapshots, n_points, b
     assert integrals.times is traj.times
 
 
+def _driven(x, t):
+    return 0.5 * x**2 + 0.4 * x * np.sin(3.0 * t)
+
+
+def _drift(x, t):
+    return 0.3 * np.cos(x + 2.0 * t)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_snapshots=st.integers(3, 12),
+    n_points=st.integers(8, 200),
+    boundary=st.sampled_from(["dirichlet", "periodic"]),
+    dt=st.floats(1e-4, 0.1),
+    contact=st.one_of(st.none(), st.floats(0.0, 100.0)),
+)
+def test_driven_action_integrals_equal_the_snapshot_loop(seed, n_snapshots, n_points, boundary, dt, contact):
+    # a time-dependent H is reassembled at every row: a pass that held one H
+    # for the whole trajectory would differ from the public per-row densities
+    interaction = None if contact is None else TwoBodyInteraction.contact(contact, 3)
+    cfg = HamiltonianConfig(
+        v1=PotentialField.from_callable(_driven), a_vec=PotentialField.from_callable(_drift), interaction=interaction
+    )
+    traj = random_trajectory(seed, n_snapshots, n_points, boundary, dt)
+    integrals = action_integrals(cfg, traj)
+    simple, standard = loop_action_integrals(cfg, traj)
+    np.testing.assert_array_equal(integrals.simple, simple)
+    np.testing.assert_array_equal(integrals.standard, standard)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -256,6 +287,38 @@ def test_stationarity_points_are_perturbed_minus_base_action():
     for eps, delta in result.points:
         rows = [amp + eps * w * bump.amplitudes for w, amp in zip(window, traj.amplitudes)]
         assert delta == action(HARMONIC, Trajectory(traj.grid, times, rows)).value - base
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_snapshots=st.integers(3, 10),
+    n_points=st.integers(8, 120),
+    boundary=st.sampled_from(["dirichlet", "periodic"]),
+    contact=st.one_of(st.none(), st.floats(0.0, 100.0)),
+    driven=st.booleans(),
+)
+def test_stationarity_equals_passes_over_perturbed_trajectories(seed, n_snapshots, n_points, boundary, contact, driven):
+    # the probe perturbs each row as it reads it; the oracle stores every
+    # perturbed trajectory, built by the outer product, and integrates it
+    interaction = None if contact is None else TwoBodyInteraction.contact(contact, 3)
+    v1 = PotentialField.from_callable(_driven) if driven else PotentialField.harmonic()
+    cfg = HamiltonianConfig(v1=v1, interaction=interaction)
+    traj = random_trajectory(seed, n_snapshots, n_points, boundary, 1e-2)
+    eta = random_state(traj.grid, seed)
+    epsilons = [1e-1, 1e-2, 1e-3]
+    result = action_integrals(cfg, traj).stationarity(eta, epsilons)
+    times = traj.times
+    window = np.sin(np.pi * (times - times[0]) / (times[-1] - times[0])) ** 2
+    base = action(cfg, traj).value
+    points = []
+    for eps in epsilons:
+        amps = np.outer(eps * window, eta.amplitudes)
+        amps += traj.amplitudes
+        points.append((eps, action(cfg, Trajectory(traj.grid, times, amps)).value - base))
+    assert result.points == tuple(points)
+    slope = np.polyfit(np.log(epsilons), np.log([abs(d) for _, d in points]), 1)[0]
+    assert result.slope == float(slope)
 
 
 def test_stationarity_linear_off_shell():
