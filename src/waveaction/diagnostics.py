@@ -14,7 +14,7 @@ import numpy as np
 from .grids import Wavefunction, central_difference, quadrature
 from .hamiltonian import (
     HamiltonianConfig,
-    apply_hamiltonian,
+    TridiagonalHamiltonian,
     apply_mechanical_momentum,
     hamiltonian_matrix,
     mean_field_diagonal,
@@ -107,6 +107,15 @@ def hamilton_equations_residual(
     residuals share units.  r2 equals r1 to rounding because the second
     equation is the complex conjugate of the first.
     """
+    t_mid = psi_before.time + (psi_after.time - psi_before.time) / 2.0
+    h = hamiltonian_matrix(cfg, psi_before.grid, t_mid)
+    return hamilton_equations_residual_of(cfg, h, psi_before, psi_after)
+
+
+def hamilton_equations_residual_of(
+    cfg: HamiltonianConfig, h: TridiagonalHamiltonian, psi_before: Wavefunction, psi_after: Wavefunction
+) -> tuple:
+    """hamilton_equations_residual on h, the H of cfg assembled at the midpoint time without mean field."""
     dt = psi_after.time - psi_before.time
     if dt == 0.0:
         raise ValueError("snapshots have identical times")
@@ -118,8 +127,7 @@ def hamilton_equations_residual(
         0.5 * (psi_before.amplitudes + psi_after.amplitudes),
         psi_before.time + dt / 2.0,
     )
-    source = mid if cfg.interaction is not None else None
-    h_mid = apply_hamiltonian(cfg, mid, mid.time, mean_field_source=source).amplitudes
+    h_mid = h.plus_diagonal(mean_field_diagonal(cfg, mid, 1.0)).matvec(mid.amplitudes)
 
     r1_field = d_psi - h_mid / (1j * hbar)
     r1 = float(np.sqrt(quadrature(grid, np.abs(r1_field) ** 2).real))

@@ -69,6 +69,11 @@ class PropagationPlan:
                 "so the final state is recorded"
             )
 
+    @property
+    def n_records(self) -> int:
+        """Number of recorded states, the initial one included."""
+        return self.n_steps // self.record_stride + 1
+
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
@@ -316,9 +321,8 @@ def propagate(
     else:
         advance = _cn_stepper(cfg, grid, plan.dt)
     psi = Wavefunction(grid, psi0.amplitudes, plan.t_start)
-    n_records = plan.n_steps // plan.record_stride + 1
-    times = np.empty(n_records)
-    amplitudes = np.empty((n_records, grid.n_points), dtype=complex)
+    times = np.empty(plan.n_records)
+    amplitudes = np.empty((plan.n_records, grid.n_points), dtype=complex)
     times[0] = t = plan.t_start
     amplitudes[0] = psi.amplitudes
     for k in range(1, plan.n_steps + 1):

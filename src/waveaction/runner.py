@@ -1,10 +1,11 @@
 """Execute scenarios and persist results in stable formats.
 
-Outputs per run: a fixed-column diagnostics CSV, one snapshot file per
-recorded step (re/im columns with grid metadata in the header), and a
-manifest JSON with summary scalars.  All numbers are serialized with 17
-significant digits so doubles round-trip exactly; every file is written
-to a temporary name and atomically renamed.
+Outputs per run: a fixed-column CSV (diagnostics, or the energy history),
+the states as one binary .npy array (``trajectory.npy``, (T, N) complex128,
+row k the state at CSV row k; or ``ground_state.npy``, (N,)), and a manifest
+JSON with summary scalars and the grid.  CSV numbers carry 17 significant
+digits so doubles round-trip exactly; every file is written to a temporary
+name and atomically renamed.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .diagnostics import continuity_residual, hamilton_equations_residual
-from .grids import Grid, Wavefunction, norm, quadrature
+from .diagnostics import continuity_residual, hamilton_equations_residual_of
+from .grids import Wavefunction, norm, quadrature
 from .hamiltonian import chemical_potential, energy_of, hamiltonian_at
 from .propagation import Trajectory, ground_state_imaginary_time, propagate
 from .scenario import (
@@ -32,7 +33,7 @@ from .scenario import (
     build_plan,
     scenario_json,
 )
-from .variational import FAMILIES, action_integrals, rayleigh_ritz_minimize
+from .variational import FAMILIES, MIN_ACTION_RECORDS, action_integrals, check_action_records, rayleigh_ritz_minimize
 
 VERIFY_THRESHOLDS = {
     "norm_drift": 1e-10,
@@ -72,6 +73,7 @@ class RunManifest:
     toolkit_version: str
     wall_time_s: float
     converged: bool
+    grid: dict
     summary: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
@@ -95,15 +97,11 @@ def _write_csv(path: Path, columns, rows) -> None:
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
-def _write_snapshot(path: Path, g: Grid, amplitudes: np.ndarray, t: float, step: int) -> None:
-    header = (
-        f"# x_min={_fmt(g.x_min)} x_max={_fmt(g.x_max)} n_points={g.n_points} "
-        f"boundary={g.boundary} dx={_fmt(g.dx)} time={_fmt(t)} step={step}\n"
-    )
-    body = "re,im\n" + "\n".join(
-        f"{_fmt(a.real)},{_fmt(a.imag)}" for a in amplitudes
-    )
-    _atomic_write(path, header + body + "\n")
+def _write_array(path: Path, array: np.ndarray) -> None:
+    tmp = path.with_name(path.name + ".tmp")
+    with tmp.open("wb") as f:
+        np.save(f, array)
+    tmp.replace(path)
 
 
 def _write_manifest(path: Path, manifest: RunManifest) -> None:
@@ -129,7 +127,8 @@ def _diagnostics_rows(cfg, traj: Trajectory, stride: int, integrals):
         else:
             report = continuity_residual(cfg, previous, psi)
             cont_sup, cont_l2 = report.sup_norm, report.l2_norm
-            r1, _ = hamilton_equations_residual(cfg, previous, psi)
+            t_mid = previous.time + (psi.time - previous.time) / 2.0
+            r1, _ = hamilton_equations_residual_of(cfg, h_at(t_mid), previous, psi)
         previous = psi
         rows.append(
             DiagnosticsRecord(
@@ -148,24 +147,25 @@ def _diagnostics_rows(cfg, traj: Trajectory, stride: int, integrals):
 
 
 def _run_propagation(scenario: Scenario, out_dir: Path, stride: Optional[int]):
-    """Propagate and write the CSV and snapshots; the action integrals are None below 3 records."""
+    """Propagate and write the CSV and trajectory; the action integrals are None below 3 records."""
     cfg = build_config(scenario)
     grid = build_grid(scenario)
     psi0 = build_initial_state(scenario, grid)
     plan = build_plan(scenario)
     if stride is not None:
         plan = replace(plan, record_stride=stride)
+    if scenario.task["kind"] == "verify":
+        check_action_records(plan.n_records)
     norm_drift = {"max": 0.0}
 
     def watch_norm(step, t, psi):
         norm_drift["max"] = max(norm_drift["max"], abs(norm(psi) - 1.0))
 
     traj = propagate(cfg, psi0, plan, observers=[watch_norm])
-    integrals = action_integrals(cfg, traj) if len(traj.times) >= 3 else None
+    integrals = action_integrals(cfg, traj) if plan.n_records >= MIN_ACTION_RECORDS else None
     rows = _diagnostics_rows(cfg, traj, plan.record_stride, integrals)
     _write_csv(out_dir / "diagnostics.csv", CSV_COLUMNS, [astuple(r) for r in rows])
-    for row, amp in zip(rows, traj.amplitudes):
-        _write_snapshot(out_dir / f"snapshot_{row.step:08d}.csv", traj.grid, amp, row.time, row.step)
+    _write_array(out_dir / "trajectory.npy", traj.amplitudes)
     summary = {
         "final_energy": rows[-1].energy,
         "final_norm": rows[-1].norm,
@@ -199,8 +199,6 @@ def run_scenario(
 
     elif task == "verify":
         traj, integrals, summary = _run_propagation(scenario, out_dir, stride)
-        if integrals is None:
-            raise ValueError("verify needs at least 3 recorded snapshots")
         s_simple = integrals.action("simple").value
         s_standard = integrals.action("standard").value
         bump = _verify_bump(traj)
@@ -240,8 +238,7 @@ def run_scenario(
             ("iteration", "energy"),
             list(enumerate(result.energy_history)),
         )
-        state = result.state
-        _write_snapshot(out_dir / "ground_state.csv", grid, state.amplitudes, state.time, result.iterations)
+        _write_array(out_dir / "ground_state.npy", result.state.amplitudes)
         converged = result.converged
         summary = {
             "final_energy": result.energy,
@@ -286,6 +283,7 @@ def run_scenario(
         toolkit_version=__version__,
         wall_time_s=time.perf_counter() - started,
         converged=converged,
+        grid=dict(scenario.grid),
         summary=summary,
     )
     _write_manifest(out_dir / "manifest.json", manifest)

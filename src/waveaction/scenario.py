@@ -29,7 +29,7 @@ from .hamiltonian import (
     mean_field_density_values,
 )
 from .propagation import CRANK_NICOLSON, SPLIT_OPERATOR, PropagationPlan, check_split_operator
-from .variational import FAMILIES
+from .variational import FAMILIES, check_action_records
 
 SPEC_VERSION = 1
 
@@ -215,7 +215,9 @@ def _check(scenario: Scenario) -> None:
     if "n_steps" in task:
         # the stride's rule is the plan's, reported at the stride's own path
         plan = _built("scenario.task", build_plan, replace(scenario, output={"record_stride": 1}))
-        _built("scenario.output.record_stride", replace, plan, record_stride=scenario.output["record_stride"])
+        plan = _built("scenario.output.record_stride", replace, plan, record_stride=scenario.output["record_stride"])
+        if task["kind"] == "verify":
+            _built("scenario.output.record_stride", check_action_records, plan.n_records)
     if task["kind"] == "rayleigh-ritz":
         family = FAMILIES[task["family"]]()
         _built("scenario.task.initial_params", family.initial_point, task["initial_params"])

@@ -237,6 +237,17 @@ def _check_uniform(times: np.ndarray) -> float:
     return float(steps[0])
 
 
+MIN_ACTION_RECORDS = 3
+
+
+def check_action_records(n_records: int) -> None:
+    """Raise ValueError when n_records recorded states are too few to integrate the action."""
+    if n_records < MIN_ACTION_RECORDS:
+        raise ValueError(
+            f"need at least {MIN_ACTION_RECORDS} snapshots to integrate the action, got {n_records}"
+        )
+
+
 def action_integrals(cfg: HamiltonianConfig, traj: Trajectory) -> ActionIntegrals:
     """One pass over the snapshots: the spatial integral of both densities at each.
 
@@ -247,8 +258,7 @@ def action_integrals(cfg: HamiltonianConfig, traj: Trajectory) -> ActionIntegral
     from the result.
     """
     times = traj.times
-    if len(times) < 3:
-        raise ValueError("need at least 3 snapshots to integrate the action")
+    check_action_records(len(times))
     _check_uniform(times)
     return ActionIntegrals(cfg, traj, *_integrals(cfg, traj.grid, times, traj.amplitudes))
 

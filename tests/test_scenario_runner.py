@@ -11,9 +11,30 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from waveaction import ScenarioError, parse_scenario, parse_scenario_dict, run_scenario
+from waveaction import (
+    HamiltonianConfig,
+    PotentialField,
+    PropagationPlan,
+    ScenarioError,
+    TwoBodyInteraction,
+    gaussian_wavepacket,
+    ground_state_imaginary_time,
+    hamilton_equations_residual,
+    make_grid,
+    parse_scenario,
+    parse_scenario_dict,
+    propagate,
+    run_scenario,
+)
 from waveaction.cli import main
-from waveaction.scenario import scenario_json, serialize_scenario
+from waveaction.scenario import (
+    build_config,
+    build_grid,
+    build_initial_state,
+    build_plan,
+    scenario_json,
+    serialize_scenario,
+)
 
 
 def minimal_ground_state(name="harmonic-ground"):
@@ -199,6 +220,8 @@ def valid_scenarios(draw):
         else:
             data["grid"]["boundary"] = "periodic"
             data["potentials"].pop("a", None)
+    if task_kind == "verify" and task.get("n_steps", 400) < 2 * stride:
+        task["n_steps"] = 2 * stride  # verify's own rule: at least 3 recorded states
     return data
 
 
@@ -329,7 +352,18 @@ def test_ground_state_run_outputs(tmp_path):
     out = tmp_path / "out"
     assert (out / "manifest.json").exists()
     assert (out / "energy_history.csv").exists()
-    assert (out / "ground_state.csv").exists()
+    grid = build_grid(scenario)
+    task = scenario.task
+    result = ground_state_imaginary_time(
+        build_config(scenario),
+        build_initial_state(scenario, grid),
+        dtau=task["dtau"],
+        tol=task["tol"],
+        max_iter=task["max_iter"],
+    )
+    stored = np.load(out / "ground_state.npy")
+    assert stored.dtype == np.complex128 and stored.shape == (401,)
+    assert stored.tobytes() == result.state.amplitudes.tobytes()
     payload = json.loads((out / "manifest.json").read_text())
     assert payload["converged"] is True
     assert payload["summary"]["final_energy"] == manifest.summary["final_energy"]
@@ -339,21 +373,26 @@ def test_ground_state_run_outputs(tmp_path):
     assert not list(out.glob("*.tmp"))
 
 
-def test_snapshot_file_round_trips_doubles(tmp_path):
+@pytest.mark.parametrize("boundary", ["dirichlet", "periodic"])
+def test_trajectory_file_holds_the_propagated_states(tmp_path, boundary):
     data = minimal_ground_state()
+    data["grid"]["boundary"] = boundary
     data["task"] = {"kind": "propagate", "n_steps": 4}
     data["initial_state"] = {"kind": "gaussian", "width": 0.9, "center": 0.2}
-    path = write_scenario(tmp_path, data)
-    run_scenario(parse_scenario(path), tmp_path / "out", quiet=True)
-    snap = (tmp_path / "out" / "snapshot_00000004.csv").read_text().splitlines()
-    assert snap[0].startswith("#")
-    assert "n_points=401" in snap[0]
-    assert snap[1] == "re,im"
-    values = np.array([[float(v) for v in line.split(",")] for line in snap[2:]])
-    assert values.shape == (401, 2)
-    # 17 significant digits: parse -> format round-trips exactly
-    re0 = snap[2 + 200].split(",")[0]
-    assert f"{float(re0):.17g}" == re0
+    scenario = parse_scenario(write_scenario(tmp_path, data))
+    out = tmp_path / "out"
+    run_scenario(scenario, out, quiet=True)
+    assert sorted(p.name for p in out.iterdir()) == ["diagnostics.csv", "manifest.json", "trajectory.npy"]
+    grid = build_grid(scenario)
+    traj = propagate(build_config(scenario), build_initial_state(scenario, grid), build_plan(scenario))
+    stored = np.load(out / "trajectory.npy")
+    rows = (out / "diagnostics.csv").read_text().strip().splitlines()[1:]
+    assert stored.dtype == np.complex128 and stored.shape == (len(rows), 401)
+    assert stored.tobytes() == traj.amplitudes.tobytes()
+    # row k of the array is the state at row k of the CSV
+    assert [float(r.split(",")[1]) for r in rows] == list(traj.times)
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert make_grid(**manifest["grid"]).x.tobytes() == grid.x.tobytes()
 
 
 def test_propagation_csv_columns_and_determinism(tmp_path):
@@ -369,6 +408,7 @@ def test_propagation_csv_columns_and_determinism(tmp_path):
     csv_a = (tmp_path / "a" / "diagnostics.csv").read_bytes()
     csv_b = (tmp_path / "b" / "diagnostics.csv").read_bytes()
     assert csv_a == csv_b
+    assert (tmp_path / "a" / "trajectory.npy").read_bytes() == (tmp_path / "b" / "trajectory.npy").read_bytes()
     header = csv_a.decode().splitlines()[0]
     assert header == (
         "step,time,norm,energy,continuity_sup,continuity_l2,"
@@ -510,6 +550,44 @@ def test_verify_needs_three_records(tmp_path):
     data["task"] = {"kind": "verify", "n_steps": 1}
     path = write_scenario(tmp_path, data)
     assert main(["run", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 1
+
+
+def test_cli_validate_rejects_verify_with_fewer_than_3_records(tmp_path, capsys):
+    data = minimal_ground_state("verify-short")
+    data["task"] = {"kind": "verify", "n_steps": 1}
+    assert main(["validate", str(write_scenario(tmp_path, data))]) == 1
+    assert capsys.readouterr().err.startswith("error: scenario.output.record_stride: need at least 3 snapshots")
+
+
+def test_cli_verify_stride_with_fewer_than_3_records_exits_1_before_it_runs(tmp_path, capsys):
+    data = minimal_ground_state("verify-stride")
+    data["task"] = {"kind": "verify", "n_steps": 20}
+    path = write_scenario(tmp_path, data)
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out), "--stride", "20", "--quiet"]) == 1
+    assert "need at least 3 snapshots" in capsys.readouterr().err
+    assert not [p for p in out.rglob("*") if p.is_file()]
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        HamiltonianConfig(v1=PotentialField.harmonic()),
+        HamiltonianConfig(v1=PotentialField.from_callable(lambda x, t: 0.5 * (x - 0.3 * np.sin(4.0 * t)) ** 2)),
+        HamiltonianConfig(v1=PotentialField.harmonic(), interaction=TwoBodyInteraction.contact(5.0, 2)),
+    ],
+    ids=["static", "driven", "contact"],
+)
+def test_diagnostics_hamilton_r1_is_the_public_residual(cfg):
+    # the runner evaluates the residual on its held H; the column must not move
+    from waveaction.runner import _diagnostics_rows
+
+    grid = make_grid(-8.0, 8.0, 201)
+    plan = PropagationPlan(dt=1e-2, n_steps=6, record_stride=2)
+    traj = propagate(cfg, gaussian_wavepacket(grid, center=0.5), plan)
+    states = [psi for _, psi in traj.snapshots]
+    expected = [0.0] + [hamilton_equations_residual(cfg, a, b)[0] for a, b in zip(states, states[1:])]
+    assert [r.hamilton_r1 for r in _diagnostics_rows(cfg, traj, 2, None)] == expected
 
 
 def test_cli_batch_runs_directory(tmp_path, monkeypatch):
