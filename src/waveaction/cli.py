@@ -13,7 +13,7 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from .runner import run_scenario
-from .scenario import ScenarioError, parse_scenario
+from .scenario import ScenarioError, parse_scenario, parse_scenario_dict, serialize_scenario
 
 BATCH_WIDTH_ENV = "WAVEACTION_BATCH_WIDTH"
 
@@ -53,16 +53,16 @@ def _build_parser() -> _Parser:
 
 
 def _run_one(path: Path, out_dir: Path, stride, quiet: bool) -> int:
+    """Run the scenario file, with its record stride replaced by stride unless that is None."""
     try:
         scenario = parse_scenario(path)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ScenarioError as exc:
+        if stride is not None:
+            scenario = parse_scenario_dict({**serialize_scenario(scenario), "output": {"record_stride": stride}})
+    except (FileNotFoundError, ScenarioError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        manifest = run_scenario(scenario, out_dir, stride=stride, quiet=quiet)
+        manifest = run_scenario(scenario, out_dir, quiet=quiet)
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -8,6 +8,7 @@ All functions are pure: input wavefunctions are never mutated.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -16,6 +17,7 @@ from .hamiltonian import (
     HamiltonianConfig,
     TridiagonalHamiltonian,
     apply_mechanical_momentum,
+    hamiltonian_at,
     hamiltonian_matrix,
     mean_field_diagonal,
 )
@@ -107,15 +109,16 @@ def hamilton_equations_residual(
     residuals share units.  r2 equals r1 to rounding because the second
     equation is the complex conjugate of the first.
     """
-    t_mid = psi_before.time + (psi_after.time - psi_before.time) / 2.0
-    h = hamiltonian_matrix(cfg, psi_before.grid, t_mid)
-    return hamilton_equations_residual_of(cfg, h, psi_before, psi_after)
+    return hamilton_equations_residual_of(cfg, hamiltonian_at(cfg, psi_before.grid), psi_before, psi_after)
 
 
 def hamilton_equations_residual_of(
-    cfg: HamiltonianConfig, h: TridiagonalHamiltonian, psi_before: Wavefunction, psi_after: Wavefunction
+    cfg: HamiltonianConfig,
+    h_at: Callable[[float], TridiagonalHamiltonian],
+    psi_before: Wavefunction,
+    psi_after: Wavefunction,
 ) -> tuple:
-    """hamilton_equations_residual on h, the H of cfg assembled at the midpoint time without mean field."""
+    """hamilton_equations_residual with h_at, the hamiltonian_at map of cfg, evaluated at the midpoint time."""
     dt = psi_after.time - psi_before.time
     if dt == 0.0:
         raise ValueError("snapshots have identical times")
@@ -127,7 +130,7 @@ def hamilton_equations_residual_of(
         0.5 * (psi_before.amplitudes + psi_after.amplitudes),
         psi_before.time + dt / 2.0,
     )
-    h_mid = h.plus_diagonal(mean_field_diagonal(cfg, mid, 1.0)).matvec(mid.amplitudes)
+    h_mid = h_at(mid.time).plus_diagonal(mean_field_diagonal(cfg, mid, 1.0)).matvec(mid.amplitudes)
 
     r1_field = d_psi - h_mid / (1j * hbar)
     r1 = float(np.sqrt(quadrature(grid, np.abs(r1_field) ** 2).real))

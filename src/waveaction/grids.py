@@ -108,18 +108,17 @@ def gaussian_wavepacket(
     center: float = 0.0,
     width: float = 1.0,
     wavenumber: float = 0.0,
-    time: float = 0.0,
 ) -> Wavefunction:
-    """Normalized Gaussian exp(-(x-c)^2/(4 w^2) + i k x) sampled on the grid."""
+    """Normalized Gaussian exp(-(x-c)^2/(4 w^2) + i k x) sampled on the grid at time 0."""
     if width <= 0:
         raise ValueError("width must be positive")
     x = grid.x
     amp = np.exp(-((x - center) ** 2) / (4.0 * width**2) + 1j * wavenumber * x)
-    return normalize(Wavefunction(grid, amp, time))
+    return normalize(Wavefunction(grid, amp))
 
 
-def plane_wave(grid: Grid, mode: int, time: float = 0.0) -> Wavefunction:
-    """Normalized grid-commensurate plane wave e^{ikx} with k = 2*pi*mode/L.
+def plane_wave(grid: Grid, mode: int) -> Wavefunction:
+    """Normalized grid-commensurate plane wave e^{ikx} with k = 2*pi*mode/L, at time 0.
 
     Only meaningful on periodic grids (Dirichlet clamping would break it).
     """
@@ -128,7 +127,7 @@ def plane_wave(grid: Grid, mode: int, time: float = 0.0) -> Wavefunction:
     length = grid.x_max - grid.x_min
     k = 2.0 * np.pi * mode / length
     amp = np.exp(1j * k * grid.x) / np.sqrt(length)
-    return Wavefunction(grid, amp, time)
+    return Wavefunction(grid, amp)
 
 
 def commensurate_wavenumber(grid: Grid, mode: int) -> float:

@@ -14,15 +14,13 @@ import hashlib
 import json
 import operator
 import time
-from dataclasses import asdict, astuple, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from typing import Optional
-
 import numpy as np
 
 from . import __version__
 from .diagnostics import continuity_residual, hamilton_equations_residual_of
-from .grids import Wavefunction, norm, quadrature
+from .grids import Wavefunction, norm, normalize
 from .hamiltonian import chemical_potential, energy_of, hamiltonian_at
 from .propagation import Trajectory, ground_state_imaginary_time, propagate
 from .scenario import (
@@ -33,7 +31,7 @@ from .scenario import (
     build_plan,
     scenario_json,
 )
-from .variational import FAMILIES, MIN_ACTION_RECORDS, action_integrals, check_action_records, rayleigh_ritz_minimize
+from .variational import FAMILIES, MIN_ACTION_RECORDS, action_integrals, rayleigh_ritz_minimize
 
 VERIFY_THRESHOLDS = {
     "norm_drift": 1e-10,
@@ -127,8 +125,7 @@ def _diagnostics_rows(cfg, traj: Trajectory, stride: int, integrals):
         else:
             report = continuity_residual(cfg, previous, psi)
             cont_sup, cont_l2 = report.sup_norm, report.l2_norm
-            t_mid = previous.time + (psi.time - previous.time) / 2.0
-            r1, _ = hamilton_equations_residual_of(cfg, h_at(t_mid), previous, psi)
+            r1, _ = hamilton_equations_residual_of(cfg, h_at, previous, psi)
         previous = psi
         rows.append(
             DiagnosticsRecord(
@@ -146,16 +143,10 @@ def _diagnostics_rows(cfg, traj: Trajectory, stride: int, integrals):
     return rows
 
 
-def _run_propagation(scenario: Scenario, out_dir: Path, stride: Optional[int]):
+def _run_propagation(scenario: Scenario, cfg, grid, out_dir: Path):
     """Propagate and write the CSV and trajectory; the action integrals are None below 3 records."""
-    cfg = build_config(scenario)
-    grid = build_grid(scenario)
     psi0 = build_initial_state(scenario, grid)
     plan = build_plan(scenario)
-    if stride is not None:
-        plan = replace(plan, record_stride=stride)
-    if scenario.task["kind"] == "verify":
-        check_action_records(plan.n_records)
     norm_drift = {"max": 0.0}
 
     def watch_norm(step, t, psi):
@@ -164,7 +155,7 @@ def _run_propagation(scenario: Scenario, out_dir: Path, stride: Optional[int]):
     traj = propagate(cfg, psi0, plan, observers=[watch_norm])
     integrals = action_integrals(cfg, traj) if plan.n_records >= MIN_ACTION_RECORDS else None
     rows = _diagnostics_rows(cfg, traj, plan.record_stride, integrals)
-    _write_csv(out_dir / "diagnostics.csv", CSV_COLUMNS, [astuple(r) for r in rows])
+    _write_csv(out_dir / "diagnostics.csv", CSV_COLUMNS, map(operator.attrgetter(*CSV_COLUMNS), rows))
     _write_array(out_dir / "trajectory.npy", traj.amplitudes)
     summary = {
         "final_energy": rows[-1].energy,
@@ -179,9 +170,7 @@ def _run_propagation(scenario: Scenario, out_dir: Path, stride: Optional[int]):
     return traj, integrals, summary
 
 
-def run_scenario(
-    scenario: Scenario, out_dir, stride: Optional[int] = None, quiet: bool = False
-) -> RunManifest:
+def run_scenario(scenario: Scenario, out_dir, quiet: bool = False) -> RunManifest:
     """Execute one scenario, writing outputs under out_dir.
 
     Returns the manifest; convergence failures are flagged there (the CLI
@@ -191,14 +180,16 @@ def run_scenario(
     out_dir.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
     task = scenario.task["kind"]
+    cfg = build_config(scenario)
+    grid = build_grid(scenario)
     converged = True
     summary: dict = {}
 
     if task in ("propagate", "gp-propagate"):
-        _, _, summary = _run_propagation(scenario, out_dir, stride)
+        _, _, summary = _run_propagation(scenario, cfg, grid, out_dir)
 
     elif task == "verify":
-        traj, integrals, summary = _run_propagation(scenario, out_dir, stride)
+        traj, integrals, summary = _run_propagation(scenario, cfg, grid, out_dir)
         s_simple = integrals.action("simple").value
         s_standard = integrals.action("standard").value
         bump = _verify_bump(traj)
@@ -223,8 +214,6 @@ def run_scenario(
         converged = all(c["passed"] for c in checks.values())
 
     elif task == "ground-state":
-        cfg = build_config(scenario)
-        grid = build_grid(scenario)
         psi0 = build_initial_state(scenario, grid)
         result = ground_state_imaginary_time(
             cfg,
@@ -249,8 +238,6 @@ def run_scenario(
             summary["chemical_potential"] = chemical_potential(cfg, result.state)
 
     elif task == "rayleigh-ritz":
-        cfg = build_config(scenario)
-        grid = build_grid(scenario)
         family = FAMILIES[scenario.task["family"]]()
         result = rayleigh_ritz_minimize(
             cfg,
@@ -300,6 +287,4 @@ def _verify_bump(traj: Trajectory) -> Wavefunction:
     center = 0.5 * (grid.x_max + grid.x_min)
     width = span / 8.0
     amp = np.exp(-((grid.x - center) ** 2) / (2.0 * width**2))
-    bump = Wavefunction(grid, amp)
-    scale = np.sqrt(quadrature(grid, np.abs(bump.amplitudes) ** 2).real)
-    return Wavefunction(grid, bump.amplitudes / scale)
+    return normalize(Wavefunction(grid, amp))

@@ -174,23 +174,18 @@ class RayleighRitzResult:
 
 
 def _forward_kinetic_density(cfg: HamiltonianConfig, psi: Wavefunction, t: float) -> np.ndarray:
-    """|P psi|^2 / 2m per link, with P on forward differences (staggered A)."""
+    """|P psi|^2 / 2m per link, with P on forward differences (staggered A).
+
+    Link j joins nodes j and j+1, the last one wrapping round to node 0; on
+    a Dirichlet grid that link joins two clamped zeros, so its density is 0.
+    """
     c = cfg.constants
-    grid = psi.grid
     amp = psi.amplitudes
-    a = cfg.a_vec.evaluate(grid, t)
-    if grid.is_periodic:
-        d_plus = (np.roll(amp, -1) - amp) / grid.dx
-        a_link = 0.5 * (a + np.roll(a, -1))
-        amp_link = 0.5 * (amp + np.roll(amp, -1))
-    else:
-        d_plus = np.zeros_like(amp)
-        d_plus[:-1] = (amp[1:] - amp[:-1]) / grid.dx
-        a_link = np.zeros_like(a)
-        a_link[:-1] = 0.5 * (a[:-1] + a[1:])
-        amp_link = np.zeros_like(amp)
-        amp_link[:-1] = 0.5 * (amp[:-1] + amp[1:])
-    p_plus = -1j * c.hbar * d_plus - c.charge * a_link * amp_link
+    a = cfg.a_vec.evaluate(psi.grid, t)
+    nxt = np.concatenate((amp[1:], amp[:1]))
+    d_plus = (nxt - amp) / psi.grid.dx
+    a_link = 0.5 * (a + np.concatenate((a[1:], a[:1])))
+    p_plus = -1j * c.hbar * d_plus - c.charge * a_link * (0.5 * (amp + nxt))
     return np.abs(p_plus) ** 2 / (2.0 * c.mass)
 
 
@@ -311,9 +306,7 @@ def stationarity_test(
     return action_integrals(cfg, traj).stationarity(perturbation, epsilons)
 
 
-def gaussian_family(
-    center_bounds=(-5.0, 5.0), width_bounds=(0.05, 20.0)
-) -> TrialFamily:
+def gaussian_family() -> TrialFamily:
     """Normalized Gaussians exp(-(x-c)^2 / 4 w^2) with free center and width."""
 
     def build(params: np.ndarray, grid: Grid) -> Wavefunction:
@@ -324,13 +317,11 @@ def gaussian_family(
         name="gaussian",
         parameter_names=("center", "width"),
         build=build,
-        parameter_bounds=(tuple(center_bounds), tuple(width_bounds)),
+        parameter_bounds=((-5.0, 5.0), (0.05, 20.0)),
     )
 
 
-def gaussian_phase_family(
-    center_bounds=(-5.0, 5.0), width_bounds=(0.05, 20.0), wavenumber_bounds=(-10.0, 10.0)
-) -> TrialFamily:
+def gaussian_phase_family() -> TrialFamily:
     """Gaussians with an extra plane-wave phase (a velocity parameter)."""
 
     def build(params: np.ndarray, grid: Grid) -> Wavefunction:
@@ -341,11 +332,11 @@ def gaussian_phase_family(
         name="gaussian-phase",
         parameter_names=("center", "width", "wavenumber"),
         build=build,
-        parameter_bounds=(tuple(center_bounds), tuple(width_bounds), tuple(wavenumber_bounds)),
+        parameter_bounds=((-5.0, 5.0), (0.05, 20.0), (-10.0, 10.0)),
     )
 
 
-def box_sine_family(coefficient_bounds=(-5.0, 5.0)) -> TrialFamily:
+def box_sine_family() -> TrialFamily:
     """Mixture of the three lowest box sine modes, first coefficient fixed to 1."""
 
     def build(params: np.ndarray, grid: Grid) -> Wavefunction:
@@ -359,7 +350,7 @@ def box_sine_family(coefficient_bounds=(-5.0, 5.0)) -> TrialFamily:
         name="box-sine",
         parameter_names=("c2", "c3"),
         build=build,
-        parameter_bounds=(tuple(coefficient_bounds), tuple(coefficient_bounds)),
+        parameter_bounds=((-5.0, 5.0), (-5.0, 5.0)),
     )
 
 
@@ -377,21 +368,22 @@ def rayleigh_ritz_minimize(
     initial_params,
     *,
     grid: Grid,
-    t: float = 0.0,
     max_iter: int = 500,
-    energy_tol: float = 1e-10,
-    param_tol: float = 1e-8,
 ) -> RayleighRitzResult:
     """Minimize <phi|H|phi> over the family by Nelder-Mead simplex.
 
     The family builds normalized states, so the normalization constraint
     is enforced by construction and the returned energy is an upper bound
-    on the ground-state energy of the discretized Hamiltonian.  Parameter
-    vectors that fail to build (or give non-finite energy) are treated as
-    infinitely bad vertices, which shrinks the simplex and continues.
+    on the ground-state energy of the discretized Hamiltonian, which must
+    be static.  Parameter vectors that fail to build (or give non-finite
+    energy) are treated as infinitely bad vertices, which shrinks the
+    simplex and continues.  The simplex stops at energy changes below
+    1e-10 and vertex spreads below 1e-8.
     """
+    if not cfg.is_static:
+        raise ValueError("Rayleigh-Ritz minimization requires static potentials")
     x0 = family.initial_point(initial_params)
-    h = hamiltonian_matrix(cfg, grid, t)
+    h = hamiltonian_matrix(cfg, grid)
     history = []
 
     def objective(params: np.ndarray) -> float:
@@ -409,7 +401,7 @@ def rayleigh_ritz_minimize(
         x0,
         method="Nelder-Mead",
         bounds=family.parameter_bounds,
-        options={"maxiter": max_iter, "fatol": energy_tol, "xatol": param_tol},
+        options={"maxiter": max_iter, "fatol": 1e-10, "xatol": 1e-8},
     )
     best = float(result.fun)
     return RayleighRitzResult(

@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from waveaction import (
     HamiltonianConfig,
@@ -75,15 +76,29 @@ def test_cn_single_step_stationary_phase():
     assert np.max(np.abs(stepped.amplitudes - expected)) < 1e-6
 
 
-def test_cn_unitary_per_step_any_potential():
-    g = make_grid(0, 6, 96, "periodic")
-    cfg = HamiltonianConfig(
-        v1=PotentialField.from_samples(np.sin(np.pi * g.x / 3)),
-        a_vec=PotentialField.from_samples(0.3 * np.cos(np.pi * g.x / 3)),
-    )
-    psi = random_state(g, seed=9)
+@st.composite
+def _sampled_fields(draw):
+    """(boundary, V, A): a boundary and potential samples for a grid of 8 to 300 points."""
+    n = draw(st.integers(8, 300))
+    boundary = draw(st.sampled_from(["dirichlet", "periodic"]))
+    v = draw(arrays(float, n, elements=st.floats(-100.0, 100.0)))
+    return boundary, v, draw(arrays(float, n, elements=st.floats(-3.0, 3.0)))
+
+
+_X96 = make_grid(0, 6, 96, "periodic").x
+
+
+@settings(max_examples=60, deadline=None)
+@given(fields=_sampled_fields(), dt=st.floats(1e-4, 1.0), seed=st.integers(0, 2**32 - 1))
+@example(fields=("periodic", np.sin(np.pi * _X96 / 3), 0.3 * np.cos(np.pi * _X96 / 3)), dt=0.02, seed=9)
+def test_cn_unitary_per_step_any_potential(fields, dt, seed):
+    # the Cayley step is unitary for any Hermitian H: sampled V and A, both boundaries
+    boundary, v, a = fields
+    g = make_grid(0, 6, len(v), boundary)
+    cfg = HamiltonianConfig(v1=PotentialField.from_samples(v), a_vec=PotentialField.from_samples(a))
+    psi = random_state(g, seed=seed)
     for _ in range(20):
-        psi = step_crank_nicolson(cfg, psi, 0.0, 0.02)
+        psi = step_crank_nicolson(cfg, psi, 0.0, dt)
     assert abs(norm(psi) - 1.0) < 1e-12
 
 

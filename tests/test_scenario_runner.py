@@ -1,5 +1,6 @@
 """Scenario schema, runner outputs, CLI exit codes, determinism."""
 
+import hashlib
 import json
 import math
 import subprocess
@@ -473,6 +474,41 @@ def test_cli_stride_override(tmp_path):
     assert code == 0
     rows = (tmp_path / "out" / "diagnostics.csv").read_text().strip().splitlines()[1:]
     assert [r.split(",")[0] for r in rows] == ["0", "10", "20"]
+
+
+def test_cli_stride_manifest_hashes_the_scenario_that_ran(tmp_path):
+    data = minimal_ground_state("stride-hash")
+    data["task"] = {"kind": "propagate", "n_steps": 20}
+    path = write_scenario(tmp_path, data)
+    assert main(["run", str(path), "--out", str(tmp_path / "out"), "--stride", "10", "--quiet"]) == 0
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    ran = parse_scenario_dict({**data, "output": {"record_stride": 10}})
+    assert manifest["scenario_hash"] == hashlib.sha256(scenario_json(ran).encode()).hexdigest()
+    assert manifest["summary"]["record_stride"] == 10
+
+
+@pytest.mark.parametrize(
+    "task",
+    [{"kind": "ground-state"}, {"kind": "rayleigh-ritz", "family": "gaussian"}],
+    ids=["ground-state", "rayleigh-ritz"],
+)
+def test_cli_stride_0_without_steps_exits_1_and_writes_nothing(tmp_path, capsys, task):
+    # the override is validated like the file's own stride, even where no step records it
+    data = minimal_ground_state("stride-0")
+    data["task"] = task
+    path = write_scenario(tmp_path, data)
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out), "--stride", "0", "--quiet"]) == 1
+    assert capsys.readouterr().err.startswith("error: scenario.output.record_stride: ")
+    assert not out.exists()
+
+
+def test_cli_stride_that_does_not_divide_n_steps_names_the_stride(tmp_path, capsys):
+    data = minimal_ground_state("stride-message")
+    data["task"] = {"kind": "propagate", "n_steps": 20}
+    path = write_scenario(tmp_path, data)
+    assert main(["run", str(path), "--out", str(tmp_path / "out"), "--stride", "7", "--quiet"]) == 1
+    assert capsys.readouterr().err.startswith("error: scenario.output.record_stride: ")
 
 
 def test_cli_stride_that_does_not_divide_n_steps_exits_1(tmp_path):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from waveaction import (
     HamiltonianConfig,
+    PhysicalConstants,
     PotentialField,
     PropagationPlan,
     Trajectory,
@@ -77,6 +78,41 @@ def test_standard_density_is_real_array():
         random_state(g, seed=2),
     )
     assert sample.l_standard.dtype.kind == "f"
+
+
+@pytest.mark.parametrize("boundary", ["dirichlet", "periodic"])
+def test_standard_density_matches_per_link_oracle(boundary):
+    # L1_j = -hbar Im(psi_j* rate_j) - |P psi|^2_j / 2m - (V_j + q A0_j) |psi_j|^2, where link j
+    # joins nodes j and j+1 (wrapping round on a periodic grid; a Dirichlet grid has no last link)
+    hbar, mass, charge = 0.7, 1.3, -0.9
+    g = make_grid(-4, 5, 97, boundary)
+    rng = np.random.default_rng(11)
+    a_vals, a0_vals = rng.standard_normal(g.n_points), rng.standard_normal(g.n_points)
+    cfg = HamiltonianConfig(
+        constants=PhysicalConstants(hbar=hbar, mass=mass, charge=charge),
+        v1=PotentialField.harmonic(),
+        a0=PotentialField.from_samples(a0_vals),
+        a_vec=PotentialField.from_samples(a_vals),
+    )
+    psi, rate = random_state(g, seed=3, smooth=False), random_state(g, seed=4, smooth=False)
+    sample = lagrangian_densities(cfg, psi, rate)
+
+    amp, damp, n = psi.amplitudes, rate.amplitudes, g.n_points
+    v = 0.5 * g.x**2
+    expected = []
+    for j in range(n):
+        if boundary == "dirichlet" and j == n - 1:
+            kinetic = 0.0
+        else:
+            k = (j + 1) % n
+            a_link, amp_link = 0.5 * (a_vals[j] + a_vals[k]), 0.5 * (amp[j] + amp[k])
+            kinetic = abs(-1j * hbar * (amp[k] - amp[j]) / g.dx - charge * a_link * amp_link) ** 2 / (2.0 * mass)
+        time_part = -hbar * (np.conj(amp[j]) * damp[j]).imag
+        expected.append(time_part - kinetic - (v[j] + charge * a0_vals[j]) * abs(amp[j]) ** 2)
+    expected = np.array(expected)
+    assert np.max(np.abs(sample.l_standard - expected)) <= 1e-13 * np.max(np.abs(expected))
+    if boundary == "dirichlet":
+        assert sample.l_standard[-1] == 0.0
 
 
 def test_integrated_density_difference_matches_flux_oracle():
@@ -406,6 +442,14 @@ def test_rayleigh_ritz_rejects_out_of_bounds_start():
         rayleigh_ritz_minimize(HARMONIC, gaussian_family(), [0.0, 100.0], grid=g)
     with pytest.raises(ValueError, match="parameters"):
         rayleigh_ritz_minimize(HARMONIC, gaussian_family(), [0.0], grid=g)
+
+
+def test_rayleigh_ritz_rejects_a_driven_config():
+    # the energy principle bounds the ground state of a static H only
+    g = make_grid(-5, 5, 128)
+    driven = HamiltonianConfig(v1=PotentialField.from_callable(lambda x, t: 0.5 * x**2 * (1.0 + t)))
+    with pytest.raises(ValueError, match="static"):
+        rayleigh_ritz_minimize(driven, gaussian_family(), [0.0, 1.0], grid=g)
 
 
 def test_rayleigh_ritz_recovers_from_failing_builds():
