@@ -2,7 +2,9 @@
 and current, the continuity residual, the canonical-momentum route to the
 energy, equation-of-motion residuals, and global phase transformations.
 
-All functions are pure: input wavefunctions are never mutated.
+All functions are pure: input wavefunctions are never mutated.  The
+per-state functions and pair_residuals, which the runner applies to
+blocks of trajectory rows, share one kernel for each formula.
 """
 
 from __future__ import annotations
@@ -12,14 +14,14 @@ from typing import Callable
 
 import numpy as np
 
-from .grids import Wavefunction, central_difference, quadrature
+from .grids import Grid, Wavefunction, central_difference, norms, quadrature
 from .hamiltonian import (
     HamiltonianConfig,
     TridiagonalHamiltonian,
-    apply_mechanical_momentum,
     hamiltonian_at,
     hamiltonian_matrix,
     mean_field_diagonal,
+    mechanical_momentum,
 )
 
 
@@ -50,11 +52,36 @@ class CanonicalFields:
     hamiltonian_functional: float
 
 
+def _current(cfg: HamiltonianConfig, grid: Grid, amp: np.ndarray, t: float) -> np.ndarray:
+    """J = Re[psi* (P/m) psi] of each row of amp (..., N)."""
+    velocity = mechanical_momentum(cfg, grid, amp, t) / cfg.constants.mass
+    return np.real(np.conj(amp) * velocity)
+
+
 def probability_fields(cfg: HamiltonianConfig, psi: Wavefunction, t: float = 0.0) -> ProbabilityFields:
     rho = np.abs(psi.amplitudes) ** 2
-    velocity = apply_mechanical_momentum(cfg, psi, t).amplitudes / cfg.constants.mass
-    current = np.real(np.conj(psi.amplitudes) * velocity)
-    return ProbabilityFields(rho=rho, current=current, time=psi.time)
+    return ProbabilityFields(rho=rho, current=_current(cfg, psi.grid, psi.amplitudes, t), time=psi.time)
+
+
+def _pair_step(psi_before: Wavefunction, psi_after: Wavefunction):
+    """(dt, midpoint amplitudes, midpoint time) of two snapshots."""
+    dt = psi_after.time - psi_before.time
+    if dt == 0.0:
+        raise ValueError("snapshots have identical times")
+    return dt, 0.5 * (psi_before.amplitudes + psi_after.amplitudes), psi_before.time + dt / 2.0
+
+
+def _continuity_field(cfg, grid: Grid, before, after, mid, dt, t_mid: float) -> np.ndarray:
+    """d_t rho + d_x J of each pair of rows, with J at the rows of the midpoint states mid."""
+    d_rho = (np.abs(after) ** 2 - np.abs(before) ** 2) / dt
+    return d_rho + central_difference(grid, _current(cfg, grid, mid, t_mid))
+
+
+def _hamilton_fields(cfg, h: TridiagonalHamiltonian, before, after, mid, dt) -> tuple:
+    """(d_t psi, H psi at the midpoint) of each pair of rows, with the full-weight mean field of mid."""
+    d_psi = (after - before) / dt
+    h_mid = h.plus_diagonal(mean_field_diagonal(cfg, h.grid, mid, 1.0)).matvec(mid)
+    return d_psi, h_mid
 
 
 def continuity_residual(
@@ -67,21 +94,37 @@ def continuity_residual(
     structure of the Cayley stepper so the residual sits at truncation
     order rather than O(dt).
     """
-    dt = psi_after.time - psi_before.time
-    if dt == 0.0:
-        raise ValueError("snapshots have identical times")
+    dt, mid, t_mid = _pair_step(psi_before, psi_after)
     grid = psi_before.grid
-    d_rho = (np.abs(psi_after.amplitudes) ** 2 - np.abs(psi_before.amplitudes) ** 2) / dt
-    mid = Wavefunction(
-        grid,
-        0.5 * (psi_before.amplitudes + psi_after.amplitudes),
-        psi_before.time + dt / 2.0,
-    )
-    j = probability_fields(cfg, mid, mid.time).current
-    residual = d_rho + central_difference(grid, j)
+    residual = _continuity_field(cfg, grid, psi_before.amplitudes, psi_after.amplitudes, mid, dt, t_mid)
     sup = float(np.max(np.abs(residual)))
-    l2 = float(np.sqrt(quadrature(grid, residual**2).real))
-    return ContinuityReport(residual=residual, sup_norm=sup, l2_norm=l2, dt_used=float(dt))
+    return ContinuityReport(residual=residual, sup_norm=sup, l2_norm=float(norms(grid, residual)), dt_used=float(dt))
+
+
+def pair_residuals(
+    cfg: HamiltonianConfig,
+    h_at: Callable[[float], TridiagonalHamiltonian],
+    grid: Grid,
+    times: np.ndarray,
+    amps: np.ndarray,
+) -> tuple:
+    """(continuity sup, continuity l2, Hamilton r1) of each consecutive pair of rows of amps (B + 1, N).
+
+    The rows are states on grid recorded at times (B + 1,), and each
+    array holds one value per pair, as continuity_residual and
+    hamilton_equations_residual_of give it; each pair's midpoint state is
+    formed once.  The potentials are evaluated at the first pair's midpoint
+    time, so with time-dependent potentials amps holds one pair, as the
+    blocks of row_blocks do.
+    """
+    before, after = amps[:-1], amps[1:]
+    dt = (times[1:] - times[:-1])[:, None]
+    mid = 0.5 * (before + after)
+    t_mid = times[0] + dt[0, 0] / 2.0
+    residual = _continuity_field(cfg, grid, before, after, mid, dt, t_mid)
+    d_psi, h_mid = _hamilton_fields(cfg, h_at(t_mid), before, after, mid, dt)
+    r1 = norms(grid, d_psi - h_mid / (1j * cfg.constants.hbar))
+    return np.max(np.abs(residual), axis=-1), norms(grid, residual), r1
 
 
 def canonical_fields(cfg: HamiltonianConfig, psi: Wavefunction, t: float = 0.0) -> CanonicalFields:
@@ -93,7 +136,7 @@ def canonical_fields(cfg: HamiltonianConfig, psi: Wavefunction, t: float = 0.0) 
     """
     hbar = cfg.constants.hbar
     pi = 1j * hbar * np.conj(psi.amplitudes)
-    h = hamiltonian_matrix(cfg, psi.grid, t).plus_diagonal(mean_field_diagonal(cfg, psi, 0.5))
+    h = hamiltonian_matrix(cfg, psi.grid, t).plus_diagonal(mean_field_diagonal(cfg, psi.grid, psi.amplitudes, 0.5))
     h_psi = h.matvec(psi.amplitudes)
     value = quadrature(psi.grid, pi * h_psi) / (1j * hbar)
     return CanonicalFields(pi=pi, hamiltonian_functional=float(value.real))
@@ -119,25 +162,14 @@ def hamilton_equations_residual_of(
     psi_after: Wavefunction,
 ) -> tuple:
     """hamilton_equations_residual with h_at, the hamiltonian_at map of cfg, evaluated at the midpoint time."""
-    dt = psi_after.time - psi_before.time
-    if dt == 0.0:
-        raise ValueError("snapshots have identical times")
+    dt, mid, t_mid = _pair_step(psi_before, psi_after)
     grid = psi_before.grid
     hbar = cfg.constants.hbar
-    d_psi = (psi_after.amplitudes - psi_before.amplitudes) / dt
-    mid = Wavefunction(
-        grid,
-        0.5 * (psi_before.amplitudes + psi_after.amplitudes),
-        psi_before.time + dt / 2.0,
-    )
-    h_mid = h_at(mid.time).plus_diagonal(mean_field_diagonal(cfg, mid, 1.0)).matvec(mid.amplitudes)
-
-    r1_field = d_psi - h_mid / (1j * hbar)
-    r1 = float(np.sqrt(quadrature(grid, np.abs(r1_field) ** 2).real))
+    d_psi, h_mid = _hamilton_fields(cfg, h_at(t_mid), psi_before.amplitudes, psi_after.amplitudes, mid, dt)
+    r1 = float(norms(grid, d_psi - h_mid / (1j * hbar)))
 
     d_pi = 1j * hbar * np.conj(d_psi)
-    r2_field = (d_pi + np.conj(h_mid)) / hbar
-    r2 = float(np.sqrt(quadrature(grid, np.abs(r2_field) ** 2).real))
+    r2 = float(norms(grid, (d_pi + np.conj(h_mid)) / hbar))
     return r1, r2
 
 

@@ -3,7 +3,9 @@
 All stencils are second-order central differences.  Quadrature is the
 trapezoidal rule on Dirichlet grids and the rectangle rule on periodic
 grids (the rectangle rule is spectrally accurate for smooth periodic
-data, so both match the stencil order or better).
+data, so both match the stencil order or better).  Stencils and
+quadrature act along the last axis, so a (B, N) block of states gives,
+row by row, the result for each (N,) state.
 """
 
 from __future__ import annotations
@@ -88,8 +90,7 @@ class Wavefunction:
             raise ValueError(
                 f"amplitude array has shape {amp.shape}, expected ({self.grid.n_points},)"
             )
-        if not np.all(np.isfinite(amp.view(np.float64))):
-            raise ValueError("amplitudes must be finite")
+        check_finite(amp)
         if not np.isfinite(self.time):
             raise ValueError("time must be finite")
         if self.grid.boundary == DIRICHLET:
@@ -97,6 +98,12 @@ class Wavefunction:
             amp[-1] = 0.0
         amp.setflags(write=False)
         object.__setattr__(self, "amplitudes", amp)
+
+
+def check_finite(amp: np.ndarray) -> None:
+    """Raise ValueError unless every entry of the complex128 array amp is finite."""
+    if not np.all(np.isfinite(amp.view(np.float64))):
+        raise ValueError("amplitudes must be finite")
 
 
 def wavefunction_from_samples(grid: Grid, values, time: float = 0.0) -> Wavefunction:
@@ -135,8 +142,8 @@ def commensurate_wavenumber(grid: Grid, mode: int) -> float:
 
 
 def quadrature(grid: Grid, values: np.ndarray):
-    """Integrate sampled values over the grid with its quadrature rule."""
-    return np.sum(grid.weights * values)
+    """Integrate sampled values (..., N) over the grid with its quadrature rule, along the last axis."""
+    return (grid.weights * values).sum(axis=-1)
 
 
 def inner_product(bra: Wavefunction, ket: Wavefunction) -> complex:
@@ -145,8 +152,13 @@ def inner_product(bra: Wavefunction, ket: Wavefunction) -> complex:
     return complex(quadrature(bra.grid, np.conj(bra.amplitudes) * ket.amplitudes))
 
 
+def norms(grid: Grid, amplitudes: np.ndarray) -> np.ndarray:
+    """L2 norm of each row of amplitudes (..., N) by grid quadrature."""
+    return np.sqrt(quadrature(grid, np.abs(amplitudes) ** 2).real)
+
+
 def norm(psi: Wavefunction) -> float:
-    return float(np.sqrt(quadrature(psi.grid, np.abs(psi.amplitudes) ** 2).real))
+    return float(norms(psi.grid, psi.amplitudes))
 
 
 def normalize(psi: Wavefunction) -> Wavefunction:
@@ -158,22 +170,22 @@ def normalize(psi: Wavefunction) -> Wavefunction:
 
 
 def central_difference(grid: Grid, values: np.ndarray) -> np.ndarray:
-    """Antisymmetric stencil (f_{j+1} - f_{j-1}) / (2 dx) with boundary handling."""
+    """Antisymmetric stencil (f_{j+1} - f_{j-1}) / (2 dx) along the last axis, with boundary handling."""
     out = np.zeros_like(np.asarray(values, dtype=np.result_type(values, 1.0)))
     if grid.is_periodic:
-        out[:] = (np.roll(values, -1) - np.roll(values, 1)) / (2.0 * grid.dx)
+        out[:] = (np.roll(values, -1, axis=-1) - np.roll(values, 1, axis=-1)) / (2.0 * grid.dx)
     else:
-        out[1:-1] = (values[2:] - values[:-2]) / (2.0 * grid.dx)
+        out[..., 1:-1] = (values[..., 2:] - values[..., :-2]) / (2.0 * grid.dx)
     return out
 
 
 def second_difference(grid: Grid, values: np.ndarray) -> np.ndarray:
-    """Compact stencil (f_{j+1} - 2 f_j + f_{j-1}) / dx^2 with boundary handling."""
+    """Compact stencil (f_{j+1} - 2 f_j + f_{j-1}) / dx^2 along the last axis, with boundary handling."""
     out = np.zeros_like(np.asarray(values, dtype=np.result_type(values, 1.0)))
     if grid.is_periodic:
-        out[:] = (np.roll(values, -1) - 2.0 * values + np.roll(values, 1)) / grid.dx**2
+        out[:] = (np.roll(values, -1, axis=-1) - 2.0 * values + np.roll(values, 1, axis=-1)) / grid.dx**2
     else:
-        out[1:-1] = (values[2:] - 2.0 * values[1:-1] + values[:-2]) / grid.dx**2
+        out[..., 1:-1] = (values[..., 2:] - 2.0 * values[..., 1:-1] + values[..., :-2]) / grid.dx**2
     return out
 
 

@@ -7,11 +7,14 @@ block is discretized in the expanded, symmetric tridiagonal form
     P^2 psi = -hbar^2 lap(psi) + i hbar q [D(A psi) + A D(psi)] + q^2 A^2 psi
 
 (central stencils D and lap), which keeps every operator tridiagonal in
-1-D and Hermitian under the grid quadrature.
+1-D and Hermitian under the grid quadrature.  Operators and functionals
+act on amplitude arrays (..., N) row by row, so an analysis pass reads a
+trajectory in blocks of rows (row_blocks).
 """
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -183,10 +186,15 @@ def _check_finite_params(*vals: float) -> None:
         raise ValueError("potential parameters must be finite")
 
 
+def _rows(values: np.ndarray):
+    """Index tuples of the rows of values (..., N): the empty tuple alone for one state."""
+    return itertools.product(*map(range, values.shape[:-1]))
+
+
 def mean_field_density_values(
     interaction: TwoBodyInteraction, grid: Grid, density: np.ndarray
 ) -> np.ndarray:
-    """(N-1)-weighted mean-field potential from a given density array."""
+    """(N-1)-weighted mean-field potential from each row of a density array (..., N)."""
     n_minus_1 = interaction.n_particles - 1
     if interaction.kind == "contact":
         return n_minus_1 * interaction.g * density
@@ -195,7 +203,11 @@ def mean_field_density_values(
             f"kernel is {interaction.kernel.shape[0]}x{interaction.kernel.shape[0]}, "
             f"grid has {grid.n_points} points"
         )
-    return n_minus_1 * (interaction.kernel @ (grid.weights * density))
+    weighted = grid.weights * density
+    out = np.empty_like(weighted)
+    for row in _rows(weighted):  # per row, as for one state: a stacked product may round differently
+        out[row] = interaction.kernel @ weighted[row]
+    return n_minus_1 * out
 
 
 def mean_field_potential(interaction: TwoBodyInteraction, phi: Wavefunction) -> PotentialField:
@@ -232,15 +244,19 @@ class TridiagonalHamiltonian:
         self.corner_last_first = corner_last_first
 
     def matvec(self, amp: np.ndarray) -> np.ndarray:
+        """H applied to each row of amp (..., N); diag may hold one row per row of amp."""
         out = self.diag * amp
-        out[:-1] += self.upper * amp[1:]
-        out[1:] += self.lower * amp[:-1]
+        out[..., :-1] += self.upper * amp[..., 1:]
+        out[..., 1:] += self.lower * amp[..., :-1]
         if self.grid.is_periodic:
-            out[0] += self.corner_first_last * amp[-1]
-            out[-1] += self.corner_last_first * amp[0]
+            # a product of numpy complex scalars can round differently from the
+            # array loop's, so every row takes its corner terms as scalars
+            for row in _rows(amp):
+                out[row + (0,)] += self.corner_first_last * amp[row + (-1,)]
+                out[row + (-1,)] += self.corner_last_first * amp[row + (0,)]
         else:
-            out[0] = 0.0
-            out[-1] = 0.0
+            out[..., 0] = 0.0
+            out[..., -1] = 0.0
         return out
 
     def plus_diagonal(self, extra: Optional[np.ndarray]) -> "TridiagonalHamiltonian":
@@ -252,14 +268,19 @@ class TridiagonalHamiltonian:
             self.corner_first_last, self.corner_last_first,
         )
 
-    def expectation(self, amp: np.ndarray) -> float:
-        """<psi|H|psi> by grid quadrature; its imaginary part must vanish."""
+    def expectations(self, amp: np.ndarray) -> np.ndarray:
+        """<psi|H|psi> of each row of amp (..., N) by grid quadrature; every imaginary part must vanish."""
         val = quadrature(self.grid, np.conj(amp) * self.matvec(amp))
-        if abs(val.imag) > 1e-8:
+        if (np.abs(val.imag) > 1e-8).any():
+            imag = np.ravel(val.imag)
             raise RuntimeError(
-                f"energy has imaginary part {val.imag:.3e}; Hamiltonian assembly is not Hermitian"
+                f"energy has imaginary part {imag[np.abs(imag) > 1e-8][0]:.3e}; Hamiltonian assembly is not Hermitian"
             )
-        return float(val.real)
+        return val.real
+
+    def expectation(self, amp: np.ndarray) -> float:
+        """<psi|H|psi> of one state by grid quadrature; its imaginary part must vanish."""
+        return float(self.expectations(amp))
 
 
 def hamiltonian_matrix(cfg: HamiltonianConfig, grid: Grid, t: float = 0.0) -> TridiagonalHamiltonian:
@@ -292,10 +313,26 @@ def hamiltonian_at(cfg: HamiltonianConfig, grid: Grid) -> Callable[[float], Trid
     return lambda t: hamiltonian_matrix(cfg, grid, t)
 
 
+# Grid points per row block of an analysis pass: a complex (B, N) temporary
+# then stays near 128 KB, below glibc's mmap threshold, so it is not
+# page-faulted afresh on every allocation.
+BLOCK_POINTS = 8192
+
+
+def row_blocks(cfg: HamiltonianConfig, n_points: int, n_rows: int) -> list:
+    """(lo, hi) bounds of the row blocks in which an analysis pass reads n_rows states.
+
+    A block holds max(1, BLOCK_POINTS // n_points) rows.  When the
+    potentials depend on time, H differs per row and a block is one row.
+    """
+    size = max(1, BLOCK_POINTS // n_points) if cfg.is_static else 1
+    return [(lo, min(lo + size, n_rows)) for lo in range(0, n_rows, size)]
+
+
 def mean_field_diagonal(
-    cfg: HamiltonianConfig, source: Optional[Wavefunction], weight: float
+    cfg: HamiltonianConfig, grid: Grid, source: Optional[np.ndarray], weight: float
 ) -> Optional[np.ndarray]:
-    """weight times the mean field built from source's density; None without an interaction.
+    """weight times the mean field built from each row of the source amplitudes; None without an interaction.
 
     Weight 1/2 gives the variational (energy, Lagrangian) diagonal, weight 1
     the one that drives the dynamics and the chemical potential.
@@ -304,18 +341,26 @@ def mean_field_diagonal(
         return None
     if source is None:
         raise ValueError("interaction configured but no mean-field source supplied")
-    density = np.abs(source.amplitudes) ** 2
-    return weight * mean_field_density_values(cfg.interaction, source.grid, density)
+    density = np.abs(source) ** 2
+    return weight * mean_field_density_values(cfg.interaction, grid, density)
+
+
+def mechanical_momentum(cfg: HamiltonianConfig, grid: Grid, amp: np.ndarray, t: float = 0.0) -> np.ndarray:
+    """P applied to each row of amp (..., N); Dirichlet endpoints are zero."""
+    c = cfg.constants
+    a = cfg.a_vec.evaluate(grid, t)
+    out = -1j * c.hbar * central_difference(grid, amp) - c.charge * a * amp
+    if not grid.is_periodic:
+        out[..., 0] = 0.0
+        out[..., -1] = 0.0
+    return out
 
 
 def apply_mechanical_momentum(
     cfg: HamiltonianConfig, psi: Wavefunction, t: float = 0.0
 ) -> Wavefunction:
     """P psi = (-i hbar d/dx - q A(x, t)) psi with the central stencil."""
-    c = cfg.constants
-    a = cfg.a_vec.evaluate(psi.grid, t)
-    out = -1j * c.hbar * central_difference(psi.grid, psi.amplitudes) - c.charge * a * psi.amplitudes
-    return Wavefunction(psi.grid, out, psi.time)
+    return Wavefunction(psi.grid, mechanical_momentum(cfg, psi.grid, psi.amplitudes, t), psi.time)
 
 
 def apply_hamiltonian(
@@ -329,13 +374,19 @@ def apply_hamiltonian(
     Reduces exactly to the linear Schrodinger Hamiltonian when the
     interaction is absent or N = 1.
     """
-    h = hamiltonian_matrix(cfg, psi.grid, t).plus_diagonal(mean_field_diagonal(cfg, mean_field_source, 1.0))
+    source = None if mean_field_source is None else mean_field_source.amplitudes
+    h = hamiltonian_matrix(cfg, psi.grid, t).plus_diagonal(mean_field_diagonal(cfg, psi.grid, source, 1.0))
     return Wavefunction(psi.grid, h.matvec(psi.amplitudes), psi.time)
+
+
+def energies_of(cfg: HamiltonianConfig, h: TridiagonalHamiltonian, amp: np.ndarray) -> np.ndarray:
+    """energy of each row of amp (..., N) on h, the H of cfg assembled at their time without mean field."""
+    return h.plus_diagonal(mean_field_diagonal(cfg, h.grid, amp, 0.5)).expectations(amp)
 
 
 def energy_of(cfg: HamiltonianConfig, h: TridiagonalHamiltonian, psi: Wavefunction) -> float:
     """energy(cfg, psi, t) on h, the H of cfg assembled at t without mean field."""
-    return h.plus_diagonal(mean_field_diagonal(cfg, psi, 0.5)).expectation(psi.amplitudes)
+    return float(energies_of(cfg, h, psi.amplitudes))
 
 
 def energy(cfg: HamiltonianConfig, psi: Wavefunction, t: float = 0.0) -> float:
@@ -351,4 +402,4 @@ def energy(cfg: HamiltonianConfig, psi: Wavefunction, t: float = 0.0) -> float:
 def chemical_potential(cfg: HamiltonianConfig, phi: Wavefunction, t: float = 0.0) -> float:
     """<phi|H|phi> with the full-weight mean field (the nonlinear eigenvalue)."""
     h = hamiltonian_matrix(cfg, phi.grid, t)
-    return h.plus_diagonal(mean_field_diagonal(cfg, phi, 1.0)).expectation(phi.amplitudes)
+    return h.plus_diagonal(mean_field_diagonal(cfg, phi.grid, phi.amplitudes, 1.0)).expectation(phi.amplitudes)

@@ -26,7 +26,7 @@ import numpy as np
 from scipy import fft as sp_fft
 from scipy.linalg.lapack import zgttrf, zgttrs
 
-from .grids import Grid, Wavefunction, norm, normalize
+from .grids import Grid, Wavefunction, check_finite, norm, normalize
 from .hamiltonian import (
     HamiltonianConfig,
     TridiagonalHamiltonian,
@@ -100,8 +100,7 @@ class Trajectory:
             raise ValueError("snapshot times must be finite")
         if np.any(np.diff(times) <= 0):
             raise ValueError("snapshot times must be strictly increasing")
-        if not np.all(np.isfinite(amp.view(np.float64))):
-            raise ValueError("amplitudes must be finite")
+        check_finite(amp)
         if not self.grid.is_periodic:
             amp[:, 0] = 0.0
             amp[:, -1] = 0.0

@@ -5,11 +5,13 @@ the states as one binary .npy array (``trajectory.npy``, (T, N) complex128,
 row k the state at CSV row k; or ``ground_state.npy``, (N,)), and a manifest
 JSON with summary scalars and the grid.  CSV numbers carry 17 significant
 digits so doubles round-trip exactly; every file is written to a temporary
-name and atomically renamed.
+name and atomically renamed.  A run that fails with a solver error still
+writes its manifest, with the error and the phase it arose in.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import operator
@@ -19,9 +21,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .diagnostics import continuity_residual, hamilton_equations_residual_of
-from .grids import Wavefunction, norm, normalize
-from .hamiltonian import chemical_potential, energy_of, hamiltonian_at
+from .diagnostics import pair_residuals
+from .grids import Wavefunction, norm, normalize, norms
+from .hamiltonian import chemical_potential, energies_of, hamiltonian_at, row_blocks
 from .propagation import Trajectory, ground_state_imaginary_time, propagate
 from .scenario import (
     Scenario,
@@ -110,41 +112,52 @@ def _hash_scenario(scenario: Scenario) -> str:
     return hashlib.sha256(scenario_json(scenario).encode()).hexdigest()
 
 
-def _diagnostics_rows(cfg, traj: Trajectory, stride: int, integrals):
-    rows = []
+def _diagnostics_rows(cfg, traj: Trajectory, stride: int, integrals) -> list:
+    """One DiagnosticsRecord per recorded state; the columns are computed a block of rows at a time.
+
+    The norm and energy are those of each row, the continuity norms and the
+    Hamilton residual those of the pair it ends (0 at the first row).
+    """
+    grid, times, amps = traj.grid, traj.times, traj.amplitudes
+    n_rows = len(times)
     if integrals is not None:
         run_simple, run_standard = integrals.running("simple"), integrals.running("standard")
     else:
-        run_simple = run_standard = np.zeros(len(traj.times))
-    h_at = hamiltonian_at(cfg, traj.grid)
-    previous = None
-    for i, (t, amp) in enumerate(zip(traj.times, traj.amplitudes)):
-        psi = Wavefunction(traj.grid, amp, t)
-        if previous is None:
-            cont_sup = cont_l2 = r1 = 0.0
-        else:
-            report = continuity_residual(cfg, previous, psi)
-            cont_sup, cont_l2 = report.sup_norm, report.l2_norm
-            r1, _ = hamilton_equations_residual_of(cfg, h_at, previous, psi)
-        previous = psi
-        rows.append(
-            DiagnosticsRecord(
-                step=i * stride,
-                time=float(t),
-                norm=norm(psi),
-                energy=energy_of(cfg, h_at(float(t)), psi),
-                continuity_sup=cont_sup,
-                continuity_l2=cont_l2,
-                action_simple_running=float(run_simple[i]),
-                action_standard_running=float(run_standard[i]),
-                hamilton_r1=r1,
-            )
+        run_simple = run_standard = np.zeros(n_rows)
+    h_at = hamiltonian_at(cfg, grid)
+    norm_col, energy_col = np.empty(n_rows), np.empty(n_rows)
+    cont_sup, cont_l2, r1 = np.zeros(n_rows), np.zeros(n_rows), np.zeros(n_rows)
+    for lo, hi in row_blocks(cfg, grid.n_points, n_rows):
+        norm_col[lo:hi] = norms(grid, amps[lo:hi])
+        energy_col[lo:hi] = energies_of(cfg, h_at(float(times[lo])), amps[lo:hi])
+        first = max(lo, 1)
+        if first < hi:
+            pairs = pair_residuals(cfg, h_at, grid, times[first - 1 : hi], amps[first - 1 : hi])
+            cont_sup[first:hi], cont_l2[first:hi], r1[first:hi] = pairs
+    return [
+        DiagnosticsRecord(
+            step=i * stride,
+            time=float(times[i]),
+            norm=float(norm_col[i]),
+            energy=float(energy_col[i]),
+            continuity_sup=float(cont_sup[i]),
+            continuity_l2=float(cont_l2[i]),
+            action_simple_running=float(run_simple[i]),
+            action_standard_running=float(run_standard[i]),
+            hamilton_r1=float(r1[i]),
         )
-    return rows
+        for i in range(n_rows)
+    ]
 
 
-def _run_propagation(scenario: Scenario, cfg, grid, out_dir: Path):
-    """Propagate and write the CSV and trajectory; the action integrals are None below 3 records."""
+class _Phase:
+    """The phase a run is in: build, propagate (the solver), analysis or write."""
+
+    name = "build"
+
+
+def _run_propagation(scenario: Scenario, cfg, grid, out_dir: Path, phase: _Phase) -> tuple:
+    """(converged, summary) of a propagate, gp-propagate or verify task, once its CSV and trajectory are written."""
     psi0 = build_initial_state(scenario, grid)
     plan = build_plan(scenario)
     norm_drift = {"max": 0.0}
@@ -152,11 +165,11 @@ def _run_propagation(scenario: Scenario, cfg, grid, out_dir: Path):
     def watch_norm(step, t, psi):
         norm_drift["max"] = max(norm_drift["max"], abs(norm(psi) - 1.0))
 
+    phase.name = "propagate"
     traj = propagate(cfg, psi0, plan, observers=[watch_norm])
+    phase.name = "analysis"
     integrals = action_integrals(cfg, traj) if plan.n_records >= MIN_ACTION_RECORDS else None
     rows = _diagnostics_rows(cfg, traj, plan.record_stride, integrals)
-    _write_csv(out_dir / "diagnostics.csv", CSV_COLUMNS, map(operator.attrgetter(*CSV_COLUMNS), rows))
-    _write_array(out_dir / "trajectory.npy", traj.amplitudes)
     summary = {
         "final_energy": rows[-1].energy,
         "final_norm": rows[-1].norm,
@@ -167,33 +180,11 @@ def _run_propagation(scenario: Scenario, cfg, grid, out_dir: Path):
         "n_steps": plan.n_steps,
         "record_stride": plan.record_stride,
     }
-    return traj, integrals, summary
-
-
-def run_scenario(scenario: Scenario, out_dir, quiet: bool = False) -> RunManifest:
-    """Execute one scenario, writing outputs under out_dir.
-
-    Returns the manifest; convergence failures are flagged there (the CLI
-    maps them to exit code 2), I/O errors propagate as OSError.
-    """
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    started = time.perf_counter()
-    task = scenario.task["kind"]
-    cfg = build_config(scenario)
-    grid = build_grid(scenario)
     converged = True
-    summary: dict = {}
-
-    if task in ("propagate", "gp-propagate"):
-        _, _, summary = _run_propagation(scenario, cfg, grid, out_dir)
-
-    elif task == "verify":
-        traj, integrals, summary = _run_propagation(scenario, cfg, grid, out_dir)
+    if scenario.task["kind"] == "verify":
         s_simple = integrals.action("simple").value
         s_standard = integrals.action("standard").value
-        bump = _verify_bump(traj)
-        slope = integrals.stationarity(bump, scenario.task["epsilons"]).slope
+        slope = integrals.stationarity(_verify_bump(traj), scenario.task["epsilons"]).slope
         th = VERIFY_THRESHOLDS
         slope_band = [th["stationarity_slope_low"], th["stationarity_slope_high"]]
         table = (
@@ -212,9 +203,24 @@ def run_scenario(scenario: Scenario, out_dir, quiet: bool = False) -> RunManifes
         summary["stationarity_slope"] = slope
         summary["checks"] = checks
         converged = all(c["passed"] for c in checks.values())
+    phase.name = "write"
+    _write_csv(out_dir / "diagnostics.csv", CSV_COLUMNS, map(operator.attrgetter(*CSV_COLUMNS), rows))
+    _write_array(out_dir / "trajectory.npy", traj.amplitudes)
+    return converged, summary
 
-    elif task == "ground-state":
+
+def _run_task(scenario: Scenario, out_dir: Path, phase: _Phase) -> tuple:
+    """(converged, summary) of the scenario's task, once its files are written under out_dir."""
+    task = scenario.task["kind"]
+    cfg = build_config(scenario)
+    grid = build_grid(scenario)
+
+    if task in ("propagate", "gp-propagate", "verify"):
+        return _run_propagation(scenario, cfg, grid, out_dir, phase)
+
+    if task == "ground-state":
         psi0 = build_initial_state(scenario, grid)
+        phase.name = "propagate"
         result = ground_state_imaginary_time(
             cfg,
             psi0,
@@ -222,13 +228,7 @@ def run_scenario(scenario: Scenario, out_dir, quiet: bool = False) -> RunManifes
             tol=scenario.task["tol"],
             max_iter=scenario.task["max_iter"],
         )
-        _write_csv(
-            out_dir / "energy_history.csv",
-            ("iteration", "energy"),
-            list(enumerate(result.energy_history)),
-        )
-        _write_array(out_dir / "ground_state.npy", result.state.amplitudes)
-        converged = result.converged
+        phase.name = "analysis"
         summary = {
             "final_energy": result.energy,
             "iterations": result.iterations,
@@ -236,9 +236,18 @@ def run_scenario(scenario: Scenario, out_dir, quiet: bool = False) -> RunManifes
         }
         if scenario.interaction is not None:
             summary["chemical_potential"] = chemical_potential(cfg, result.state)
+        phase.name = "write"
+        _write_csv(
+            out_dir / "energy_history.csv",
+            ("iteration", "energy"),
+            list(enumerate(result.energy_history)),
+        )
+        _write_array(out_dir / "ground_state.npy", result.state.amplitudes)
+        return result.converged, summary
 
-    elif task == "rayleigh-ritz":
+    if task == "rayleigh-ritz":
         family = FAMILIES[scenario.task["family"]]()
+        phase.name = "propagate"
         result = rayleigh_ritz_minimize(
             cfg,
             family,
@@ -246,12 +255,12 @@ def run_scenario(scenario: Scenario, out_dir, quiet: bool = False) -> RunManifes
             grid=grid,
             max_iter=scenario.task["max_iter"],
         )
+        phase.name = "write"
         _write_csv(
             out_dir / "energy_history.csv",
             ("evaluation", "energy"),
             list(enumerate(result.history)),
         )
-        converged = result.converged
         summary = {
             "final_energy": result.energy,
             "parameters": {
@@ -259,24 +268,49 @@ def run_scenario(scenario: Scenario, out_dir, quiet: bool = False) -> RunManifes
             },
             "evaluations": len(result.history),
         }
+        return result.converged, summary
 
-    else:  # pragma: no cover - parse_scenario guarantees the enum
-        raise ValueError(f"unknown task {task!r}")
+    raise ValueError(f"unknown task {task!r}")  # pragma: no cover - parse_scenario guarantees the enum
 
-    manifest = RunManifest(
-        name=scenario.name,
-        task=task,
-        scenario_hash=_hash_scenario(scenario),
-        toolkit_version=__version__,
-        wall_time_s=time.perf_counter() - started,
-        converged=converged,
-        grid=dict(scenario.grid),
-        summary=summary,
-    )
+
+def run_scenario(scenario: Scenario, out_dir, quiet: bool = False) -> RunManifest:
+    """Execute one scenario, writing outputs under out_dir.
+
+    Returns the manifest; convergence failures are flagged there (the CLI
+    maps them to exit code 2), I/O errors propagate as OSError.  A solver
+    error (RuntimeError or MemoryError, also exit code 2) propagates once a
+    manifest with converged false and a summary of the error text and the
+    phase it arose in (build, propagate, analysis or write) is written.
+    """
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    started = time.perf_counter()
+    phase = _Phase()
+
+    def manifest_of(converged: bool, summary: dict) -> RunManifest:
+        return RunManifest(
+            name=scenario.name,
+            task=scenario.task["kind"],
+            scenario_hash=_hash_scenario(scenario),
+            toolkit_version=__version__,
+            wall_time_s=time.perf_counter() - started,
+            converged=converged,
+            grid=dict(scenario.grid),
+            summary=summary,
+        )
+
+    try:
+        converged, summary = _run_task(scenario, out_dir, phase)
+    except (RuntimeError, MemoryError) as exc:
+        failure = manifest_of(False, {"error": str(exc), "phase": phase.name})
+        with contextlib.suppress(OSError):  # the solver error, not this write, sets the exit code
+            _write_manifest(out_dir / "manifest.json", failure)
+        raise
+    manifest = manifest_of(converged, summary)
     _write_manifest(out_dir / "manifest.json", manifest)
     if not quiet:
         state = "ok" if converged else "NOT CONVERGED"
-        print(f"[{scenario.name}] {task}: {state} ({manifest.wall_time_s:.2f}s) -> {out_dir}")
+        print(f"[{scenario.name}] {manifest.task}: {state} ({manifest.wall_time_s:.2f}s) -> {out_dir}")
     return manifest
 
 

@@ -26,13 +26,14 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.optimize import minimize
 
-from .grids import Grid, Wavefunction, gaussian_wavepacket, normalize, quadrature
+from .grids import Grid, Wavefunction, check_finite, gaussian_wavepacket, normalize, quadrature
 from .hamiltonian import (
     HamiltonianConfig,
     energy_of,
     hamiltonian_at,
     hamiltonian_matrix,
     mean_field_diagonal,
+    row_blocks,
 )
 from .propagation import Trajectory
 
@@ -104,7 +105,8 @@ class ActionIntegrals:
         The spatial envelope eta is supplied; a sin^2 window in time makes
         the perturbation vanish at both endpoints of the trajectory, as the
         variational boundary conditions require.  The base action is this
-        result's; each epsilon costs one pass, perturbing each row as it is read.
+        result's; each epsilon costs one pass, perturbing each block of rows
+        as it is read and checking that it is finite.
         Returns the action change for each epsilon and the least-squares
         slope of log|dS| vs log eps (2 on solution trajectories, 1 off-shell).
         """
@@ -118,10 +120,17 @@ class ActionIntegrals:
         times = traj.times
         window = np.sin(np.pi * (times - times[0]) / (times[-1] - times[0])) ** 2
         base = self.action("simple").value
+        eta = Wavefunction(traj.grid, perturbation.amplitudes).amplitudes
 
         def perturbed_action(eps: float) -> float:
-            rows = (amp + w * perturbation.amplitudes for amp, w in zip(traj.amplitudes, eps * window))
-            return float(np.trapezoid(_integrals(self.cfg, traj.grid, times, rows)[0].real, times))
+            weights = eps * window
+
+            def rows_of(lo: int, hi: int) -> np.ndarray:
+                rows = traj.amplitudes[lo:hi] + weights[lo:hi, None] * eta
+                check_finite(rows)
+                return rows
+
+            return float(np.trapezoid(_integrals(self.cfg, traj.grid, times, rows_of)[0].real, times))
 
         points = []
         for eps in eps_list:
@@ -173,17 +182,16 @@ class RayleighRitzResult:
     message: str
 
 
-def _forward_kinetic_density(cfg: HamiltonianConfig, psi: Wavefunction, t: float) -> np.ndarray:
-    """|P psi|^2 / 2m per link, with P on forward differences (staggered A).
+def _forward_kinetic_density(cfg: HamiltonianConfig, grid: Grid, amp: np.ndarray, t: float) -> np.ndarray:
+    """|P psi|^2 / 2m per link of each row of amp (..., N), with P on forward differences (staggered A).
 
     Link j joins nodes j and j+1, the last one wrapping round to node 0; on
     a Dirichlet grid that link joins two clamped zeros, so its density is 0.
     """
     c = cfg.constants
-    amp = psi.amplitudes
-    a = cfg.a_vec.evaluate(psi.grid, t)
-    nxt = np.concatenate((amp[1:], amp[:1]))
-    d_plus = (nxt - amp) / psi.grid.dx
+    a = cfg.a_vec.evaluate(grid, t)
+    nxt = np.roll(amp, -1, axis=-1)
+    d_plus = (nxt - amp) / grid.dx
     a_link = 0.5 * (a + np.concatenate((a[1:], a[:1])))
     p_plus = -1j * c.hbar * d_plus - c.charge * a_link * (0.5 * (amp + nxt))
     return np.abs(p_plus) ** 2 / (2.0 * c.mass)
@@ -204,25 +212,25 @@ def lagrangian_densities(
     """
     if dpsi_dt.grid is not psi.grid and dpsi_dt.grid.n_points != psi.grid.n_points:
         raise ValueError("state and its time derivative live on different grids")
-    return _densities(cfg, hamiltonian_matrix(cfg, psi.grid, t), psi, dpsi_dt.amplitudes, t)
+    h = hamiltonian_matrix(cfg, psi.grid, t)
+    return LagrangianSample(*_densities(cfg, h, psi.amplitudes, dpsi_dt.amplitudes, t), t)
 
 
-def _densities(cfg: HamiltonianConfig, h, psi: Wavefunction, damp: np.ndarray, t: float) -> LagrangianSample:
-    """lagrangian_densities on h, the H of cfg assembled at t, with damp the rate's amplitudes."""
+def _densities(cfg: HamiltonianConfig, h, amp: np.ndarray, damp: np.ndarray, t: float) -> tuple:
+    """(simple, standard) densities of each row of amp (..., N) with rate damp, on h, the H of cfg assembled at t."""
     c = cfg.constants
-    grid = psi.grid
-    amp = psi.amplitudes
-    extra = mean_field_diagonal(cfg, psi, 0.5)
+    grid = h.grid
+    extra = mean_field_diagonal(cfg, grid, amp, 0.5)
     h_psi = h.plus_diagonal(extra).matvec(amp)
     l_simple = np.conj(amp) * (1j * c.hbar * damp - h_psi)
 
     time_part = -c.hbar * np.imag(np.conj(amp) * damp)
-    kinetic = _forward_kinetic_density(cfg, psi, t)
+    kinetic = _forward_kinetic_density(cfg, grid, amp, t)
     scalar = cfg.v1.evaluate(grid, t) + c.charge * cfg.a0.evaluate(grid, t)
     if extra is not None:
         scalar = scalar + extra
     l_standard = time_part - kinetic - scalar * np.abs(amp) ** 2
-    return LagrangianSample(l_simple, l_standard, t)
+    return l_simple, l_standard
 
 
 def _check_uniform(times: np.ndarray) -> float:
@@ -247,7 +255,7 @@ def action_integrals(cfg: HamiltonianConfig, traj: Trajectory) -> ActionIntegral
     """One pass over the snapshots: the spatial integral of both densities at each.
 
     The time derivative at each row is the centred difference of its
-    neighbours (one-sided at the ends), formed one row at a time.  Every
+    neighbours (one-sided at the ends), formed a block of rows at a time.  Every
     action-derived quantity of a trajectory (both actions, their running
     integrals, the reality deviations, the stationarity probe) is read
     from the result.
@@ -255,24 +263,28 @@ def action_integrals(cfg: HamiltonianConfig, traj: Trajectory) -> ActionIntegral
     times = traj.times
     check_action_records(len(times))
     _check_uniform(times)
-    return ActionIntegrals(cfg, traj, *_integrals(cfg, traj.grid, times, traj.amplitudes))
+    return ActionIntegrals(cfg, traj, *_integrals(cfg, traj.grid, times, lambda lo, hi: traj.amplitudes[lo:hi]))
 
 
-def _integrals(cfg: HamiltonianConfig, grid: Grid, times: np.ndarray, rows) -> tuple:
-    """(simple, standard) integrals at each of times, reading each amplitude row once, in order."""
+def _integrals(cfg: HamiltonianConfig, grid: Grid, times: np.ndarray, rows_of: Callable) -> tuple:
+    """(simple, standard) integrals at each of times, with rows_of(lo, hi) the amplitude rows lo..hi-1.
+
+    Each block of row_blocks reads its rows and one halo row on each side
+    for the time derivative.
+    """
     h_at = hamiltonian_at(cfg, grid)
-    rows = iter(rows)
     last = len(times) - 1
-    prev = cur = Wavefunction(grid, next(rows), times[0])
     simple = np.empty(len(times), dtype=complex)
     standard = np.empty(len(times))
-    for k, t in enumerate(times):
-        nxt = Wavefunction(grid, next(rows), times[k + 1]) if k < last else cur
-        damp = (nxt.amplitudes - prev.amplitudes) / (times[min(k + 1, last)] - times[max(k - 1, 0)])
-        sample = _densities(cfg, h_at(t), cur, damp, t)
-        simple[k] = quadrature(grid, sample.l_simple)
-        standard[k] = quadrature(grid, sample.l_standard).real
-        prev, cur = cur, nxt
+    for lo, hi in row_blocks(cfg, grid.n_points, len(times)):
+        start = max(lo - 1, 0)
+        rows = rows_of(start, min(hi + 1, last + 1))
+        k = np.arange(lo, hi)
+        prev, nxt = np.maximum(k - 1, 0), np.minimum(k + 1, last)
+        damp = (rows[nxt - start] - rows[prev - start]) / (times[nxt] - times[prev])[:, None]
+        l_simple, l_standard = _densities(cfg, h_at(times[lo]), rows[lo - start : hi - start], damp, times[lo])
+        simple[lo:hi] = quadrature(grid, l_simple)
+        standard[lo:hi] = quadrature(grid, l_standard).real
     return simple, standard
 
 

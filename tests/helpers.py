@@ -5,9 +5,11 @@ products, explicit double loops, and direct tridiagonal diagonalization.
 """
 
 import numpy as np
+from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal, solve_banded
 
-from waveaction import Wavefunction, lagrangian_densities, make_grid, quadrature
+from waveaction import Trajectory, Wavefunction, lagrangian_densities, make_grid, quadrature
+from waveaction.hamiltonian import BLOCK_POINTS
 
 
 def dense_momentum_matrix(grid, a_values, hbar=1.0, charge=1.0):
@@ -127,3 +129,28 @@ def loop_action_integrals(cfg, traj):
         simple[k] = quadrature(traj.grid, sample.l_simple)
         standard[k] = quadrature(traj.grid, sample.l_standard).real
     return simple, standard
+
+
+def random_trajectory(seed, n_snapshots, n_points, boundary, dt):
+    """Seeded random amplitudes at uniformly spaced times."""
+    rng = np.random.default_rng(seed)
+    g = make_grid(-4.0, 4.0, n_points, boundary)
+    shape = (n_snapshots, n_points)
+    amps = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    times = rng.uniform(-1.0, 1.0) + dt * np.arange(n_snapshots)
+    return Trajectory(g, times, amps)
+
+
+@st.composite
+def trajectory_shapes(draw):
+    """(n_snapshots, n_points) of runs inside one row block of a static analysis pass and across several.
+
+    Small grids give blocks longer than any run; grids of about 1000 or more
+    points give blocks of 2 to 9 rows, and the run then ends before, at or
+    after a block boundary.
+    """
+    n_points = draw(st.one_of(st.integers(8, 200), st.integers(900, 3000)))
+    block = max(1, BLOCK_POINTS // n_points)
+    boundaries = [t for t in (block - 1, block, block + 1, 2 * block, 3 * block - 1) if 3 <= t <= 30]
+    n_snapshots = draw(st.one_of(st.integers(3, 30), st.sampled_from(boundaries or [3])))
+    return n_snapshots, n_points

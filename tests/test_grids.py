@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from waveaction import (
     Wavefunction,
@@ -16,7 +18,7 @@ from waveaction import (
     quadrature,
     wavefunction_from_samples,
 )
-from waveaction.grids import commensurate_wavenumber
+from waveaction.grids import central_difference, commensurate_wavenumber, norms, second_difference
 
 from helpers import loop_inner_product, random_state, richardson_order
 
@@ -208,3 +210,30 @@ def test_normalize_rejects_zero():
     g = make_grid(-1, 1, 16)
     with pytest.raises(ValueError, match="zero"):
         normalize(wavefunction_from_samples(g, np.zeros(16)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_rows=st.integers(1, 6),
+    n_points=st.integers(8, 300),
+    boundary=st.sampled_from(["dirichlet", "periodic"]),
+    complex_values=st.booleans(),
+)
+def test_block_of_rows_gives_each_row_its_own_result(seed, n_rows, n_points, boundary, complex_values):
+    # a (B, N) block is B sampled functions: the stencils and the quadrature
+    # act along the last axis, so each row gets its 1-D result bit for bit
+    g = make_grid(-3.0, 3.0, n_points, boundary)
+    rng = np.random.default_rng(seed)
+    block = rng.standard_normal((n_rows, n_points))
+    if complex_values:
+        block = block + 1j * rng.standard_normal((n_rows, n_points))
+    for stencil in (central_difference, second_difference):
+        out = stencil(g, block)
+        assert out.shape == block.shape
+        for row, values in zip(out, block):
+            np.testing.assert_array_equal(row, stencil(g, values))
+    sums = quadrature(g, block)
+    assert sums.shape == (n_rows,)
+    np.testing.assert_array_equal(sums, [quadrature(g, values) for values in block])
+    np.testing.assert_array_equal(norms(g, block), [norms(g, values) for values in block])

@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from waveaction import (
     HamiltonianConfig,
@@ -24,6 +26,7 @@ from waveaction import (
     wavefunction_from_samples,
 )
 from waveaction.grids import commensurate_wavenumber
+from waveaction.hamiltonian import energies_of, hamiltonian_matrix
 
 from helpers import dense_momentum_matrix, random_state
 
@@ -361,3 +364,27 @@ def test_action_pass_assembles_a_static_hamiltonian_once(monkeypatch, cfg):
     calls = _count_assemblies(monkeypatch)
     assert len(action_integrals(cfg, traj).simple) == 11
     assert len(calls) == 1
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_rows=st.integers(1, 6),
+    n_points=st.integers(8, 300),
+    boundary=st.sampled_from(["dirichlet", "periodic"]),
+    contact=st.one_of(st.none(), st.floats(0.0, 100.0)),
+)
+def test_block_of_states_gives_each_state_its_own_h_and_energy(seed, n_rows, n_points, boundary, contact):
+    # matvec and the energy of a (B, N) block of states, with a per-row mean
+    # field on the diagonal, equal the one-state results bit for bit
+    g = make_grid(-3.0, 3.0, n_points, boundary)
+    interaction = None if contact is None else TwoBodyInteraction.contact(contact, 3)
+    cfg = HamiltonianConfig(
+        v1=PotentialField.harmonic(), a_vec=PotentialField.from_samples(0.3 * np.cos(g.x)), interaction=interaction
+    )
+    h = hamiltonian_matrix(cfg, g)
+    block = np.array([random_state(g, seed + k, smooth=False).amplitudes for k in range(n_rows)])
+    np.testing.assert_array_equal(h.matvec(block), [h.matvec(amp) for amp in block])
+    energies = energies_of(cfg, h, block)
+    assert energies.shape == (n_rows,)
+    np.testing.assert_array_equal(energies, [energy(cfg, wavefunction_from_samples(g, amp)) for amp in block])

@@ -17,11 +17,15 @@ from waveaction import (
     PotentialField,
     PropagationPlan,
     ScenarioError,
+    Trajectory,
     TwoBodyInteraction,
+    continuity_residual,
+    energy,
     gaussian_wavepacket,
     ground_state_imaginary_time,
     hamilton_equations_residual,
     make_grid,
+    norm,
     parse_scenario,
     parse_scenario_dict,
     propagate,
@@ -36,6 +40,9 @@ from waveaction.scenario import (
     scenario_json,
     serialize_scenario,
 )
+from waveaction.grids import norms
+
+from helpers import random_trajectory, trajectory_shapes
 
 
 def minimal_ground_state(name="harmonic-ground"):
@@ -545,6 +552,103 @@ def test_cli_state_that_blows_up_exits_2(tmp_path, monkeypatch, capsys, task, wh
     assert err.startswith("solver error: ") and where in err and "amplitudes must be finite" in err
 
 
+@pytest.mark.parametrize(
+    "task, where",
+    [({"kind": "propagate", "n_steps": 4}, "step 1 "), ({"kind": "ground-state"}, "iteration 1 ")],
+    ids=["propagate", "ground-state"],
+)
+def test_state_that_blows_up_writes_a_failure_manifest(tmp_path, monkeypatch, capsys, task, where):
+    import waveaction.propagation as propagation
+
+    monkeypatch.setattr(
+        propagation._CayleySolver, "solve", lambda self, rhs: np.full(len(rhs), np.nan, dtype=complex)
+    )
+    data = minimal_ground_state("blow-up")
+    data["grid"]["n_points"] = 201
+    data["task"] = task
+    out = tmp_path / "out"
+    assert main(["run", str(write_scenario(tmp_path, data)), "--out", str(out), "--quiet"]) == 2
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["converged"] is False and manifest["name"] == "blow-up"
+    assert manifest["task"] == task["kind"] and manifest["grid"]["n_points"] == 201
+    assert manifest["summary"]["phase"] == "propagate"
+    error = manifest["summary"]["error"]
+    assert where in error and "amplitudes must be finite" in error
+    assert capsys.readouterr().err == f"solver error: {error}\n"
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+
+
+def test_runner_energy_column_keeps_the_hermiticity_check(tmp_path, monkeypatch):
+    # the energy column is computed on blocks of rows; a non-Hermitian H must
+    # still raise, and the failure manifest names the analysis phase
+    import waveaction.runner as runner
+    from waveaction.hamiltonian import TridiagonalHamiltonian, hamiltonian_at
+
+    def skewed_at(cfg, grid):
+        h = hamiltonian_at(cfg, grid)(0.0)
+        skewed = TridiagonalHamiltonian(grid, h.diag + 1e-3j, h.upper, h.lower)
+        return lambda t: skewed
+
+    monkeypatch.setattr(runner, "hamiltonian_at", skewed_at)
+    data = minimal_ground_state("skewed")
+    data["task"] = {"kind": "propagate", "n_steps": 30}
+    with pytest.raises(RuntimeError, match="energy has imaginary part .*not Hermitian"):
+        run_scenario(parse_scenario_dict(data), tmp_path / "out", quiet=True)
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["converged"] is False
+    assert manifest["summary"]["phase"] == "analysis"
+    assert manifest["summary"]["error"].startswith("energy has imaginary part")
+
+
+def _drift_potential(x, t):
+    return 0.3 * np.cos(x + 2.0 * t)
+
+
+def _driven_trap(x, t):
+    return 0.5 * x**2 + 0.4 * x * np.sin(3.0 * t)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    shape=trajectory_shapes(),
+    boundary=st.sampled_from(["dirichlet", "periodic"]),
+    driven=st.booleans(),
+    interaction=st.sampled_from([None, "contact", "kernel"]),
+)
+def test_diagnostics_columns_equal_the_per_pair_functions(seed, shape, boundary, driven, interaction):
+    # the runner computes its columns on blocks of rows, each pair's midpoint
+    # once; every column must equal the public per-state and per-pair function
+    import waveaction.runner as runner
+
+    n_snapshots, n_points = shape
+    traj = random_trajectory(seed, n_snapshots, n_points, boundary, 1e-2)
+    grid = traj.grid
+    traj = Trajectory(grid, traj.times, traj.amplitudes / norms(grid, traj.amplitudes)[:, None])
+    if driven:
+        v1, a_vec = PotentialField.from_callable(_driven_trap), PotentialField.from_callable(_drift_potential)
+    else:
+        v1, a_vec = PotentialField.harmonic(), PotentialField.from_samples(0.3 * np.cos(grid.x))
+    if interaction == "kernel" and n_points <= 1100:
+        x = grid.x
+        pair = TwoBodyInteraction.from_kernel(np.exp(-np.abs(x[:, None] - x[None, :])), 3)
+    else:
+        pair = None if interaction is None else TwoBodyInteraction.contact(25.0, 3)
+    cfg = HamiltonianConfig(v1=v1, a_vec=a_vec, interaction=pair)
+    rows = runner._diagnostics_rows(cfg, traj, 1, None)
+    snapshots = traj.snapshots
+    assert [r.time for r in rows] == [t for t, _ in snapshots]
+    for k, (t, psi) in enumerate(snapshots):
+        assert (rows[k].norm, rows[k].energy) == (norm(psi), energy(cfg, psi, t))
+        if k == 0:
+            assert (rows[k].continuity_sup, rows[k].continuity_l2, rows[k].hamilton_r1) == (0.0, 0.0, 0.0)
+            continue
+        before = snapshots[k - 1][1]
+        report = continuity_residual(cfg, before, psi)
+        assert (rows[k].continuity_sup, rows[k].continuity_l2) == (report.sup_norm, report.l2_norm)
+        assert rows[k].hamilton_r1 == hamilton_equations_residual(cfg, before, psi)[0]
+
+
 def test_cli_non_finite_initial_state_exits_1(tmp_path, capsys):
     # width**2 underflows to 0, so the Gaussian is 0/0 = NaN at its centre
     data = minimal_ground_state("nan-start")
@@ -562,15 +666,16 @@ def test_cli_non_finite_initial_state_exits_1(tmp_path, capsys):
 def test_verify_makes_one_action_pass_besides_stationarity(tmp_path, monkeypatch):
     # the runner's pass feeds the CSV, both actions, reality and the
     # stationarity base; the probe adds one pass per epsilon.  Every pass
-    # evaluates the densities row by row through variational._densities.
+    # evaluates the densities on blocks of rows through variational._densities,
+    # so count the rows of the (rows, N) amplitude block each call receives.
     import waveaction.variational as variational
 
     calls = []
     original = variational._densities
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
+    def counted(cfg, h, amp, *args, **kwargs):
+        calls.append(len(amp))
+        return original(cfg, h, amp, *args, **kwargs)
 
     monkeypatch.setattr(variational, "_densities", counted)
     data = minimal_ground_state("verify-count")
@@ -578,7 +683,7 @@ def test_verify_makes_one_action_pass_besides_stationarity(tmp_path, monkeypatch
     data["task"] = {"kind": "verify", "n_steps": 20, "epsilons": [1e-2, 1e-3, 1e-4]}
     manifest = run_scenario(parse_scenario_dict(data), tmp_path / "out", quiet=True)
     assert "checks" in manifest.summary
-    assert len(calls) == 4 * 21
+    assert sum(calls) == 4 * 21
 
 
 def test_verify_needs_three_records(tmp_path):

@@ -33,7 +33,7 @@ from waveaction.grids import central_difference
 from waveaction.hamiltonian import apply_mechanical_momentum
 from waveaction.variational import TrialFamily
 
-from helpers import dense_ground_energy, loop_action_integrals, random_state
+from helpers import dense_ground_energy, loop_action_integrals, random_state, random_trajectory, trajectory_shapes
 
 HARMONIC = HamiltonianConfig(v1=PotentialField.harmonic())
 FREE = HamiltonianConfig()
@@ -195,27 +195,18 @@ def test_time_reversal_conjugates_the_action():
     assert abs(action(HARMONIC, reversed_traj).value + action(HARMONIC, traj).value) < 1e-8
 
 
-def random_trajectory(seed, n_snapshots, n_points, boundary, dt):
-    """Seeded random amplitudes at uniformly spaced times."""
-    rng = np.random.default_rng(seed)
-    g = make_grid(-4.0, 4.0, n_points, boundary)
-    shape = (n_snapshots, n_points)
-    amps = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    times = rng.uniform(-1.0, 1.0) + dt * np.arange(n_snapshots)
-    return Trajectory(g, times, amps)
-
-
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
-    n_snapshots=st.integers(3, 12),
-    n_points=st.integers(8, 200),
+    shape=trajectory_shapes(),
     boundary=st.sampled_from(["dirichlet", "periodic"]),
     dt=st.floats(1e-4, 0.1),
     contact=st.one_of(st.none(), st.floats(0.0, 100.0)),
 )
-def test_action_integrals_equal_the_snapshot_loop(seed, n_snapshots, n_points, boundary, dt, contact):
-    # the row-wise pass must reproduce the per-snapshot loop bit for bit
+def test_action_integrals_equal_the_snapshot_loop(seed, shape, boundary, dt, contact):
+    # the pass over row blocks, each with a halo row on either side, must
+    # reproduce the per-snapshot loop bit for bit
+    n_snapshots, n_points = shape
     interaction = None if contact is None else TwoBodyInteraction.contact(contact, 3)
     cfg = HamiltonianConfig(v1=PotentialField.harmonic(), interaction=interaction)
     traj = random_trajectory(seed, n_snapshots, n_points, boundary, dt)
@@ -237,15 +228,15 @@ def _drift(x, t):
 @settings(max_examples=30, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
-    n_snapshots=st.integers(3, 12),
-    n_points=st.integers(8, 200),
+    shape=trajectory_shapes(),
     boundary=st.sampled_from(["dirichlet", "periodic"]),
     dt=st.floats(1e-4, 0.1),
     contact=st.one_of(st.none(), st.floats(0.0, 100.0)),
 )
-def test_driven_action_integrals_equal_the_snapshot_loop(seed, n_snapshots, n_points, boundary, dt, contact):
+def test_driven_action_integrals_equal_the_snapshot_loop(seed, shape, boundary, dt, contact):
     # a time-dependent H is reassembled at every row: a pass that held one H
     # for the whole trajectory would differ from the public per-row densities
+    n_snapshots, n_points = shape
     interaction = None if contact is None else TwoBodyInteraction.contact(contact, 3)
     cfg = HamiltonianConfig(
         v1=PotentialField.from_callable(_driven), a_vec=PotentialField.from_callable(_drift), interaction=interaction
@@ -328,15 +319,15 @@ def test_stationarity_points_are_perturbed_minus_base_action():
 @settings(max_examples=30, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
-    n_snapshots=st.integers(3, 10),
-    n_points=st.integers(8, 120),
+    shape=trajectory_shapes(),
     boundary=st.sampled_from(["dirichlet", "periodic"]),
     contact=st.one_of(st.none(), st.floats(0.0, 100.0)),
     driven=st.booleans(),
 )
-def test_stationarity_equals_passes_over_perturbed_trajectories(seed, n_snapshots, n_points, boundary, contact, driven):
-    # the probe perturbs each row as it reads it; the oracle stores every
-    # perturbed trajectory, built by the outer product, and integrates it
+def test_stationarity_equals_passes_over_perturbed_trajectories(seed, shape, boundary, contact, driven):
+    # the probe perturbs each block of rows as it reads it; the oracle stores
+    # every perturbed trajectory, built by the outer product, and integrates it
+    n_snapshots, n_points = shape
     interaction = None if contact is None else TwoBodyInteraction.contact(contact, 3)
     v1 = PotentialField.from_callable(_driven) if driven else PotentialField.harmonic()
     cfg = HamiltonianConfig(v1=v1, interaction=interaction)
