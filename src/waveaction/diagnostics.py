@@ -18,7 +18,6 @@ from .grids import Grid, Wavefunction, central_difference, norms, quadrature
 from .hamiltonian import (
     HamiltonianConfig,
     TridiagonalHamiltonian,
-    hamiltonian_at,
     hamiltonian_matrix,
     mean_field_diagonal,
     mechanical_momentum,
@@ -112,7 +111,7 @@ def pair_residuals(
 
     The rows are states on grid recorded at times (B + 1,), and each
     array holds one value per pair, as continuity_residual and
-    hamilton_equations_residual_of give it; each pair's midpoint state is
+    hamilton_equations_residual give it; each pair's midpoint state is
     formed once.  The potentials are evaluated at the first pair's midpoint
     time, so with time-dependent potentials amps holds one pair, as the
     blocks of row_blocks do.
@@ -152,20 +151,11 @@ def hamilton_equations_residual(
     residuals share units.  r2 equals r1 to rounding because the second
     equation is the complex conjugate of the first.
     """
-    return hamilton_equations_residual_of(cfg, hamiltonian_at(cfg, psi_before.grid), psi_before, psi_after)
-
-
-def hamilton_equations_residual_of(
-    cfg: HamiltonianConfig,
-    h_at: Callable[[float], TridiagonalHamiltonian],
-    psi_before: Wavefunction,
-    psi_after: Wavefunction,
-) -> tuple:
-    """hamilton_equations_residual with h_at, the hamiltonian_at map of cfg, evaluated at the midpoint time."""
     dt, mid, t_mid = _pair_step(psi_before, psi_after)
     grid = psi_before.grid
     hbar = cfg.constants.hbar
-    d_psi, h_mid = _hamilton_fields(cfg, h_at(t_mid), psi_before.amplitudes, psi_after.amplitudes, mid, dt)
+    h = hamiltonian_matrix(cfg, grid, t_mid)
+    d_psi, h_mid = _hamilton_fields(cfg, h, psi_before.amplitudes, psi_after.amplitudes, mid, dt)
     r1 = float(norms(grid, d_psi - h_mid / (1j * hbar)))
 
     d_pi = 1j * hbar * np.conj(d_psi)

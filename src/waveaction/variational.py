@@ -105,8 +105,9 @@ class ActionIntegrals:
         The spatial envelope eta is supplied; a sin^2 window in time makes
         the perturbation vanish at both endpoints of the trajectory, as the
         variational boundary conditions require.  The base action is this
-        result's; each epsilon costs one pass, perturbing each block of rows
-        as it is read and checking that it is finite.
+        result's; each epsilon costs one pass that evaluates the compact
+        density only, perturbing each block of rows as it is read and
+        checking that it is finite.
         Returns the action change for each epsilon and the least-squares
         slope of log|dS| vs log eps (2 on solution trajectories, 1 off-shell).
         """
@@ -130,7 +131,10 @@ class ActionIntegrals:
                 check_finite(rows)
                 return rows
 
-            return float(np.trapezoid(_integrals(self.cfg, traj.grid, times, rows_of)[0].real, times))
+            simple = np.empty(len(times))
+            for lo, hi, h, amp, damp, extra, _ in _blocks(self.cfg, traj.grid, times, rows_of):
+                simple[lo:hi] = quadrature(traj.grid, _simple_density(self.cfg, h, amp, damp, extra)).real
+            return float(np.trapezoid(simple, times))
 
         points = []
         for eps in eps_list:
@@ -213,24 +217,30 @@ def lagrangian_densities(
     if dpsi_dt.grid is not psi.grid and dpsi_dt.grid.n_points != psi.grid.n_points:
         raise ValueError("state and its time derivative live on different grids")
     h = hamiltonian_matrix(cfg, psi.grid, t)
-    return LagrangianSample(*_densities(cfg, h, psi.amplitudes, dpsi_dt.amplitudes, t), t)
+    amp, damp = psi.amplitudes, dpsi_dt.amplitudes
+    extra = mean_field_diagonal(cfg, psi.grid, amp, 0.5)
+    return LagrangianSample(
+        _simple_density(cfg, h, amp, damp, extra), _standard_density(cfg, psi.grid, amp, damp, t, extra), t
+    )
 
 
-def _densities(cfg: HamiltonianConfig, h, amp: np.ndarray, damp: np.ndarray, t: float) -> tuple:
-    """(simple, standard) densities of each row of amp (..., N) with rate damp, on h, the H of cfg assembled at t."""
-    c = cfg.constants
-    grid = h.grid
-    extra = mean_field_diagonal(cfg, grid, amp, 0.5)
+def _simple_density(cfg: HamiltonianConfig, h, amp: np.ndarray, damp: np.ndarray, extra) -> np.ndarray:
+    """psi* (i hbar d_t - H) psi of each row of amp (..., N) with rate damp, on h plus the mean field extra."""
     h_psi = h.plus_diagonal(extra).matvec(amp)
-    l_simple = np.conj(amp) * (1j * c.hbar * damp - h_psi)
+    return np.conj(amp) * (1j * cfg.constants.hbar * damp - h_psi)
 
+
+def _standard_density(
+    cfg: HamiltonianConfig, grid: Grid, amp: np.ndarray, damp: np.ndarray, t: float, extra
+) -> np.ndarray:
+    """The first-order density of each row of amp (..., N) with rate damp at t, with the mean field extra."""
+    c = cfg.constants
     time_part = -c.hbar * np.imag(np.conj(amp) * damp)
     kinetic = _forward_kinetic_density(cfg, grid, amp, t)
     scalar = cfg.v1.evaluate(grid, t) + c.charge * cfg.a0.evaluate(grid, t)
     if extra is not None:
         scalar = scalar + extra
-    l_standard = time_part - kinetic - scalar * np.abs(amp) ** 2
-    return l_simple, l_standard
+    return time_part - kinetic - scalar * np.abs(amp) ** 2
 
 
 def _check_uniform(times: np.ndarray) -> float:
@@ -263,29 +273,32 @@ def action_integrals(cfg: HamiltonianConfig, traj: Trajectory) -> ActionIntegral
     times = traj.times
     check_action_records(len(times))
     _check_uniform(times)
-    return ActionIntegrals(cfg, traj, *_integrals(cfg, traj.grid, times, lambda lo, hi: traj.amplitudes[lo:hi]))
+    grid = traj.grid
+    simple = np.empty(len(times), dtype=complex)
+    standard = np.empty(len(times))
+    for lo, hi, h, amp, damp, extra, t in _blocks(cfg, grid, times, lambda lo, hi: traj.amplitudes[lo:hi]):
+        simple[lo:hi] = quadrature(grid, _simple_density(cfg, h, amp, damp, extra))
+        standard[lo:hi] = quadrature(grid, _standard_density(cfg, grid, amp, damp, t, extra)).real
+    return ActionIntegrals(cfg, traj, simple, standard)
 
 
-def _integrals(cfg: HamiltonianConfig, grid: Grid, times: np.ndarray, rows_of: Callable) -> tuple:
-    """(simple, standard) integrals at each of times, with rows_of(lo, hi) the amplitude rows lo..hi-1.
+def _blocks(cfg: HamiltonianConfig, grid: Grid, times: np.ndarray, rows_of: Callable):
+    """(lo, hi, h, amp, damp, extra, t) of each block of row_blocks, with rows_of(lo, hi) the rows lo..hi-1.
 
-    Each block of row_blocks reads its rows and one halo row on each side
-    for the time derivative.
+    amp holds rows lo..hi-1 and damp their time derivatives, read with one
+    halo row on each side; h is H at t = times[lo] and extra the half-weight
+    mean field of amp, which both densities share.
     """
     h_at = hamiltonian_at(cfg, grid)
     last = len(times) - 1
-    simple = np.empty(len(times), dtype=complex)
-    standard = np.empty(len(times))
     for lo, hi in row_blocks(cfg, grid.n_points, len(times)):
         start = max(lo - 1, 0)
         rows = rows_of(start, min(hi + 1, last + 1))
         k = np.arange(lo, hi)
         prev, nxt = np.maximum(k - 1, 0), np.minimum(k + 1, last)
         damp = (rows[nxt - start] - rows[prev - start]) / (times[nxt] - times[prev])[:, None]
-        l_simple, l_standard = _densities(cfg, h_at(times[lo]), rows[lo - start : hi - start], damp, times[lo])
-        simple[lo:hi] = quadrature(grid, l_simple)
-        standard[lo:hi] = quadrature(grid, l_standard).real
-    return simple, standard
+        amp = rows[lo - start : hi - start]
+        yield lo, hi, h_at(times[lo]), amp, damp, mean_field_diagonal(cfg, grid, amp, 0.5), times[lo]
 
 
 def action(cfg: HamiltonianConfig, traj: Trajectory, which: str = "simple") -> ActionValue:

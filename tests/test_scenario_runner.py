@@ -665,25 +665,32 @@ def test_cli_non_finite_initial_state_exits_1(tmp_path, capsys):
 
 def test_verify_makes_one_action_pass_besides_stationarity(tmp_path, monkeypatch):
     # the runner's pass feeds the CSV, both actions, reality and the
-    # stationarity base; the probe adds one pass per epsilon.  Every pass
-    # evaluates the densities on blocks of rows through variational._densities,
-    # so count the rows of the (rows, N) amplitude block each call receives.
+    # stationarity base; the probe adds one pass per epsilon, which reads
+    # the compact density only.  Every pass evaluates the densities on
+    # blocks of rows through variational._simple_density and
+    # variational._standard_density, so count the rows of the (rows, N)
+    # amplitude block each of them receives.
     import waveaction.variational as variational
 
-    calls = []
-    original = variational._densities
+    rows = {"_simple_density": 0, "_standard_density": 0}
 
-    def counted(cfg, h, amp, *args, **kwargs):
-        calls.append(len(amp))
-        return original(cfg, h, amp, *args, **kwargs)
+    def counting(name):
+        original = getattr(variational, name)
 
-    monkeypatch.setattr(variational, "_densities", counted)
+        def counted(cfg, h_or_grid, amp, *args):
+            rows[name] += len(amp)
+            return original(cfg, h_or_grid, amp, *args)
+
+        return counted
+
+    for name in rows:
+        monkeypatch.setattr(variational, name, counting(name))
     data = minimal_ground_state("verify-count")
     data["grid"]["n_points"] = 201
     data["task"] = {"kind": "verify", "n_steps": 20, "epsilons": [1e-2, 1e-3, 1e-4]}
     manifest = run_scenario(parse_scenario_dict(data), tmp_path / "out", quiet=True)
     assert "checks" in manifest.summary
-    assert sum(calls) == 4 * 21
+    assert rows == {"_simple_density": 4 * 21, "_standard_density": 1 * 21}
 
 
 def test_verify_needs_three_records(tmp_path):
