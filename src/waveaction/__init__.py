@@ -69,6 +69,6 @@ from .diagnostics import (
     probability_fields,
 )
 from .scenario import Scenario, ScenarioError, parse_scenario, parse_scenario_dict, serialize_scenario
-from .runner import DiagnosticsRecord, RunManifest, run_scenario
+from .runner import RunManifest, run_scenario
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -58,7 +58,7 @@ def _run_one(path: Path, out_dir: Path, stride, quiet: bool) -> int:
         scenario = parse_scenario(path)
         if stride is not None:
             scenario = parse_scenario_dict({**serialize_scenario(scenario), "output": {"record_stride": stride}})
-    except (FileNotFoundError, ScenarioError) as exc:
+    except (OSError, ScenarioError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
@@ -91,7 +91,7 @@ def main(argv=None) -> int:
     if args.command == "validate":
         try:
             scenario = parse_scenario(args.scenario)
-        except (FileNotFoundError, ScenarioError) as exc:
+        except (OSError, ScenarioError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_USAGE
         print(f"OK: {scenario.name} ({scenario.task['kind']})")

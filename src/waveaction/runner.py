@@ -3,10 +3,12 @@
 Outputs per run: a fixed-column CSV (diagnostics, or the energy history),
 the states as one binary .npy array (``trajectory.npy``, (T, N) complex128,
 row k the state at CSV row k; or ``ground_state.npy``, (N,)), and a manifest
-JSON with summary scalars and the grid.  CSV numbers carry 17 significant
-digits so doubles round-trip exactly; every file is written to a temporary
-name and atomically renamed.  A run that fails with a solver error still
-writes its manifest, with the error and the phase it arose in.
+JSON with summary scalars and the grid.  Each task returns its outputs as
+CSV columns and arrays keyed by file name; ``run_scenario`` writes them and
+the manifest through one atomic writer (a temporary name, then a rename).
+CSV numbers carry 17 significant digits so doubles round-trip exactly.  A
+run that fails with a solver error still writes its manifest, with the
+error and the phase it arose in.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import hashlib
 import json
 import operator
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 import numpy as np
 
@@ -45,22 +47,17 @@ VERIFY_THRESHOLDS = {
 }
 
 
-@dataclass(frozen=True, eq=False)
-class DiagnosticsRecord:
-    """One row of the per-step diagnostics CSV."""
-
-    step: int
-    time: float
-    norm: float
-    energy: float
-    continuity_sup: float
-    continuity_l2: float
-    action_simple_running: float
-    action_standard_running: float
-    hamilton_r1: float
-
-
-CSV_COLUMNS = tuple(f.name for f in fields(DiagnosticsRecord))
+CSV_COLUMNS = (
+    "step",
+    "time",
+    "norm",
+    "energy",
+    "continuity_sup",
+    "continuity_l2",
+    "action_simple_running",
+    "action_standard_running",
+    "hamilton_r1",
+)
 
 
 @dataclass
@@ -80,40 +77,37 @@ class RunManifest:
         return asdict(self)
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
+def _write(path: Path, content) -> None:
+    """Write content under a temporary name beside path, then rename it into place.
 
-
-def _atomic_write(path: Path, text: str) -> None:
+    content is CSV columns ({name: values}; ints as they are, floats to 17
+    significant digits), an array (streamed into the file by np.save) or
+    text.  On any error the temporary file is removed and the error re-raised.
+    """
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    tmp.replace(path)
-
-
-def _write_csv(path: Path, columns, rows) -> None:
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(str(v) if isinstance(v, int) else _fmt(v) for v in row))
-    _atomic_write(path, "\n".join(lines) + "\n")
-
-
-def _write_array(path: Path, array: np.ndarray) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    with tmp.open("wb") as f:
-        np.save(f, array)
-    tmp.replace(path)
-
-
-def _write_manifest(path: Path, manifest: RunManifest) -> None:
-    _atomic_write(path, json.dumps(manifest.to_dict(), indent=2, sort_keys=True) + "\n")
+    try:
+        with tmp.open("wb") as f:
+            if isinstance(content, np.ndarray):
+                np.save(f, content)
+            elif isinstance(content, dict):
+                rows = zip(*(np.asarray(values).tolist() for values in content.values()))
+                lines = [",".join(content)]
+                lines += (",".join(str(v) if isinstance(v, int) else f"{v:.17g}" for v in row) for row in rows)
+                f.write(("\n".join(lines) + "\n").encode())
+            else:
+                f.write(content.encode())
+        tmp.replace(path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _hash_scenario(scenario: Scenario) -> str:
     return hashlib.sha256(scenario_json(scenario).encode()).hexdigest()
 
 
-def _diagnostics_rows(cfg, traj: Trajectory, stride: int, integrals) -> list:
-    """One DiagnosticsRecord per recorded state; the columns are computed a block of rows at a time.
+def _diagnostics_columns(cfg, traj: Trajectory, stride: int, integrals) -> dict:
+    """The diagnostics CSV's columns in CSV_COLUMNS order, computed a block of rows at a time.
 
     The norm and energy are those of each row, the continuity norms and the
     Hamilton residual those of the pair it ends (0 at the first row).
@@ -134,20 +128,8 @@ def _diagnostics_rows(cfg, traj: Trajectory, stride: int, integrals) -> list:
         if first < hi:
             pairs = pair_residuals(cfg, h_at, grid, times[first - 1 : hi], amps[first - 1 : hi])
             cont_sup[first:hi], cont_l2[first:hi], r1[first:hi] = pairs
-    return [
-        DiagnosticsRecord(
-            step=i * stride,
-            time=float(times[i]),
-            norm=float(norm_col[i]),
-            energy=float(energy_col[i]),
-            continuity_sup=float(cont_sup[i]),
-            continuity_l2=float(cont_l2[i]),
-            action_simple_running=float(run_simple[i]),
-            action_standard_running=float(run_standard[i]),
-            hamilton_r1=float(r1[i]),
-        )
-        for i in range(n_rows)
-    ]
+    step = np.arange(n_rows) * stride
+    return dict(zip(CSV_COLUMNS, (step, times, norm_col, energy_col, cont_sup, cont_l2, run_simple, run_standard, r1)))
 
 
 class _Phase:
@@ -156,8 +138,8 @@ class _Phase:
     name = "build"
 
 
-def _run_propagation(scenario: Scenario, cfg, grid, out_dir: Path, phase: _Phase) -> tuple:
-    """(converged, summary) of a propagate, gp-propagate or verify task, once its CSV and trajectory are written."""
+def _run_propagation(scenario: Scenario, cfg, grid, phase: _Phase) -> tuple:
+    """(converged, summary, outputs) of a propagate, gp-propagate or verify task."""
     psi0 = build_initial_state(scenario, grid)
     plan = build_plan(scenario)
     norm_drift = {"max": 0.0}
@@ -169,28 +151,27 @@ def _run_propagation(scenario: Scenario, cfg, grid, out_dir: Path, phase: _Phase
     traj = propagate(cfg, psi0, plan, observers=[watch_norm])
     phase.name = "analysis"
     integrals = action_integrals(cfg, traj) if plan.n_records >= MIN_ACTION_RECORDS else None
-    rows = _diagnostics_rows(cfg, traj, plan.record_stride, integrals)
+    columns = _diagnostics_columns(cfg, traj, plan.record_stride, integrals)
     summary = {
-        "final_energy": rows[-1].energy,
-        "final_norm": rows[-1].norm,
+        "final_energy": float(columns["energy"][-1]),
+        "final_norm": float(columns["norm"][-1]),
         "norm_drift": norm_drift["max"],
-        "max_continuity_sup": max(r.continuity_sup for r in rows),
-        "action_simple": rows[-1].action_simple_running,
-        "action_standard": rows[-1].action_standard_running,
+        "max_continuity_sup": float(columns["continuity_sup"].max()),
+        "action_simple": float(columns["action_simple_running"][-1]),
+        "action_standard": float(columns["action_standard_running"][-1]),
         "n_steps": plan.n_steps,
         "record_stride": plan.record_stride,
     }
     converged = True
     if scenario.task["kind"] == "verify":
-        s_simple = integrals.action("simple").value
-        s_standard = integrals.action("standard").value
         slope = integrals.stationarity(_verify_bump(traj), scenario.task["epsilons"]).slope
         th = VERIFY_THRESHOLDS
         slope_band = [th["stationarity_slope_low"], th["stationarity_slope_high"]]
+        equivalence = abs(summary["action_simple"] - summary["action_standard"])
         table = (
             ("norm_drift", summary["norm_drift"], th["norm_drift"], operator.lt),
             ("reality_max", float(integrals.reality_deviations().max()), th["reality_max"], operator.lt),
-            ("action_equivalence", abs(s_simple - s_standard), th["action_equivalence"], operator.lt),
+            ("action_equivalence", equivalence, th["action_equivalence"], operator.lt),
             ("stationarity_slope", slope, slope_band, lambda v, band: band[0] < v < band[1]),
             ("continuity_sup", summary["max_continuity_sup"], th["continuity_sup_max"], operator.lt),
         )
@@ -198,25 +179,20 @@ def _run_propagation(scenario: Scenario, cfg, grid, out_dir: Path, phase: _Phase
             name: {"value": value, "threshold": limit, "passed": rule(value, limit)}
             for name, value, limit, rule in table
         }
-        summary["action_simple"] = s_simple
-        summary["action_standard"] = s_standard
         summary["stationarity_slope"] = slope
         summary["checks"] = checks
         converged = all(c["passed"] for c in checks.values())
-    phase.name = "write"
-    _write_csv(out_dir / "diagnostics.csv", CSV_COLUMNS, map(operator.attrgetter(*CSV_COLUMNS), rows))
-    _write_array(out_dir / "trajectory.npy", traj.amplitudes)
-    return converged, summary
+    return converged, summary, {"diagnostics.csv": columns, "trajectory.npy": traj.amplitudes}
 
 
-def _run_task(scenario: Scenario, out_dir: Path, phase: _Phase) -> tuple:
-    """(converged, summary) of the scenario's task, once its files are written under out_dir."""
+def _run_task(scenario: Scenario, phase: _Phase) -> tuple:
+    """(converged, summary, outputs) of the scenario's task; outputs maps file names to CSV columns or arrays."""
     task = scenario.task["kind"]
     cfg = build_config(scenario)
     grid = build_grid(scenario)
 
     if task in ("propagate", "gp-propagate", "verify"):
-        return _run_propagation(scenario, cfg, grid, out_dir, phase)
+        return _run_propagation(scenario, cfg, grid, phase)
 
     if task == "ground-state":
         psi0 = build_initial_state(scenario, grid)
@@ -236,14 +212,8 @@ def _run_task(scenario: Scenario, out_dir: Path, phase: _Phase) -> tuple:
         }
         if scenario.interaction is not None:
             summary["chemical_potential"] = chemical_potential(cfg, result.state)
-        phase.name = "write"
-        _write_csv(
-            out_dir / "energy_history.csv",
-            ("iteration", "energy"),
-            list(enumerate(result.energy_history)),
-        )
-        _write_array(out_dir / "ground_state.npy", result.state.amplitudes)
-        return result.converged, summary
+        history = {"iteration": range(len(result.energy_history)), "energy": result.energy_history}
+        return result.converged, summary, {"energy_history.csv": history, "ground_state.npy": result.state.amplitudes}
 
     if task == "rayleigh-ritz":
         family = FAMILIES[scenario.task["family"]]()
@@ -255,12 +225,6 @@ def _run_task(scenario: Scenario, out_dir: Path, phase: _Phase) -> tuple:
             grid=grid,
             max_iter=scenario.task["max_iter"],
         )
-        phase.name = "write"
-        _write_csv(
-            out_dir / "energy_history.csv",
-            ("evaluation", "energy"),
-            list(enumerate(result.history)),
-        )
         summary = {
             "final_energy": result.energy,
             "parameters": {
@@ -268,7 +232,8 @@ def _run_task(scenario: Scenario, out_dir: Path, phase: _Phase) -> tuple:
             },
             "evaluations": len(result.history),
         }
-        return result.converged, summary
+        history = {"evaluation": range(len(result.history)), "energy": result.history}
+        return result.converged, summary, {"energy_history.csv": history}
 
     raise ValueError(f"unknown task {task!r}")  # pragma: no cover - parse_scenario guarantees the enum
 
@@ -287,8 +252,8 @@ def run_scenario(scenario: Scenario, out_dir, quiet: bool = False) -> RunManifes
     started = time.perf_counter()
     phase = _Phase()
 
-    def manifest_of(converged: bool, summary: dict) -> RunManifest:
-        return RunManifest(
+    def write_manifest(converged: bool, summary: dict) -> RunManifest:
+        manifest = RunManifest(
             name=scenario.name,
             task=scenario.task["kind"],
             scenario_hash=_hash_scenario(scenario),
@@ -298,16 +263,19 @@ def run_scenario(scenario: Scenario, out_dir, quiet: bool = False) -> RunManifes
             grid=dict(scenario.grid),
             summary=summary,
         )
+        _write(out_dir / "manifest.json", json.dumps(manifest.to_dict(), indent=2, sort_keys=True) + "\n")
+        return manifest
 
     try:
-        converged, summary = _run_task(scenario, out_dir, phase)
+        converged, summary, outputs = _run_task(scenario, phase)
+        phase.name = "write"
+        for name, content in outputs.items():
+            _write(out_dir / name, content)
     except (RuntimeError, MemoryError) as exc:
-        failure = manifest_of(False, {"error": str(exc), "phase": phase.name})
         with contextlib.suppress(OSError):  # the solver error, not this write, sets the exit code
-            _write_manifest(out_dir / "manifest.json", failure)
+            write_manifest(False, {"error": str(exc), "phase": phase.name})
         raise
-    manifest = manifest_of(converged, summary)
-    _write_manifest(out_dir / "manifest.json", manifest)
+    manifest = write_manifest(converged, summary)
     if not quiet:
         state = "ok" if converged else "NOT CONVERGED"
         print(f"[{scenario.name}] {manifest.task}: {state} ({manifest.wall_time_s:.2f}s) -> {out_dir}")

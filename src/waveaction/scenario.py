@@ -19,6 +19,7 @@ from pathlib import Path
 from typing import Optional
 
 import numpy as np
+from scipy import fft as sp_fft
 
 from .grids import DIRICHLET, PERIODIC, Grid, Wavefunction, gaussian_wavepacket, make_grid, normalize
 from .hamiltonian import (
@@ -255,9 +256,10 @@ def parse_scenario_dict(data: dict) -> Scenario:
 
 def parse_scenario(path) -> Scenario:
     """Read and validate a scenario file."""
-    text = Path(path).read_text()
     try:
-        data = json.loads(text)
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
     if not isinstance(data, dict):
@@ -310,8 +312,8 @@ def build_initial_state(scenario: Scenario, grid: Grid) -> Wavefunction:
         return gaussian_wavepacket(grid, **params)
     rng = np.random.default_rng(scenario.rng_seed)
     raw = rng.standard_normal(grid.n_points) + 1j * rng.standard_normal(grid.n_points)
-    k = 2.0 * np.pi * np.fft.fftfreq(grid.n_points, d=grid.dx)
-    smooth = np.fft.ifft(np.fft.fft(raw) * np.exp(-0.5 * (k * params["smoothing"]) ** 2))
+    k = 2.0 * np.pi * sp_fft.fftfreq(grid.n_points, d=grid.dx)
+    smooth = sp_fft.ifft(sp_fft.fft(raw) * np.exp(-0.5 * (k * params["smoothing"]) ** 2))
     return normalize(Wavefunction(grid, smooth))
 
 

@@ -60,7 +60,8 @@ class ActionIntegrals:
     """Spatial integrals of both densities at each snapshot of one trajectory.
 
     simple is complex (its imaginary part tracks the norm change), standard
-    is real; the time-integration rules live here and nowhere else.
+    is real; the time-integration rule, a cumulative trapezoid, lives here
+    and nowhere else.
     """
 
     cfg: HamiltonianConfig
@@ -72,6 +73,12 @@ class ActionIntegrals:
     def times(self) -> np.ndarray:
         return self.trajectory.times
 
+    @staticmethod
+    def _running_trapezoid(series: np.ndarray, times: np.ndarray) -> np.ndarray:
+        """Cumulative trapezoid integral of series over times up to each point (0 at the first)."""
+        steps = 0.5 * np.diff(times) * (series[1:] + series[:-1])
+        return np.concatenate([[0.0], np.cumsum(steps)])
+
     def _series(self, which: str) -> np.ndarray:
         if which == "simple":
             return self.simple.real
@@ -80,10 +87,10 @@ class ActionIntegrals:
         raise ValueError("which must be 'simple' or 'standard'")
 
     def action(self, which: str = "simple") -> ActionValue:
-        """Trapezoidal time integral of the chosen series over the whole window."""
+        """Trapezoidal time integral of the chosen series over the whole window, the last value of running."""
         times = self.times
         return ActionValue(
-            value=float(np.trapezoid(self._series(which), times)),
+            value=float(self.running(which)[-1]),
             time_window=(float(times[0]), float(times[-1])),
             dt=float(times[1] - times[0]),
             which_density=which,
@@ -91,9 +98,7 @@ class ActionIntegrals:
 
     def running(self, which: str = "simple") -> np.ndarray:
         """Cumulative trapezoid integral up to each snapshot (0 at the first)."""
-        series = self._series(which)
-        steps = 0.5 * np.diff(self.times) * (series[1:] + series[:-1])
-        return np.concatenate([[0.0], np.cumsum(steps)])
+        return self._running_trapezoid(self._series(which), self.times)
 
     def reality_deviations(self) -> np.ndarray:
         """|Im| of the compact integral at the interior snapshots."""
@@ -134,7 +139,7 @@ class ActionIntegrals:
             simple = np.empty(len(times))
             for lo, hi, h, amp, damp, extra, _ in _blocks(self.cfg, traj.grid, times, rows_of):
                 simple[lo:hi] = quadrature(traj.grid, _simple_density(self.cfg, h, amp, damp, extra)).real
-            return float(np.trapezoid(simple, times))
+            return float(self._running_trapezoid(simple, times)[-1])
 
         points = []
         for eps in eps_list:

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -53,6 +54,11 @@ def minimal_ground_state(name="harmonic-ground"):
         "potentials": {"v1": {"kind": "harmonic"}},
         "task": {"kind": "ground-state"},
     }
+
+
+def latin1_scenario():
+    """A valid scenario's bytes in Latin-1, with a name that is not ASCII: not UTF-8 text."""
+    return json.dumps(minimal_ground_state("caf\u00e9"), ensure_ascii=False).encode("latin-1")
 
 
 def write_scenario(tmp_path, data, filename="scenario.json"):
@@ -351,6 +357,35 @@ def test_invalid_json_reports_line(tmp_path):
         parse_scenario(path)
 
 
+def test_scenario_is_read_as_utf8_whatever_the_locale(tmp_path):
+    # under the C locale the default text encoding is ASCII
+    path = tmp_path / "utf8.json"
+    path.write_bytes(json.dumps(minimal_ground_state("caf\u00e9"), ensure_ascii=False).encode("utf-8"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "waveaction", "validate", str(path)],
+        capture_output=True,
+        encoding="utf-8",
+        env={**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONIOENCODING": "utf-8"},
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "OK: caf\u00e9 (ground-state)\n", "")
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("unreadable", ["directory", "latin-1"])
+def test_cli_unreadable_scenario_exits_1(tmp_path, capsys, command, unreadable):
+    path = tmp_path / "scenario.json"
+    if unreadable == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(latin1_scenario())
+    extra = ["--out", str(tmp_path / "out"), "--quiet"] if command == "run" else []
+    assert main([command, str(path), *extra]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: not UTF-8" if unreadable == "latin-1" else "error: ")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
 def test_ground_state_run_outputs(tmp_path):
     path = write_scenario(tmp_path, minimal_ground_state())
     scenario = parse_scenario(path)
@@ -635,18 +670,19 @@ def test_diagnostics_columns_equal_the_per_pair_functions(seed, shape, boundary,
     else:
         pair = None if interaction is None else TwoBodyInteraction.contact(25.0, 3)
     cfg = HamiltonianConfig(v1=v1, a_vec=a_vec, interaction=pair)
-    rows = runner._diagnostics_rows(cfg, traj, 1, None)
+    columns = runner._diagnostics_columns(cfg, traj, 1, None)
     snapshots = traj.snapshots
-    assert [r.time for r in rows] == [t for t, _ in snapshots]
+    assert list(columns["time"]) == [t for t, _ in snapshots]
     for k, (t, psi) in enumerate(snapshots):
-        assert (rows[k].norm, rows[k].energy) == (norm(psi), energy(cfg, psi, t))
+        row = {name: column[k] for name, column in columns.items()}
+        assert (row["norm"], row["energy"]) == (norm(psi), energy(cfg, psi, t))
         if k == 0:
-            assert (rows[k].continuity_sup, rows[k].continuity_l2, rows[k].hamilton_r1) == (0.0, 0.0, 0.0)
+            assert (row["continuity_sup"], row["continuity_l2"], row["hamilton_r1"]) == (0.0, 0.0, 0.0)
             continue
         before = snapshots[k - 1][1]
         report = continuity_residual(cfg, before, psi)
-        assert (rows[k].continuity_sup, rows[k].continuity_l2) == (report.sup_norm, report.l2_norm)
-        assert rows[k].hamilton_r1 == hamilton_equations_residual(cfg, before, psi)[0]
+        assert (row["continuity_sup"], row["continuity_l2"]) == (report.sup_norm, report.l2_norm)
+        assert row["hamilton_r1"] == hamilton_equations_residual(cfg, before, psi)[0]
 
 
 def test_cli_non_finite_initial_state_exits_1(tmp_path, capsys):
@@ -728,14 +764,14 @@ def test_cli_verify_stride_with_fewer_than_3_records_exits_1_before_it_runs(tmp_
 )
 def test_diagnostics_hamilton_r1_is_the_public_residual(cfg):
     # the runner evaluates the residual on its held H; the column must not move
-    from waveaction.runner import _diagnostics_rows
+    from waveaction.runner import _diagnostics_columns
 
     grid = make_grid(-8.0, 8.0, 201)
     plan = PropagationPlan(dt=1e-2, n_steps=6, record_stride=2)
     traj = propagate(cfg, gaussian_wavepacket(grid, center=0.5), plan)
     states = [psi for _, psi in traj.snapshots]
     expected = [0.0] + [hamilton_equations_residual(cfg, a, b)[0] for a, b in zip(states, states[1:])]
-    assert [r.hamilton_r1 for r in _diagnostics_rows(cfg, traj, 2, None)] == expected
+    assert list(_diagnostics_columns(cfg, traj, 2, None)["hamilton_r1"]) == expected
 
 
 def test_cli_batch_runs_directory(tmp_path, monkeypatch):
@@ -824,6 +860,44 @@ def test_cli_batch_reports_every_scenario_after_a_solver_error(tmp_path, monkeyp
     assert (tmp_path / "runs" / "later" / "manifest.json").exists()
     if width == "1":
         assert f"solver error: {HERMITICITY_ERROR}" in captured.err
+
+
+@pytest.mark.parametrize("width", ["1", "2"])
+def test_cli_batch_reports_an_unreadable_entry_and_runs_the_rest(tmp_path, monkeypatch, capsys, width):
+    monkeypatch.setenv("WAVEACTION_BATCH_WIDTH", width)
+    scen_dir = tmp_path / "scenarios"
+    scen_dir.mkdir()
+    (scen_dir / "a-dir.json").mkdir()
+    (scen_dir / "b-latin1.json").write_bytes(latin1_scenario())
+    write_scenario(scen_dir, minimal_ground_state("good"), "good.json")
+    code = main(["batch", str(scen_dir), "--out", str(tmp_path / "runs")])
+    captured = capsys.readouterr()
+    assert code == 1
+    exits = dict(line.rsplit(": exit ", 1) for line in captured.out.splitlines() if ": exit " in line)
+    assert exits == {str(scen_dir / f"{n}.json"): c for n, c in (("a-dir", "1"), ("b-latin1", "1"), ("good", "0"))}
+    assert (tmp_path / "runs" / "good" / "manifest.json").exists()
+    if width == "1":
+        assert [line.split(":", 1)[0] for line in captured.err.splitlines()] == ["error", "error"]
+
+
+def test_failed_write_leaves_no_temporary_file(tmp_path, monkeypatch, capsys):
+    # the trajectory write fails inside np.save: the run exits 2 with a
+    # failure manifest naming the write phase, and no temporary file remains
+    def failing_save(*args, **kwargs):
+        raise MemoryError("cannot allocate the array buffer")
+
+    monkeypatch.setattr(np, "save", failing_save)
+    data = minimal_ground_state("write-fails")
+    data["grid"]["n_points"] = 201
+    data["task"] = {"kind": "propagate", "n_steps": 4}
+    out = tmp_path / "out"
+    assert main(["run", str(write_scenario(tmp_path, data)), "--out", str(out), "--quiet"]) == 2
+    assert capsys.readouterr().err == "solver error: cannot allocate the array buffer\n"
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["converged"] is False
+    assert manifest["summary"] == {"error": "cannot allocate the array buffer", "phase": "write"}
+    assert not list(out.glob("*.tmp"))
+    assert sorted(p.name for p in out.iterdir()) == ["diagnostics.csv", "manifest.json"]
 
 
 def test_cli_module_entry_point(tmp_path):
