@@ -17,7 +17,6 @@ from .grids import (
     normalize,
     plane_wave,
     quadrature,
-    wavefunction_from_samples,
 )
 from .hamiltonian import (
     HamiltonianConfig,
@@ -54,9 +53,7 @@ from .variational import (
     gaussian_family,
     gaussian_phase_family,
     lagrangian_densities,
-    lagrangian_reality_deviations,
     rayleigh_ritz_minimize,
-    stationarity_test,
 )
 from .diagnostics import (
     CanonicalFields,

@@ -120,7 +120,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     out_root = args.out if args.out is not None else Path("runs")
     jobs = [(p, out_root / p.stem, args.quiet) for p in paths]
-    results = []
+    width = min(width, len(paths))  # the pool starts every worker at once, however few the jobs
     if width == 1:
         results = [_batch_entry(j) for j in jobs]
     else:

@@ -106,10 +106,6 @@ def check_finite(amp: np.ndarray) -> None:
         raise ValueError("amplitudes must be finite")
 
 
-def wavefunction_from_samples(grid: Grid, values, time: float = 0.0) -> Wavefunction:
-    return Wavefunction(grid, np.asarray(values, dtype=np.complex128), float(time))
-
-
 def gaussian_wavepacket(
     grid: Grid,
     center: float = 0.0,

@@ -122,7 +122,10 @@ class PotentialField:
                 )
             return self.values
         if self.kind == "callable":
-            out = np.asarray(self.func(x, t), dtype=float)
+            out = np.asarray(self.func(x, t))
+            if np.iscomplexobj(out):
+                raise ValueError("callable potential returned complex values")
+            out = out.astype(float, copy=False)
             if out.shape != x.shape:
                 raise ValueError("callable potential returned wrong shape")
             if not np.all(np.isfinite(out)):
@@ -150,6 +153,8 @@ class TwoBodyInteraction:
             k = self.kernel
             if k is None or k.ndim != 2 or k.shape[0] != k.shape[1]:
                 raise ValueError("kernel must be a square matrix")
+            if not np.all(np.isfinite(k)):
+                raise ValueError("two-body kernel must be finite")
             if not np.array_equal(k, k.T):
                 raise ValueError("two-body kernel must be symmetric")
         else:
@@ -228,32 +233,32 @@ def mean_field_potential(interaction: TwoBodyInteraction, phi: Wavefunction) -> 
 
 
 class TridiagonalHamiltonian:
-    """Matrix view of H on the grid: diagonal, off-diagonals, periodic corners.
+    """Matrix view of H on the grid: the diagonal and one entry each way per link.
 
-    upper[j] = H[j, j+1], lower[j] = H[j+1, j]; for periodic grids
-    corner_first_last = H[0, n-1] and corner_last_first = H[n-1, 0].
-    The operator acts on the interior for Dirichlet grids (endpoints clamped).
+    Link j joins node j to node j+1: upper[j] = H[j, j+1], lower[j] = H[j+1, j].
+    A Dirichlet grid has n-1 links; a periodic grid has n, the last (the
+    wrap link) joining node n-1 to node 0.  The operator acts on the
+    interior for Dirichlet grids (endpoints clamped).
     """
 
-    def __init__(self, grid: Grid, diag, upper, lower, corner_first_last=0j, corner_last_first=0j):
+    def __init__(self, grid: Grid, diag, upper, lower):
         self.grid = grid
         self.diag = diag
         self.upper = upper
         self.lower = lower
-        self.corner_first_last = corner_first_last
-        self.corner_last_first = corner_last_first
 
     def matvec(self, amp: np.ndarray) -> np.ndarray:
         """H applied to each row of amp (..., N); diag may hold one row per row of amp."""
+        n = self.grid.n_points
         out = self.diag * amp
-        out[..., :-1] += self.upper * amp[..., 1:]
-        out[..., 1:] += self.lower * amp[..., :-1]
+        out[..., :-1] += self.upper[: n - 1] * amp[..., 1:]
+        out[..., 1:] += self.lower[: n - 1] * amp[..., :-1]
         if self.grid.is_periodic:
             # a product of numpy complex scalars can round differently from the
-            # array loop's, so every row takes its corner terms as scalars
+            # array loop's, so every row takes its wrap-link terms as scalars
             for row in _rows(amp):
-                out[row + (0,)] += self.corner_first_last * amp[row + (-1,)]
-                out[row + (-1,)] += self.corner_last_first * amp[row + (0,)]
+                out[row + (0,)] += self.lower[-1] * amp[row + (-1,)]
+                out[row + (-1,)] += self.upper[-1] * amp[row + (0,)]
         else:
             out[..., 0] = 0.0
             out[..., -1] = 0.0
@@ -263,10 +268,7 @@ class TridiagonalHamiltonian:
         """This H with a real potential added to the diagonal; this H itself for None."""
         if extra is None:
             return self
-        return TridiagonalHamiltonian(
-            self.grid, self.diag + extra, self.upper, self.lower,
-            self.corner_first_last, self.corner_last_first,
-        )
+        return TridiagonalHamiltonian(self.grid, self.diag + extra, self.upper, self.lower)
 
     def expectations(self, amp: np.ndarray) -> np.ndarray:
         """<psi|H|psi> of each row of amp (..., N) by grid quadrature; every imaginary part must vanish."""
@@ -277,10 +279,6 @@ class TridiagonalHamiltonian:
                 f"energy has imaginary part {imag[np.abs(imag) > 1e-8][0]:.3e}; Hamiltonian assembly is not Hermitian"
             )
         return val.real
-
-    def expectation(self, amp: np.ndarray) -> float:
-        """<psi|H|psi> of one state by grid quadrature; its imaginary part must vanish."""
-        return float(self.expectations(amp))
 
 
 def hamiltonian_matrix(cfg: HamiltonianConfig, grid: Grid, t: float = 0.0) -> TridiagonalHamiltonian:
@@ -294,15 +292,8 @@ def hamiltonian_matrix(cfg: HamiltonianConfig, grid: Grid, t: float = 0.0) -> Tr
     diag = (2.0 * kin + c.charge**2 * a**2 / (2.0 * c.mass) + v).astype(complex)
 
     coup = 1j * c.hbar * c.charge / (4.0 * c.mass * dx)
-    a_link = a[:-1] + a[1:]
-    upper = -kin + coup * a_link
-    lower = -kin - coup * a_link
-    if grid.is_periodic:
-        a_wrap = a[-1] + a[0]
-        corner_fl = -kin - coup * a_wrap  # H[0, n-1]
-        corner_lf = -kin + coup * a_wrap  # H[n-1, 0]
-        return TridiagonalHamiltonian(grid, diag, upper, lower, corner_fl, corner_lf)
-    return TridiagonalHamiltonian(grid, diag, upper, lower)
+    a_link = a + np.roll(a, -1) if grid.is_periodic else a[:-1] + a[1:]
+    return TridiagonalHamiltonian(grid, diag, -kin + coup * a_link, -kin - coup * a_link)
 
 
 def hamiltonian_at(cfg: HamiltonianConfig, grid: Grid) -> Callable[[float], TridiagonalHamiltonian]:
@@ -384,11 +375,6 @@ def energies_of(cfg: HamiltonianConfig, h: TridiagonalHamiltonian, amp: np.ndarr
     return h.plus_diagonal(mean_field_diagonal(cfg, h.grid, amp, 0.5)).expectations(amp)
 
 
-def energy_of(cfg: HamiltonianConfig, h: TridiagonalHamiltonian, psi: Wavefunction) -> float:
-    """energy(cfg, psi, t) on h, the H of cfg assembled at t without mean field."""
-    return float(energies_of(cfg, h, psi.amplitudes))
-
-
 def energy(cfg: HamiltonianConfig, psi: Wavefunction, t: float = 0.0) -> float:
     """Energy functional <psi|H|psi> per particle.
 
@@ -396,10 +382,10 @@ def energy(cfg: HamiltonianConfig, psi: Wavefunction, t: float = 0.0) -> float:
     the weighting under which the energy is conserved by the mean-field
     dynamics.  Expects a normalized state.
     """
-    return energy_of(cfg, hamiltonian_matrix(cfg, psi.grid, t), psi)
+    return float(energies_of(cfg, hamiltonian_matrix(cfg, psi.grid, t), psi.amplitudes))
 
 
 def chemical_potential(cfg: HamiltonianConfig, phi: Wavefunction, t: float = 0.0) -> float:
     """<phi|H|phi> with the full-weight mean field (the nonlinear eigenvalue)."""
-    h = hamiltonian_matrix(cfg, phi.grid, t)
-    return h.plus_diagonal(mean_field_diagonal(cfg, phi.grid, phi.amplitudes, 1.0)).expectation(phi.amplitudes)
+    h = hamiltonian_matrix(cfg, phi.grid, t).plus_diagonal(mean_field_diagonal(cfg, phi.grid, phi.amplitudes, 1.0))
+    return float(h.expectations(phi.amplitudes))

@@ -30,7 +30,7 @@ from .grids import Grid, Wavefunction, check_finite, norm, normalize
 from .hamiltonian import (
     HamiltonianConfig,
     TridiagonalHamiltonian,
-    energy_of,
+    energies_of,
     hamiltonian_at,
     mean_field_density_values,
 )
@@ -134,9 +134,9 @@ class _CayleySolver:
     ``solve`` applies (1 + scale H)^-1 with one zgttrs call on the stored
     factors; ``cayley`` applies (1 + scale H)^-1 (1 - scale H).  Dirichlet
     grids factor the interior block and keep the endpoints at zero.
-    Periodic grids factor the tridiagonal part with both end diagonals
-    shifted, A = B + u v^T with u = (gamma, 0, ..., 0, c_lf) and
-    v = (1, 0, ..., 0, c_fl / gamma), and restore the two corners by a
+    Periodic grids factor every link but the wrap link with both end
+    diagonals shifted, A = B + u v^T with u = (gamma, 0, ..., 0, c_lf) and
+    v = (1, 0, ..., 0, c_fl / gamma), and restore the wrap link by a
     Sherman-Morrison correction on the same factors.
     """
 
@@ -150,17 +150,17 @@ class _CayleySolver:
             )
             return
         d = 1.0 + scale * h.diag
-        c_fl = scale * h.corner_first_last
-        c_lf = scale * h.corner_last_first
+        c_fl = scale * h.lower[-1]  # (1 + sH)[0, n-1]
+        c_lf = scale * h.upper[-1]  # (1 + sH)[n-1, 0]
         gamma = -d[0] if d[0] != 0 else -1.0  # -d[0] avoids cancellation in B[0, 0]
         d[0] -= gamma
         d[-1] -= c_lf * c_fl / gamma
-        self._factors = self._factor(scale * h.lower, d, scale * h.upper)
+        self._factors = self._factor(scale * h.lower[:-1], d, scale * h.upper[:-1])
         u = np.zeros(n, dtype=complex)
         u[0] = gamma
         u[-1] = c_lf
         self._z = self._lu_solve(u)
-        # The corner response decays geometrically away from both ends.  Its
+        # The wrap-link response decays geometrically away from both ends.  Its
         # subnormal entries change no amplitude, but make the per-solve
         # product alpha * z many times slower, so they are flushed to zero.
         z_parts = self._z.view(np.float64)
@@ -375,7 +375,7 @@ def ground_state_imaginary_time(
             u = mean_field_density_values(cfg.interaction, grid, np.abs(amp) ** 2)
             return _CayleySolver(h.plus_diagonal(u), scale).solve(amp)
 
-    history = [energy_of(cfg, h, psi)]
+    history = [float(energies_of(cfg, h, psi.amplitudes))]
     converged = False
     iterations = 0
     for _ in range(max_iter):
@@ -385,7 +385,7 @@ def ground_state_imaginary_time(
             psi = normalize(Wavefunction(grid, amp, psi.time))
         except ValueError as exc:
             raise RuntimeError(f"imaginary-time iteration {iterations} failed: {exc}") from exc
-        history.append(energy_of(cfg, h, psi))
+        history.append(float(energies_of(cfg, h, psi.amplitudes)))
         if abs(history[-1] - history[-2]) < tol:
             converged = True
             break

@@ -73,9 +73,6 @@ class RunManifest:
     grid: dict
     summary: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 def _write(path: Path, content) -> None:
     """Write content under a temporary name beside path, then rename it into place.
@@ -263,7 +260,7 @@ def run_scenario(scenario: Scenario, out_dir, quiet: bool = False) -> RunManifes
             grid=dict(scenario.grid),
             summary=summary,
         )
-        _write(out_dir / "manifest.json", json.dumps(manifest.to_dict(), indent=2, sort_keys=True) + "\n")
+        _write(out_dir / "manifest.json", json.dumps(asdict(manifest), indent=2, sort_keys=True) + "\n")
         return manifest
 
     try:

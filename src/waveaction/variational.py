@@ -29,7 +29,7 @@ from scipy.optimize import minimize
 from .grids import Grid, Wavefunction, check_finite, gaussian_wavepacket, normalize, quadrature
 from .hamiltonian import (
     HamiltonianConfig,
-    energy_of,
+    energies_of,
     hamiltonian_at,
     hamiltonian_matrix,
     mean_field_diagonal,
@@ -101,7 +101,12 @@ class ActionIntegrals:
         return self._running_trapezoid(self._series(which), self.times)
 
     def reality_deviations(self) -> np.ndarray:
-        """|Im| of the compact integral at the interior snapshots."""
+        """|Im| of the compact integral at the interior snapshots.
+
+        Interior snapshots only: the one-sided time derivatives at the window
+        endpoints carry a first-order phase error that is not a statement
+        about the density itself.
+        """
         return np.abs(self.simple.imag[1:-1])
 
     def stationarity(self, perturbation: Wavefunction, epsilons: Sequence[float]) -> StationarityResult:
@@ -311,29 +316,9 @@ def action(cfg: HamiltonianConfig, traj: Trajectory, which: str = "simple") -> A
 
     The stored value is the real part; the imaginary part of the compact
     density integrates to the norm change and vanishes on unitary
-    trajectories (see lagrangian_reality_deviations).
+    trajectories (see ActionIntegrals.reality_deviations).
     """
     return action_integrals(cfg, traj).action(which)
-
-
-def lagrangian_reality_deviations(cfg: HamiltonianConfig, traj: Trajectory) -> np.ndarray:
-    """|Im integral of the compact density| at each interior snapshot.
-
-    Interior snapshots only: the one-sided time derivatives at the window
-    endpoints carry a first-order phase error that is not a statement
-    about the density itself.
-    """
-    return action_integrals(cfg, traj).reality_deviations()
-
-
-def stationarity_test(
-    cfg: HamiltonianConfig,
-    traj: Trajectory,
-    perturbation: Wavefunction,
-    epsilons: Sequence[float],
-) -> StationarityResult:
-    """Action response to psi -> psi + eps * window * eta; see ActionIntegrals.stationarity."""
-    return action_integrals(cfg, traj).stationarity(perturbation, epsilons)
 
 
 def gaussian_family() -> TrialFamily:
@@ -418,7 +403,7 @@ def rayleigh_ritz_minimize(
 
     def objective(params: np.ndarray) -> float:
         try:
-            e = energy_of(cfg, h, family.build(params, grid))
+            e = float(energies_of(cfg, h, family.build(params, grid).amplitudes))
         except (ValueError, FloatingPointError, ZeroDivisionError):
             return np.inf
         if not np.isfinite(e):

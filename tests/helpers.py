@@ -77,17 +77,14 @@ def loop_inner_product(bra, ket):
 
 
 def dense_shifted_matrix(h, scale):
-    """Explicit n x n matrix of 1 + scale * H, periodic corners included."""
+    """Explicit n x n matrix of 1 + scale * H, one link at a time, the periodic wrap link included."""
     n = h.grid.n_points
     m = np.eye(n, dtype=complex)
     for j in range(n):
         m[j, j] += scale * h.diag[j]
-        if j + 1 < n:
-            m[j, j + 1] += scale * h.upper[j]
-            m[j + 1, j] += scale * h.lower[j]
-    if h.grid.is_periodic:
-        m[0, n - 1] += scale * h.corner_first_last
-        m[n - 1, 0] += scale * h.corner_last_first
+    for j in range(len(h.upper)):
+        m[j, (j + 1) % n] += scale * h.upper[j]
+        m[(j + 1) % n, j] += scale * h.lower[j]
     return m
 
 

@@ -25,7 +25,9 @@ from waveaction import (
     PropagationPlan,
     Trajectory,
     TwoBodyInteraction,
+    Wavefunction,
     action,
+    action_integrals,
     apply_hamiltonian,
     box_sine_family,
     chemical_potential,
@@ -36,17 +38,14 @@ from waveaction import (
     gaussian_wavepacket,
     ground_state_imaginary_time,
     hamilton_equations_residual,
-    lagrangian_reality_deviations,
     make_grid,
     norm,
     normalize,
     probability_fields,
     propagate,
     rayleigh_ritz_minimize,
-    stationarity_test,
     step_crank_nicolson,
     step_gp,
-    wavefunction_from_samples,
 )
 from waveaction.cli import main as cli_main
 from waveaction.diagnostics import continuity_residual
@@ -138,7 +137,7 @@ def test_criterion_01a_companion_fine_grid_and_error_constant(ho_ground_n2001):
 def test_criterion_01b_particle_in_a_box(ho_ground_n2001):
     g = make_grid(0, 1, 2001)
     start = normalize(
-        wavefunction_from_samples(g, np.sin(np.pi * g.x) + 0.1 * np.sin(3 * np.pi * g.x))
+        Wavefunction(g, np.sin(np.pi * g.x) + 0.1 * np.sin(3 * np.pi * g.x))
     )
     result = ground_state_imaginary_time(HamiltonianConfig(), start, dtau=0.01, tol=1e-12)
     err = abs(result.energy - np.pi**2 / 2)
@@ -175,7 +174,7 @@ def test_criterion_02b_continuity_residual_order():
 
 def test_criterion_03_lagrangian_reality(solution_trajectory_n2001):
     _, traj = solution_trajectory_n2001
-    worst = float(lagrangian_reality_deviations(HARMONIC, traj).max())
+    worst = float(action_integrals(HARMONIC, traj).reality_deviations().max())
     ok = report("3", worst < 1e-6, f"max |Im int L dx| on solution = {worst:.3e} vs 1e-6")
     assert ok
 
@@ -191,10 +190,10 @@ def test_criterion_04_action_equivalence(solution_trajectory_n2001):
 
 def test_criterion_05_stationarity_slopes(solution_trajectory_n2001):
     g, traj = solution_trajectory_n2001
-    bump = normalize(wavefunction_from_samples(g, np.exp(-g.x**2)))
-    on_shell = stationarity_test(HARMONIC, traj, bump, [1e-2, 1e-3, 1e-4]).slope
+    bump = normalize(Wavefunction(g, np.exp(-g.x**2)))
+    on_shell = action_integrals(HARMONIC, traj).stationarity(bump, [1e-2, 1e-3, 1e-4]).slope
     corrupted = Trajectory(g, traj.times, traj.amplitudes * np.exp(-1j * 0.05 * traj.times)[:, None])
-    off_shell = stationarity_test(HARMONIC, corrupted, bump, [1e-2, 1e-3, 1e-4]).slope
+    off_shell = action_integrals(HARMONIC, corrupted).stationarity(bump, [1e-2, 1e-3, 1e-4]).slope
     ok_on = abs(on_shell - 2.0) <= 0.15
     ok_off = abs(off_shell - 1.0) <= 0.15
     ok = report("5", ok_on and ok_off, f"slopes: on-shell {on_shell:.3f} (2.0+-0.15), off-shell {off_shell:.3f} (1.0+-0.15)")

@@ -30,7 +30,6 @@ from waveaction import (
     propagate,
     quadrature,
     step_crank_nicolson,
-    wavefunction_from_samples,
 )
 from waveaction.grids import commensurate_wavenumber
 
@@ -82,7 +81,7 @@ def test_current_integral_matches_velocity_expectation():
     psi = random_state(g, seed=8)
     fields = probability_fields(cfg, psi)
     v_psi = apply_mechanical_momentum(cfg, psi).amplitudes  # m = 1
-    expectation = inner_product(psi, wavefunction_from_samples(g, v_psi, psi.time)).real
+    expectation = inner_product(psi, Wavefunction(g, v_psi, psi.time)).real
     assert quadrature(g, fields.current) == pytest.approx(expectation, abs=1e-12)
 
 
@@ -117,7 +116,7 @@ def test_continuity_flags_corrupted_snapshot():
     dt = 1e-3
     after = step_crank_nicolson(HARMONIC, psi, 0.0, dt)
     clean = continuity_residual(HARMONIC, psi, after).sup_norm
-    corrupted = wavefunction_from_samples(g, 1.01 * after.amplitudes, after.time)
+    corrupted = Wavefunction(g, 1.01 * after.amplitudes, after.time)
     dirty = continuity_residual(HARMONIC, psi, corrupted).sup_norm
     assert dirty > 100 * clean
 
@@ -172,7 +171,7 @@ def test_half_weight_mean_field_is_shared(g, n_particles, center, width):
 
 def test_canonical_functional_oscillator_value():
     g = make_grid(-10, 10, 4001)
-    psi = normalize(wavefunction_from_samples(g, np.exp(-g.x**2 / 2)))
+    psi = normalize(Wavefunction(g, np.exp(-g.x**2 / 2)))
     assert canonical_fields(HARMONIC, psi).hamiltonian_functional == pytest.approx(0.5, abs=1e-6)
 
 
@@ -208,7 +207,7 @@ def test_hamilton_residual_scale_and_order():
 def test_hamilton_second_residual_equals_first():
     g = make_grid(-10, 10, 501)
     a = random_state(g, seed=51)
-    b = wavefunction_from_samples(g, random_state(g, seed=52).amplitudes, 0.01)
+    b = Wavefunction(g, random_state(g, seed=52).amplitudes, 0.01)
     r1, r2 = hamilton_equations_residual(HARMONIC, a, b)
     assert r2 == pytest.approx(r1, abs=1e-14)
 

@@ -16,7 +16,6 @@ from waveaction import (
     normalize,
     plane_wave,
     quadrature,
-    wavefunction_from_samples,
 )
 from waveaction.grids import central_difference, commensurate_wavenumber, norms, second_difference
 
@@ -52,8 +51,8 @@ def test_make_grid_rejects_small_and_nonfinite():
 def test_wavefunction_validates_length_and_clamps_endpoints():
     g = make_grid(-1, 1, 16)
     with pytest.raises(ValueError, match="shape"):
-        wavefunction_from_samples(g, np.ones(15))
-    psi = wavefunction_from_samples(g, np.ones(16))
+        Wavefunction(g, np.ones(15))
+    psi = Wavefunction(g, np.ones(16))
     assert psi.amplitudes[0] == 0 and psi.amplitudes[-1] == 0
     assert not psi.amplitudes.flags.writeable
 
@@ -63,7 +62,7 @@ def test_wavefunction_rejects_nonfinite():
     bad = np.ones(16, dtype=complex)
     bad[3] = np.nan
     with pytest.raises(ValueError, match="finite"):
-        wavefunction_from_samples(g, bad)
+        Wavefunction(g, bad)
 
 
 def test_inner_product_normalized_gaussian():
@@ -77,8 +76,8 @@ def test_inner_product_oscillator_orthogonality():
     g = make_grid(-10, 10, 501)
     psi0 = np.exp(-g.x**2 / 2)
     psi1 = g.x * np.exp(-g.x**2 / 2)
-    a = normalize(wavefunction_from_samples(g, psi0))
-    b = normalize(wavefunction_from_samples(g, psi1))
+    a = normalize(Wavefunction(g, psi0))
+    b = normalize(Wavefunction(g, psi1))
     assert abs(inner_product(a, b)) < 1e-8
 
 
@@ -121,7 +120,7 @@ def test_laplacian_plane_wave_eigenvalue():
 
 def test_laplacian_annihilates_constants():
     g = make_grid(0, 1, 32, "periodic")
-    psi = wavefunction_from_samples(g, np.full(32, 0.7 + 0.1j))
+    psi = Wavefunction(g, np.full(32, 0.7 + 0.1j))
     np.testing.assert_allclose(laplacian(psi).amplitudes, 0.0, atol=1e-12)
 
 
@@ -131,7 +130,7 @@ def test_laplacian_convergence_order():
         g = make_grid(-8, 8, n)
         f = np.exp(-g.x**2)
         exact = (4 * g.x**2 - 2) * np.exp(-g.x**2)
-        got = laplacian(wavefunction_from_samples(g, f)).amplitudes.real
+        got = laplacian(Wavefunction(g, f)).amplitudes.real
         errs.append(np.max(np.abs(got - exact)[1:-1]))
     orders = richardson_order(errs)
     assert np.all(np.abs(orders - 2.0) < 0.1)
@@ -142,7 +141,7 @@ def test_laplacian_linearity():
     a, b = 0.7 - 0.2j, 1.3 + 0.4j
     x = random_state(g, seed=21, smooth=False)
     y = random_state(g, seed=22, smooth=False)
-    combo = wavefunction_from_samples(g, a * x.amplitudes + b * y.amplitudes)
+    combo = Wavefunction(g, a * x.amplitudes + b * y.amplitudes)
     lhs = laplacian(combo).amplitudes
     rhs = a * laplacian(x).amplitudes + b * laplacian(y).amplitudes
     np.testing.assert_allclose(lhs, rhs, atol=1e-13 * np.max(np.abs(rhs)))
@@ -179,7 +178,7 @@ def test_first_derivative_quadratic_exact_in_bulk():
     errs = []
     for n in (201, 401, 801):
         g = make_grid(-4, 4, n)
-        got = first_derivative(wavefunction_from_samples(g, g.x**2)).amplitudes.real
+        got = first_derivative(Wavefunction(g, g.x**2)).amplitudes.real
         errs.append(np.max(np.abs(got - 2 * g.x)[2:-2]))
     assert max(errs) < 1e-10
 
@@ -189,7 +188,7 @@ def test_first_derivative_order_on_smooth_function():
     for n in (201, 401, 801):
         g = make_grid(-8, 8, n)
         f = np.exp(-g.x**2)
-        got = first_derivative(wavefunction_from_samples(g, f)).amplitudes.real
+        got = first_derivative(Wavefunction(g, f)).amplitudes.real
         errs.append(np.max(np.abs(got + 2 * g.x * f)[1:-1]))
     orders = richardson_order(errs)
     assert np.all(np.abs(orders - 2.0) < 0.1)
@@ -198,7 +197,7 @@ def test_first_derivative_order_on_smooth_function():
 def test_normalize_scaling_and_idempotence():
     g = make_grid(-10, 10, 301)
     base = gaussian_wavepacket(g, width=0.8)
-    doubled = wavefunction_from_samples(g, 2.0 * base.amplitudes)
+    doubled = Wavefunction(g, 2.0 * base.amplitudes)
     renorm = normalize(doubled)
     np.testing.assert_allclose(renorm.amplitudes, base.amplitudes, atol=1e-14)
     again = normalize(renorm)
@@ -209,7 +208,7 @@ def test_normalize_scaling_and_idempotence():
 def test_normalize_rejects_zero():
     g = make_grid(-1, 1, 16)
     with pytest.raises(ValueError, match="zero"):
-        normalize(wavefunction_from_samples(g, np.zeros(16)))
+        normalize(Wavefunction(g, np.zeros(16)))
 
 
 @settings(max_examples=40, deadline=None)

@@ -12,6 +12,7 @@ from waveaction import (
     PhysicalConstants,
     PotentialField,
     TwoBodyInteraction,
+    Wavefunction,
     apply_hamiltonian,
     apply_mechanical_momentum,
     chemical_potential,
@@ -23,7 +24,6 @@ from waveaction import (
     normalize,
     plane_wave,
     quadrature,
-    wavefunction_from_samples,
 )
 from waveaction.grids import commensurate_wavenumber
 from waveaction.hamiltonian import energies_of, hamiltonian_matrix
@@ -73,6 +73,25 @@ def test_kernel_symmetry_required():
         TwoBodyInteraction.contact(1.0, 0)
 
 
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_kernel_must_be_finite(bad):
+    kernel = np.zeros((64, 64))
+    kernel[3, 5] = kernel[5, 3] = bad
+    with pytest.raises(ValueError, match="must be finite"):
+        TwoBodyInteraction.from_kernel(kernel, 2)
+    with pytest.raises(ValueError, match="must be finite"):
+        TwoBodyInteraction.from_kernel(np.full((64, 64), bad), 2)
+
+
+def test_callable_potential_must_be_real():
+    g = make_grid(-2, 2, 33)
+    complex_field = PotentialField.from_callable(lambda x, t: x**2 + 0.1j * x)
+    with pytest.raises(ValueError, match="complex values"):
+        complex_field.evaluate(g)
+    real_field = PotentialField.from_callable(lambda x, t: (x**2).astype(complex).real)
+    np.testing.assert_array_equal(real_field.evaluate(g), g.x**2)
+
+
 def test_mechanical_momentum_plane_wave_no_field():
     g = make_grid(0, 2 * np.pi, 64, "periodic")
     k = commensurate_wavenumber(g, 4)
@@ -120,7 +139,7 @@ def test_apply_hamiltonian_free_particle_stencil_eigenvalue():
 )
 def test_apply_hamiltonian_oscillator_ground_state_1e4():
     g = make_grid(-10, 10, 401)  # dx = 0.05
-    psi = normalize(wavefunction_from_samples(g, np.exp(-g.x**2 / 2)))
+    psi = normalize(Wavefunction(g, np.exp(-g.x**2 / 2)))
     got = apply_hamiltonian(HARMONIC, psi).amplitudes
     assert np.max(np.abs(got - 0.5 * psi.amplitudes)[1:-1]) < 1e-4
 
@@ -130,7 +149,7 @@ def test_apply_hamiltonian_oscillator_ground_state_verified_bound():
     sups = []
     for n in (401, 801):
         g = make_grid(-10, 10, n)
-        psi = normalize(wavefunction_from_samples(g, np.exp(-g.x**2 / 2)))
+        psi = normalize(Wavefunction(g, np.exp(-g.x**2 / 2)))
         got = apply_hamiltonian(HARMONIC, psi).amplitudes
         sups.append(np.max(np.abs(got - 0.5 * psi.amplitudes)[1:-1]))
     predicted = (0.05**2 / 8.0) * np.pi**-0.25
@@ -200,7 +219,7 @@ def test_mean_field_warns_on_unnormalized_source():
 
     g = make_grid(-5, 5, 64)
     phi = gaussian_wavepacket(g)
-    loud = wavefunction_from_samples(g, 1.5 * phi.amplitudes)
+    loud = Wavefunction(g, 1.5 * phi.amplitudes)
     with pytest.warns(RuntimeWarning, match="norm"):
         mean_field_potential(TwoBodyInteraction.contact(1.0, 2), loud)
 
@@ -212,17 +231,17 @@ def test_mean_field_warns_on_unnormalized_source():
 )
 def test_energy_oscillator_ground_state_n2001():
     g = make_grid(-10, 10, 2001)
-    psi = normalize(wavefunction_from_samples(g, np.exp(-g.x**2 / 2)))
+    psi = normalize(Wavefunction(g, np.exp(-g.x**2 / 2)))
     assert energy(HARMONIC, psi) == pytest.approx(0.5, abs=1e-6)
 
 
 def test_energy_oscillator_ground_state_fine_grid():
     g = make_grid(-10, 10, 6001)
-    psi = normalize(wavefunction_from_samples(g, np.exp(-g.x**2 / 2)))
+    psi = normalize(Wavefunction(g, np.exp(-g.x**2 / 2)))
     assert energy(HARMONIC, psi) == pytest.approx(0.5, abs=1e-6)
     # and the n=2001 deviation is exactly the stencil constant -dx^2/32
     g2 = make_grid(-10, 10, 2001)
-    psi2 = normalize(wavefunction_from_samples(g2, np.exp(-g2.x**2 / 2)))
+    psi2 = normalize(Wavefunction(g2, np.exp(-g2.x**2 / 2)))
     assert energy(HARMONIC, psi2) - 0.5 == pytest.approx(-g2.dx**2 / 32.0, rel=0.01)
 
 
@@ -262,7 +281,7 @@ def test_hamiltonian_linear_when_no_interaction():
     a, b = 1.2 - 0.3j, -0.4 + 2.0j
     x = random_state(g, seed=31)
     y = random_state(g, seed=32)
-    combo = wavefunction_from_samples(g, a * x.amplitudes + b * y.amplitudes)
+    combo = Wavefunction(g, a * x.amplitudes + b * y.amplitudes)
     lhs = apply_hamiltonian(HARMONIC, combo).amplitudes
     rhs = a * apply_hamiltonian(HARMONIC, x).amplitudes + b * apply_hamiltonian(HARMONIC, y).amplitudes
     np.testing.assert_allclose(lhs, rhs, atol=1e-12 * np.max(np.abs(rhs)))
@@ -387,4 +406,46 @@ def test_block_of_states_gives_each_state_its_own_h_and_energy(seed, n_rows, n_p
     np.testing.assert_array_equal(h.matvec(block), [h.matvec(amp) for amp in block])
     energies = energies_of(cfg, h, block)
     assert energies.shape == (n_rows,)
-    np.testing.assert_array_equal(energies, [energy(cfg, wavefunction_from_samples(g, amp)) for amp in block])
+    np.testing.assert_array_equal(energies, [energy(cfg, Wavefunction(g, amp)) for amp in block])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_points=st.integers(8, 120),
+    n_rows=st.integers(1, 5),
+    boundary=st.sampled_from(["dirichlet", "periodic"]),
+    a_scale=st.floats(0.1, 3.0),
+)
+def test_matvec_matches_dense_h_built_link_by_link(seed, n_points, n_rows, boundary, a_scale):
+    # an independent dense H from the assembly formulas: link j joins node j
+    # to node j+1, which is node 0 for the wrap link of a periodic grid
+    rng = np.random.default_rng(seed)
+    n = n_points
+    g = make_grid(-4.0, 4.0, n, boundary)
+    hbar, mass, charge = rng.uniform(0.5, 2.0, 3)
+    v, a0 = rng.uniform(-10.0, 10.0, n), rng.uniform(-2.0, 2.0, n)
+    a = a_scale * rng.uniform(0.2, 1.0, n) * rng.choice([-1.0, 1.0], n)
+    cfg = HamiltonianConfig(
+        constants=PhysicalConstants(hbar, mass, charge),
+        v1=PotentialField.from_samples(v),
+        a0=PotentialField.from_samples(a0),
+        a_vec=PotentialField.from_samples(a),
+    )
+    kin = hbar**2 / (2.0 * mass * g.dx**2)
+    coup = 1j * hbar * charge / (4.0 * mass * g.dx)
+    dense = np.diag(2.0 * kin + charge**2 * a**2 / (2.0 * mass) + v + charge * a0).astype(complex)
+    for j in range(n if g.is_periodic else n - 1):
+        k = (j + 1) % n
+        dense[j, k] += -kin + coup * (a[j] + a[k])
+        dense[k, j] += -kin - coup * (a[j] + a[k])
+    block = rng.standard_normal((n_rows, n)) + 1j * rng.standard_normal((n_rows, n))
+    expected = block @ dense.T
+    if not g.is_periodic:
+        expected[:, 0] = expected[:, -1] = 0.0
+    h = hamiltonian_matrix(cfg, g)
+    got = h.matvec(block)
+    scale = np.abs(dense).max() * np.abs(block).max()
+    np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12 * scale)
+    for row, amp in zip(got, block):
+        assert (row == h.matvec(amp)).all()

@@ -27,7 +27,6 @@ from waveaction import (
     step_crank_nicolson,
     step_gp,
     step_split_operator,
-    wavefunction_from_samples,
 )
 
 from waveaction.hamiltonian import hamiltonian_matrix
@@ -46,7 +45,7 @@ HARMONIC = HamiltonianConfig(v1=PotentialField.harmonic())
 
 def grid_and_ground(n=2001):
     g = make_grid(-10, 10, n)
-    psi = normalize(wavefunction_from_samples(g, np.exp(-g.x**2 / 2)))
+    psi = normalize(Wavefunction(g, np.exp(-g.x**2 / 2)))
     return g, psi
 
 
@@ -220,7 +219,7 @@ def test_energy_conserved_over_ten_thousand_steps():
 def test_propagate_requires_normalized_start():
     g = make_grid(-5, 5, 64)
     psi = gaussian_wavepacket(g)
-    loud = wavefunction_from_samples(g, 2.0 * psi.amplitudes)
+    loud = Wavefunction(g, 2.0 * psi.amplitudes)
     with pytest.raises(ValueError, match="normalized"):
         propagate(HARMONIC, loud, PropagationPlan(dt=1e-3, n_steps=1))
 
@@ -382,7 +381,7 @@ def test_imaginary_time_oscillator_energy():
 def test_imaginary_time_particle_in_a_box():
     g = make_grid(0, 1, 2001)
     box = HamiltonianConfig()  # Dirichlet walls are the box
-    start = wavefunction_from_samples(g, np.sin(np.pi * g.x) + 0.2 * np.sin(2 * np.pi * g.x))
+    start = Wavefunction(g, np.sin(np.pi * g.x) + 0.2 * np.sin(2 * np.pi * g.x))
     result = ground_state_imaginary_time(box, normalize(start), dtau=0.01, tol=1e-12)
     assert result.converged
     assert result.energy == pytest.approx(np.pi**2 / 2, abs=1e-3)
@@ -496,12 +495,12 @@ def _random_config(grid, seed, v_scale, a_scale):
     dt=st.floats(1e-4, 1.0),
 )
 def test_periodic_factored_solve_matches_dense(n, seed, v_scale, a_scale, dt):
-    # Sherman-Morrison over the corners against the full cyclic matrix, for a
+    # Sherman-Morrison over the wrap link against the full cyclic matrix, for a
     # Cayley (imaginary) scale and an imaginary-time (real) scale
     g = make_grid(-5.0, 5.0, n, "periodic")
     cfg, rhs = _random_config(g, seed, v_scale, a_scale)
     h = hamiltonian_matrix(cfg, g)
-    assert h.corner_first_last != np.conj(h.corner_first_last)  # complex, non-symmetric corners
+    assert h.lower[-1] != np.conj(h.lower[-1])  # complex, non-symmetric wrap link
     for scale in (1j * dt / 2.0, dt):
         x = _CayleySolver(h, scale).solve(rhs)
         ref = np.linalg.solve(dense_shifted_matrix(h, scale), rhs)
@@ -636,7 +635,7 @@ def test_singular_pivot_raises_linalg_error():
     # on the 8 interior points, whose determinant vanishes exactly
     g = make_grid(0.0, 9.0, 10)
     cfg = HamiltonianConfig(v1=PotentialField.from_samples(np.full(10, -1.5)))
-    psi = wavefunction_from_samples(g, np.sin(np.pi * g.x / 9.0))
+    psi = Wavefunction(g, np.sin(np.pi * g.x / 9.0))
     with pytest.raises(np.linalg.LinAlgError, match="singular"):
         banded_shift_solve(hamiltonian_matrix(cfg, g), 1.0, psi.amplitudes)
     with pytest.raises(np.linalg.LinAlgError, match="singular"):

@@ -818,6 +818,36 @@ def test_cli_batch_width_must_be_a_positive_integer(tmp_path, monkeypatch, capsy
     assert not (tmp_path / "runs").exists()
 
 
+@pytest.mark.parametrize("n_files, width, expected", [(1, "4", None), (2, "4", 2), (3, "2", 2)])
+def test_cli_batch_starts_no_more_workers_than_scenarios(tmp_path, monkeypatch, n_files, width, expected):
+    import waveaction.cli as cli
+
+    started = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setenv("WAVEACTION_BATCH_WIDTH", width)
+    scen_dir = tmp_path / "scenarios"
+    scen_dir.mkdir()
+    for k in range(n_files):
+        write_scenario(scen_dir, minimal_ground_state(f"s{k}"), f"s{k}.json")
+    assert main(["batch", str(scen_dir), "--out", str(tmp_path / "runs"), "--quiet"]) == 0
+    assert started == ([] if expected is None else [expected])  # one file runs serially
+    assert all((tmp_path / "runs" / f"s{k}" / "manifest.json").exists() for k in range(n_files))
+
+
 HERMITICITY_ERROR = "energy has imaginary part 1.000e-03; Hamiltonian assembly is not Hermitian"
 
 

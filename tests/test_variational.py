@@ -12,6 +12,7 @@ from waveaction import (
     PropagationPlan,
     Trajectory,
     TwoBodyInteraction,
+    Wavefunction,
     action,
     action_integrals,
     apply_hamiltonian,
@@ -20,14 +21,11 @@ from waveaction import (
     gaussian_phase_family,
     gaussian_wavepacket,
     lagrangian_densities,
-    lagrangian_reality_deviations,
     make_grid,
     normalize,
     propagate,
     quadrature,
     rayleigh_ritz_minimize,
-    stationarity_test,
-    wavefunction_from_samples,
 )
 from waveaction.grids import central_difference
 from waveaction.hamiltonian import apply_mechanical_momentum
@@ -55,8 +53,8 @@ def solution_trajectory(g, dt=1e-3, n_steps=1000):
 
 def test_densities_vanish_on_stationary_state():
     g = make_grid(-10, 10, 2001)  # dx = 0.01
-    psi = normalize(wavefunction_from_samples(g, np.exp(-g.x**2 / 2)))
-    rate = wavefunction_from_samples(g, (-1j * 0.5) * psi.amplitudes)  # dpsi/dt = -iE psi
+    psi = normalize(Wavefunction(g, np.exp(-g.x**2 / 2)))
+    rate = Wavefunction(g, (-1j * 0.5) * psi.amplitudes)  # dpsi/dt = -iE psi
     sample = lagrangian_densities(HARMONIC, psi, rate)
     assert np.max(np.abs(sample.l_simple)) < 1e-4
 
@@ -64,7 +62,7 @@ def test_densities_vanish_on_stationary_state():
 def test_density_definition_at_zero_rate():
     g = make_grid(-6, 6, 301)
     psi = gaussian_wavepacket(g, width=0.9)
-    zero = wavefunction_from_samples(g, np.zeros(g.n_points))
+    zero = Wavefunction(g, np.zeros(g.n_points))
     sample = lagrangian_densities(FREE, psi, zero)
     expected = -np.conj(psi.amplitudes) * apply_hamiltonian(FREE, psi).amplitudes
     np.testing.assert_allclose(sample.l_simple, expected, atol=1e-14)
@@ -172,7 +170,7 @@ def test_action_equivalence_for_moving_packet():
 def test_reality_of_density_along_solution():
     g = make_grid(-10, 10, 2001)
     _, traj = solution_trajectory(g)
-    deviations = lagrangian_reality_deviations(HARMONIC, traj)
+    deviations = action_integrals(HARMONIC, traj).reality_deviations()
     assert np.max(deviations) < 1e-6
 
 
@@ -293,13 +291,13 @@ def test_gauge_phase_leaves_action_invariant():
 def stationarity_setup(n_steps=1000):
     g = make_grid(-10, 10, 1001)
     gs, traj = solution_trajectory(g, dt=1e-3, n_steps=n_steps)
-    bump = normalize(wavefunction_from_samples(g, np.exp(-g.x**2)))
+    bump = normalize(Wavefunction(g, np.exp(-g.x**2)))
     return g, gs, traj, bump
 
 
 def test_stationarity_quadratic_on_solution():
     _, _, traj, bump = stationarity_setup()
-    result = stationarity_test(HARMONIC, traj, bump, [1e-2, 1e-3, 1e-4])
+    result = action_integrals(HARMONIC, traj).stationarity(bump, [1e-2, 1e-3, 1e-4])
     assert result.slope == pytest.approx(2.0, abs=0.15)
 
 
@@ -307,7 +305,7 @@ def test_stationarity_points_are_perturbed_minus_base_action():
     # the probe reuses the pass's base action and perturbs every row by
     # eps * window(t) * eta; rebuild both row by row and compare exactly
     _, _, traj, bump = stationarity_setup(n_steps=300)
-    result = stationarity_test(HARMONIC, traj, bump, [1e-2, 1e-3])
+    result = action_integrals(HARMONIC, traj).stationarity(bump, [1e-2, 1e-3])
     base = action(HARMONIC, traj).value
     times = traj.times
     window = np.sin(np.pi * (times - times[0]) / (times[-1] - times[0])) ** 2
@@ -351,13 +349,13 @@ def test_stationarity_equals_passes_over_perturbed_trajectories(seed, shape, bou
 def test_stationarity_linear_off_shell():
     g, gs, traj, bump = stationarity_setup()
     wrong_phase = Trajectory(g, traj.times, traj.amplitudes * np.exp(-1j * 0.05 * traj.times)[:, None])
-    result = stationarity_test(HARMONIC, wrong_phase, bump, [1e-2, 1e-3, 1e-4])
+    result = action_integrals(HARMONIC, wrong_phase).stationarity(bump, [1e-2, 1e-3, 1e-4])
     assert result.slope == pytest.approx(1.0, abs=0.15)
 
 
 def test_stationarity_zero_epsilon_is_exact_zero():
     _, _, traj, bump = stationarity_setup(n_steps=300)
-    result = stationarity_test(HARMONIC, traj, bump, [0.0, 1e-2, 1e-3])
+    result = action_integrals(HARMONIC, traj).stationarity(bump, [0.0, 1e-2, 1e-3])
     eps_to_ds = dict(result.points)
     assert eps_to_ds[0.0] == 0.0
 
@@ -365,9 +363,9 @@ def test_stationarity_zero_epsilon_is_exact_zero():
 def test_stationarity_rejects_degenerate_epsilons():
     _, _, traj, bump = stationarity_setup(n_steps=300)
     with pytest.raises(ValueError, match="epsilon"):
-        stationarity_test(HARMONIC, traj, bump, [1e-3])
+        action_integrals(HARMONIC, traj).stationarity(bump, [1e-3])
     with pytest.raises(ValueError, match="epsilon"):
-        stationarity_test(HARMONIC, traj, bump, [0.0, 1e-3])
+        action_integrals(HARMONIC, traj).stationarity(bump, [0.0, 1e-3])
 
 
 def test_rayleigh_ritz_gaussian_in_harmonic_trap():
