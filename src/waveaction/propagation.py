@@ -11,10 +11,22 @@ Euler) filter (1 + dtau H / hbar)^-1 with renormalization after every
 step, which damps every excited component regardless of dtau and makes
 the energy sequence monotonically non-increasing.
 
-Both implicit schemes go through one tridiagonal solver that factors
-1 + s H with LAPACK and reuses the factors for as long as H is unchanged:
-once per run for a static linear H, at every midpoint for a time-dependent
-H, and at every mean-field update.
+Both implicit schemes solve tridiagonal systems 1 + s H with LAPACK.  A
+static linear H is factored once per run (zgttrf) and every step reuses
+the factors (zgttrs).  A matrix solved only once (the midpoint H of a
+time-dependent run, the predictor and the corrector of a mean-field step,
+each mean-field imaginary-time iteration) takes one zgtsv call, which
+gives the same bits.  On periodic grids both restore the wrap link by a
+Sherman-Morrison correction.
+
+The split-operator scheme is a Strang splitting with the kinetic factor
+applied by FFT.  Where the grid size n has a prime factor larger than
+sqrt(n), scipy's pocketfft computes an n-point FFT by Bluestein's
+algorithm, itself a convolution of length at least 2n - 1, or by a slow
+generic pass for that factor.  The step is then one zero-padded
+convolution of length next_fast_len(2n - 1) with a kernel spectrum built
+once per run: two transforms where the n-point route takes four.  Every
+other n keeps the n-point transforms.
 """
 
 from __future__ import annotations
@@ -24,7 +36,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 from scipy import fft as sp_fft
-from scipy.linalg.lapack import zgttrf, zgttrs
+from scipy.linalg.lapack import zgtsv, zgttrf, zgttrs
 
 from .grids import Grid, Wavefunction, check_finite, norm, normalize
 from .hamiltonian import (
@@ -128,59 +140,73 @@ class GroundStateResult:
     energy_history: np.ndarray
 
 
+def _shifted_bands(h: TridiagonalHamiltonian, scale: complex) -> tuple:
+    """The bands (dl, d, du) that LAPACK solves for 1 + scale * H, and the wrap-link terms (u, v_last).
+
+    Dirichlet grids give the interior block (the endpoints stay at zero) and
+    no wrap link, u = v_last = None.  Periodic grids give every link but the
+    wrap link with both end diagonals shifted, A = B + u v^T with
+    u = (gamma, 0, ..., 0, c_lf) and v = (1, 0, ..., 0, v_last), so that a
+    Sherman-Morrison correction restores the wrap link.
+    """
+    n = h.grid.n_points
+    if not h.grid.is_periodic:
+        return scale * h.lower[1 : n - 2], 1.0 + scale * h.diag[1 : n - 1], scale * h.upper[1 : n - 2], None, None
+    d = 1.0 + scale * h.diag
+    c_fl = scale * h.lower[-1]  # (1 + sH)[0, n-1]
+    c_lf = scale * h.upper[-1]  # (1 + sH)[n-1, 0]
+    gamma = -d[0] if d[0] != 0 else -1.0  # -d[0] avoids cancellation in B[0, 0]
+    d[0] -= gamma
+    d[-1] -= c_lf * c_fl / gamma
+    u = np.zeros(n, dtype=complex)
+    u[0] = gamma
+    u[-1] = c_lf
+    return scale * h.lower[:-1], d, scale * h.upper[:-1], u, c_fl / gamma
+
+
+def _check_info(routine: str, info: int, scale: complex) -> None:
+    if info > 0:
+        raise np.linalg.LinAlgError(f"singular matrix: zero pivot in row {info} of 1 + s H (s = {scale:.6g})")
+    if info < 0:
+        raise ValueError(f"{routine} rejected argument {-info}")
+
+
+def _wrap_denominator(z: np.ndarray, v_last: complex, scale: complex) -> complex:
+    """1 + v^T z for the wrap-link response z = B^-1 u, after flushing z's subnormals in place."""
+    # z decays geometrically away from both ends.  Its subnormal entries change
+    # no amplitude, but make the product alpha * z many times slower.
+    z_parts = z.view(np.float64)
+    z_parts[np.abs(z_parts) < np.finfo(np.float64).tiny] = 0.0
+    denominator = 1.0 + z[0] + v_last * z[-1]
+    if denominator == 0:
+        raise np.linalg.LinAlgError(f"singular matrix: the corner correction of 1 + s H vanishes (s = {scale:.6g})")
+    return denominator
+
+
+def _wrap_corrected(y: np.ndarray, z: np.ndarray, v_last: complex, denominator: complex) -> np.ndarray:
+    """A^-1 rhs from y = B^-1 rhs by Sherman-Morrison."""
+    return y - ((y[0] + v_last * y[-1]) / denominator) * z
+
+
 class _CayleySolver:
-    """Factors of 1 + scale * H for one assembled tridiagonal H (LAPACK zgttrf).
+    """Factors of 1 + scale * H for one assembled tridiagonal H (LAPACK zgttrf), for repeated solves.
 
     ``solve`` applies (1 + scale H)^-1 with one zgttrs call on the stored
-    factors; ``cayley`` applies (1 + scale H)^-1 (1 - scale H).  Dirichlet
-    grids factor the interior block and keep the endpoints at zero.
-    Periodic grids factor every link but the wrap link with both end
-    diagonals shifted, A = B + u v^T with u = (gamma, 0, ..., 0, c_lf) and
-    v = (1, 0, ..., 0, c_fl / gamma), and restore the wrap link by a
-    Sherman-Morrison correction on the same factors.
+    factors; ``cayley`` applies (1 + scale H)^-1 (1 - scale H).  The matrix
+    factored is the one ``_shifted_bands`` describes; on periodic grids the
+    wrap-link response B^-1 u is solved once, at construction.
     """
 
     def __init__(self, h: TridiagonalHamiltonian, scale: complex):
         self.h = h
         self.scale = scale
-        n = h.grid.n_points
-        if not h.grid.is_periodic:
-            self._factors = self._factor(
-                scale * h.lower[1 : n - 2], 1.0 + scale * h.diag[1 : n - 1], scale * h.upper[1 : n - 2]
-            )
-            return
-        d = 1.0 + scale * h.diag
-        c_fl = scale * h.lower[-1]  # (1 + sH)[0, n-1]
-        c_lf = scale * h.upper[-1]  # (1 + sH)[n-1, 0]
-        gamma = -d[0] if d[0] != 0 else -1.0  # -d[0] avoids cancellation in B[0, 0]
-        d[0] -= gamma
-        d[-1] -= c_lf * c_fl / gamma
-        self._factors = self._factor(scale * h.lower[:-1], d, scale * h.upper[:-1])
-        u = np.zeros(n, dtype=complex)
-        u[0] = gamma
-        u[-1] = c_lf
-        self._z = self._lu_solve(u)
-        # The wrap-link response decays geometrically away from both ends.  Its
-        # subnormal entries change no amplitude, but make the per-solve
-        # product alpha * z many times slower, so they are flushed to zero.
-        z_parts = self._z.view(np.float64)
-        z_parts[np.abs(z_parts) < np.finfo(np.float64).tiny] = 0.0
-        self._v_last = c_fl / gamma
-        self._denominator = 1.0 + self._z[0] + self._v_last * self._z[-1]
-        if self._denominator == 0:
-            raise np.linalg.LinAlgError(
-                f"singular matrix: the corner correction of 1 + s H vanishes (s = {scale:.6g})"
-            )
-
-    def _factor(self, dl, d, du) -> tuple:
+        dl, d, du, u, self._v_last = _shifted_bands(h, scale)
         dl, d, du, du2, ipiv, info = zgttrf(dl, d, du, overwrite_dl=1, overwrite_d=1, overwrite_du=1)
-        if info > 0:
-            raise np.linalg.LinAlgError(
-                f"singular matrix: zero pivot in row {info} of 1 + s H (s = {self.scale:.6g})"
-            )
-        if info < 0:
-            raise ValueError(f"zgttrf rejected argument {-info}")
-        return dl, d, du, du2, ipiv
+        _check_info("zgttrf", info, scale)
+        self._factors = dl, d, du, du2, ipiv
+        if u is not None:
+            self._z = self._lu_solve(u)
+            self._denominator = _wrap_denominator(self._z, self._v_last, scale)
 
     def _lu_solve(self, rhs: np.ndarray) -> np.ndarray:
         x, info = zgttrs(*self._factors, rhs)
@@ -191,8 +217,7 @@ class _CayleySolver:
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """x with (1 + scale H) x = rhs under the grid's boundary convention."""
         if self.h.grid.is_periodic:
-            y = self._lu_solve(rhs)
-            return y - ((y[0] + self._v_last * y[-1]) / self._denominator) * self._z
+            return _wrap_corrected(self._lu_solve(rhs), self._z, self._v_last, self._denominator)
         out = np.zeros(len(rhs), dtype=complex)
         out[1:-1] = self._lu_solve(rhs[1:-1])
         return out
@@ -201,10 +226,35 @@ class _CayleySolver:
         return self.solve(amp - self.scale * self.h.matvec(amp))
 
 
+def _solve_once(h: TridiagonalHamiltonian, scale: complex, rhs: np.ndarray) -> np.ndarray:
+    """(1 + scale H)^-1 rhs by one LAPACK zgtsv call, for a matrix solved only once.
+
+    Equal bit for bit to ``_CayleySolver(h, scale).solve(rhs)``: zgtsv runs
+    zgttrf's pivoted elimination and zgttrs's substitutions in one pass.  On
+    periodic grids the wrap-link vector u is the second right-hand side.
+    """
+    dl, d, du, u, v_last = _shifted_bands(h, scale)
+    if u is None:
+        b = rhs[1:-1, None].copy()
+    else:
+        b = np.empty((len(rhs), 2), dtype=complex, order="F")
+        b[:, 0] = rhs
+        b[:, 1] = u
+    x, info = zgtsv(dl, d, du, b, overwrite_dl=1, overwrite_d=1, overwrite_du=1, overwrite_b=1)[3:]
+    _check_info("zgtsv", info, scale)
+    if u is None:
+        out = np.zeros(len(rhs), dtype=complex)
+        out[1:-1] = x[:, 0]
+        return out
+    z = x[:, 1]
+    return _wrap_corrected(x[:, 0], z, v_last, _wrap_denominator(z, v_last, scale))
+
+
 def _cayley_substep(h_at, hbar: float, amp: np.ndarray, t: float, dt: float, extra_diag=None) -> np.ndarray:
-    """amp advanced from t by dt with H at the midpoint (plus extra_diag), factored afresh."""
+    """amp advanced from t by dt with H at the midpoint (plus extra_diag), solved once."""
     h = h_at(t + dt / 2.0).plus_diagonal(extra_diag)
-    return _CayleySolver(h, 1j * dt / (2.0 * hbar)).cayley(amp)
+    scale = 1j * dt / (2.0 * hbar)
+    return _solve_once(h, scale, amp - scale * h.matvec(amp))
 
 
 # Steppers map (amplitudes at t, t) to the amplitudes at t + dt.  Each is
@@ -234,18 +284,40 @@ def check_split_operator(cfg: HamiltonianConfig, grid: Grid) -> None:
         raise ValueError("split-operator stepping requires zero vector potential")
 
 
+def _largest_prime_factor(n: int) -> int:
+    largest, factor = 1, 2
+    while factor * factor <= n:
+        while n % factor == 0:
+            largest, n = factor, n // factor
+        factor += 1
+    return max(largest, n)  # what is left of n is 1 or a prime
+
+
 def _split_stepper(cfg: HamiltonianConfig, grid: Grid, dt: float):
     check_split_operator(cfg, grid)
     c = cfg.constants
-    k = 2.0 * np.pi * sp_fft.fftfreq(grid.n_points, d=grid.dx)
+    n = grid.n_points
+    k = 2.0 * np.pi * sp_fft.fftfreq(n, d=grid.dx)
     kinetic = np.exp(-1j * c.hbar * k**2 * dt / (2.0 * c.mass))
+    # The kinetic factor is a circular convolution with the kernel ifft(kinetic).
+    # At the sizes the module docstring names it is one zero-padded convolution
+    # of length m >= 2n - 1; the kernel is extended periodically to negative
+    # offsets, so the first n outputs are the circular ones.
+    m, spectrum = n, kinetic
+    if _largest_prime_factor(n) ** 2 > n:
+        m = sp_fft.next_fast_len(2 * n - 1)
+        kernel = sp_fft.ifft(kinetic)
+        extended = np.zeros(m, dtype=complex)
+        extended[:n] = kernel
+        extended[m - n + 1 :] = kernel[1:]
+        spectrum = sp_fft.fft(extended)
 
     def half_v_at(t_mid):
         v = cfg.v1.evaluate(grid, t_mid) + c.charge * cfg.a0.evaluate(grid, t_mid)
         return np.exp(-1j * v * dt / (2.0 * c.hbar))
 
     def strang(half_v, amp):
-        return half_v * sp_fft.ifft(kinetic * sp_fft.fft(half_v * amp))
+        return half_v * sp_fft.ifft(spectrum * sp_fft.fft(half_v * amp, m))[:n]
 
     if not cfg.is_static:
         return lambda amp, t: strang(half_v_at(t + dt / 2.0), amp)
@@ -361,7 +433,7 @@ def ground_state_imaginary_time(
         raise ValueError("ground-state search requires static potentials")
     if not (dtau > 0 and np.isfinite(dtau)):
         raise ValueError("dtau must be positive and finite")
-    if tol < 0:
+    if not tol >= 0:
         raise ValueError("tol must be non-negative")
     psi = normalize(psi0)
     grid = psi.grid
@@ -373,7 +445,7 @@ def ground_state_imaginary_time(
 
         def solve(amp):
             u = mean_field_density_values(cfg.interaction, grid, np.abs(amp) ** 2)
-            return _CayleySolver(h.plus_diagonal(u), scale).solve(amp)
+            return _solve_once(h.plus_diagonal(u), scale, amp)
 
     history = [float(energies_of(cfg, h, psi.amplitudes))]
     converged = False

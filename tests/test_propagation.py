@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy import fft as sp_fft
 
 from waveaction import (
     HamiltonianConfig,
@@ -30,7 +31,7 @@ from waveaction import (
 )
 
 from waveaction.hamiltonian import hamiltonian_matrix
-from waveaction.propagation import _CayleySolver
+from waveaction.propagation import _CayleySolver, _largest_prime_factor, _solve_once
 
 from helpers import (
     banded_shift_solve,
@@ -301,6 +302,89 @@ def test_propagate_applies_the_split_operator_rule_to_interactions():
         propagate(cfg, gaussian_wavepacket(g), plan)
 
 
+def _direct_split_step(cfg, psi, t, dt):
+    """The Strang step by n-point FFTs: half_v * ifft(kinetic * fft(half_v * amp))."""
+    g, c = psi.grid, cfg.constants
+    k = 2.0 * np.pi * sp_fft.fftfreq(g.n_points, d=g.dx)
+    kinetic = np.exp(-1j * c.hbar * k**2 * dt / (2.0 * c.mass))
+    v = cfg.v1.evaluate(g, t + dt / 2.0) + c.charge * cfg.a0.evaluate(g, t + dt / 2.0)
+    half_v = np.exp(-1j * v * dt / (2.0 * c.hbar))
+    return half_v * sp_fft.ifft(kinetic * sp_fft.fft(half_v * psi.amplitudes))
+
+
+_PRIMES_TO_600 = [p for p in range(8, 601) if all(p % q for q in range(2, p))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.one_of(st.integers(8, 600), st.sampled_from(_PRIMES_TO_600)),
+    seed=st.integers(0, 2**32 - 1),
+    v_scale=st.floats(0.0, 100.0),
+    driven=st.booleans(),
+    t=st.floats(-1.0, 1.0),
+    dt=st.floats(1e-4, 1.0),
+)
+def test_split_step_equals_the_direct_fft_step(n, seed, v_scale, driven, t, dt):
+    # the padded convolution (n with a prime factor above sqrt(n)) and the
+    # n-point path both give the direct formula, and both keep the norm
+    g = make_grid(-5.0, 5.0, n, "periodic")
+    v = v_scale * np.random.default_rng(seed).uniform(0.0, 1.0, n)
+    field = PotentialField.from_callable(lambda x, t: v * np.cos(t)) if driven else PotentialField.from_samples(v)
+    cfg = HamiltonianConfig(v1=field)
+    psi = random_state(g, seed)
+    stepped = step_split_operator(cfg, psi, t, dt).amplitudes
+    direct = _direct_split_step(cfg, psi, t, dt)
+    assert np.linalg.norm(stepped - direct) <= 1e-13 * np.linalg.norm(direct)
+    assert abs(norm(Wavefunction(g, stepped)) - norm(psi)) <= 1e-14
+
+
+@pytest.mark.parametrize("n", [256, 1000, 1001, 1024])
+def test_split_step_keeps_the_n_point_fft_where_n_is_smooth(n):
+    # no prime factor above sqrt(n): the step is the direct formula bit for bit
+    g = make_grid(-8.0, 8.0, n, "periodic")
+    cfg = HamiltonianConfig(v1=PotentialField.from_callable(_driven))
+    psi = gaussian_wavepacket(g, center=0.5, width=0.8, wavenumber=1.0)
+    np.testing.assert_array_equal(step_split_operator(cfg, psi, 0.3, 2e-3).amplitudes,
+                                  _direct_split_step(cfg, psi, 0.3, 2e-3))
+
+
+@pytest.mark.parametrize("n, padded", [(257, True), (899, True), (841, False), (1024, False)])
+def test_split_operator_transform_lengths(n, padded, monkeypatch):
+    # where n's largest prime factor p has p^2 > n (257 prime, 899 = 29 * 31) a
+    # step is two transforms of length next_fast_len(2n - 1), after one n-point
+    # inverse FFT and one padded FFT that build the spectrum; otherwise
+    # (841 = 29^2, 1024) it is the two n-point transforms
+    calls = []
+
+    def recording(name):
+        transform = getattr(sp_fft, name)
+
+        def call(*args, **kwargs):
+            out = transform(*args, **kwargs)
+            calls.append((name, len(out)))
+            return out
+
+        return call
+
+    g = make_grid(-8.0, 8.0, n, "periodic")
+    psi0 = gaussian_wavepacket(g, center=0.5, width=0.8)
+    plan = PropagationPlan(dt=2e-3, n_steps=5, scheme="split-operator")
+    for name in ("fft", "ifft"):
+        monkeypatch.setattr(sp_fft, name, recording(name))
+    propagate(HARMONIC, psi0, plan)
+    if padded:
+        m = sp_fft.next_fast_len(2 * n - 1)
+        assert calls == [("ifft", n), ("fft", m)] + [("fft", m), ("ifft", m)] * plan.n_steps
+    else:
+        assert calls == [("fft", n), ("ifft", n)] * plan.n_steps
+
+
+def test_largest_prime_factor_against_brute_force():
+    for n in range(2, 5001):
+        brute = max(p for p in range(2, n + 1) if n % p == 0 and all(p % q for q in range(2, int(p**0.5) + 1)))
+        assert _largest_prime_factor(n) == brute, n
+
+
 def test_gp_zero_coupling_bitwise_reduction():
     g = make_grid(-10, 10, 401)
     psi = gaussian_wavepacket(g, center=0.3)
@@ -411,6 +495,14 @@ def test_imaginary_time_requires_static_potentials():
     cfg = HamiltonianConfig(a0=PotentialField.from_callable(lambda x, t: x * t))
     with pytest.raises(ValueError, match="static"):
         ground_state_imaginary_time(cfg, gaussian_wavepacket(g))
+
+
+@pytest.mark.parametrize("tol", [-1e-10, float("nan")])
+def test_imaginary_time_rejects_negative_or_nan_tol(tol):
+    # a NaN tol would never be met, so the run would take all max_iter iterations
+    g = make_grid(-5, 5, 64)
+    with pytest.raises(ValueError, match="tol must be non-negative"):
+        ground_state_imaginary_time(HARMONIC, gaussian_wavepacket(g), tol=tol, max_iter=3)
 
 
 def test_imaginary_time_matches_dense_oracle_for_quartic():
@@ -539,6 +631,28 @@ def test_periodic_solve_with_zero_leading_diagonal():
     assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(8, 300),
+    seed=st.integers(0, 2**32 - 1),
+    v_scale=st.floats(0.0, 100.0),
+    a_scale=st.floats(0.1, 3.0),
+    g_scale=st.floats(0.0, 50.0),
+    boundary=st.sampled_from(["dirichlet", "periodic"]),
+    dt=st.floats(1e-4, 1.0),
+)
+def test_single_use_solve_equals_the_factored_solve(n, seed, v_scale, a_scale, g_scale, boundary, dt):
+    # zgtsv against zgttrf + zgttrs (u as a second right-hand side on periodic
+    # grids), with A != 0 and a mean-field diagonal, for a Cayley (imaginary)
+    # and an imaginary-time (real) scale
+    g = make_grid(-5.0, 5.0, n, boundary)
+    cfg, rhs = _random_config(g, seed, v_scale, a_scale)
+    mean_field = g_scale * np.abs(random_state(g, seed).amplitudes) ** 2
+    h = hamiltonian_matrix(cfg, g).plus_diagonal(mean_field)
+    for scale in (1j * dt / 2.0, dt):
+        np.testing.assert_array_equal(_solve_once(h, scale, rhs), _CayleySolver(h, scale).solve(rhs))
+
+
 def _driven(x, t):
     return 0.5 * x**2 + 0.4 * x * np.sin(3.0 * t)
 
@@ -640,3 +754,22 @@ def test_singular_pivot_raises_linalg_error():
         banded_shift_solve(hamiltonian_matrix(cfg, g), 1.0, psi.amplitudes)
     with pytest.raises(np.linalg.LinAlgError, match="singular"):
         ground_state_imaginary_time(cfg, psi, dtau=1.0)
+
+
+def test_single_use_solve_names_the_zero_pivot_row():
+    # the system above: zgtsv reports the zero pivot in the row zgttrf names,
+    # also on the mean-field imaginary-time path, which solves each H once
+    g = make_grid(0.0, 9.0, 10)
+    cfg = HamiltonianConfig(v1=PotentialField.from_samples(np.full(10, -1.5)))
+    h = hamiltonian_matrix(cfg, g)
+    psi = Wavefunction(g, np.sin(np.pi * g.x / 9.0))
+    with pytest.raises(np.linalg.LinAlgError) as factored:
+        _CayleySolver(h, 1.0)
+    message = str(factored.value)
+    assert "zero pivot in row 8 of 1 + s H" in message
+    with pytest.raises(np.linalg.LinAlgError) as once:
+        _solve_once(h, 1.0, psi.amplitudes)
+    assert str(once.value) == message
+    mean_field = HamiltonianConfig(v1=cfg.v1, interaction=TwoBodyInteraction.contact(0.0, 2))
+    with pytest.raises(np.linalg.LinAlgError, match="zero pivot in row 8 "):
+        ground_state_imaginary_time(mean_field, psi, dtau=1.0)
