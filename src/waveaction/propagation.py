@@ -11,13 +11,16 @@ Euler) filter (1 + dtau H / hbar)^-1 with renormalization after every
 step, which damps every excited component regardless of dtau and makes
 the energy sequence monotonically non-increasing.
 
-Both implicit schemes solve tridiagonal systems 1 + s H with LAPACK.  A
-static linear H is factored once per run (zgttrf) and every step reuses
-the factors (zgttrs).  A matrix solved only once (the midpoint H of a
-time-dependent run, the predictor and the corrector of a mean-field step,
-each mean-field imaginary-time iteration) takes one zgtsv call, which
-gives the same bits.  On periodic grids both restore the wrap link by a
-Sherman-Morrison correction.
+Both implicit schemes solve tridiagonal systems 1 + s H with LAPACK, the
+routine following the dtype of the bands and the right-hand side (z for
+complex, d for real).  A static linear H is factored once per run (gttrf)
+and every step reuses the factors (gttrs).  A matrix solved only once (the
+midpoint H of a time-dependent run, the predictor and the corrector of a
+mean-field step, each mean-field imaginary-time iteration) takes one gtsv
+call, which gives the same bits.  On periodic grids both restore the wrap
+link by a Sherman-Morrison correction.  Imaginary time iterates in float64
+when H and the start state are real (no vector potential, a real start),
+since every iterate then stays real; otherwise it iterates in complex128.
 
 The split-operator scheme is a Strang splitting with the kinetic factor
 applied by FFT.  Where the grid size n has a prime factor larger than
@@ -36,15 +39,16 @@ from typing import Callable, Sequence
 
 import numpy as np
 from scipy import fft as sp_fft
-from scipy.linalg.lapack import zgtsv, zgttrf, zgttrs
+from scipy.linalg import get_lapack_funcs
 
-from .grids import Grid, Wavefunction, check_finite, norm, normalize
+from .grids import Grid, Wavefunction, check_finite, norm, normalize, norms, quadrature
 from .hamiltonian import (
     HamiltonianConfig,
     TridiagonalHamiltonian,
     energies_of,
     hamiltonian_at,
     mean_field_density_values,
+    mean_field_diagonal,
 )
 
 CRANK_NICOLSON = "crank-nicolson"
@@ -131,13 +135,20 @@ class Trajectory:
 
 @dataclass(frozen=True, eq=False)
 class GroundStateResult:
-    """Outcome of an imaginary-time relaxation."""
+    """Outcome of an imaginary-time relaxation.
+
+    chemical_potential is mu = <phi|H|phi> and residual the eigenvalue
+    residual ||H phi - mu phi||, both with the full-weight mean field, as
+    evidence of how far the final state is from a stationary one.
+    """
 
     state: Wavefunction
     energy: float
     iterations: int
     converged: bool
     energy_history: np.ndarray
+    chemical_potential: float
+    residual: float
 
 
 def _shifted_bands(h: TridiagonalHamiltonian, scale: complex) -> tuple:
@@ -158,7 +169,7 @@ def _shifted_bands(h: TridiagonalHamiltonian, scale: complex) -> tuple:
     gamma = -d[0] if d[0] != 0 else -1.0  # -d[0] avoids cancellation in B[0, 0]
     d[0] -= gamma
     d[-1] -= c_lf * c_fl / gamma
-    u = np.zeros(n, dtype=complex)
+    u = np.zeros(n, dtype=d.dtype)
     u[0] = gamma
     u[-1] = c_lf
     return scale * h.lower[:-1], d, scale * h.upper[:-1], u, c_fl / gamma
@@ -189,36 +200,40 @@ def _wrap_corrected(y: np.ndarray, z: np.ndarray, v_last: complex, denominator: 
 
 
 class _CayleySolver:
-    """Factors of 1 + scale * H for one assembled tridiagonal H (LAPACK zgttrf), for repeated solves.
+    """Factors of 1 + scale * H for one assembled tridiagonal H (LAPACK gttrf), for repeated solves.
 
-    ``solve`` applies (1 + scale H)^-1 with one zgttrs call on the stored
+    ``solve`` applies (1 + scale H)^-1 with one gttrs call on the stored
     factors; ``cayley`` applies (1 + scale H)^-1 (1 - scale H).  The matrix
     factored is the one ``_shifted_bands`` describes; on periodic grids the
-    wrap-link response B^-1 u is solved once, at construction.
+    wrap-link response B^-1 u is solved once, at construction.  The routines
+    follow the dtypes: real bands are factored by dgttrf, and a solve runs
+    dgttrs only when the right-hand side is real too.
     """
 
     def __init__(self, h: TridiagonalHamiltonian, scale: complex):
         self.h = h
         self.scale = scale
         dl, d, du, u, self._v_last = _shifted_bands(h, scale)
-        dl, d, du, du2, ipiv, info = zgttrf(dl, d, du, overwrite_dl=1, overwrite_d=1, overwrite_du=1)
-        _check_info("zgttrf", info, scale)
+        (gttrf,) = get_lapack_funcs(("gttrf",), (dl, d, du))
+        dl, d, du, du2, ipiv, info = gttrf(dl, d, du, overwrite_dl=1, overwrite_d=1, overwrite_du=1)
+        _check_info(gttrf.typecode + "gttrf", info, scale)
         self._factors = dl, d, du, du2, ipiv
         if u is not None:
             self._z = self._lu_solve(u)
             self._denominator = _wrap_denominator(self._z, self._v_last, scale)
 
     def _lu_solve(self, rhs: np.ndarray) -> np.ndarray:
-        x, info = zgttrs(*self._factors, rhs)
+        (gttrs,) = get_lapack_funcs(("gttrs",), (self._factors[1], rhs))
+        x, info = gttrs(*self._factors, rhs)
         if info != 0:
-            raise ValueError(f"zgttrs rejected argument {-info}")
+            raise ValueError(f"{gttrs.typecode}gttrs rejected argument {-info}")
         return x
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """x with (1 + scale H) x = rhs under the grid's boundary convention."""
         if self.h.grid.is_periodic:
             return _wrap_corrected(self._lu_solve(rhs), self._z, self._v_last, self._denominator)
-        out = np.zeros(len(rhs), dtype=complex)
+        out = np.zeros(len(rhs), dtype=np.result_type(self._factors[1], rhs))
         out[1:-1] = self._lu_solve(rhs[1:-1])
         return out
 
@@ -227,23 +242,25 @@ class _CayleySolver:
 
 
 def _solve_once(h: TridiagonalHamiltonian, scale: complex, rhs: np.ndarray) -> np.ndarray:
-    """(1 + scale H)^-1 rhs by one LAPACK zgtsv call, for a matrix solved only once.
+    """(1 + scale H)^-1 rhs by one LAPACK gtsv call, for a matrix solved only once.
 
-    Equal bit for bit to ``_CayleySolver(h, scale).solve(rhs)``: zgtsv runs
-    zgttrf's pivoted elimination and zgttrs's substitutions in one pass.  On
+    Equal bit for bit to ``_CayleySolver(h, scale).solve(rhs)``: gtsv runs
+    gttrf's pivoted elimination and gttrs's substitutions in one pass.  On
     periodic grids the wrap-link vector u is the second right-hand side.
+    dgtsv solves when the bands and rhs are all real, zgtsv otherwise.
     """
     dl, d, du, u, v_last = _shifted_bands(h, scale)
     if u is None:
         b = rhs[1:-1, None].copy()
     else:
-        b = np.empty((len(rhs), 2), dtype=complex, order="F")
+        b = np.empty((len(rhs), 2), dtype=np.result_type(d, rhs), order="F")
         b[:, 0] = rhs
         b[:, 1] = u
-    x, info = zgtsv(dl, d, du, b, overwrite_dl=1, overwrite_d=1, overwrite_du=1, overwrite_b=1)[3:]
-    _check_info("zgtsv", info, scale)
+    (gtsv,) = get_lapack_funcs(("gtsv",), (dl, d, du, b))
+    x, info = gtsv(dl, d, du, b, overwrite_dl=1, overwrite_d=1, overwrite_du=1, overwrite_b=1)[3:]
+    _check_info(gtsv.typecode + "gtsv", info, scale)
     if u is None:
-        out = np.zeros(len(rhs), dtype=complex)
+        out = np.zeros(len(rhs), dtype=x.dtype)
         out[1:-1] = x[:, 0]
         return out
     z = x[:, 1]
@@ -427,7 +444,8 @@ def ground_state_imaginary_time(
     mean-field configurations H carries the full-weight mean field rebuilt
     from the current normalized state.  Stops when consecutive energies
     differ by less than tol.  The start state must overlap the ground
-    state (not checkable a priori).
+    state (not checkable a priori).  When H and the normalized start have
+    zero imaginary parts, every iterate is real and the loop runs in float64.
     """
     if not cfg.is_static:
         raise ValueError("ground-state search requires static potentials")
@@ -439,6 +457,10 @@ def ground_state_imaginary_time(
     grid = psi.grid
     scale = dtau / cfg.constants.hbar
     h = hamiltonian_at(cfg, grid)(0.0)
+    amp = psi.amplitudes
+    if not any(a.imag.any() for a in (h.diag, h.upper, h.lower, amp)):
+        h = TridiagonalHamiltonian(grid, h.diag.real.copy(), h.upper.real.copy(), h.lower.real.copy())
+        amp = amp.real.copy()
     if cfg.interaction is None:
         solve = _CayleySolver(h, scale).solve
     else:
@@ -447,24 +469,29 @@ def ground_state_imaginary_time(
             u = mean_field_density_values(cfg.interaction, grid, np.abs(amp) ** 2)
             return _solve_once(h.plus_diagonal(u), scale, amp)
 
-    history = [float(energies_of(cfg, h, psi.amplitudes))]
+    history = [float(energies_of(cfg, h, amp))]
     converged = False
     iterations = 0
     for _ in range(max_iter):
-        amp = solve(psi.amplitudes)
+        amp = solve(amp)
         iterations += 1
-        try:
-            psi = normalize(Wavefunction(grid, amp, psi.time))
-        except ValueError as exc:
-            raise RuntimeError(f"imaginary-time iteration {iterations} failed: {exc}") from exc
-        history.append(float(energies_of(cfg, h, psi.amplitudes)))
+        n = norms(grid, amp)  # NaN or inf when an amplitude is
+        if not 0.0 < n < np.inf:
+            problem = "cannot normalize a zero wavefunction" if n == 0 else "amplitudes must be finite"
+            raise RuntimeError(f"imaginary-time iteration {iterations} failed: {problem}")
+        amp = amp / n
+        history.append(float(energies_of(cfg, h, amp)))
         if abs(history[-1] - history[-2]) < tol:
             converged = True
             break
+    h_amp = h.plus_diagonal(mean_field_diagonal(cfg, grid, amp, 1.0)).matvec(amp)
+    mu = float(quadrature(grid, np.conj(amp) * h_amp).real)
     return GroundStateResult(
-        state=psi,
+        state=Wavefunction(grid, amp, psi.time),
         energy=history[-1],
         iterations=iterations,
         converged=converged,
         energy_history=np.array(history),
+        chemical_potential=mu,
+        residual=float(norms(grid, h_amp - mu * amp)),
     )

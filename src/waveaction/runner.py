@@ -25,7 +25,7 @@ import numpy as np
 from . import __version__
 from .diagnostics import pair_residuals
 from .grids import Wavefunction, norm, normalize, norms
-from .hamiltonian import chemical_potential, energies_of, hamiltonian_at, row_blocks
+from .hamiltonian import energies_of, hamiltonian_at, row_blocks
 from .propagation import Trajectory, ground_state_imaginary_time, propagate
 from .scenario import (
     Scenario,
@@ -206,9 +206,10 @@ def _run_task(scenario: Scenario, phase: _Phase) -> tuple:
             "final_energy": result.energy,
             "iterations": result.iterations,
             "final_norm": norm(result.state),
+            "residual": result.residual,
         }
         if scenario.interaction is not None:
-            summary["chemical_potential"] = chemical_potential(cfg, result.state)
+            summary["chemical_potential"] = result.chemical_potential
         history = {"iteration": range(len(result.energy_history)), "energy": result.energy_history}
         return result.converged, summary, {"energy_history.csv": history, "ground_state.npy": result.state.amplitudes}
 

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import fft as sp_fft
+from scipy.linalg import get_lapack_funcs
 
 from waveaction import (
     HamiltonianConfig,
@@ -16,6 +17,7 @@ from waveaction import (
     TwoBodyInteraction,
     Wavefunction,
     apply_hamiltonian,
+    chemical_potential,
     energy,
     gaussian_wavepacket,
     ground_state_imaginary_time,
@@ -30,7 +32,7 @@ from waveaction import (
     step_split_operator,
 )
 
-from waveaction.hamiltonian import hamiltonian_matrix
+from waveaction.hamiltonian import TridiagonalHamiltonian, hamiltonian_matrix
 from waveaction.propagation import _CayleySolver, _largest_prime_factor, _solve_once
 
 from helpers import (
@@ -549,6 +551,71 @@ def test_eigenstate_residual_verified_bounds():
     assert res_floor < 1e-9
 
 
+def test_ground_state_result_carries_its_residual_and_chemical_potential():
+    # the residual is the strict xfail's ||H phi - E phi||; mu is the public
+    # chemical potential, here evaluated in float64 on the held H
+    g = make_grid(-10, 10, 2001)
+    result = ground_state_imaginary_time(HARMONIC, gaussian_wavepacket(g, center=1.0), dtau=0.1, tol=1e-10)
+    h_phi = apply_hamiltonian(HARMONIC, result.state).amplitudes
+    res = np.sqrt(quadrature(g, np.abs(h_phi - result.energy * result.state.amplitudes) ** 2).real)
+    assert result.residual == pytest.approx(res, rel=1e-8)
+    assert result.chemical_potential == pytest.approx(chemical_potential(HARMONIC, result.state), rel=1e-12)
+    condensate = HamiltonianConfig(v1=PotentialField.harmonic(), interaction=TwoBodyInteraction.contact(20.0, 3))
+    gp = ground_state_imaginary_time(condensate, gaussian_wavepacket(g), dtau=0.05, tol=1e-11)
+    assert gp.chemical_potential == pytest.approx(chemical_potential(condensate, gp.state), rel=1e-12)
+    assert gp.chemical_potential > gp.energy + 1e-3  # the full-weight mean field, not the energy's half
+    h_full = apply_hamiltonian(condensate, gp.state, mean_field_source=gp.state).amplitudes
+    gp_res = np.sqrt(quadrature(g, np.abs(h_full - gp.chemical_potential * gp.state.amplitudes) ** 2).real)
+    assert gp.residual == pytest.approx(gp_res, rel=1e-8)
+
+
+_LINEAR_AND_CONDENSATE = pytest.mark.parametrize(
+    "cfg",
+    [HARMONIC, HamiltonianConfig(v1=PotentialField.harmonic(), interaction=TwoBodyInteraction.contact(20.0, 3))],
+    ids=["linear", "contact"],
+)
+
+
+@_LINEAR_AND_CONDENSATE
+@pytest.mark.parametrize("boundary", ["dirichlet", "periodic"])
+def test_a_phased_start_relaxes_to_the_real_paths_ground_state(cfg, boundary):
+    # e^{i theta} psi0 keeps the iteration complex; it must reach the state
+    # and energy the float64 iteration reaches from psi0
+    g = make_grid(-8, 8, 401, boundary)
+    start = gaussian_wavepacket(g, center=0.5)
+    phased = Wavefunction(g, np.exp(0.7j) * start.amplitudes)
+    tol = 1e-11
+    real = ground_state_imaginary_time(cfg, start, dtau=0.05, tol=tol)
+    rotated = ground_state_imaginary_time(cfg, phased, dtau=0.05, tol=tol)
+    assert real.converged and rotated.converged
+    assert not real.state.amplitudes.imag.any()
+    assert rotated.state.amplitudes.imag.any()
+    assert abs(rotated.energy - real.energy) < tol
+    assert 1.0 - abs(inner_product(real.state, rotated.state)) ** 2 < 1e-9
+
+
+@_LINEAR_AND_CONDENSATE
+@pytest.mark.parametrize("boundary", ["dirichlet", "periodic"])
+def test_imaginary_time_picks_the_lapack_routines_by_dtype(monkeypatch, cfg, boundary):
+    import waveaction.propagation as propagation
+
+    prefixes = []
+
+    def spy(names, arrays=()):
+        funcs = get_lapack_funcs(names, arrays)
+        prefixes.extend(f.typecode for f in funcs)
+        return funcs
+
+    monkeypatch.setattr(propagation, "get_lapack_funcs", spy)
+    g = make_grid(-8, 8, 201, boundary)
+    start = gaussian_wavepacket(g, center=0.5)
+    ground_state_imaginary_time(cfg, start, dtau=0.05, tol=1e-10)
+    assert prefixes and set(prefixes) == {"d"}
+    prefixes.clear()
+    ground_state_imaginary_time(cfg, Wavefunction(g, 1j * start.amplitudes), dtau=0.05, tol=1e-10)
+    assert prefixes and set(prefixes) == {"z"}
+
+
 def test_imaginary_time_agrees_with_variational_route():
     # the two ground-state routes must agree on shared cases
     from waveaction import gaussian_family, rayleigh_ritz_minimize
@@ -651,6 +718,39 @@ def test_single_use_solve_equals_the_factored_solve(n, seed, v_scale, a_scale, g
     h = hamiltonian_matrix(cfg, g).plus_diagonal(mean_field)
     for scale in (1j * dt / 2.0, dt):
         np.testing.assert_array_equal(_solve_once(h, scale, rhs), _CayleySolver(h, scale).solve(rhs))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(8, 300),
+    seed=st.integers(0, 2**32 - 1),
+    v_scale=st.floats(-50.0, 100.0),
+    g_scale=st.floats(0.0, 50.0),
+    boundary=st.sampled_from(["dirichlet", "periodic"]),
+    dtau=st.floats(1e-4, 1.0),
+)
+def test_real_solves_run_in_float64_and_match_the_complex_solve(n, seed, v_scale, g_scale, boundary, dtau):
+    # a real H (no vector potential) with a mean-field diagonal, a real scale
+    # and a real right-hand side: dgtsv and dgttrf + dgttrs against the same
+    # system held in complex128
+    g = make_grid(-5.0, 5.0, n, boundary)
+    rng = np.random.default_rng(seed)
+    cfg = HamiltonianConfig(v1=PotentialField.from_samples(v_scale * rng.uniform(0.0, 1.0, n)))
+    mean_field = g_scale * rng.uniform(0.0, 1.0, n)
+    h = hamiltonian_matrix(cfg, g).plus_diagonal(mean_field)
+    real_h = TridiagonalHamiltonian(g, h.diag.real.copy(), h.upper.real.copy(), h.lower.real.copy())
+    rhs = rng.standard_normal(n)
+    reference = _solve_once(h, dtau, rhs.astype(complex))
+    assert not reference.imag.any()
+    once, factored = _solve_once(real_h, dtau, rhs), _CayleySolver(real_h, dtau).solve(rhs)
+    np.testing.assert_array_equal(once, factored)
+    for x in (once, factored):
+        assert x.dtype == np.float64
+        if boundary == "dirichlet":
+            np.testing.assert_array_equal(x, reference.real)
+        else:
+            # the complex Sherman-Morrison division multiplies by the reciprocal
+            assert np.linalg.norm(x - reference.real) <= 1e-13 * np.linalg.norm(reference)
 
 
 def _driven(x, t):

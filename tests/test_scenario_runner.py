@@ -416,6 +416,30 @@ def test_ground_state_run_outputs(tmp_path):
     assert not list(out.glob("*.tmp"))
 
 
+@pytest.mark.parametrize("interaction", [None, {"kind": "contact", "g": 20.0, "n_particles": 3}], ids=["linear", "contact"])
+def test_ground_state_manifest_reports_the_residual(tmp_path, interaction):
+    # the summary takes the residual and chemical potential the relaxation
+    # computed on its held H; the chemical potential only with an interaction
+    data = minimal_ground_state()
+    if interaction is not None:
+        data["interaction"] = interaction
+    scenario = parse_scenario_dict(data)
+    summary = run_scenario(scenario, tmp_path / "out", quiet=True).summary
+    grid = build_grid(scenario)
+    cfg = build_config(scenario)
+    task = scenario.task
+    result = ground_state_imaginary_time(
+        cfg, build_initial_state(scenario, grid), dtau=task["dtau"], tol=task["tol"], max_iter=task["max_iter"]
+    )
+    payload = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert payload["summary"] == summary
+    assert summary["residual"] == result.residual > 0
+    if interaction is None:
+        assert "chemical_potential" not in summary
+    else:
+        assert summary["chemical_potential"] == result.chemical_potential
+
+
 @pytest.mark.parametrize("boundary", ["dirichlet", "periodic"])
 def test_trajectory_file_holds_the_propagated_states(tmp_path, boundary):
     data = minimal_ground_state()
