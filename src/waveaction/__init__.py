@@ -50,6 +50,7 @@ from .variational import (
     action,
     action_integrals,
     box_sine_family,
+    energy_and_gradient,
     gaussian_family,
     gaussian_phase_family,
     lagrangian_densities,

@@ -230,6 +230,8 @@ def _run_task(scenario: Scenario, phase: _Phase) -> tuple:
             },
             "evaluations": len(result.history),
         }
+        if result.gradient_norm is not None:
+            summary["gradient_norm"] = result.gradient_norm
         history = {"evaluation": range(len(result.history)), "energy": result.history}
         return result.converged, summary, {"energy_history.csv": history}
 

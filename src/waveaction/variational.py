@@ -21,12 +21,12 @@ fluxes, exactly as in the continuum.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy.optimize import minimize
 
-from .grids import Grid, Wavefunction, check_finite, gaussian_wavepacket, normalize, quadrature
+from .grids import Grid, Wavefunction, check_finite, gaussian_wavepacket, normalize, norms, quadrature
 from .hamiltonian import (
     HamiltonianConfig,
     energies_of,
@@ -169,12 +169,18 @@ class StationarityResult:
 
 @dataclass(frozen=True, eq=False)
 class TrialFamily:
-    """Named map from a parameter vector to a normalized trial state."""
+    """Named map from a parameter vector to a normalized trial state.
+
+    derivatives, when given, maps (params, grid, build(params, grid)) to a
+    (p, N) array whose row i is the derivative in parameter i of the
+    family's unnormalized sample, divided by that sample's norm.
+    """
 
     name: str
     parameter_names: tuple
     build: Callable[[np.ndarray, Grid], Wavefunction]
     parameter_bounds: tuple
+    derivatives: Optional[Callable[[np.ndarray, Grid, Wavefunction], np.ndarray]] = None
 
     def initial_point(self, params) -> np.ndarray:
         """params as a float array, once their count and bounds are checked."""
@@ -189,11 +195,18 @@ class TrialFamily:
 
 @dataclass(frozen=True, eq=False)
 class RayleighRitzResult:
+    """The minimizing parameters and energy, with one history entry per finite evaluation.
+
+    gradient_norm is the infinity norm of the projected energy gradient at
+    params when the gradient path returned them, None otherwise.
+    """
+
     params: np.ndarray
     energy: float
     history: np.ndarray
     converged: bool
     message: str
+    gradient_norm: Optional[float]
 
 
 def _forward_kinetic_density(cfg: HamiltonianConfig, grid: Grid, amp: np.ndarray, t: float) -> np.ndarray:
@@ -321,6 +334,16 @@ def action(cfg: HamiltonianConfig, traj: Trajectory, which: str = "simple") -> A
     return action_integrals(cfg, traj).action(which)
 
 
+def _gaussian_derivatives(params: np.ndarray, grid: Grid, state: Wavefunction) -> np.ndarray:
+    """Rows (x-c)/2w^2 and (x-c)^2/2w^3, and i x for a third (wavenumber) parameter, each times state."""
+    center, width = params[0], params[1]
+    u = grid.x - center
+    rows = [u / (2.0 * width**2), u**2 / (2.0 * width**3)]
+    if len(params) == 3:
+        rows.append(1j * grid.x)
+    return np.array(rows) * state.amplitudes
+
+
 def gaussian_family() -> TrialFamily:
     """Normalized Gaussians exp(-(x-c)^2 / 4 w^2) with free center and width."""
 
@@ -333,6 +356,7 @@ def gaussian_family() -> TrialFamily:
         parameter_names=("center", "width"),
         build=build,
         parameter_bounds=((-5.0, 5.0), (0.05, 20.0)),
+        derivatives=_gaussian_derivatives,
     )
 
 
@@ -348,24 +372,34 @@ def gaussian_phase_family() -> TrialFamily:
         parameter_names=("center", "width", "wavenumber"),
         build=build,
         parameter_bounds=((-5.0, 5.0), (0.05, 20.0), (-10.0, 10.0)),
+        derivatives=_gaussian_derivatives,
     )
 
 
 def box_sine_family() -> TrialFamily:
     """Mixture of the three lowest box sine modes, first coefficient fixed to 1."""
 
-    def build(params: np.ndarray, grid: Grid) -> Wavefunction:
+    def modes(grid: Grid) -> tuple:
+        xi = (grid.x - grid.x_min) / (grid.x_max - grid.x_min)
+        return np.sin(np.pi * xi), np.sin(2 * np.pi * xi), np.sin(3 * np.pi * xi)
+
+    def sample(params: np.ndarray, grid: Grid) -> np.ndarray:
         c2, c3 = params
-        length = grid.x_max - grid.x_min
-        xi = (grid.x - grid.x_min) / length
-        amp = np.sin(np.pi * xi) + c2 * np.sin(2 * np.pi * xi) + c3 * np.sin(3 * np.pi * xi)
-        return normalize(Wavefunction(grid, amp.astype(complex)))
+        s1, s2, s3 = modes(grid)
+        return s1 + c2 * s2 + c3 * s3
+
+    def build(params: np.ndarray, grid: Grid) -> Wavefunction:
+        return normalize(Wavefunction(grid, sample(params, grid).astype(complex)))
+
+    def derivatives(params: np.ndarray, grid: Grid, state: Wavefunction) -> np.ndarray:
+        return np.array(modes(grid)[1:]) / norms(grid, sample(params, grid))
 
     return TrialFamily(
         name="box-sine",
         parameter_names=("c2", "c3"),
         build=build,
         parameter_bounds=((-5.0, 5.0), (-5.0, 5.0)),
+        derivatives=derivatives,
     )
 
 
@@ -376,6 +410,32 @@ FAMILIES = {
     "box-sine": box_sine_family,
 }
 
+# What a trial state that cannot be built or evaluated raises.
+_BUILD_ERRORS = (ValueError, FloatingPointError, ZeroDivisionError)
+
+
+class _FailedEvaluation(Exception):
+    """A trial state on the gradient path failed to build or gave a non-finite energy or gradient."""
+
+
+def energy_and_gradient(cfg: HamiltonianConfig, h, family: TrialFamily, params: np.ndarray) -> tuple:
+    """energies_of the family's state at params on the static h, and its gradient in params.
+
+    With phi the state, r = H phi under the full-weight mean field and
+    mu = <phi|r>, the derivative in parameter i is 2 Re <D_i|r - mu phi>,
+    D_i the family's derivative rows.  The half-weight interaction energy
+    differentiates to the full-weight field, so mu is not the energy when
+    there is an interaction.
+    """
+    grid = h.grid
+    state = family.build(params, grid)
+    phi = state.amplitudes
+    e = float(energies_of(cfg, h, phi))
+    r = h.plus_diagonal(mean_field_diagonal(cfg, grid, phi, 1.0)).matvec(phi)
+    mu = quadrature(grid, np.conj(phi) * r).real
+    d = family.derivatives(params, grid, state)
+    return e, 2.0 * quadrature(grid, np.conj(d) * (r - mu * phi)).real
+
 
 def rayleigh_ritz_minimize(
     cfg: HamiltonianConfig,
@@ -385,14 +445,24 @@ def rayleigh_ritz_minimize(
     grid: Grid,
     max_iter: int = 500,
 ) -> RayleighRitzResult:
-    """Minimize <phi|H|phi> over the family by Nelder-Mead simplex.
+    """Minimize <phi|H|phi> over the family within its parameter bounds.
 
     The family builds normalized states, so the normalization constraint
     is enforced by construction and the returned energy is an upper bound
     on the ground-state energy of the discretized Hamiltonian, which must
-    be static.  Parameter vectors that fail to build (or give non-finite
-    energy) are treated as infinitely bad vertices, which shrinks the
-    simplex and continues.  The simplex stops at energy changes below
+    be static.  max_iter caps the optimizer's iterations, not its energy
+    evaluations; the history holds one energy per finite evaluation.
+
+    A family with derivatives is minimized by L-BFGS-B on the exact
+    gradient (energy_and_gradient), with scipy's default stopping rule: a
+    relative energy change below its ftol or a projected gradient below
+    its gtol.  The first evaluation that fails to build (or gives a
+    non-finite energy or gradient) hands the remaining iterations to
+    Nelder-Mead, started from the best finite point seen; should that run
+    end on no finite energy, the best finite point is returned, not
+    converged.  A family without derivatives is minimized by Nelder-Mead
+    simplex, which treats failed evaluations as infinitely bad vertices,
+    shrinks the simplex and continues; it stops at energy changes below
     1e-10 and vertex spreads below 1e-8.
     """
     if not cfg.is_static:
@@ -404,25 +474,73 @@ def rayleigh_ritz_minimize(
     def objective(params: np.ndarray) -> float:
         try:
             e = float(energies_of(cfg, h, family.build(params, grid).amplitudes))
-        except (ValueError, FloatingPointError, ZeroDivisionError):
+        except _BUILD_ERRORS:
             return np.inf
         if not np.isfinite(e):
             return np.inf
         history.append(e)
         return e
 
-    result = minimize(
-        objective,
-        x0,
-        method="Nelder-Mead",
-        bounds=family.parameter_bounds,
-        options={"maxiter": max_iter, "fatol": 1e-10, "xatol": 1e-8},
-    )
-    best = float(result.fun)
-    return RayleighRitzResult(
-        params=np.asarray(result.x, dtype=float),
-        energy=best,
-        history=np.array(history),
-        converged=bool(result.success and np.isfinite(best)),
-        message=str(result.message),
-    )
+    def nelder_mead(start: np.ndarray, iterations: int):
+        return minimize(
+            objective,
+            start,
+            method="Nelder-Mead",
+            bounds=family.parameter_bounds,
+            options={"maxiter": iterations, "fatol": 1e-10, "xatol": 1e-8},
+        )
+
+    def finish(params, energy: float, success: bool, message: str, gradient_norm=None) -> RayleighRitzResult:
+        energy = float(energy)
+        return RayleighRitzResult(
+            params=np.asarray(params, dtype=float),
+            energy=energy,
+            history=np.array(history),
+            converged=bool(success and np.isfinite(energy)),
+            message=str(message),
+            gradient_norm=gradient_norm,
+        )
+
+    if family.derivatives is None:
+        result = nelder_mead(x0, max_iter)
+        return finish(result.x, result.fun, result.success, result.message)
+
+    best_energy, best_params = np.inf, x0
+    iterations = 0
+
+    def with_gradient(params: np.ndarray) -> tuple:
+        nonlocal best_energy, best_params
+        try:
+            e, grad = energy_and_gradient(cfg, h, family, params)
+        except _BUILD_ERRORS as exc:
+            raise _FailedEvaluation from exc
+        if not (np.isfinite(e) and np.isfinite(grad).all()):
+            raise _FailedEvaluation
+        history.append(e)
+        if e < best_energy:
+            best_energy, best_params = e, params.copy()
+        return e, grad
+
+    def count_iteration(xk: np.ndarray) -> None:
+        nonlocal iterations
+        iterations += 1
+
+    try:
+        result = minimize(
+            with_gradient,
+            x0,
+            method="L-BFGS-B",
+            jac=True,
+            bounds=family.parameter_bounds,
+            options={"maxiter": max_iter},
+            callback=count_iteration,
+        )
+    except _FailedEvaluation:
+        result = nelder_mead(best_params, max_iter - iterations)
+        message = f"evaluation failed after {iterations} L-BFGS-B iterations; Nelder-Mead: {result.message}"
+        if np.isfinite(result.fun) or not np.isfinite(best_energy):
+            return finish(result.x, result.fun, result.success, message)
+        return finish(best_params, best_energy, False, message)
+    bounds = np.array(family.parameter_bounds, dtype=float)
+    projected = np.clip(result.x - result.jac, bounds[:, 0], bounds[:, 1]) - result.x
+    return finish(result.x, result.fun, result.success, result.message, float(np.max(np.abs(projected))))

@@ -976,6 +976,29 @@ def test_rayleigh_ritz_task(tmp_path):
     assert "width" in payload["summary"]["parameters"]
 
 
+@pytest.mark.parametrize("derivatives", [True, False], ids=["gradient", "nelder-mead"])
+def test_rayleigh_ritz_summary_records_the_gradient_norm(tmp_path, monkeypatch, derivatives):
+    # written when the gradient path returned the parameters, absent on the Nelder-Mead path
+    import dataclasses
+
+    from waveaction import runner
+    from waveaction.variational import gaussian_family
+
+    if not derivatives:
+        derivative_free = dataclasses.replace(gaussian_family(), derivatives=None)
+        monkeypatch.setitem(runner.FAMILIES, "gaussian", lambda: derivative_free)
+    data = minimal_ground_state("rr-gradient")
+    data["task"] = {"kind": "rayleigh-ritz", "family": "gaussian", "initial_params": [0.2, 1.2]}
+    path = write_scenario(tmp_path, data)
+    assert main(["run", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 0
+    summary = json.loads((tmp_path / "out" / "manifest.json").read_text())["summary"]
+    assert summary["final_energy"] == pytest.approx(0.5, abs=1e-4)
+    if derivatives:
+        assert 0.0 <= summary["gradient_norm"] < 1e-4
+    else:
+        assert "gradient_norm" not in summary
+
+
 def test_gp_propagate_task(tmp_path):
     data = minimal_ground_state("gp")
     data["interaction"] = {"kind": "contact", "g": 5.0, "n_particles": 4}

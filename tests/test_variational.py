@@ -28,8 +28,8 @@ from waveaction import (
     rayleigh_ritz_minimize,
 )
 from waveaction.grids import central_difference
-from waveaction.hamiltonian import apply_mechanical_momentum
-from waveaction.variational import TrialFamily
+from waveaction.hamiltonian import apply_mechanical_momentum, energies_of, hamiltonian_matrix
+from waveaction.variational import FAMILIES, TrialFamily, energy_and_gradient
 
 from helpers import dense_ground_energy, loop_action_integrals, random_state, random_trajectory, trajectory_shapes
 
@@ -455,6 +455,120 @@ def test_rayleigh_ritz_recovers_from_failing_builds():
     result = rayleigh_ritz_minimize(HARMONIC, family, [0.2, 1.0], grid=g)
     assert np.isfinite(result.energy)
     assert result.energy == pytest.approx(0.5, abs=1e-4)
+
+
+def test_rayleigh_ritz_gradient_path_recovers_from_failing_builds():
+    # in a stiff trap the first gradient step overshoots the centre into the failure
+    # region, and that failed evaluation hands the rest of the run to Nelder-Mead;
+    # V = 2x^2 on mass 4 still has ground energy 0.5
+    g = make_grid(-5, 5, 601)
+    stiff = HamiltonianConfig(constants=PhysicalConstants(mass=4.0), v1=PotentialField.harmonic(omega=2.0))
+
+    def fragile_build(params, grid):
+        if params[0] > 0.25:  # inside bounds, still fails
+            raise ValueError("synthetic failure region")
+        return gaussian_wavepacket(grid, center=params[0], width=params[1])
+
+    family = TrialFamily(
+        "fragile", ("center", "width"), fragile_build, ((-1.0, 1.0), (0.1, 5.0)), gaussian_family().derivatives
+    )
+    result = rayleigh_ritz_minimize(stiff, family, [-0.2, 1.0], grid=g)
+    assert "Nelder-Mead" in result.message
+    assert result.converged
+    assert result.energy == pytest.approx(0.5, abs=1e-4)
+    assert result.gradient_norm is None
+
+
+def test_rayleigh_ritz_gradient_path_keeps_the_best_point_when_every_later_build_fails():
+    g = make_grid(-10, 10, 401)
+    builds = []
+
+    def build_once(params, grid):
+        builds.append(params.copy())
+        if len(builds) > 1:
+            raise ValueError("synthetic failure after the first build")
+        return gaussian_wavepacket(grid, center=params[0], width=params[1])
+
+    family = TrialFamily(
+        "build-once", ("center", "width"), build_once, ((-1.0, 1.0), (0.1, 5.0)), gaussian_family().derivatives
+    )
+    result = rayleigh_ritz_minimize(HARMONIC, family, [0.2, 1.0], grid=g, max_iter=20)
+    assert np.isfinite(result.energy)
+    assert not result.converged
+    np.testing.assert_array_equal(result.params, [0.2, 1.0])
+    start = gaussian_wavepacket(g, center=0.2, width=1.0).amplitudes
+    assert result.energy == energies_of(HARMONIC, hamiltonian_matrix(HARMONIC, g), start)
+    assert result.history.tolist() == [result.energy]
+
+
+def test_rayleigh_ritz_gradient_path_reports_the_projected_gradient():
+    g = make_grid(-10, 10, 1501)
+    result = rayleigh_ritz_minimize(HARMONIC, gaussian_phase_family(), [0.4, 1.2, 0.3], grid=g)
+    assert result.converged
+    assert 0.0 <= result.gradient_norm < 1e-4
+    assert result.energy == pytest.approx(0.5, abs=1e-5)
+    # the optimizer counts iterations, the history counts evaluations
+    capped = rayleigh_ritz_minimize(HARMONIC, gaussian_phase_family(), [0.4, 1.2, 0.3], grid=g, max_iter=1)
+    assert not capped.converged
+    assert len(capped.history) >= 2
+
+
+def test_rayleigh_ritz_gradient_norm_is_projected_onto_the_bounds():
+    # the width bound stops a wide trial state in a tight trap: the raw gradient is large, its projection 0
+    g = make_grid(-10, 10, 801)
+    tight = HamiltonianConfig(v1=PotentialField.harmonic(omega=400.0))
+    result = rayleigh_ritz_minimize(tight, gaussian_family(), [0.0, 1.0], grid=g)
+    assert result.params[1] == 0.05
+    _, grad = energy_and_gradient(tight, hamiltonian_matrix(tight, g), gaussian_family(), result.params)
+    assert grad[1] > 1.0
+    assert result.gradient_norm < 1e-5
+
+
+def _central_difference_gradient(cfg, h, family, params):
+    """Fourth-order central differences of energies_of, each step scaled to its parameter."""
+    # the Gaussians' lengths scale with the width, their wavenumbers with its inverse
+    width = params[1] if family.name.startswith("gaussian") else 1.0
+    scales = {"center": width, "width": width, "wavenumber": 1.0 / width, "c2": 1.0, "c3": 1.0}
+
+    def e(p):
+        return float(energies_of(cfg, h, family.build(p, h.grid).amplitudes))
+
+    out = []
+    for i, name in enumerate(family.parameter_names):
+        step = np.zeros(len(params))
+        step[i] = 1e-3 * scales[name]
+        near = e(params + step) - e(params - step)
+        far = e(params + 2 * step) - e(params - 2 * step)
+        out.append((8 * near - far) / (12 * step[i]))
+    return np.array(out)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    family_name=st.sampled_from(sorted(FAMILIES)),
+    boundary=st.sampled_from(["dirichlet", "periodic"]),
+    contact=st.sampled_from([None, -4.0, 30.0]),
+    vector_potential=st.booleans(),
+    fractions=st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3),
+)
+def test_energy_gradient_matches_central_differences(family_name, boundary, contact, vector_potential, fractions):
+    g = make_grid(-8, 8, 321, boundary)
+    cfg = HamiltonianConfig(
+        v1=PotentialField.harmonic(),
+        a_vec=PotentialField.harmonic(omega=0.5) if vector_potential else PotentialField.free(),
+        interaction=None if contact is None else TwoBodyInteraction.contact(contact, 3),
+    )
+    family = FAMILIES[family_name]()
+    params = np.array([lo + f * (hi - lo) for f, (lo, hi) in zip(fractions, family.parameter_bounds)])
+    h = hamiltonian_matrix(cfg, g)
+    energy, grad = energy_and_gradient(cfg, h, family, params)
+    assert energy == energies_of(cfg, h, family.build(params, g).amplitudes)
+    reference = _central_difference_gradient(cfg, h, family, params)
+    # 1e-5 relative to the largest component, with an absolute floor of 1e-7
+    assert np.max(np.abs(grad - reference)) <= 1e-5 * np.max(np.abs(reference)) + 1e-7
+    result = rayleigh_ritz_minimize(cfg, family, params, grid=g)
+    assert result.energy == energies_of(cfg, h, family.build(result.params, g).amplitudes)
+    assert result.energy <= energy
 
 
 def test_rayleigh_ritz_iteration_cap_flags_result():
