@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .grids import Grid, Wavefunction, central_difference, norms, quadrature
+from .grids import Grid, Wavefunction, central_difference, norms, quadrature, require_same_grid
 from .hamiltonian import (
     HamiltonianConfig,
     TridiagonalHamiltonian,
@@ -57,13 +57,15 @@ def _current(cfg: HamiltonianConfig, grid: Grid, amp: np.ndarray, t: float) -> n
     return np.real(np.conj(amp) * velocity)
 
 
-def probability_fields(cfg: HamiltonianConfig, psi: Wavefunction, t: float = 0.0) -> ProbabilityFields:
+def probability_fields(cfg: HamiltonianConfig, psi: Wavefunction) -> ProbabilityFields:
+    """rho and J of psi, with the vector potential at psi.time."""
     rho = np.abs(psi.amplitudes) ** 2
-    return ProbabilityFields(rho=rho, current=_current(cfg, psi.grid, psi.amplitudes, t), time=psi.time)
+    return ProbabilityFields(rho=rho, current=_current(cfg, psi.grid, psi.amplitudes, psi.time), time=psi.time)
 
 
 def _pair_step(psi_before: Wavefunction, psi_after: Wavefunction):
-    """(dt, midpoint amplitudes, midpoint time) of two snapshots."""
+    """(dt, midpoint amplitudes, midpoint time) of two snapshots on one grid."""
+    require_same_grid(psi_before.grid, psi_after.grid)
     dt = psi_after.time - psi_before.time
     if dt == 0.0:
         raise ValueError("snapshots have identical times")
@@ -103,14 +105,13 @@ def continuity_residual(
 def pair_residuals(
     cfg: HamiltonianConfig,
     h_at: Callable[[float], TridiagonalHamiltonian],
-    grid: Grid,
     times: np.ndarray,
     amps: np.ndarray,
 ) -> tuple:
     """(continuity sup, continuity l2, Hamilton r1) of each consecutive pair of rows of amps (B + 1, N).
 
-    The rows are states on grid recorded at times (B + 1,), and each
-    array holds one value per pair, as continuity_residual and
+    The rows are states on the grid of h_at's H, recorded at times (B + 1,),
+    and each array holds one value per pair, as continuity_residual and
     hamilton_equations_residual give it; each pair's midpoint state is
     formed once.  The potentials are evaluated at the first pair's midpoint
     time, so with time-dependent potentials amps holds one pair, as the
@@ -120,23 +121,26 @@ def pair_residuals(
     dt = (times[1:] - times[:-1])[:, None]
     mid = 0.5 * (before + after)
     t_mid = times[0] + dt[0, 0] / 2.0
+    h = h_at(t_mid)
+    grid = h.grid
     residual = _continuity_field(cfg, grid, before, after, mid, dt, t_mid)
-    d_psi, h_mid = _hamilton_fields(cfg, h_at(t_mid), before, after, mid, dt)
+    d_psi, h_mid = _hamilton_fields(cfg, h, before, after, mid, dt)
     r1 = norms(grid, d_psi - h_mid / (1j * cfg.constants.hbar))
     return np.max(np.abs(residual), axis=-1), norms(grid, residual), r1
 
 
-def canonical_fields(cfg: HamiltonianConfig, psi: Wavefunction, t: float = 0.0) -> CanonicalFields:
-    """Canonical momentum pi = i hbar psi* and the functional (1/i hbar) int pi H psi.
+def canonical_fields(cfg: HamiltonianConfig, psi: Wavefunction) -> CanonicalFields:
+    """Canonical momentum pi = i hbar psi* and the functional (1/i hbar) int pi H psi, H at psi.time.
 
     The functional is computed through the momentum field and must agree
     with the direct energy quadrature to rounding; for mean-field
     configurations it uses the same half-weight interaction as the energy.
     """
     hbar = cfg.constants.hbar
-    pi = 1j * hbar * np.conj(psi.amplitudes)
-    h = hamiltonian_matrix(cfg, psi.grid, t).plus_diagonal(mean_field_diagonal(cfg, psi.grid, psi.amplitudes, 0.5))
-    h_psi = h.matvec(psi.amplitudes)
+    amp = psi.amplitudes
+    pi = 1j * hbar * np.conj(amp)
+    h = hamiltonian_matrix(cfg, psi.grid, psi.time).plus_diagonal(mean_field_diagonal(cfg, psi.grid, amp, 0.5))
+    h_psi = h.matvec(amp)
     value = quadrature(psi.grid, pi * h_psi) / (1j * hbar)
     return CanonicalFields(pi=pi, hamiltonian_functional=float(value.real))
 

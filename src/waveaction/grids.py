@@ -144,7 +144,7 @@ def quadrature(grid: Grid, values: np.ndarray):
 
 def inner_product(bra: Wavefunction, ket: Wavefunction) -> complex:
     """<bra|ket> by grid quadrature; conjugate-symmetric up to rounding."""
-    _require_same_grid(bra, ket)
+    require_same_grid(bra.grid, ket.grid)
     return complex(quadrature(bra.grid, np.conj(bra.amplitudes) * ket.amplitudes))
 
 
@@ -195,11 +195,7 @@ def laplacian(psi: Wavefunction) -> Wavefunction:
     return Wavefunction(psi.grid, second_difference(psi.grid, psi.amplitudes), psi.time)
 
 
-def _require_same_grid(a: Wavefunction, b: Wavefunction) -> None:
-    if a.grid is not b.grid and (
-        a.grid.n_points != b.grid.n_points
-        or a.grid.boundary != b.grid.boundary
-        or a.grid.x_min != b.grid.x_min
-        or a.grid.x_max != b.grid.x_max
-    ):
-        raise ValueError("wavefunctions live on different grids")
+def require_same_grid(a: Grid, b: Grid) -> None:
+    """Raise ValueError unless a and b are one lattice: the same object, or equal bounds, size and boundary."""
+    if a is not b and (a.x_min, a.x_max, a.n_points, a.boundary) != (b.x_min, b.x_max, b.n_points, b.boundary):
+        raise ValueError(f"states live on different grids: {a} and {b}")

@@ -321,7 +321,7 @@ def row_blocks(cfg: HamiltonianConfig, n_points: int, n_rows: int) -> list:
 
 
 def mean_field_diagonal(
-    cfg: HamiltonianConfig, grid: Grid, source: Optional[np.ndarray], weight: float
+    cfg: HamiltonianConfig, grid: Grid, source: np.ndarray, weight: float
 ) -> Optional[np.ndarray]:
     """weight times the mean field built from each row of the source amplitudes; None without an interaction.
 
@@ -330,8 +330,6 @@ def mean_field_diagonal(
     """
     if cfg.interaction is None:
         return None
-    if source is None:
-        raise ValueError("interaction configured but no mean-field source supplied")
     density = np.abs(source) ** 2
     return weight * mean_field_density_values(cfg.interaction, grid, density)
 
@@ -347,27 +345,20 @@ def mechanical_momentum(cfg: HamiltonianConfig, grid: Grid, amp: np.ndarray, t: 
     return out
 
 
-def apply_mechanical_momentum(
-    cfg: HamiltonianConfig, psi: Wavefunction, t: float = 0.0
-) -> Wavefunction:
-    """P psi = (-i hbar d/dx - q A(x, t)) psi with the central stencil."""
-    return Wavefunction(psi.grid, mechanical_momentum(cfg, psi.grid, psi.amplitudes, t), psi.time)
+def apply_mechanical_momentum(cfg: HamiltonianConfig, psi: Wavefunction) -> Wavefunction:
+    """P psi = (-i hbar d/dx - q A(x, t)) psi with the central stencil, A at psi.time."""
+    return Wavefunction(psi.grid, mechanical_momentum(cfg, psi.grid, psi.amplitudes, psi.time), psi.time)
 
 
-def apply_hamiltonian(
-    cfg: HamiltonianConfig,
-    psi: Wavefunction,
-    t: float = 0.0,
-    mean_field_source: Optional[Wavefunction] = None,
-) -> Wavefunction:
-    """H psi, with the full-weight mean field when an interaction is configured.
+def apply_hamiltonian(cfg: HamiltonianConfig, psi: Wavefunction) -> Wavefunction:
+    """H psi at psi.time, with the full-weight mean field of psi itself when an interaction is configured.
 
     Reduces exactly to the linear Schrodinger Hamiltonian when the
     interaction is absent or N = 1.
     """
-    source = None if mean_field_source is None else mean_field_source.amplitudes
-    h = hamiltonian_matrix(cfg, psi.grid, t).plus_diagonal(mean_field_diagonal(cfg, psi.grid, source, 1.0))
-    return Wavefunction(psi.grid, h.matvec(psi.amplitudes), psi.time)
+    amp = psi.amplitudes
+    h = hamiltonian_matrix(cfg, psi.grid, psi.time).plus_diagonal(mean_field_diagonal(cfg, psi.grid, amp, 1.0))
+    return Wavefunction(psi.grid, h.matvec(amp), psi.time)
 
 
 def energies_of(cfg: HamiltonianConfig, h: TridiagonalHamiltonian, amp: np.ndarray) -> np.ndarray:
@@ -375,17 +366,18 @@ def energies_of(cfg: HamiltonianConfig, h: TridiagonalHamiltonian, amp: np.ndarr
     return h.plus_diagonal(mean_field_diagonal(cfg, h.grid, amp, 0.5)).expectations(amp)
 
 
-def energy(cfg: HamiltonianConfig, psi: Wavefunction, t: float = 0.0) -> float:
-    """Energy functional <psi|H|psi> per particle.
+def energy(cfg: HamiltonianConfig, psi: Wavefunction) -> float:
+    """Energy functional <psi|H|psi> per particle, with H at psi.time.
 
     For mean-field configurations the interaction enters with weight 1/2,
     the weighting under which the energy is conserved by the mean-field
     dynamics.  Expects a normalized state.
     """
-    return float(energies_of(cfg, hamiltonian_matrix(cfg, psi.grid, t), psi.amplitudes))
+    return float(energies_of(cfg, hamiltonian_matrix(cfg, psi.grid, psi.time), psi.amplitudes))
 
 
-def chemical_potential(cfg: HamiltonianConfig, phi: Wavefunction, t: float = 0.0) -> float:
-    """<phi|H|phi> with the full-weight mean field (the nonlinear eigenvalue)."""
-    h = hamiltonian_matrix(cfg, phi.grid, t).plus_diagonal(mean_field_diagonal(cfg, phi.grid, phi.amplitudes, 1.0))
-    return float(h.expectations(phi.amplitudes))
+def chemical_potential(cfg: HamiltonianConfig, phi: Wavefunction) -> float:
+    """<phi|H|phi> at phi.time with the full-weight mean field (the nonlinear eigenvalue)."""
+    amp = phi.amplitudes
+    h = hamiltonian_matrix(cfg, phi.grid, phi.time).plus_diagonal(mean_field_diagonal(cfg, phi.grid, amp, 1.0))
+    return float(h.expectations(amp))

@@ -62,11 +62,10 @@ class ObserverError(RuntimeError):
 
 @dataclass(frozen=True)
 class PropagationPlan:
-    """Time-stepping parameters for one propagation run."""
+    """Time-stepping parameters for one propagation run; the run starts at its initial state's time."""
 
     dt: float
     n_steps: int
-    t_start: float = 0.0
     scheme: str = CRANK_NICOLSON
     record_stride: int = 1
 
@@ -392,7 +391,9 @@ def propagate(
     plan: PropagationPlan,
     observers: Sequence[Callable[[int, float, Wavefunction], None]] = (),
 ) -> Trajectory:
-    """Run the configured stepper for plan.n_steps, recording at the stride.
+    """Run the configured stepper for plan.n_steps from psi0 at psi0.time, recording at the stride.
+
+    The state after step k is at psi0.time + k * plan.dt.
 
     Observers are called after every step with (step index, time, state)
     and must not mutate the state; an observer exception aborts the run
@@ -408,14 +409,14 @@ def propagate(
         advance = _gp_stepper(cfg, grid, plan.dt)
     else:
         advance = _cn_stepper(cfg, grid, plan.dt)
-    psi = Wavefunction(grid, psi0.amplitudes, plan.t_start)
+    psi = psi0
     times = np.empty(plan.n_records)
     amplitudes = np.empty((plan.n_records, grid.n_points), dtype=complex)
-    times[0] = t = plan.t_start
-    amplitudes[0] = psi.amplitudes
+    times[0] = t = psi0.time
+    amplitudes[0] = psi0.amplitudes
     for k in range(1, plan.n_steps + 1):
         amp = advance(psi.amplitudes, t)
-        t = plan.t_start + k * plan.dt
+        t = psi0.time + k * plan.dt
         try:
             psi = Wavefunction(grid, amp, t)
         except ValueError as exc:

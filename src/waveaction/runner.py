@@ -18,7 +18,7 @@ import hashlib
 import json
 import operator
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 import numpy as np
 
@@ -123,7 +123,7 @@ def _diagnostics_columns(cfg, traj: Trajectory, stride: int, integrals) -> dict:
         energy_col[lo:hi] = energies_of(cfg, h_at(float(times[lo])), amps[lo:hi])
         first = max(lo, 1)
         if first < hi:
-            pairs = pair_residuals(cfg, h_at, grid, times[first - 1 : hi], amps[first - 1 : hi])
+            pairs = pair_residuals(cfg, h_at, times[first - 1 : hi], amps[first - 1 : hi])
             cont_sup[first:hi], cont_l2[first:hi], r1[first:hi] = pairs
     step = np.arange(n_rows) * stride
     return dict(zip(CSV_COLUMNS, (step, times, norm_col, energy_col, cont_sup, cont_l2, run_simple, run_standard, r1)))
@@ -136,8 +136,8 @@ class _Phase:
 
 
 def _run_propagation(scenario: Scenario, cfg, grid, phase: _Phase) -> tuple:
-    """(converged, summary, outputs) of a propagate, gp-propagate or verify task."""
-    psi0 = build_initial_state(scenario, grid)
+    """(converged, summary, outputs) of a propagate, gp-propagate or verify task, started at its t_start."""
+    psi0 = replace(build_initial_state(scenario, grid), time=scenario.task["t_start"])
     plan = build_plan(scenario)
     norm_drift = {"max": 0.0}
 

@@ -65,6 +65,7 @@ _STATE_KINDS = {
     "gaussian": {"center": 0.0, "width": 1.0, "wavenumber": 0.0},
     "random": {"smoothing": 1.0},
 }
+# t_start is the time the runner gives the initial state, so the run starts there.
 _STEPPING = {"dt": 1e-3, "n_steps": int, "t_start": 0.0, "scheme": (CRANK_NICOLSON, SPLIT_OPERATOR)}
 _TASK_KINDS = {
     "propagate": _STEPPING,
@@ -322,4 +323,4 @@ def build_plan(scenario: Scenario) -> PropagationPlan:
     if task["kind"] not in ("propagate", "gp-propagate", "verify"):
         raise ValueError(f"task {task['kind']!r} has no propagation plan")
     stride = scenario.output["record_stride"]
-    return PropagationPlan(task["dt"], task["n_steps"], task["t_start"], task["scheme"], stride)
+    return PropagationPlan(task["dt"], task["n_steps"], task["scheme"], stride)

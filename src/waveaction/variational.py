@@ -27,6 +27,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .grids import Grid, Wavefunction, check_finite, gaussian_wavepacket, normalize, norms, quadrature
+from .grids import require_same_grid
 from .hamiltonian import (
     HamiltonianConfig,
     energies_of,
@@ -112,12 +113,12 @@ class ActionIntegrals:
     def stationarity(self, perturbation: Wavefunction, epsilons: Sequence[float]) -> StationarityResult:
         """Measure how the action responds to psi -> psi + eps * window * eta.
 
-        The spatial envelope eta is supplied; a sin^2 window in time makes
-        the perturbation vanish at both endpoints of the trajectory, as the
-        variational boundary conditions require.  The base action is this
-        result's; each epsilon costs one pass that evaluates the compact
-        density only, perturbing each block of rows as it is read and
-        checking that it is finite.
+        The spatial envelope eta is supplied on the trajectory's grid; a
+        sin^2 window in time makes the perturbation vanish at both endpoints
+        of the trajectory, as the variational boundary conditions require.
+        The base action is this result's; each epsilon costs one pass that
+        evaluates the compact density only, perturbing each block of rows as
+        it is read and checking that it is finite.
         Returns the action change for each epsilon and the least-squares
         slope of log|dS| vs log eps (2 on solution trajectories, 1 off-shell).
         """
@@ -126,12 +127,11 @@ class ActionIntegrals:
         if len(positive) < 2:
             raise ValueError("need at least two distinct positive epsilons for a slope")
         traj = self.trajectory
-        if perturbation.grid.n_points != traj.grid.n_points:
-            raise ValueError("perturbation envelope lives on a different grid")
+        require_same_grid(perturbation.grid, traj.grid)
         times = traj.times
         window = np.sin(np.pi * (times - times[0]) / (times[-1] - times[0])) ** 2
         base = self.action("simple").value
-        eta = Wavefunction(traj.grid, perturbation.amplitudes).amplitudes
+        eta = perturbation.amplitudes
 
         def perturbed_action(eps: float) -> float:
             weights = eps * window
@@ -169,18 +169,18 @@ class StationarityResult:
 
 @dataclass(frozen=True, eq=False)
 class TrialFamily:
-    """Named map from a parameter vector to a normalized trial state.
+    """Named map from a parameter vector to a normalized trial state, with its parameter derivatives.
 
-    derivatives, when given, maps (params, grid, build(params, grid)) to a
-    (p, N) array whose row i is the derivative in parameter i of the
-    family's unnormalized sample, divided by that sample's norm.
+    derivatives maps (params, grid, build(params, grid)) to a (p, N) array
+    whose row i is the derivative in parameter i of the family's
+    unnormalized sample, divided by that sample's norm.
     """
 
     name: str
     parameter_names: tuple
     build: Callable[[np.ndarray, Grid], Wavefunction]
     parameter_bounds: tuple
-    derivatives: Optional[Callable[[np.ndarray, Grid, Wavefunction], np.ndarray]] = None
+    derivatives: Callable[[np.ndarray, Grid, Wavefunction], np.ndarray]
 
     def initial_point(self, params) -> np.ndarray:
         """params as a float array, once their count and bounds are checked."""
@@ -198,7 +198,7 @@ class RayleighRitzResult:
     """The minimizing parameters and energy, with one history entry per finite evaluation.
 
     gradient_norm is the infinity norm of the projected energy gradient at
-    params when the gradient path returned them, None otherwise.
+    params when L-BFGS-B returned them, None after a hand-off to Nelder-Mead.
     """
 
     params: np.ndarray
@@ -224,21 +224,16 @@ def _forward_kinetic_density(cfg: HamiltonianConfig, grid: Grid, amp: np.ndarray
     return np.abs(p_plus) ** 2 / (2.0 * c.mass)
 
 
-def lagrangian_densities(
-    cfg: HamiltonianConfig,
-    psi: Wavefunction,
-    dpsi_dt: Wavefunction,
-    t: float = 0.0,
-) -> LagrangianSample:
-    """Evaluate both densities at one instant, given the time derivative.
+def lagrangian_densities(cfg: HamiltonianConfig, psi: Wavefunction, dpsi_dt: Wavefunction) -> LagrangianSample:
+    """Evaluate both densities at psi.time, given the time derivative on psi's grid.
 
     The time derivative is supplied externally (finite differences on a
     trajectory, or an analytic rate).  For mean-field configurations the
     interaction enters with the variational half weight, so the action
     built from these densities is stationary on mean-field trajectories.
     """
-    if dpsi_dt.grid is not psi.grid and dpsi_dt.grid.n_points != psi.grid.n_points:
-        raise ValueError("state and its time derivative live on different grids")
+    require_same_grid(dpsi_dt.grid, psi.grid)
+    t = psi.time
     h = hamiltonian_matrix(cfg, psi.grid, t)
     amp, damp = psi.amplitudes, dpsi_dt.amplitudes
     extra = mean_field_diagonal(cfg, psi.grid, amp, 0.5)
@@ -415,7 +410,7 @@ _BUILD_ERRORS = (ValueError, FloatingPointError, ZeroDivisionError)
 
 
 class _FailedEvaluation(Exception):
-    """A trial state on the gradient path failed to build or gave a non-finite energy or gradient."""
+    """A trial state failed to build or gave a non-finite energy or gradient under L-BFGS-B."""
 
 
 def energy_and_gradient(cfg: HamiltonianConfig, h, family: TrialFamily, params: np.ndarray) -> tuple:
@@ -453,17 +448,16 @@ def rayleigh_ritz_minimize(
     be static.  max_iter caps the optimizer's iterations, not its energy
     evaluations; the history holds one energy per finite evaluation.
 
-    A family with derivatives is minimized by L-BFGS-B on the exact
-    gradient (energy_and_gradient), with scipy's default stopping rule: a
-    relative energy change below its ftol or a projected gradient below
-    its gtol.  The first evaluation that fails to build (or gives a
-    non-finite energy or gradient) hands the remaining iterations to
-    Nelder-Mead, started from the best finite point seen; should that run
-    end on no finite energy, the best finite point is returned, not
-    converged.  A family without derivatives is minimized by Nelder-Mead
-    simplex, which treats failed evaluations as infinitely bad vertices,
-    shrinks the simplex and continues; it stops at energy changes below
-    1e-10 and vertex spreads below 1e-8.
+    The energy is minimized by L-BFGS-B on the exact gradient
+    (energy_and_gradient), with scipy's default stopping rule: a relative
+    energy change below its ftol or a projected gradient below its gtol.
+    The first evaluation that fails to build (or gives a non-finite energy
+    or gradient) hands the remaining iterations to Nelder-Mead simplex,
+    started from the best finite point seen; it treats failed evaluations
+    as infinitely bad vertices, shrinks the simplex and continues, and
+    stops at energy changes below 1e-10 and vertex spreads below 1e-8.
+    Should that run end on no finite energy, the best finite point is
+    returned, not converged.
     """
     if not cfg.is_static:
         raise ValueError("Rayleigh-Ritz minimization requires static potentials")
@@ -481,15 +475,6 @@ def rayleigh_ritz_minimize(
         history.append(e)
         return e
 
-    def nelder_mead(start: np.ndarray, iterations: int):
-        return minimize(
-            objective,
-            start,
-            method="Nelder-Mead",
-            bounds=family.parameter_bounds,
-            options={"maxiter": iterations, "fatol": 1e-10, "xatol": 1e-8},
-        )
-
     def finish(params, energy: float, success: bool, message: str, gradient_norm=None) -> RayleighRitzResult:
         energy = float(energy)
         return RayleighRitzResult(
@@ -500,10 +485,6 @@ def rayleigh_ritz_minimize(
             message=str(message),
             gradient_norm=gradient_norm,
         )
-
-    if family.derivatives is None:
-        result = nelder_mead(x0, max_iter)
-        return finish(result.x, result.fun, result.success, result.message)
 
     best_energy, best_params = np.inf, x0
     iterations = 0
@@ -536,7 +517,13 @@ def rayleigh_ritz_minimize(
             callback=count_iteration,
         )
     except _FailedEvaluation:
-        result = nelder_mead(best_params, max_iter - iterations)
+        result = minimize(
+            objective,
+            best_params,
+            method="Nelder-Mead",
+            bounds=family.parameter_bounds,
+            options={"maxiter": max_iter - iterations, "fatol": 1e-10, "xatol": 1e-8},
+        )
         message = f"evaluation failed after {iterations} L-BFGS-B iterations; Nelder-Mead: {result.message}"
         if np.isfinite(result.fun) or not np.isfinite(best_energy):
             return finish(result.x, result.fun, result.success, message)

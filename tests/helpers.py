@@ -122,7 +122,7 @@ def loop_action_integrals(cfg, traj):
     simple = np.empty(len(states), dtype=complex)
     standard = np.empty(len(states))
     for k, (state, d) in enumerate(zip(states, derivs)):
-        sample = lagrangian_densities(cfg, state, Wavefunction(traj.grid, d, times[k]), times[k])
+        sample = lagrangian_densities(cfg, state, Wavefunction(traj.grid, d, times[k]))
         simple[k] = quadrature(traj.grid, sample.l_simple)
         standard[k] = quadrature(traj.grid, sample.l_standard).real
     return simple, standard

@@ -1,5 +1,7 @@
 """Probability fields, continuity, canonical formalism, gauge invariance."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from waveaction import (
     apply_hamiltonian,
     apply_mechanical_momentum,
     canonical_fields,
+    chemical_potential,
     continuity_residual,
     energy,
     gauge_transform,
@@ -32,11 +35,62 @@ from waveaction import (
     step_crank_nicolson,
 )
 from waveaction.grids import commensurate_wavenumber
+from waveaction.hamiltonian import energies_of, hamiltonian_matrix, mean_field_diagonal, mechanical_momentum
+from waveaction.variational import _simple_density, _standard_density
 
 from helpers import random_state
 
 HARMONIC = HamiltonianConfig(v1=PotentialField.harmonic())
 FREE = HamiltonianConfig()
+
+
+def _driven(x, t):
+    return 0.5 * x**2 + 0.4 * x * np.sin(3.0 * t)
+
+
+# V, A0 and A all depend on time
+DRIVEN = dict(
+    v1=PotentialField.from_callable(_driven),
+    a0=PotentialField.from_callable(lambda x, t: 0.2 * x * np.cos(2.0 * t)),
+    a_vec=PotentialField.from_callable(lambda x, t: 0.3 * np.cos(x + 2.0 * t)),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_points=st.integers(8, 200),
+    boundary=st.sampled_from(["dirichlet", "periodic"]),
+    tau=st.floats(0.05, 5.0),
+    contact=st.one_of(st.none(), st.floats(0.0, 100.0)),
+)
+def test_per_state_functions_evaluate_at_the_state_time(seed, n_points, boundary, tau, contact):
+    # on a driven config each per-state function equals its array kernel at
+    # psi.time bit for bit, so every result describes the one instant psi holds
+    g = make_grid(-4.0, 4.0, n_points, boundary)
+    interaction = None if contact is None else TwoBodyInteraction.contact(contact, 3)
+    cfg = HamiltonianConfig(**DRIVEN, interaction=interaction)
+    psi = dataclasses.replace(random_state(g, seed, smooth=False), time=tau)
+    rate = random_state(g, seed + 1, smooth=False)
+    amp, damp = psi.amplitudes, rate.amplitudes
+    h = hamiltonian_matrix(cfg, g, tau)
+    half, full = mean_field_diagonal(cfg, g, amp, 0.5), mean_field_diagonal(cfg, g, amp, 1.0)
+    p_amp = mechanical_momentum(cfg, g, amp, tau)
+
+    assert energy(cfg, psi) == float(energies_of(cfg, h, amp))
+    assert chemical_potential(cfg, psi) == float(h.plus_diagonal(full).expectations(amp))
+    h_psi = apply_hamiltonian(cfg, psi)
+    np.testing.assert_array_equal(h_psi.amplitudes, h.plus_diagonal(full).matvec(amp))
+    p_psi = apply_mechanical_momentum(cfg, psi)
+    np.testing.assert_array_equal(p_psi.amplitudes, p_amp)
+    fields = probability_fields(cfg, psi)
+    np.testing.assert_array_equal(fields.current, np.real(np.conj(amp) * (p_amp / cfg.constants.mass)))
+    functional = quadrature(g, 1j * np.conj(amp) * h.plus_diagonal(half).matvec(amp)) / 1j
+    assert canonical_fields(cfg, psi).hamiltonian_functional == float(functional.real)
+    sample = lagrangian_densities(cfg, psi, rate)
+    np.testing.assert_array_equal(sample.l_simple, _simple_density(cfg, h, amp, damp, half))
+    np.testing.assert_array_equal(sample.l_standard, _standard_density(cfg, g, amp, damp, tau, half))
+    assert h_psi.time == p_psi.time == fields.time == sample.time == tau
 
 
 def test_real_state_carries_no_current():
@@ -152,15 +206,14 @@ def test_canonical_fields_momentum_definition_and_energy_identity():
     n_particles=st.integers(1, 50),
     center=st.floats(-3.0, 3.0),
     width=st.floats(0.3, 2.0),
+    tau=st.floats(-5.0, 5.0),
 )
-def test_half_weight_mean_field_is_shared(g, n_particles, center, width):
+def test_half_weight_mean_field_is_shared(g, n_particles, center, width, tau):
     # canonical functional, energy and the zero-rate compact Lagrangian all
-    # see the same half-weight interaction
+    # see the same half-weight interaction, and the same driven H at psi.time
     grid = make_grid(-10, 10, 257)
-    cfg = HamiltonianConfig(
-        v1=PotentialField.harmonic(), interaction=TwoBodyInteraction.contact(g, n_particles)
-    )
-    psi = gaussian_wavepacket(grid, center=center, width=width)
+    cfg = HamiltonianConfig(**DRIVEN, interaction=TwoBodyInteraction.contact(g, n_particles))
+    psi = dataclasses.replace(gaussian_wavepacket(grid, center=center, width=width), time=tau)
     e = energy(cfg, psi)
     tol = 1e-12 * max(1.0, abs(e))
     assert abs(canonical_fields(cfg, psi).hamiltonian_functional - e) <= tol
@@ -217,6 +270,14 @@ def test_hamilton_residual_rejects_identical_times():
     psi = gaussian_wavepacket(g)
     with pytest.raises(ValueError, match="identical times"):
         hamilton_equations_residual(HARMONIC, psi, psi)
+
+
+def test_pair_diagnostics_reject_snapshots_on_two_grids_of_the_same_size():
+    before = gaussian_wavepacket(make_grid(-5, 5, 101))
+    after = dataclasses.replace(gaussian_wavepacket(make_grid(0, 1, 101, "periodic")), time=0.01)
+    for residual in (continuity_residual, hamilton_equations_residual):
+        with pytest.raises(ValueError, match="different grids"):
+            residual(HARMONIC, before, after)
 
 
 def test_gauge_identity_and_sign_flip():

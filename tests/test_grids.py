@@ -17,7 +17,7 @@ from waveaction import (
     plane_wave,
     quadrature,
 )
-from waveaction.grids import central_difference, commensurate_wavenumber, norms, second_difference
+from waveaction.grids import central_difference, commensurate_wavenumber, norms, require_same_grid, second_difference
 
 from helpers import loop_inner_product, random_state, richardson_order
 
@@ -100,6 +100,20 @@ def test_inner_product_rejects_grid_mismatch():
     b = gaussian_wavepacket(make_grid(-5, 5, 128))
     with pytest.raises(ValueError, match="different grids"):
         inner_product(a, b)
+
+
+def test_same_grid_rule_compares_bounds_size_and_boundary():
+    # equal lattices built apart pass; a change in any one of the four fields fails
+    require_same_grid(make_grid(-5, 5, 101), make_grid(-5, 5, 101))
+    for other in (
+        make_grid(-4, 5, 101),
+        make_grid(-5, 6, 101),
+        make_grid(-5, 5, 102),
+        make_grid(-5, 5, 101, "periodic"),
+        make_grid(0, 1, 101, "periodic"),
+    ):
+        with pytest.raises(ValueError, match="different grids"):
+            require_same_grid(make_grid(-5, 5, 101), other)
 
 
 def test_quadrature_gaussian_integral():

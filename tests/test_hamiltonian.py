@@ -165,16 +165,9 @@ def test_apply_hamiltonian_contact_mean_field_elementwise_oracle():
         interaction=TwoBodyInteraction.contact(1.0, 100),
     )
     linear = apply_hamiltonian(HARMONIC, psi).amplitudes
-    got = apply_hamiltonian(cfg, psi, mean_field_source=psi).amplitudes
+    got = apply_hamiltonian(cfg, psi).amplitudes
     oracle = linear + 99.0 * 1.0 * np.abs(psi.amplitudes) ** 2 * psi.amplitudes
     np.testing.assert_allclose(got, oracle, atol=1e-13)
-
-
-def test_apply_hamiltonian_requires_mean_field_source():
-    g = make_grid(-5, 5, 64)
-    cfg = HamiltonianConfig(interaction=TwoBodyInteraction.contact(1.0, 3))
-    with pytest.raises(ValueError, match="mean-field source"):
-        apply_hamiltonian(cfg, gaussian_wavepacket(g))
 
 
 def test_mean_field_single_particle_vanishes():
@@ -392,21 +385,24 @@ def test_action_pass_assembles_a_static_hamiltonian_once(monkeypatch, cfg):
     n_points=st.integers(8, 300),
     boundary=st.sampled_from(["dirichlet", "periodic"]),
     contact=st.one_of(st.none(), st.floats(0.0, 100.0)),
+    tau=st.floats(-5.0, 5.0),
 )
-def test_block_of_states_gives_each_state_its_own_h_and_energy(seed, n_rows, n_points, boundary, contact):
-    # matvec and the energy of a (B, N) block of states, with a per-row mean
-    # field on the diagonal, equal the one-state results bit for bit
+def test_block_of_states_gives_each_state_its_own_h_and_energy(seed, n_rows, n_points, boundary, contact, tau):
+    # matvec and the energy of a (B, N) block of states at time tau, with a
+    # per-row mean field on the diagonal, equal the one-state results bit for bit
     g = make_grid(-3.0, 3.0, n_points, boundary)
     interaction = None if contact is None else TwoBodyInteraction.contact(contact, 3)
     cfg = HamiltonianConfig(
-        v1=PotentialField.harmonic(), a_vec=PotentialField.from_samples(0.3 * np.cos(g.x)), interaction=interaction
+        v1=PotentialField.from_callable(lambda x, t: 0.5 * x**2 + 0.4 * x * np.sin(3.0 * t)),
+        a_vec=PotentialField.from_samples(0.3 * np.cos(g.x)),
+        interaction=interaction,
     )
-    h = hamiltonian_matrix(cfg, g)
+    h = hamiltonian_matrix(cfg, g, tau)
     block = np.array([random_state(g, seed + k, smooth=False).amplitudes for k in range(n_rows)])
     np.testing.assert_array_equal(h.matvec(block), [h.matvec(amp) for amp in block])
     energies = energies_of(cfg, h, block)
     assert energies.shape == (n_rows,)
-    np.testing.assert_array_equal(energies, [energy(cfg, Wavefunction(g, amp)) for amp in block])
+    np.testing.assert_array_equal(energies, [energy(cfg, Wavefunction(g, amp, tau)) for amp in block])
 
 
 @settings(max_examples=60, deadline=None)

@@ -542,6 +542,16 @@ def test_cli_stride_override(tmp_path):
     assert [r.split(",")[0] for r in rows] == ["0", "10", "20"]
 
 
+def test_task_t_start_is_the_initial_state_time(tmp_path):
+    # the runner puts t_start on the initial state, and the run starts from that state's time
+    data = minimal_ground_state("late-start")
+    data["task"] = {"kind": "propagate", "n_steps": 4, "dt": 0.01, "t_start": 0.5}
+    path = write_scenario(tmp_path, data)
+    assert main(["run", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 0
+    rows = (tmp_path / "out" / "diagnostics.csv").read_text().strip().splitlines()[1:]
+    assert [float(r.split(",")[1]) for r in rows] == [0.5 + k * 0.01 for k in range(5)]
+
+
 def test_cli_stride_manifest_hashes_the_scenario_that_ran(tmp_path):
     data = minimal_ground_state("stride-hash")
     data["task"] = {"kind": "propagate", "n_steps": 20}
@@ -699,7 +709,7 @@ def test_diagnostics_columns_equal_the_per_pair_functions(seed, shape, boundary,
     assert list(columns["time"]) == [t for t, _ in snapshots]
     for k, (t, psi) in enumerate(snapshots):
         row = {name: column[k] for name, column in columns.items()}
-        assert (row["norm"], row["energy"]) == (norm(psi), energy(cfg, psi, t))
+        assert (row["norm"], row["energy"]) == (norm(psi), energy(cfg, psi))
         if k == 0:
             assert (row["continuity_sup"], row["continuity_l2"], row["hamilton_r1"]) == (0.0, 0.0, 0.0)
             continue
@@ -976,27 +986,38 @@ def test_rayleigh_ritz_task(tmp_path):
     assert "width" in payload["summary"]["parameters"]
 
 
-@pytest.mark.parametrize("derivatives", [True, False], ids=["gradient", "nelder-mead"])
-def test_rayleigh_ritz_summary_records_the_gradient_norm(tmp_path, monkeypatch, derivatives):
-    # written when the gradient path returned the parameters, absent on the Nelder-Mead path
+@pytest.mark.parametrize("hand_off", [False, True], ids=["gradient", "nelder-mead"])
+def test_rayleigh_ritz_summary_records_the_gradient_norm(tmp_path, monkeypatch, hand_off):
+    # written when L-BFGS-B returned the parameters, absent after a failed
+    # build hands the run to Nelder-Mead
     import dataclasses
 
     from waveaction import runner
     from waveaction.variational import gaussian_family
 
-    if not derivatives:
-        derivative_free = dataclasses.replace(gaussian_family(), derivatives=None)
-        monkeypatch.setitem(runner.FAMILIES, "gaussian", lambda: derivative_free)
+    if hand_off:
+        family = gaussian_family()
+        builds = []
+
+        def fails_once(params, grid):
+            builds.append(params)
+            if len(builds) == 2:
+                raise ValueError("synthetic failure at the second build")
+            return family.build(params, grid)
+
+        fragile = dataclasses.replace(family, build=fails_once)
+        monkeypatch.setitem(runner.FAMILIES, "gaussian", lambda: fragile)
     data = minimal_ground_state("rr-gradient")
     data["task"] = {"kind": "rayleigh-ritz", "family": "gaussian", "initial_params": [0.2, 1.2]}
     path = write_scenario(tmp_path, data)
     assert main(["run", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 0
     summary = json.loads((tmp_path / "out" / "manifest.json").read_text())["summary"]
     assert summary["final_energy"] == pytest.approx(0.5, abs=1e-4)
-    if derivatives:
-        assert 0.0 <= summary["gradient_norm"] < 1e-4
-    else:
+    if hand_off:
+        assert len(builds) > 2
         assert "gradient_norm" not in summary
+    else:
+        assert 0.0 <= summary["gradient_norm"] < 1e-4
 
 
 def test_gp_propagate_task(tmp_path):

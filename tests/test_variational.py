@@ -68,6 +68,13 @@ def test_density_definition_at_zero_rate():
     np.testing.assert_allclose(sample.l_simple, expected, atol=1e-14)
 
 
+def test_lagrangian_densities_reject_a_rate_on_another_grid_of_the_same_size():
+    psi = gaussian_wavepacket(make_grid(-5, 5, 101))
+    rate = gaussian_wavepacket(make_grid(0, 1, 101, "periodic"))
+    with pytest.raises(ValueError, match="different grids"):
+        lagrangian_densities(HARMONIC, psi, rate)
+
+
 def test_standard_density_is_real_array():
     g = make_grid(-6, 6, 129)
     sample = lagrangian_densities(
@@ -346,6 +353,13 @@ def test_stationarity_equals_passes_over_perturbed_trajectories(seed, shape, bou
     assert result.slope == float(slope)
 
 
+def test_stationarity_rejects_an_envelope_from_another_grid_of_the_same_size():
+    _, _, traj, _ = stationarity_setup(n_steps=4)
+    bump = gaussian_wavepacket(make_grid(0, 1, traj.grid.n_points, "periodic"))
+    with pytest.raises(ValueError, match="different grids"):
+        action_integrals(HARMONIC, traj).stationarity(bump, [1e-2, 1e-3])
+
+
 def test_stationarity_linear_off_shell():
     g, gs, traj, bump = stationarity_setup()
     wrong_phase = Trajectory(g, traj.times, traj.amplitudes * np.exp(-1j * 0.05 * traj.times)[:, None])
@@ -395,7 +409,10 @@ def test_rayleigh_ritz_frozen_wide_gaussian_upper_bound():
     def build(params, grid):
         return gaussian_wavepacket(grid, center=params[0], width=10.0)
 
-    frozen = TrialFamily("frozen-wide", ("center",), build, ((-1.0, 1.0),))
+    def derivatives(params, grid, state):
+        return np.array([(grid.x - params[0]) / (2.0 * 10.0**2)]) * state.amplitudes
+
+    frozen = TrialFamily("frozen-wide", ("center",), build, ((-1.0, 1.0),), derivatives)
     result = rayleigh_ritz_minimize(HARMONIC, frozen, [0.3], grid=g)
     assert result.energy == pytest.approx(50.00125, abs=1e-5)
     assert result.energy > 0.5
@@ -439,22 +456,6 @@ def test_rayleigh_ritz_rejects_a_driven_config():
     driven = HamiltonianConfig(v1=PotentialField.from_callable(lambda x, t: 0.5 * x**2 * (1.0 + t)))
     with pytest.raises(ValueError, match="static"):
         rayleigh_ritz_minimize(driven, gaussian_family(), [0.0, 1.0], grid=g)
-
-
-def test_rayleigh_ritz_recovers_from_failing_builds():
-    g = make_grid(-10, 10, 401)
-
-    def fragile_build(params, grid):
-        if params[0] > 0.25:  # inside bounds, still fails
-            raise ValueError("synthetic failure region")
-        return gaussian_wavepacket(grid, center=params[0], width=params[1])
-
-    family = TrialFamily(
-        "fragile", ("center", "width"), fragile_build, ((-1.0, 1.0), (0.1, 5.0))
-    )
-    result = rayleigh_ritz_minimize(HARMONIC, family, [0.2, 1.0], grid=g)
-    assert np.isfinite(result.energy)
-    assert result.energy == pytest.approx(0.5, abs=1e-4)
 
 
 def test_rayleigh_ritz_gradient_path_recovers_from_failing_builds():
