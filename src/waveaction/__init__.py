@@ -7,6 +7,7 @@ from .grids import (
     DIRICHLET,
     PERIODIC,
     Grid,
+    Trajectory,
     Wavefunction,
     first_derivative,
     gaussian_wavepacket,
@@ -33,7 +34,6 @@ from .propagation import (
     GroundStateResult,
     ObserverError,
     PropagationPlan,
-    Trajectory,
     ground_state_imaginary_time,
     propagate,
     step_crank_nicolson,
@@ -42,7 +42,6 @@ from .propagation import (
 )
 from .variational import (
     ActionIntegrals,
-    ActionValue,
     LagrangianSample,
     RayleighRitzResult,
     StationarityResult,

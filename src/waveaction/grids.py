@@ -1,4 +1,7 @@
-"""Uniform 1-D grids, complex wavefunctions, and the discrete calculus on them.
+"""Uniform 1-D grids, complex wavefunctions and trajectories, and the discrete calculus on them.
+
+A Wavefunction and each row of a Trajectory obey one state rule: a
+read-only, finite complex128 copy, clamped to zero at Dirichlet endpoints.
 
 All stencils are second-order central differences.  Quadrature is the
 trapezoidal rule on Dirichlet grids and the rectangle rule on periodic
@@ -72,6 +75,19 @@ def make_grid(x_min: float, x_max: float, n_points: int, boundary: str = DIRICHL
     return Grid(float(x_min), float(x_max), int(n_points), boundary)
 
 
+def _state_array(grid: Grid, amplitudes, shape: tuple) -> np.ndarray:
+    """The state rule: a read-only complex128 copy of the given shape, finite, Dirichlet endpoints of each row zero."""
+    amp = np.array(amplitudes, dtype=np.complex128)
+    if amp.shape != shape:
+        raise ValueError(f"amplitude array has shape {amp.shape}, expected {shape}")
+    check_finite(amp)
+    if not grid.is_periodic:
+        amp[..., 0] = 0.0
+        amp[..., -1] = 0.0
+    amp.setflags(write=False)
+    return amp
+
+
 @dataclass(frozen=True, eq=False)
 class Wavefunction:
     """Complex amplitudes on a Grid at one instant.
@@ -85,19 +101,43 @@ class Wavefunction:
     time: float = 0.0
 
     def __post_init__(self):
-        amp = np.asarray(self.amplitudes, dtype=np.complex128).copy()
-        if amp.shape != (self.grid.n_points,):
-            raise ValueError(
-                f"amplitude array has shape {amp.shape}, expected ({self.grid.n_points},)"
-            )
-        check_finite(amp)
+        amp = _state_array(self.grid, self.amplitudes, (self.grid.n_points,))
         if not np.isfinite(self.time):
             raise ValueError("time must be finite")
-        if self.grid.boundary == DIRICHLET:
-            amp[0] = 0.0
-            amp[-1] = 0.0
-        amp.setflags(write=False)
         object.__setattr__(self, "amplitudes", amp)
+
+
+@dataclass(frozen=True, eq=False)
+class Trajectory:
+    """States recorded on one grid: times of shape (T,), amplitudes of shape (T, N).
+
+    Both arrays are copied and stored read-only.  The times are finite and
+    strictly increasing; each row obeys the Wavefunction rule.
+    """
+
+    grid: Grid
+    times: np.ndarray
+    amplitudes: np.ndarray
+
+    def __post_init__(self):
+        times = np.array(self.times, dtype=np.float64)
+        if times.ndim != 1 or len(times) == 0:
+            raise ValueError("trajectory needs a 1-D array of at least one snapshot time")
+        if not np.all(np.isfinite(times)):
+            raise ValueError("snapshot times must be finite")
+        if np.any(np.diff(times) <= 0):
+            raise ValueError("snapshot times must be strictly increasing")
+        amp = _state_array(self.grid, self.amplitudes, (len(times), self.grid.n_points))
+        times.setflags(write=False)
+        object.__setattr__(self, "times", times)
+        object.__setattr__(self, "amplitudes", amp)
+
+    @property
+    def snapshots(self) -> tuple:
+        """(time, Wavefunction) pairs, built on each access."""
+        return tuple(
+            (float(t), Wavefunction(self.grid, amp, float(t))) for t, amp in zip(self.times, self.amplitudes)
+        )
 
 
 def check_finite(amp: np.ndarray) -> None:
@@ -127,9 +167,8 @@ def plane_wave(grid: Grid, mode: int) -> Wavefunction:
     """
     if not grid.is_periodic:
         raise ValueError("plane waves require a periodic grid")
-    length = grid.x_max - grid.x_min
-    k = 2.0 * np.pi * mode / length
-    amp = np.exp(1j * k * grid.x) / np.sqrt(length)
+    k = commensurate_wavenumber(grid, mode)
+    amp = np.exp(1j * k * grid.x) / np.sqrt(grid.x_max - grid.x_min)
     return Wavefunction(grid, amp)
 
 

@@ -14,7 +14,6 @@ trajectory in blocks of rows (row_blocks).
 
 from __future__ import annotations
 
-import itertools
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -191,11 +190,6 @@ def _check_finite_params(*vals: float) -> None:
         raise ValueError("potential parameters must be finite")
 
 
-def _rows(values: np.ndarray):
-    """Index tuples of the rows of values (..., N): the empty tuple alone for one state."""
-    return itertools.product(*map(range, values.shape[:-1]))
-
-
 def mean_field_density_values(
     interaction: TwoBodyInteraction, grid: Grid, density: np.ndarray
 ) -> np.ndarray:
@@ -210,7 +204,8 @@ def mean_field_density_values(
         )
     weighted = grid.weights * density
     out = np.empty_like(weighted)
-    for row in _rows(weighted):  # per row, as for one state: a stacked product may round differently
+    # per row, as for one state: a stacked product may round differently
+    for row in np.ndindex(*weighted.shape[:-1]):
         out[row] = interaction.kernel @ weighted[row]
     return n_minus_1 * out
 
@@ -256,7 +251,7 @@ class TridiagonalHamiltonian:
         if self.grid.is_periodic:
             # a product of numpy complex scalars can round differently from the
             # array loop's, so every row takes its wrap-link terms as scalars
-            for row in _rows(amp):
+            for row in np.ndindex(*amp.shape[:-1]):
                 out[row + (0,)] += self.lower[-1] * amp[row + (-1,)]
                 out[row + (-1,)] += self.upper[-1] * amp[row + (0,)]
         else:

@@ -1,6 +1,9 @@
 """Time evolution: Crank-Nicolson stepping, mean-field (nonlinear) stepping,
 and imaginary-time relaxation to the ground state.
 
+propagate records the Wavefunctions it hands its observers, every
+record_stride-th one, and stacks them into a grids.Trajectory.
+
 The real-time scheme is the Cayley form
 
     (1 + i H dt / 2 hbar) psi_new = (1 - i H dt / 2 hbar) psi_old
@@ -41,7 +44,7 @@ import numpy as np
 from scipy import fft as sp_fft
 from scipy.linalg import get_lapack_funcs
 
-from .grids import Grid, Wavefunction, check_finite, norm, normalize, norms, quadrature
+from .grids import Grid, Trajectory, Wavefunction, norm, normalize, norms, quadrature
 from .hamiltonian import (
     HamiltonianConfig,
     TridiagonalHamiltonian,
@@ -88,48 +91,6 @@ class PropagationPlan:
     def n_records(self) -> int:
         """Number of recorded states, the initial one included."""
         return self.n_steps // self.record_stride + 1
-
-
-@dataclass(frozen=True, eq=False)
-class Trajectory:
-    """States recorded on one grid: times of shape (T,), amplitudes of shape (T, N).
-
-    Both arrays are copied and stored read-only.  Each row obeys the
-    Wavefunction rules (finite, Dirichlet endpoints clamped to zero).
-    """
-
-    grid: Grid
-    times: np.ndarray
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        times = np.array(self.times, dtype=np.float64)
-        amp = np.array(self.amplitudes, dtype=np.complex128)
-        if times.ndim != 1 or len(times) == 0:
-            raise ValueError("trajectory needs a 1-D array of at least one snapshot time")
-        if amp.shape != (len(times), self.grid.n_points):
-            raise ValueError(
-                f"amplitude array has shape {amp.shape}, expected ({len(times)}, {self.grid.n_points})"
-            )
-        if not np.all(np.isfinite(times)):
-            raise ValueError("snapshot times must be finite")
-        if np.any(np.diff(times) <= 0):
-            raise ValueError("snapshot times must be strictly increasing")
-        check_finite(amp)
-        if not self.grid.is_periodic:
-            amp[:, 0] = 0.0
-            amp[:, -1] = 0.0
-        times.setflags(write=False)
-        amp.setflags(write=False)
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "amplitudes", amp)
-
-    @property
-    def snapshots(self) -> tuple:
-        """(time, Wavefunction) pairs, built on each access."""
-        return tuple(
-            (float(t), Wavefunction(self.grid, amp, float(t))) for t, amp in zip(self.times, self.amplitudes)
-        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -397,7 +358,7 @@ def propagate(
 
     Observers are called after every step with (step index, time, state)
     and must not mutate the state; an observer exception aborts the run
-    with the step context attached.
+    with the step context attached.  The recorded rows are the states they received.
     """
     if abs(norm(psi0) - 1.0) > 1e-6:
         raise ValueError("initial state must be normalized")
@@ -409,11 +370,8 @@ def propagate(
         advance = _gp_stepper(cfg, grid, plan.dt)
     else:
         advance = _cn_stepper(cfg, grid, plan.dt)
-    psi = psi0
-    times = np.empty(plan.n_records)
-    amplitudes = np.empty((plan.n_records, grid.n_points), dtype=complex)
-    times[0] = t = psi0.time
-    amplitudes[0] = psi0.amplitudes
+    psi, t = psi0, psi0.time
+    records = [psi0]
     for k in range(1, plan.n_steps + 1):
         amp = advance(psi.amplitudes, t)
         t = psi0.time + k * plan.dt
@@ -427,9 +385,8 @@ def propagate(
             except Exception as exc:
                 raise ObserverError(f"observer failed at step {k}, t = {t:.6g}") from exc
         if k % plan.record_stride == 0:
-            times[k // plan.record_stride] = t
-            amplitudes[k // plan.record_stride] = psi.amplitudes
-    return Trajectory(grid, times, amplitudes)
+            records.append(psi)
+    return Trajectory(grid, [r.time for r in records], [r.amplitudes for r in records])
 
 
 def ground_state_imaginary_time(
@@ -454,6 +411,8 @@ def ground_state_imaginary_time(
         raise ValueError("dtau must be positive and finite")
     if not tol >= 0:
         raise ValueError("tol must be non-negative")
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
     psi = normalize(psi0)
     grid = psi.grid
     scale = dtau / cfg.constants.hbar
@@ -472,10 +431,8 @@ def ground_state_imaginary_time(
 
     history = [float(energies_of(cfg, h, amp))]
     converged = False
-    iterations = 0
-    for _ in range(max_iter):
+    for iterations in range(1, max_iter + 1):
         amp = solve(amp)
-        iterations += 1
         n = norms(grid, amp)  # NaN or inf when an amplitude is
         if not 0.0 < n < np.inf:
             problem = "cannot normalize a zero wavefunction" if n == 0 else "amplitudes must be finite"

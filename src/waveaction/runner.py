@@ -24,9 +24,9 @@ import numpy as np
 
 from . import __version__
 from .diagnostics import pair_residuals
-from .grids import Wavefunction, norm, normalize, norms
+from .grids import Trajectory, Wavefunction, norm, normalize, norms
 from .hamiltonian import energies_of, hamiltonian_at, row_blocks
-from .propagation import Trajectory, ground_state_imaginary_time, propagate
+from .propagation import ground_state_imaginary_time, propagate
 from .scenario import (
     Scenario,
     build_config,

@@ -16,6 +16,9 @@ to rounding for zero vector potential: the discrete summation-by-parts
 identity sum |D+ psi|^2 = -sum psi* lap psi holds exactly, so the two
 actions differ only by the time-derivative total term and boundary
 fluxes, exactly as in the continuum.
+
+An action is the float that ends ActionIntegrals.running, the trapezoid
+time integral over a grids.Trajectory.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 from scipy.optimize import minimize
 
-from .grids import Grid, Wavefunction, check_finite, gaussian_wavepacket, normalize, norms, quadrature
+from .grids import Grid, Trajectory, Wavefunction, check_finite, gaussian_wavepacket, normalize, norms, quadrature
 from .grids import require_same_grid
 from .hamiltonian import (
     HamiltonianConfig,
@@ -36,7 +39,6 @@ from .hamiltonian import (
     mean_field_diagonal,
     row_blocks,
 )
-from .propagation import Trajectory
 
 
 @dataclass(frozen=True, eq=False)
@@ -46,14 +48,6 @@ class LagrangianSample:
     l_simple: np.ndarray
     l_standard: np.ndarray
     time: float
-
-
-@dataclass(frozen=True)
-class ActionValue:
-    value: float
-    time_window: tuple
-    dt: float
-    which_density: str
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,36 +64,18 @@ class ActionIntegrals:
     simple: np.ndarray
     standard: np.ndarray
 
-    @property
-    def times(self) -> np.ndarray:
-        return self.trajectory.times
-
     @staticmethod
     def _running_trapezoid(series: np.ndarray, times: np.ndarray) -> np.ndarray:
         """Cumulative trapezoid integral of series over times up to each point (0 at the first)."""
         steps = 0.5 * np.diff(times) * (series[1:] + series[:-1])
         return np.concatenate([[0.0], np.cumsum(steps)])
 
-    def _series(self, which: str) -> np.ndarray:
-        if which == "simple":
-            return self.simple.real
-        if which == "standard":
-            return self.standard
-        raise ValueError("which must be 'simple' or 'standard'")
-
-    def action(self, which: str = "simple") -> ActionValue:
-        """Trapezoidal time integral of the chosen series over the whole window, the last value of running."""
-        times = self.times
-        return ActionValue(
-            value=float(self.running(which)[-1]),
-            time_window=(float(times[0]), float(times[-1])),
-            dt=float(times[1] - times[0]),
-            which_density=which,
-        )
-
     def running(self, which: str = "simple") -> np.ndarray:
-        """Cumulative trapezoid integral up to each snapshot (0 at the first)."""
-        return self._running_trapezoid(self._series(which), self.times)
+        """Cumulative trapezoid integral of the chosen series up to each snapshot (0 at the first)."""
+        if which not in ("simple", "standard"):
+            raise ValueError("which must be 'simple' or 'standard'")
+        series = self.simple.real if which == "simple" else self.standard
+        return self._running_trapezoid(series, self.trajectory.times)
 
     def reality_deviations(self) -> np.ndarray:
         """|Im| of the compact integral at the interior snapshots.
@@ -130,7 +106,7 @@ class ActionIntegrals:
         require_same_grid(perturbation.grid, traj.grid)
         times = traj.times
         window = np.sin(np.pi * (times - times[0]) / (times[-1] - times[0])) ** 2
-        base = self.action("simple").value
+        base = float(self.running("simple")[-1])
         eta = perturbation.amplitudes
 
         def perturbed_action(eps: float) -> float:
@@ -146,10 +122,7 @@ class ActionIntegrals:
                 simple[lo:hi] = quadrature(traj.grid, _simple_density(self.cfg, h, amp, damp, extra)).real
             return float(self._running_trapezoid(simple, times)[-1])
 
-        points = []
-        for eps in eps_list:
-            delta = perturbed_action(eps) - base if eps != 0.0 else 0.0
-            points.append((eps, delta))
+        points = [(eps, perturbed_action(eps) - base if eps != 0.0 else 0.0) for eps in eps_list]
         fit_points = [(e, d) for e, d in points if e > 0]
         if any(d == 0.0 for _, d in fit_points):
             raise ValueError("degenerate epsilon list: zero action change at nonzero epsilon")
@@ -261,11 +234,10 @@ def _standard_density(
     return time_part - kinetic - scalar * np.abs(amp) ** 2
 
 
-def _check_uniform(times: np.ndarray) -> float:
+def _check_uniform(times: np.ndarray) -> None:
     steps = np.diff(times)
     if not np.allclose(steps, steps[0], rtol=1e-9, atol=0.0):
         raise ValueError("trajectory snapshots must be uniformly spaced in time")
-    return float(steps[0])
 
 
 MIN_ACTION_RECORDS = 3
@@ -319,14 +291,15 @@ def _blocks(cfg: HamiltonianConfig, grid: Grid, times: np.ndarray, rows_of: Call
         yield lo, hi, h_at(times[lo]), amp, damp, mean_field_diagonal(cfg, grid, amp, 0.5), times[lo]
 
 
-def action(cfg: HamiltonianConfig, traj: Trajectory, which: str = "simple") -> ActionValue:
-    """Trapezoidal time integral of the spatial integral of the chosen density.
+def action(cfg: HamiltonianConfig, traj: Trajectory, which: str = "simple") -> float:
+    """Trapezoidal time integral of the spatial integral of the chosen density over the whole trajectory.
 
-    The stored value is the real part; the imaginary part of the compact
-    density integrates to the norm change and vanishes on unitary
-    trajectories (see ActionIntegrals.reality_deviations).
+    This is the last value of ActionIntegrals.running.  Of the compact
+    density only the real part is integrated; its imaginary part integrates
+    to the norm change and vanishes on unitary trajectories (see
+    ActionIntegrals.reality_deviations).
     """
-    return action_integrals(cfg, traj).action(which)
+    return float(action_integrals(cfg, traj).running(which)[-1])
 
 
 def _gaussian_derivatives(params: np.ndarray, grid: Grid, state: Wavefunction) -> np.ndarray:
@@ -339,17 +312,17 @@ def _gaussian_derivatives(params: np.ndarray, grid: Grid, state: Wavefunction) -
     return np.array(rows) * state.amplitudes
 
 
+def _gaussian_build(params: np.ndarray, grid: Grid) -> Wavefunction:
+    """The Gaussian families' one build: params are (center, width) or (center, width, wavenumber)."""
+    return gaussian_wavepacket(grid, *params)
+
+
 def gaussian_family() -> TrialFamily:
     """Normalized Gaussians exp(-(x-c)^2 / 4 w^2) with free center and width."""
-
-    def build(params: np.ndarray, grid: Grid) -> Wavefunction:
-        center, width = params
-        return gaussian_wavepacket(grid, center=center, width=width)
-
     return TrialFamily(
         name="gaussian",
         parameter_names=("center", "width"),
-        build=build,
+        build=_gaussian_build,
         parameter_bounds=((-5.0, 5.0), (0.05, 20.0)),
         derivatives=_gaussian_derivatives,
     )
@@ -357,15 +330,10 @@ def gaussian_family() -> TrialFamily:
 
 def gaussian_phase_family() -> TrialFamily:
     """Gaussians with an extra plane-wave phase (a velocity parameter)."""
-
-    def build(params: np.ndarray, grid: Grid) -> Wavefunction:
-        center, width, wavenumber = params
-        return gaussian_wavepacket(grid, center=center, width=width, wavenumber=wavenumber)
-
     return TrialFamily(
         name="gaussian-phase",
         parameter_names=("center", "width", "wavenumber"),
-        build=build,
+        build=_gaussian_build,
         parameter_bounds=((-5.0, 5.0), (0.05, 20.0), (-10.0, 10.0)),
         derivatives=_gaussian_derivatives,
     )
@@ -461,6 +429,8 @@ def rayleigh_ritz_minimize(
     """
     if not cfg.is_static:
         raise ValueError("Rayleigh-Ritz minimization requires static potentials")
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
     x0 = family.initial_point(initial_params)
     h = hamiltonian_matrix(cfg, grid)
     history = []

@@ -181,8 +181,8 @@ def test_criterion_03_lagrangian_reality(solution_trajectory_n2001):
 
 def test_criterion_04_action_equivalence(solution_trajectory_n2001):
     _, traj = solution_trajectory_n2001
-    s_simple = action(HARMONIC, traj, "simple").value
-    s_standard = action(HARMONIC, traj, "standard").value
+    s_simple = action(HARMONIC, traj, "simple")
+    s_standard = action(HARMONIC, traj, "standard")
     diff = abs(s_simple - s_standard)
     ok = report("4", diff < 1e-8, f"|S_simple - S_standard| = {diff:.3e} vs 1e-8")
     assert ok
@@ -314,9 +314,9 @@ def test_criterion_09_gauge_invariance(solution_trajectory_n2001):
     d_rho = float(np.max(np.abs(f1.rho - f0.rho)))
     d_j = float(np.max(np.abs(f1.current - f0.current)))
     d_e = abs(energy(HARMONIC, rotated) - energy(HARMONIC, psi))
-    s0 = action(HARMONIC, traj, "simple").value
+    s0 = action(HARMONIC, traj, "simple")
     rotated_traj = Trajectory(g, traj.times, [gauge_transform(s, 0.37).amplitudes for _, s in traj.snapshots])
-    d_s = abs(action(HARMONIC, rotated_traj, "simple").value - s0)
+    d_s = abs(action(HARMONIC, rotated_traj, "simple") - s0)
     ok = report(
         "9",
         max(d_rho, d_j, d_e, d_s) <= 1e-12,

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from waveaction import (
+    Trajectory,
     Wavefunction,
     first_derivative,
     gaussian_wavepacket,
@@ -250,3 +251,50 @@ def test_block_of_rows_gives_each_row_its_own_result(seed, n_rows, n_points, bou
     assert sums.shape == (n_rows,)
     np.testing.assert_array_equal(sums, [quadrature(g, values) for values in block])
     np.testing.assert_array_equal(norms(g, block), [norms(g, values) for values in block])
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda g: Wavefunction(g, np.ones(g.n_points), np.nan), "time must be finite"),
+        (lambda g: Wavefunction(g, np.ones(g.n_points), -np.inf), "time must be finite"),
+        (lambda g: gaussian_wavepacket(g, width=0.0), "width must be positive"),
+        (lambda g: gaussian_wavepacket(g, width=-1.0), "width must be positive"),
+        (lambda g: plane_wave(g, 1), "plane waves require a periodic grid"),
+    ],
+    ids=["nan-time", "infinite-time", "zero-width", "negative-width", "dirichlet-plane-wave"],
+)
+def test_state_builders_reject_invalid_input(build, message):
+    with pytest.raises(ValueError, match=message):
+        build(make_grid(-5, 5, 64))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_rows=st.integers(1, 5),
+    n_points=st.integers(8, 80),
+    boundary=st.sampled_from(["dirichlet", "periodic"]),
+    bad=st.sampled_from([np.nan, np.inf, -np.inf, complex(0.0, np.nan), complex(np.inf, 1.0)]),
+    where=st.tuples(st.integers(0, 4), st.integers(0, 79)),
+)
+def test_trajectory_rows_obey_the_wavefunction_rule(seed, n_rows, n_points, boundary, bad, where):
+    # one rule stores both: the same clamp and copy, bit for bit, and the same rejection
+    g = make_grid(-3.0, 3.0, n_points, boundary)
+    rng = np.random.default_rng(seed)
+    rows = rng.standard_normal((n_rows, n_points)) + 1j * rng.standard_normal((n_rows, n_points))
+    traj = Trajectory(g, np.arange(n_rows) * 0.1, rows)
+    for k, (t, psi) in enumerate(traj.snapshots):
+        expected = Wavefunction(g, rows[k]).amplitudes
+        assert expected.tobytes() == psi.amplitudes.tobytes() == traj.amplitudes[k].tobytes()
+        if boundary == "dirichlet":
+            assert (expected[[0, -1]] == 0.0).all()
+        else:
+            np.testing.assert_array_equal(expected, rows[k])
+    row, col = where[0] % n_rows, where[1] % n_points
+    rows[row, col] = bad
+    with pytest.raises(ValueError) as from_wavefunction:
+        Wavefunction(g, rows[row])
+    with pytest.raises(ValueError) as from_trajectory:
+        Trajectory(g, np.arange(n_rows) * 0.1, rows)
+    assert str(from_trajectory.value) == str(from_wavefunction.value) == "amplitudes must be finite"

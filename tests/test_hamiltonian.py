@@ -26,7 +26,7 @@ from waveaction import (
     quadrature,
 )
 from waveaction.grids import commensurate_wavenumber
-from waveaction.hamiltonian import energies_of, hamiltonian_matrix
+from waveaction.hamiltonian import energies_of, hamiltonian_matrix, mean_field_density_values
 
 from helpers import dense_momentum_matrix, random_state
 
@@ -445,3 +445,50 @@ def test_matvec_matches_dense_h_built_link_by_link(seed, n_points, n_rows, bound
     np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12 * scale)
     for row, amp in zip(got, block):
         assert (row == h.matvec(amp)).all()
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda g: PotentialField.box(1.0, 0.0), "box half_width must be positive"),
+        (lambda g: PotentialField.box(1.0, -2.0), "box half_width must be positive"),
+        (lambda g: PotentialField.from_samples(np.ones((2, 4))), "sampled potential must be a 1-D array"),
+        (lambda g: PotentialField.from_samples([0.0, np.nan, 1.0]), "sampled potential must be finite"),
+        (
+            lambda g: PotentialField.from_callable(lambda x, t: np.ones(3)).evaluate(g),
+            "callable potential returned wrong shape",
+        ),
+        (
+            lambda g: PotentialField.from_callable(lambda x, t: np.where(x > 0, np.inf, 0.0)).evaluate(g),
+            "callable potential returned non-finite values",
+        ),
+        (lambda g: PotentialField("cubic").evaluate(g), "unknown potential kind 'cubic'"),
+        (lambda g: TwoBodyInteraction("yukawa", 2), "unknown interaction kind 'yukawa'"),
+        (lambda g: TwoBodyInteraction.contact(np.nan, 2), "contact strength must be finite"),
+        (lambda g: PotentialField.harmonic(omega=np.inf), "potential parameters must be finite"),
+        (lambda g: PotentialField.quartic(center=np.nan), "potential parameters must be finite"),
+        (lambda g: TwoBodyInteraction.from_kernel(np.ones((3, 4)), 2), "kernel must be a square matrix"),
+        (
+            lambda g: mean_field_density_values(TwoBodyInteraction.from_kernel(np.eye(5), 2), g, np.ones(g.n_points)),
+            "kernel is 5x5, grid has 16 points",
+        ),
+    ],
+    ids=[
+        "zero-half-width",
+        "negative-half-width",
+        "2d-samples",
+        "non-finite-samples",
+        "callable-wrong-shape",
+        "callable-non-finite",
+        "unknown-potential-kind",
+        "unknown-interaction-kind",
+        "non-finite-g",
+        "non-finite-omega",
+        "non-finite-center",
+        "non-square-kernel",
+        "kernel-grid-mismatch",
+    ],
+)
+def test_fields_and_interactions_reject_invalid_input(build, message):
+    with pytest.raises(ValueError, match=message):
+        build(make_grid(-5, 5, 16))

@@ -885,3 +885,45 @@ def test_single_use_solve_names_the_zero_pivot_row():
     mean_field = HamiltonianConfig(v1=cfg.v1, interaction=TwoBodyInteraction.contact(0.0, 2))
     with pytest.raises(np.linalg.LinAlgError, match="zero pivot in row 8 "):
         ground_state_imaginary_time(mean_field, psi, dtau=1.0)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda psi: PropagationPlan(dt=1e-3, n_steps=10, record_stride=0), "record_stride must be at least 1"),
+        (lambda psi: step_gp(HARMONIC, psi, 0.0, 1e-3), "step_gp requires a configured interaction"),
+        (lambda psi: ground_state_imaginary_time(HARMONIC, psi, dtau=0.0), "dtau must be positive and finite"),
+        (lambda psi: ground_state_imaginary_time(HARMONIC, psi, dtau=-0.1), "dtau must be positive and finite"),
+        (lambda psi: ground_state_imaginary_time(HARMONIC, psi, dtau=np.nan), "dtau must be positive and finite"),
+        # zero iterations would return the start state as an unconverged result
+        (lambda psi: ground_state_imaginary_time(HARMONIC, psi, max_iter=0), "max_iter must be at least 1"),
+        (lambda psi: ground_state_imaginary_time(HARMONIC, psi, max_iter=-3), "max_iter must be at least 1"),
+    ],
+    ids=[
+        "zero-record-stride",
+        "gp-without-interaction",
+        "zero-dtau",
+        "negative-dtau",
+        "nan-dtau",
+        "max-iter-0",
+        "max-iter-negative",
+    ],
+)
+def test_steppers_and_plans_reject_invalid_input(call, message):
+    with pytest.raises(ValueError, match=message):
+        call(gaussian_wavepacket(make_grid(-5, 5, 64)))
+
+
+@pytest.mark.parametrize("stride", [1, 3])
+@pytest.mark.parametrize("cfg", [HARMONIC, HamiltonianConfig(interaction=TwoBodyInteraction.contact(2.0, 3))])
+def test_recorded_rows_are_the_states_the_observers_received(stride, cfg):
+    psi0 = gaussian_wavepacket(make_grid(-6, 6, 97), center=0.5, width=0.7, wavenumber=1.0)
+    seen = {}
+
+    def keep(step, t, psi):
+        seen[step] = psi
+
+    traj = propagate(cfg, psi0, PropagationPlan(dt=2e-3, n_steps=12, record_stride=stride), [keep])
+    states = [psi0] + [seen[k] for k in range(stride, 13, stride)]
+    assert traj.times.tolist() == [psi.time for psi in states]
+    assert traj.amplitudes.tobytes() == b"".join(psi.amplitudes.tobytes() for psi in states)

@@ -1029,3 +1029,54 @@ def test_gp_propagate_task(tmp_path):
     assert code == 0
     payload = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert payload["summary"]["norm_drift"] < 1e-9
+
+
+CONTACT = {"kind": "contact", "g": 1.0, "n_particles": 2}
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (
+            lambda d: {**d, "grid": {**d["grid"], "boundary": "toroidal"}},
+            r"scenario\.grid\.boundary: must be one of \['dirichlet', 'periodic'\], got 'toroidal'",
+        ),
+        (
+            lambda d: {**d, "task": {**d["task"], "dtau": "small"}},
+            r"scenario\.task\.dtau: expected a number, got 'small'",
+        ),
+        (lambda d: {**d, "grid": {"x_min": -10.0, "x_max": 10.0}}, r"scenario\.grid: missing required key 'n_points'"),
+        (
+            lambda d: {**d, "interaction": {"g": 1.0, "n_particles": 2}},
+            r"scenario\.interaction: missing required key 'kind'",
+        ),
+        (
+            lambda d: {**d, "task": {"kind": "propagate", "n_steps": 10}, "interaction": CONTACT},
+            r"scenario\.task: propagate is the linear task; use gp-propagate for interactions",
+        ),
+        (
+            lambda d: {**d, "task": {"kind": "verify"}, "interaction": CONTACT},
+            r"scenario\.task: verify is the linear task; use gp-propagate for interactions",
+        ),
+        (lambda d: [d], "top level must be an object"),
+    ],
+    ids=[
+        "outside-enum",
+        "wrong-type",
+        "missing-key",
+        "interaction-without-kind",
+        "propagate-interacting",
+        "verify-interacting",
+        "top-level-list",
+    ],
+)
+def test_schema_rejects_each_malformed_scenario(tmp_path, change, message):
+    with pytest.raises(ScenarioError, match=message):
+        parse_scenario(write_scenario(tmp_path, change(minimal_ground_state())))
+
+
+def test_cli_batch_on_a_directory_without_scenarios_exits_1(tmp_path, capsys):
+    (tmp_path / "notes.txt").write_text("no scenarios here")
+    assert main(["batch", str(tmp_path), "--out", str(tmp_path / "runs"), "--quiet"]) == 1
+    assert f"error: no scenario files in {tmp_path}" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()

@@ -151,16 +151,14 @@ def test_action_requires_three_uniform_snapshots():
 def test_action_vanishes_on_stationary_trajectory():
     g = make_grid(-10, 10, 2001)
     _, traj = solution_trajectory(g)
-    s = action(HARMONIC, traj, "simple")
-    assert abs(s.value) < 1e-6
-    assert s.time_window == (0.0, pytest.approx(1.0))
+    assert abs(action(HARMONIC, traj, "simple")) < 1e-6
 
 
 def test_action_equivalence_of_densities():
     g = make_grid(-10, 10, 2001)
     _, traj = solution_trajectory(g)
-    s_simple = action(HARMONIC, traj, "simple").value
-    s_standard = action(HARMONIC, traj, "standard").value
+    s_simple = action(HARMONIC, traj, "simple")
+    s_standard = action(HARMONIC, traj, "standard")
     assert abs(s_simple - s_standard) < 1e-8
 
 
@@ -169,8 +167,8 @@ def test_action_equivalence_for_moving_packet():
     g = make_grid(-12, 12, 1201)
     psi = gaussian_wavepacket(g, center=2.0, width=0.9)
     traj = propagate(HARMONIC, psi, PropagationPlan(dt=1e-3, n_steps=600))
-    s_simple = action(HARMONIC, traj, "simple").value
-    s_standard = action(HARMONIC, traj, "standard").value
+    s_simple = action(HARMONIC, traj, "simple")
+    s_standard = action(HARMONIC, traj, "standard")
     assert abs(s_simple - s_standard) < 1e-8
 
 
@@ -189,7 +187,7 @@ def test_time_reversal_conjugates_the_action():
 
     def complex_action(t):
         integrals = action_integrals(HARMONIC, t)
-        return np.trapezoid(integrals.simple, integrals.times)
+        return np.trapezoid(integrals.simple, integrals.trajectory.times)
 
     s = complex_action(traj)
     reversed_traj = Trajectory(g, traj.times, np.conj(traj.amplitudes[::-1]))
@@ -197,7 +195,7 @@ def test_time_reversal_conjugates_the_action():
     # exact discrete identity: reversal + conjugation conjugates the action
     assert abs(s_rev - np.conj(s)) < 1e-12
     # for a near-stationary window both are ~0, so the reversal negates it too
-    assert abs(action(HARMONIC, reversed_traj).value + action(HARMONIC, traj).value) < 1e-8
+    assert abs(action(HARMONIC, reversed_traj) + action(HARMONIC, traj)) < 1e-8
 
 
 @settings(max_examples=60, deadline=None)
@@ -219,7 +217,7 @@ def test_action_integrals_equal_the_snapshot_loop(seed, shape, boundary, dt, con
     simple, standard = loop_action_integrals(cfg, traj)
     np.testing.assert_array_equal(integrals.simple, simple)
     np.testing.assert_array_equal(integrals.standard, standard)
-    assert integrals.times is traj.times
+    assert integrals.trajectory is traj
 
 
 def _driven(x, t):
@@ -266,8 +264,8 @@ def test_global_phase_leaves_the_action_invariant(seed, n_snapshots, n_points, b
     traj = random_trajectory(seed, n_snapshots, n_points, boundary, dt)
     rotated = Trajectory(traj.grid, traj.times, np.exp(1j * phase) * traj.amplitudes)
     for which in ("simple", "standard"):
-        s = action(HARMONIC, traj, which).value
-        s_rot = action(HARMONIC, rotated, which).value
+        s = action(HARMONIC, traj, which)
+        s_rot = action(HARMONIC, rotated, which)
         assert abs(s_rot - s) <= 1e-12 * max(1.0, abs(s))
 
 
@@ -278,10 +276,9 @@ def test_running_action_ends_at_the_action(which):
     traj = propagate(HARMONIC, psi, PropagationPlan(dt=1e-3, n_steps=200, record_stride=2))
     integrals = action_integrals(HARMONIC, traj)
     running = integrals.running(which)
-    value = integrals.action(which).value
     assert running.shape == (len(traj.snapshots),) and running[0] == 0.0
-    assert abs(running[-1] - value) <= 1e-12 * abs(value)
-    assert value == action(HARMONIC, traj, which).value
+    value = action(HARMONIC, traj, which)
+    assert type(value) is float and value == running[-1]
 
 
 def test_gauge_phase_leaves_action_invariant():
@@ -289,9 +286,9 @@ def test_gauge_phase_leaves_action_invariant():
 
     g = make_grid(-10, 10, 1001)
     _, traj = solution_trajectory(g, n_steps=400)
-    s = action(HARMONIC, traj, "simple").value
+    s = action(HARMONIC, traj, "simple")
     rotated = [gauge_transform(psi, 0.37).amplitudes for _, psi in traj.snapshots]
-    s_rot = action(HARMONIC, Trajectory(g, traj.times, rotated), "simple").value
+    s_rot = action(HARMONIC, Trajectory(g, traj.times, rotated), "simple")
     assert abs(s_rot - s) < 1e-10
 
 
@@ -313,12 +310,12 @@ def test_stationarity_points_are_perturbed_minus_base_action():
     # eps * window(t) * eta; rebuild both row by row and compare exactly
     _, _, traj, bump = stationarity_setup(n_steps=300)
     result = action_integrals(HARMONIC, traj).stationarity(bump, [1e-2, 1e-3])
-    base = action(HARMONIC, traj).value
+    base = action(HARMONIC, traj)
     times = traj.times
     window = np.sin(np.pi * (times - times[0]) / (times[-1] - times[0])) ** 2
     for eps, delta in result.points:
         rows = [amp + eps * w * bump.amplitudes for w, amp in zip(window, traj.amplitudes)]
-        assert delta == action(HARMONIC, Trajectory(traj.grid, times, rows)).value - base
+        assert delta == action(HARMONIC, Trajectory(traj.grid, times, rows)) - base
 
 
 @settings(max_examples=30, deadline=None)
@@ -342,12 +339,12 @@ def test_stationarity_equals_passes_over_perturbed_trajectories(seed, shape, bou
     result = action_integrals(cfg, traj).stationarity(eta, epsilons)
     times = traj.times
     window = np.sin(np.pi * (times - times[0]) / (times[-1] - times[0])) ** 2
-    base = action(cfg, traj).value
+    base = action(cfg, traj)
     points = []
     for eps in epsilons:
         amps = np.outer(eps * window, eta.amplitudes)
         amps += traj.amplitudes
-        points.append((eps, action(cfg, Trajectory(traj.grid, times, amps)).value - base))
+        points.append((eps, action(cfg, Trajectory(traj.grid, times, amps)) - base))
     assert result.points == tuple(points)
     slope = np.polyfit(np.log(epsilons), np.log([abs(d) for _, d in points]), 1)[0]
     assert result.slope == float(slope)
@@ -577,3 +574,51 @@ def test_rayleigh_ritz_iteration_cap_flags_result():
     result = rayleigh_ritz_minimize(HARMONIC, gaussian_family(), [3.0, 5.0], grid=g, max_iter=2)
     assert not result.converged
     assert np.isfinite(result.energy)  # best-so-far still reported
+
+
+SMALL = make_grid(-6, 6, 97)
+
+
+def _small_trajectory():
+    return propagate(HARMONIC, gaussian_wavepacket(SMALL, center=0.5), PropagationPlan(dt=1e-2, n_steps=8))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (
+            lambda: action_integrals(HARMONIC, _small_trajectory()).stationarity(
+                Wavefunction(SMALL, np.zeros(97)), [1e-2, 1e-3]
+            ),
+            "degenerate epsilon list: zero action change at nonzero epsilon",
+        ),
+        (
+            lambda: rayleigh_ritz_minimize(HARMONIC, gaussian_family(), [0.0, 1.0], grid=SMALL, max_iter=0),
+            "max_iter must be at least 1",
+        ),
+        (
+            lambda: rayleigh_ritz_minimize(HARMONIC, box_sine_family(), [0.0, 0.0], grid=SMALL, max_iter=-3),
+            "max_iter must be at least 1",
+        ),
+    ],
+    ids=["zero-envelope", "rayleigh-ritz-max-iter-0", "rayleigh-ritz-max-iter-negative"],
+)
+def test_action_probe_and_minimizer_reject_invalid_input(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_rayleigh_ritz_hands_a_non_finite_gradient_to_nelder_mead():
+    g = make_grid(-10, 10, 401)
+    family = TrialFamily(
+        "nan-gradient",
+        ("center", "width"),
+        gaussian_family().build,
+        ((-1.0, 1.0), (0.1, 5.0)),
+        lambda params, grid, state: np.full((2, grid.n_points), np.nan),
+    )
+    result = rayleigh_ritz_minimize(HARMONIC, family, [0.3, 1.5], grid=g)
+    assert result.message.startswith("evaluation failed after 0 L-BFGS-B iterations; Nelder-Mead: ")
+    assert result.gradient_norm is None
+    assert result.converged
+    assert result.energy == pytest.approx(0.5, abs=1e-4)
