@@ -22,8 +22,23 @@ midpoint H of a time-dependent run, the predictor and the corrector of a
 mean-field step, each mean-field imaginary-time iteration) takes one gtsv
 call, which gives the same bits.  On periodic grids both restore the wrap
 link by a Sherman-Morrison correction.  Imaginary time iterates in float64
-when H and the start state are real (no vector potential, a real start),
-since every iterate then stays real; otherwise it iterates in complex128.
+when H is real (no vector potential) and the start state is a phase times a
+real vector, since every iterate then stays real, and puts the phase back
+on the result; otherwise it iterates in complex128.
+
+On that real path, for a linear H or a contact interaction, the damped loop
+hands off once consecutive energies differ by less than max(tol, 1e-4) to
+Newton steps on (H + c phi^2) phi = mu phi with ||phi|| = 1 (c = (N-1) g, or
+0 for a linear H).  The Jacobian H + 3 c phi^2 - mu is tridiagonal, so each
+step is two single-use solves; for c = 0 it is one shifted
+inverse-iteration step.  Newton converges quadratically, so the returned
+state is the eigenvector to rounding, where the loop alone leaves an error
+of order sqrt(tol / gap).  A step is accepted only if it does not raise the
+energy and has no sign change above a floor relative to its peak (a real H
+with negative links has a positive ground state, so a sign change means an
+excited state); the first rejected step ends the finish and the loop
+resumes.  Complex paths (a phase freedom, and no sign test) and kernel
+interactions (a dense Jacobian) keep the loop alone.
 
 The split-operator scheme is a Strang splitting with the kinetic factor
 applied by FFT.  Where the grid size n has a prime factor larger than
@@ -100,6 +115,10 @@ class GroundStateResult:
     chemical_potential is mu = <phi|H|phi> and residual the eigenvalue
     residual ||H phi - mu phi||, both with the full-weight mean field, as
     evidence of how far the final state is from a stationary one.
+    newton_steps counts the accepted Newton steps that finished the real
+    path; it is 0 on the complex and kernel paths and when the first step
+    is rejected.  iterations counts loop iterations and Newton steps, and
+    energy_history holds the start's energy and one row for each.
     """
 
     state: Wavefunction
@@ -109,6 +128,7 @@ class GroundStateResult:
     energy_history: np.ndarray
     chemical_potential: float
     residual: float
+    newton_steps: int
 
 
 def _shifted_bands(h: TridiagonalHamiltonian, scale: complex) -> tuple:
@@ -389,6 +409,93 @@ def propagate(
     return Trajectory(grid, [r.time for r in records], [r.amplitudes for r in records])
 
 
+# The real path's loop hands off to Newton once consecutive energies differ by
+# less than this or tol, whichever is larger.
+_HANDOFF_ENERGY_CHANGE = 1e-4
+# A start is a phase times a real vector when, rotated by its peak's phase, no
+# imaginary part exceeds this fraction of the peak modulus.
+_REAL_START_FLOOR = 16 * np.finfo(np.float64).eps
+# A Newton step has a sign change when an amplitude of the sign opposite its
+# peak's exceeds this fraction of the peak modulus.  An excited state's lobes
+# are of the peak's order; finished states show rounding tails (-6e-48 of the
+# peak) and partly converged ones tails of up to about -3e-11 of it.
+_SIGN_CHANGE_FLOOR = 1e-8
+
+
+def _phase_and_real_part(amp: np.ndarray):
+    """(e^{i theta}, v) with amp = e^{i theta} v to rounding and v a float64 vector, or None.
+
+    theta is the phase of amp's largest-modulus amplitude; a start with zero
+    imaginary parts is taken as it is, with the phase 1.
+    """
+    if not amp.imag.any():
+        return 1.0, amp.real.copy()
+    peak = amp[np.argmax(np.abs(amp))]
+    phase = peak / abs(peak)
+    rotated = amp * np.conj(phase)
+    if np.abs(rotated.imag).max() > _REAL_START_FLOOR * abs(peak):
+        return None
+    return phase, rotated.real.copy()
+
+
+def _changes_sign(amp: np.ndarray) -> bool:
+    """Whether real amp has an amplitude of the sign opposite its peak's above the floor."""
+    peak = amp[np.argmax(np.abs(amp))]
+    return bool((peak * amp < -_SIGN_CHANGE_FLOOR * peak**2).any())
+
+
+def _newton_step(cfg: HamiltonianConfig, h: TridiagonalHamiltonian, amp: np.ndarray) -> np.ndarray:
+    """One Newton step on F = (H + c phi^2) phi - mu phi with ||phi|| = 1, from the real, normalized amp.
+
+    mu is amp's chemical potential and c phi^2 the full-weight contact mean
+    field (c = 0 for a linear H).  Two solves with the tridiagonal Jacobian
+    J = H + 3 c phi^2 - mu, J a = F and J b = phi, give the step
+    phi - a + (<phi, a> / <phi, b>) b, which keeps phi's norm to first order;
+    it is normalized.  With c = 0, a = phi and the step is one shifted
+    inverse-iteration step, (H - mu)^-1 phi normalized.
+    """
+    grid = h.grid
+    u = mean_field_diagonal(cfg, grid, amp, 1.0)
+    h_amp = h.plus_diagonal(u).matvec(amp)
+    mu = quadrature(grid, amp * h_amp)
+    jacobian = h.plus_diagonal(-mu - 1.0 if u is None else 3.0 * u - mu - 1.0)  # J = 1 + jacobian
+    a = _solve_once(jacobian, 1.0, h_amp - mu * amp)
+    b = _solve_once(jacobian, 1.0, amp)
+    step = amp - a + (quadrature(grid, amp * a) / quadrature(grid, amp * b)) * b
+    return step / norms(grid, step)
+
+
+def _newton_finish(
+    cfg: HamiltonianConfig, h: TridiagonalHamiltonian, amp: np.ndarray, history: list, tol: float, budget: int
+) -> tuple:
+    """(state, accepted steps, converged) of at most budget Newton steps from amp, each energy appended to history.
+
+    A step is accepted only if it does not raise the energy and has no sign
+    change (a real H with negative links has a positive ground state); the
+    first rejected step ends the finish.  Converged when a step changes the
+    energy by less than tol.  A step that raises it by less than tol after an
+    accepted one is at the fixed point to rounding: it replaces that step,
+    its row included, which keeps the history non-increasing, since that
+    step lowered the energy by at least tol.
+    """
+    steps = 0
+    while steps < budget:
+        candidate = _newton_step(cfg, h, amp)
+        e = float(energies_of(cfg, h, candidate))
+        rise = e - history[-1]
+        if _changes_sign(candidate) or not (rise <= 0.0 or (steps > 0 and rise < tol)):  # NaN fails both
+            break
+        amp = candidate
+        if rise <= 0.0:
+            history.append(e)
+            steps += 1
+        else:
+            history[-1] = e
+        if abs(rise) < tol:
+            return amp, steps, True
+    return amp, steps, False
+
+
 def ground_state_imaginary_time(
     cfg: HamiltonianConfig,
     psi0: Wavefunction,
@@ -396,14 +503,30 @@ def ground_state_imaginary_time(
     tol: float = 1e-10,
     max_iter: int = 10**6,
 ) -> GroundStateResult:
-    """Relax to the ground state by damped imaginary-time iteration.
+    """Relax to the ground state by damped imaginary-time iteration, finished by Newton on the real path.
 
     Each step solves (1 + dtau H / hbar) psi' = psi and renormalizes; for
     mean-field configurations H carries the full-weight mean field rebuilt
     from the current normalized state.  Stops when consecutive energies
     differ by less than tol.  The start state must overlap the ground
-    state (not checkable a priori).  When H and the normalized start have
-    zero imaginary parts, every iterate is real and the loop runs in float64.
+    state (not checkable a priori).
+
+    The real path: when H is real and the normalized start is a phase times
+    a real vector (the phase of its largest-modulus amplitude), the loop
+    iterates on that real vector in float64 and the result carries the phase
+    again.  On this path, for a linear H or a contact interaction, the loop
+    hands off once consecutive energies differ by less than max(tol, 1e-4)
+    to Newton steps on (H + c phi^2) phi = mu phi (``_newton_step``), which
+    finish at the eigenvector to rounding.  A step is accepted only if it
+    does not raise the energy and changes no sign above 1e-8 of the peak;
+    the first rejected step ends the finish (``_newton_finish``).  Each
+    accepted step adds an energy_history row and counts as an iteration
+    (newton_steps counts them), so the finish keeps the history
+    non-increasing and iterations at most max_iter.  The finish stops when a step changes the
+    energy by less than tol; otherwise the loop resumes from the last
+    accepted state and stops by its own rule, so tol = 0 still runs
+    max_iter iterations.  A complex H or start, and a kernel interaction,
+    keep the loop alone, bit for bit.
     """
     if not cfg.is_static:
         raise ValueError("ground-state search requires static potentials")
@@ -417,10 +540,11 @@ def ground_state_imaginary_time(
     grid = psi.grid
     scale = dtau / cfg.constants.hbar
     h = hamiltonian_at(cfg, grid)(0.0)
-    amp = psi.amplitudes
-    if not any(a.imag.any() for a in (h.diag, h.upper, h.lower, amp)):
+    amp, phase = psi.amplitudes, 1.0
+    real = None if any(a.imag.any() for a in (h.diag, h.upper, h.lower)) else _phase_and_real_part(amp)
+    if real is not None:
         h = TridiagonalHamiltonian(grid, h.diag.real.copy(), h.upper.real.copy(), h.lower.real.copy())
-        amp = amp.real.copy()
+        phase, amp = real
     if cfg.interaction is None:
         solve = _CayleySolver(h, scale).solve
     else:
@@ -429,9 +553,12 @@ def ground_state_imaginary_time(
             u = mean_field_density_values(cfg.interaction, grid, np.abs(amp) ** 2)
             return _solve_once(h.plus_diagonal(u), scale, amp)
 
+    finish = real is not None and (cfg.interaction is None or cfg.interaction.kind == "contact")
     history = [float(energies_of(cfg, h, amp))]
+    iterations = newton_steps = 0
     converged = False
-    for iterations in range(1, max_iter + 1):
+    while not converged and iterations < max_iter:
+        iterations += 1
         amp = solve(amp)
         n = norms(grid, amp)  # NaN or inf when an amplitude is
         if not 0.0 < n < np.inf:
@@ -439,17 +566,21 @@ def ground_state_imaginary_time(
             raise RuntimeError(f"imaginary-time iteration {iterations} failed: {problem}")
         amp = amp / n
         history.append(float(energies_of(cfg, h, amp)))
-        if abs(history[-1] - history[-2]) < tol:
-            converged = True
-            break
+        change = abs(history[-1] - history[-2])
+        if finish and change < max(tol, _HANDOFF_ENERGY_CHANGE):
+            finish = False
+            amp, newton_steps, converged = _newton_finish(cfg, h, amp, history, tol, max_iter - iterations)
+            iterations += newton_steps
+        converged = converged or change < tol
     h_amp = h.plus_diagonal(mean_field_diagonal(cfg, grid, amp, 1.0)).matvec(amp)
     mu = float(quadrature(grid, np.conj(amp) * h_amp).real)
     return GroundStateResult(
-        state=Wavefunction(grid, amp, psi.time),
+        state=Wavefunction(grid, amp if phase == 1.0 else phase * amp, psi.time),
         energy=history[-1],
         iterations=iterations,
         converged=converged,
         energy_history=np.array(history),
         chemical_potential=mu,
         residual=float(norms(grid, h_amp - mu * amp)),
+        newton_steps=newton_steps,
     )

@@ -207,6 +207,7 @@ def _run_task(scenario: Scenario, phase: _Phase) -> tuple:
             "iterations": result.iterations,
             "final_norm": norm(result.state),
             "residual": result.residual,
+            "newton_steps": result.newton_steps,
         }
         if scenario.interaction is not None:
             summary["chemical_potential"] = result.chemical_potential

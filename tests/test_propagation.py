@@ -34,8 +34,15 @@ from waveaction import (
     step_split_operator,
 )
 
-from waveaction.hamiltonian import TridiagonalHamiltonian, hamiltonian_matrix
-from waveaction.propagation import _CayleySolver, _largest_prime_factor, _solve_once
+from waveaction.grids import norms
+from waveaction.hamiltonian import TridiagonalHamiltonian, energies_of, hamiltonian_matrix, mean_field_diagonal
+from waveaction.propagation import (
+    _CayleySolver,
+    _changes_sign,
+    _largest_prime_factor,
+    _newton_step,
+    _solve_once,
+)
 
 from helpers import (
     banded_shift_solve,
@@ -517,44 +524,52 @@ def test_imaginary_time_matches_dense_oracle_for_quartic():
     assert result.energy == pytest.approx(oracle, abs=1e-9)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="the energy-difference stopping rule leaves an eigenvector error of order "
-    "sqrt(tol/gap), so the equation residual is ~sqrt(tol*gap) >> 10*tol for any "
-    "tol << gap; the companion test pins the attainable bounds",
-)
 def test_eigenstate_residual_within_ten_tol():
+    # the energy-difference stop alone leaves a residual of order sqrt(tol * gap);
+    # the Newton finish takes the state it hands off to the eigenvector to rounding
     g = make_grid(-10, 10, 2001)
     result = ground_state_imaginary_time(HARMONIC, gaussian_wavepacket(g, center=1.0),
                                          dtau=0.1, tol=1e-10)
     h_phi = apply_hamiltonian(HARMONIC, result.state).amplitudes
     res = np.sqrt(quadrature(g, np.abs(h_phi - result.energy * result.state.amplitudes) ** 2).real)
+    assert result.newton_steps > 0
     assert res < 10 * 1e-10
 
 
 def test_eigenstate_residual_verified_bounds():
     g = make_grid(-10, 10, 2001)
-    result = ground_state_imaginary_time(HARMONIC, gaussian_wavepacket(g, center=1.0),
-                                         dtau=0.1, tol=1e-10)
-    h_phi = apply_hamiltonian(HARMONIC, result.state).amplitudes
-    res = np.sqrt(quadrature(g, np.abs(h_phi - result.energy * result.state.amplitudes) ** 2).real)
-    # Bhatia-Davis: Var(H) <= (E - E0)(Emax - E); Emax via Gershgorin
+    start = gaussian_wavepacket(g, center=1.0)
+    result = ground_state_imaginary_time(HARMONIC, start, dtau=0.1, tol=1e-10)
     e0 = dense_ground_energy(g, HARMONIC.v1.evaluate(g))[0]
     e_max = 2.0 / g.dx**2 + HARMONIC.v1.evaluate(g).max()
-    assert res <= np.sqrt(max(result.energy - e0, 0.0) * (e_max - result.energy)) + 1e-12
+
+    def residual(r):
+        h_phi = apply_hamiltonian(HARMONIC, r.state).amplitudes
+        return np.sqrt(quadrature(g, np.abs(h_phi - r.energy * r.state.amplitudes) ** 2).real)
+
+    # Bhatia-Davis: Var(H) <= (E - E0)(Emax - E); Emax via Gershgorin.  It is
+    # checked on the state the energy-difference stop hands to Newton (the
+    # same loop, cut at the hand-off), where E - E0 is resolved
+    handed_off = ground_state_imaginary_time(HARMONIC, start, dtau=0.1, tol=1e-10,
+                                             max_iter=result.iterations - result.newton_steps)
+    assert handed_off.newton_steps == 0 and not handed_off.converged
+    assert residual(handed_off) <= np.sqrt(max(handed_off.energy - e0, 0.0) * (e_max - handed_off.energy)) + 1e-12
+    # the finished state's E - E0, about res^2 / gap, lies below the oracle's own
+    # rounding eps * ||H||_1 (bisection to that width), where the bound cannot be
+    # resolved: the finished energy meets the oracle to that rounding, and the
+    # residual itself is at rounding, below any bound the slack allowed
+    assert abs(result.energy - e0) <= np.finfo(float).eps * e_max
+    assert residual(result) < 1e-11
     # at the fixed point (iterating past the energy plateau) the residual
     # does reach the stated scale
     polished = ground_state_imaginary_time(HARMONIC, result.state, dtau=0.1, tol=0.0,
                                            max_iter=3000)
-    h_phi = apply_hamiltonian(HARMONIC, polished.state).amplitudes
-    res_floor = np.sqrt(
-        quadrature(g, np.abs(h_phi - polished.energy * polished.state.amplitudes) ** 2).real
-    )
-    assert res_floor < 1e-9
+    assert polished.iterations == 3000
+    assert residual(polished) < 1e-9
 
 
 def test_ground_state_result_carries_its_residual_and_chemical_potential():
-    # the residual is the strict xfail's ||H phi - E phi||; mu is the public
+    # the residual is ||H phi - E phi|| of the residual tests above; mu is the public
     # chemical potential, here evaluated in float64 on the held H
     g = make_grid(-10, 10, 2001)
     result = ground_state_imaginary_time(HARMONIC, gaussian_wavepacket(g, center=1.0), dtau=0.1, tol=1e-10)
@@ -614,8 +629,161 @@ def test_imaginary_time_picks_the_lapack_routines_by_dtype(monkeypatch, cfg, bou
     ground_state_imaginary_time(cfg, start, dtau=0.05, tol=1e-10)
     assert prefixes and set(prefixes) == {"d"}
     prefixes.clear()
+    # a phase times a real vector iterates on the real vector
     ground_state_imaginary_time(cfg, Wavefunction(g, 1j * start.amplitudes), dtau=0.05, tol=1e-10)
+    assert prefixes and set(prefixes) == {"d"}
+    prefixes.clear()
+    moving = gaussian_wavepacket(g, center=0.5, wavenumber=1.0)
+    ground_state_imaginary_time(cfg, moving, dtau=0.05, tol=1e-10)
     assert prefixes and set(prefixes) == {"z"}
+
+
+def _loop_alone(cfg, psi0, dtau, tol):
+    """(amplitudes, energy history) of the damped imaginary-time loop with no Newton finish.
+
+    It iterates in float64 when H and the normalized start are real, as the
+    library's loop does; the linear solve is _CayleySolver's, bit for bit.
+    """
+    grid = psi0.grid
+    h = hamiltonian_matrix(cfg, grid)
+    amp = normalize(psi0).amplitudes
+    if not any(a.imag.any() for a in (h.diag, h.upper, h.lower, amp)):
+        h = TridiagonalHamiltonian(grid, h.diag.real.copy(), h.upper.real.copy(), h.lower.real.copy())
+        amp = amp.real.copy()
+    history = [float(energies_of(cfg, h, amp))]
+    while len(history) == 1 or abs(history[-1] - history[-2]) >= tol:
+        amp = _solve_once(h.plus_diagonal(mean_field_diagonal(cfg, grid, amp, 1.0)), dtau, amp)
+        amp = amp / norms(grid, amp)
+        history.append(float(energies_of(cfg, h, amp)))
+    return amp, history
+
+
+def _kernel_interaction(grid):
+    dist = grid.x[:, None] - grid.x[None, :]
+    return TwoBodyInteraction.from_kernel(5.0 * np.exp(-(dist**2)), n_particles=2)
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["moving-linear", "moving-contact", "vector-potential", "kernel"],
+)
+def test_complex_and_kernel_paths_keep_the_loop(case):
+    # no Newton finish: the result is the damped loop's, bit for bit
+    g = make_grid(-6, 6, 161)
+    start = gaussian_wavepacket(g, center=0.5)
+    cfg = HARMONIC
+    if case.startswith("moving"):
+        start = gaussian_wavepacket(g, center=0.5, wavenumber=1.0)
+    if case == "moving-contact":
+        cfg = HamiltonianConfig(v1=PotentialField.harmonic(), interaction=TwoBodyInteraction.contact(20.0, 3))
+    if case == "vector-potential":
+        cfg = HamiltonianConfig(v1=PotentialField.harmonic(), a_vec=PotentialField.from_samples(0.3 * np.sin(g.x)))
+    if case == "kernel":
+        cfg = HamiltonianConfig(v1=PotentialField.harmonic(), interaction=_kernel_interaction(g))
+    result = ground_state_imaginary_time(cfg, start, dtau=0.05, tol=1e-11)
+    amp, history = _loop_alone(cfg, start, 0.05, 1e-11)
+    assert result.converged and result.newton_steps == 0
+    assert result.iterations == len(history) - 1
+    assert np.array_equal(result.energy_history, history)
+    assert np.array_equal(result.state.amplitudes, amp.astype(complex))
+    assert result.state.amplitudes.imag.any() == (case != "kernel")
+
+
+def test_a_rejected_newton_step_keeps_the_loops_answer():
+    # a double well with a start mostly in its first excited state: at the
+    # hand-off the Rayleigh quotient lies nearer E1, so the Newton step heads
+    # for the antisymmetric state; its sign change rejects it
+    g = make_grid(-6, 6, 401)
+    v = (g.x**2 - 1.5**2) ** 2
+    cfg = HamiltonianConfig(v1=PotentialField.from_samples(v))
+    left, right = (gaussian_wavepacket(g, center=c, width=0.6).amplitudes.real for c in (-1.5, 1.5))
+    start = Wavefunction(g, left - 0.8 * right)
+    e0, e1 = dense_ground_energy(g, v, n_states=2)
+    result = ground_state_imaginary_time(cfg, start, dtau=1.0, tol=1e-10)
+    amp, history = _loop_alone(cfg, start, 1.0, 1e-10)
+    assert result.converged and result.newton_steps == 0
+    assert np.array_equal(result.energy_history, history)
+    assert np.array_equal(result.state.amplitudes, amp.astype(complex))
+    assert abs(result.energy - e0) < 1e-8 < e1 - e0
+    assert not _changes_sign(amp)
+
+
+def test_a_newton_step_that_raises_the_energy_keeps_the_loops_answer():
+    # an attractive condensate in a weak trap relaxes slowly, so consecutive
+    # energies fall below the hand-off change while the state is still about
+    # 2e-3 above the ground energy; the Newton step from there overshoots and
+    # raises the energy, and the loop's answer stands, residual and all
+    g = make_grid(-8, 8, 401)
+    cfg = HamiltonianConfig(v1=PotentialField.harmonic(0.5), interaction=TwoBodyInteraction.contact(-5.0, 2))
+    start = gaussian_wavepacket(g, center=-1.0, width=1.6)
+    result = ground_state_imaginary_time(cfg, start, dtau=0.05, tol=1e-11)
+    amp, history = _loop_alone(cfg, start, 0.05, 1e-11)
+    assert result.converged and result.newton_steps == 0
+    assert np.array_equal(result.energy_history, history)
+    assert np.array_equal(result.state.amplitudes, amp.astype(complex))
+    assert 1e-6 < result.residual < 1e-4
+
+
+@pytest.mark.parametrize("boundary", ["dirichlet", "periodic"])
+def test_a_linear_newton_step_is_one_shifted_inverse_iteration_step(boundary):
+    g = make_grid(-8, 8, 401, boundary)
+    h = hamiltonian_matrix(HARMONIC, g)
+    h = TridiagonalHamiltonian(g, h.diag.real, h.upper.real, h.lower.real)
+    amp = normalize(gaussian_wavepacket(g, center=0.5, width=1.2)).amplitudes.real
+    mu = quadrature(g, amp * h.matvec(amp))
+    x = _solve_once(h.plus_diagonal(-mu - 1.0), 1.0, amp)  # (H - mu)^-1 phi
+    x = x / norms(g, x)
+    step = _newton_step(HARMONIC, h, amp)
+    # the Newton step keeps phi's orientation; inverse iteration's sign is mu's
+    np.testing.assert_allclose(step, np.sign(quadrature(g, amp * x)) * x, rtol=0, atol=1e-12)
+
+
+def test_the_sign_rule_tolerates_rounding_tails():
+    g = make_grid(-8, 8, 401)
+    amp = normalize(gaussian_wavepacket(g, width=0.8)).amplitudes.real
+    peak = amp.max()
+    tails = amp.copy()
+    tails[1], tails[-2] = -6e-48, -2e-63  # tails seen on finished condensates
+    assert (tails < 0).any() and not _changes_sign(tails)
+    assert not _changes_sign(-tails)  # the overall sign is free
+    partly_converged = amp.copy()
+    partly_converged[1] = -3e-11 * peak  # a Newton iterate on its way, in a box's tail
+    assert not _changes_sign(partly_converged)
+    above = amp.copy()
+    above[1] = -1e-7 * peak
+    assert _changes_sign(above)
+    assert _changes_sign(amp * np.sign(g.x))  # the first excited state's shape
+
+
+_TRAPS = {"harmonic": PotentialField.harmonic, "quartic": PotentialField.quartic}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    boundary=st.sampled_from(["dirichlet", "periodic"]),
+    trap=st.sampled_from(sorted(_TRAPS)),
+    # weaker traps with an attractive g hand off too early (the energy-rise test above)
+    strength=st.floats(1.0, 2.0),
+    g_contact=st.one_of(st.none(), st.floats(-5.0, 1000.0)),
+    center=st.floats(-1.0, 1.0),
+    width=st.floats(0.6, 1.6),
+)
+@example(boundary="periodic", trap="quartic", strength=2.0, g_contact=1000.0, center=1.0, width=0.6)
+@example(boundary="dirichlet", trap="harmonic", strength=1.0, g_contact=-5.0, center=-1.0, width=1.6)
+# its first Newton step leaves a tail of -2.6e-11 of the peak near the wall
+@example(boundary="dirichlet", trap="harmonic", strength=1.73, g_contact=150.38, center=-0.1, width=1.48)
+def test_finished_ground_states_are_eigenstates(boundary, trap, strength, g_contact, center, width):
+    g = make_grid(-8, 8, 401, boundary)
+    v1 = _TRAPS[trap](strength)
+    interaction = None if g_contact is None else TwoBodyInteraction.contact(g_contact, 2)
+    cfg = HamiltonianConfig(v1=v1, interaction=interaction)
+    result = ground_state_imaginary_time(cfg, gaussian_wavepacket(g, center, width), dtau=0.05, tol=1e-11)
+    assert result.converged and result.newton_steps > 0
+    assert result.residual <= 1e-9
+    assert np.all(np.diff(result.energy_history) <= 0.0)
+    assert not result.state.amplitudes.imag.any() and not _changes_sign(result.state.amplitudes.real)
+    if interaction is None:
+        assert abs(result.energy - dense_ground_energy(g, v1.evaluate(g))[0]) <= 1e-10
 
 
 def test_imaginary_time_agrees_with_variational_route():

@@ -434,10 +434,25 @@ def test_ground_state_manifest_reports_the_residual(tmp_path, interaction):
     payload = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert payload["summary"] == summary
     assert summary["residual"] == result.residual > 0
+    assert summary["newton_steps"] == result.newton_steps > 0
     if interaction is None:
         assert "chemical_potential" not in summary
     else:
         assert summary["chemical_potential"] == result.chemical_potential
+
+
+def test_ground_state_manifest_says_which_path_ran(tmp_path):
+    # a moving start keeps the complex loop, with no Newton steps; a resting one is finished by Newton
+    data = minimal_ground_state()
+    data["initial_state"] = {"kind": "gaussian", "width": 1.0, "center": 0.5, "wavenumber": 1.0}
+    moving = run_scenario(parse_scenario_dict(data), tmp_path / "moving", quiet=True).summary
+    data["initial_state"]["wavenumber"] = 0.0
+    resting = run_scenario(parse_scenario_dict(data), tmp_path / "resting", quiet=True).summary
+    assert moving["newton_steps"] == 0 < resting["newton_steps"]
+    assert resting["residual"] < 1e-9 < moving["residual"]
+    for name in ("moving", "resting"):
+        history = (tmp_path / name / "energy_history.csv").read_text().strip().splitlines()
+        assert len(history) == 1 + 1 + json.loads((tmp_path / name / "manifest.json").read_text())["summary"]["iterations"]
 
 
 @pytest.mark.parametrize("boundary", ["dirichlet", "periodic"])
