@@ -161,7 +161,8 @@ def _run_propagation(scenario: Scenario, cfg, grid, phase: _Phase) -> tuple:
     }
     converged = True
     if scenario.task["kind"] == "verify":
-        slope = integrals.stationarity(_verify_bump(traj), scenario.task["epsilons"]).slope
+        stationarity = integrals.stationarity(_verify_bump(traj), scenario.task["epsilons"])
+        slope = stationarity.slope
         th = VERIFY_THRESHOLDS
         slope_band = [th["stationarity_slope_low"], th["stationarity_slope_high"]]
         equivalence = abs(summary["action_simple"] - summary["action_standard"])
@@ -177,6 +178,8 @@ def _run_propagation(scenario: Scenario, cfg, grid, phase: _Phase) -> tuple:
             for name, value, limit, rule in table
         }
         summary["stationarity_slope"] = slope
+        summary["stationarity_first_order"] = stationarity.first_order
+        summary["stationarity_second_order"] = stationarity.second_order
         summary["checks"] = checks
         converged = all(c["passed"] for c in checks.values())
     return converged, summary, {"diagnostics.csv": columns, "trajectory.npy": traj.amplitudes}

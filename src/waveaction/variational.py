@@ -18,18 +18,23 @@ actions differ only by the time-derivative total term and boundary
 fluxes, exactly as in the continuum.
 
 An action is the float that ends ActionIntegrals.running, the trapezoid
-time integral over a grids.Trajectory.
+time integral over a grids.Trajectory.  The stationarity probe perturbs a
+trajectory by eps * window * eta.  For a linear H the compact action is a
+Hermitian form in psi, so its change is eps * S1 + eps^2 * S2 exactly, and
+two inner products per row give both coefficients for every eps; with an
+interaction each eps costs one pass over the compact density.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy.optimize import minimize
 
-from .grids import Grid, Trajectory, Wavefunction, check_finite, gaussian_wavepacket, normalize, norms, quadrature
+from .grids import Grid, Trajectory, Wavefunction, gaussian_wavepacket, normalize, norms, quadrature
 from .grids import require_same_grid
 from .hamiltonian import (
     HamiltonianConfig,
@@ -92,11 +97,16 @@ class ActionIntegrals:
         The spatial envelope eta is supplied on the trajectory's grid; a
         sin^2 window in time makes the perturbation vanish at both endpoints
         of the trajectory, as the variational boundary conditions require.
-        The base action is this result's; each epsilon costs one pass that
-        evaluates the compact density only, perturbing each block of rows as
-        it is read and checking that it is finite.
-        Returns the action change for each epsilon and the least-squares
-        slope of log|dS| vs log eps (2 on solution trajectories, 1 off-shell).
+        For a linear H the compact action is a Hermitian form in psi, so the
+        change is eps * S1 + eps^2 * S2 exactly: both coefficients come from
+        one read of the trajectory (see _expansion) and serve every epsilon.
+        With an interaction the action is quartic in eps, and each epsilon
+        costs one pass that evaluates the compact density of the perturbed
+        rows only, against this result's base action.
+        Returns the action change for each epsilon, the least-squares slope
+        of log|dS| vs log eps (2 on solution trajectories, 1 off-shell) and,
+        for a linear H, S1 and S2.  Raises ValueError when an action change
+        is not finite.
         """
         eps_list = [float(e) for e in epsilons]
         positive = sorted({e for e in eps_list if e > 0})
@@ -106,38 +116,91 @@ class ActionIntegrals:
         require_same_grid(perturbation.grid, traj.grid)
         times = traj.times
         window = np.sin(np.pi * (times - times[0]) / (times[-1] - times[0])) ** 2
-        base = float(self.running("simple")[-1])
         eta = perturbation.amplitudes
 
-        def perturbed_action(eps: float) -> float:
-            weights = eps * window
+        if self.cfg.interaction is None:
+            first, second = self._expansion(window, eta)
 
-            def rows_of(lo: int, hi: int) -> np.ndarray:
-                rows = traj.amplitudes[lo:hi] + weights[lo:hi, None] * eta
-                check_finite(rows)
-                return rows
+            def change(eps: float) -> float:
+                return eps * first + eps * eps * second
 
-            simple = np.empty(len(times))
-            for lo, hi, h, amp, damp, extra, _ in _blocks(self.cfg, traj.grid, times, rows_of):
-                simple[lo:hi] = quadrature(traj.grid, _simple_density(self.cfg, h, amp, damp, extra)).real
-            return float(self._running_trapezoid(simple, times)[-1])
+        else:
+            first = second = None
+            base = float(self.running("simple")[-1])
 
-        points = [(eps, perturbed_action(eps) - base if eps != 0.0 else 0.0) for eps in eps_list]
+            def change(eps: float) -> float:
+                weights = eps * window
+                simple = np.empty(len(times))
+
+                def rows_of(lo: int, hi: int) -> np.ndarray:
+                    return traj.amplitudes[lo:hi] + weights[lo:hi, None] * eta
+
+                # a perturbed row that overflows makes its own density, and so
+                # the change, non-finite; the check below reports it
+                with np.errstate(over="ignore", invalid="ignore"):
+                    for lo, hi, h, amp, damp, extra, _ in _blocks(self.cfg, traj.grid, times, rows_of):
+                        simple[lo:hi] = quadrature(traj.grid, _simple_density(self.cfg, h, amp, damp, extra)).real
+                    return float(self._running_trapezoid(simple, times)[-1]) - base
+
+        points = []
+        for eps in eps_list:
+            delta = change(eps) if eps != 0.0 else 0.0
+            if not math.isfinite(delta):
+                raise ValueError(f"the action change at epsilon {eps!r} is not finite")
+            points.append((eps, delta))
         fit_points = [(e, d) for e, d in points if e > 0]
         if any(d == 0.0 for _, d in fit_points):
             raise ValueError("degenerate epsilon list: zero action change at nonzero epsilon")
         log_e = np.log([e for e, _ in fit_points])
         log_d = np.log([abs(d) for _, d in fit_points])
         slope = float(np.polyfit(log_e, log_d, 1)[0])
-        return StationarityResult(points=tuple(points), slope=slope)
+        return StationarityResult(points=tuple(points), slope=slope, first_order=first, second_order=second)
+
+    def _expansion(self, window: np.ndarray, eta: np.ndarray) -> tuple:
+        """(S1, S2) of the compact action's change eps * S1 + eps^2 * S2 under psi -> psi + eps * window * eta.
+
+        Exact for a linear H, Hermitian in the quadrature inner product <a, b>.
+        With c_k = <eta, psi_k>, d_k = <H(t_k) eta, psi_k> = <eta, H(t_k) psi_k>
+        and e_k = <eta, H(t_k) eta>, and the rates of window and c formed as
+        _blocks forms the rate of psi, the density integrals at row k are
+        s1 = Re[i hbar (window' conj(c) + window c')] - 2 window Re d and
+        s2 = -window^2 e; S1 and S2 are their trapezoid time integrals.
+        """
+        traj = self.trajectory
+        grid, times = traj.grid, traj.times
+        c = np.empty(len(times), dtype=complex)
+        d = np.empty(len(times), dtype=complex)
+        e = np.empty(len(times))
+        h_at = hamiltonian_at(self.cfg, grid)
+        bra = np.conj(eta)
+        h = None
+        for lo, hi in row_blocks(self.cfg, grid.n_points, len(times)):
+            h_now = h_at(times[lo])
+            if h_now is not h:  # a static H is assembled, and applied to eta, once
+                h, h_eta = h_now, h_now.matvec(eta)
+                h_bra, energy = np.conj(h_eta), quadrature(grid, bra * h_eta).real
+            rows = traj.amplitudes[lo:hi]
+            c[lo:hi] = quadrature(grid, bra * rows)
+            d[lo:hi] = quadrature(grid, h_bra * rows)
+            e[lo:hi] = energy
+        hbar = self.cfg.constants.hbar
+        s1 = (1j * hbar * (_rate(window, times) * np.conj(c) + window * _rate(c, times))).real - 2.0 * window * d.real
+        s2 = -(window**2) * e
+        return float(self._running_trapezoid(s1, times)[-1]), float(self._running_trapezoid(s2, times)[-1])
 
 
 @dataclass(frozen=True, eq=False)
 class StationarityResult:
-    """Action increments per perturbation amplitude and their log-log slope."""
+    """Action increments per perturbation amplitude, their log-log slope, and the exact coefficients.
+
+    first_order and second_order are S1 and S2 of dS(eps) = eps S1 + eps^2 S2
+    for a linear H; None with an interaction, whose action is quartic in eps.
+    """
 
     points: tuple
     slope: float
+    first_order: Optional[float]
+    second_order: Optional[float]
 
 
 @dataclass(frozen=True, eq=False)
@@ -284,11 +347,22 @@ def _blocks(cfg: HamiltonianConfig, grid: Grid, times: np.ndarray, rows_of: Call
     for lo, hi in row_blocks(cfg, grid.n_points, len(times)):
         start = max(lo - 1, 0)
         rows = rows_of(start, min(hi + 1, last + 1))
-        k = np.arange(lo, hi)
-        prev, nxt = np.maximum(k - 1, 0), np.minimum(k + 1, last)
+        prev, nxt = _neighbours(lo, hi, last)
         damp = (rows[nxt - start] - rows[prev - start]) / (times[nxt] - times[prev])[:, None]
         amp = rows[lo - start : hi - start]
         yield lo, hi, h_at(times[lo]), amp, damp, mean_field_diagonal(cfg, grid, amp, 0.5), times[lo]
+
+
+def _neighbours(lo: int, hi: int, last: int) -> tuple:
+    """Indices of the rows before and after each of rows lo..hi-1, the row itself standing in past 0 and last."""
+    k = np.arange(lo, hi)
+    return np.maximum(k - 1, 0), np.minimum(k + 1, last)
+
+
+def _rate(series: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """Time derivative of series at each of times as _blocks forms it: centred, one-sided at both ends."""
+    prev, nxt = _neighbours(0, len(times), len(times) - 1)
+    return (series[nxt] - series[prev]) / (times[nxt] - times[prev])
 
 
 def action(cfg: HamiltonianConfig, traj: Trajectory, which: str = "simple") -> float:

@@ -491,6 +491,17 @@ def test_imaginary_time_energy_history_monotone():
     assert abs(result.energy_history[-1] - result.energy_history[-2]) < 1e-11
 
 
+def test_mean_field_imaginary_time_energy_can_rise_at_large_dtau():
+    # the filter lowers the energy of a fixed H; a mean field rebuilt from
+    # each iterate changes H between steps, and a strong contact at a large
+    # dtau overshoots, so the history rises although the relaxation converges
+    g = make_grid(-8, 8, 401)
+    cfg = HamiltonianConfig(v1=PotentialField.harmonic(), interaction=TwoBodyInteraction.contact(750.0, 3))
+    result = ground_state_imaginary_time(cfg, gaussian_wavepacket(g), dtau=0.5, tol=1e-10)
+    assert result.converged
+    assert np.diff(result.energy_history).max() > 1.0
+
+
 def test_imaginary_time_max_iter_returns_partial():
     g = make_grid(-10, 10, 201)
     result = ground_state_imaginary_time(

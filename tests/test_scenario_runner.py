@@ -515,6 +515,24 @@ def test_verify_task_passes_on_harmonic_trap(tmp_path):
     assert checks["norm_drift"]["value"] < 1e-10
     assert checks["action_equivalence"]["value"] < 1e-8
     assert 1.85 < checks["stationarity_slope"]["value"] < 2.15
+    # the exact coefficients of dS(eps) = eps S1 + eps^2 S2: S1 all but vanishes on the solution
+    summary = payload["summary"]
+    assert summary["stationarity_second_order"] < 0.0
+    assert abs(summary["stationarity_first_order"]) < 1e-5 * abs(summary["stationarity_second_order"])
+
+
+def test_cli_run_rejects_a_non_finite_stationarity_change(tmp_path, capsys):
+    # the parser takes any finite epsilon; the probe names the one whose
+    # action change overflows, and the run writes no manifest (no NaN in it)
+    data = json.loads((Path(__file__).resolve().parents[1] / "scenarios" / "verify_harmonic.json").read_text())
+    data["task"]["epsilons"] = [1e300, 1e-3]
+    path = write_scenario(tmp_path, data)
+    assert main(["validate", str(path)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out), "--quiet"]) == 1
+    assert capsys.readouterr().err == "error: the action change at epsilon 1e+300 is not finite\n"
+    assert not (out / "manifest.json").exists()
 
 
 def test_cli_validate_and_exit_codes(tmp_path):
@@ -749,10 +767,10 @@ def test_cli_non_finite_initial_state_exits_1(tmp_path, capsys):
 
 
 def test_verify_makes_one_action_pass_besides_stationarity(tmp_path, monkeypatch):
-    # the runner's pass feeds the CSV, both actions, reality and the
-    # stationarity base; the probe adds one pass per epsilon, which reads
-    # the compact density only.  Every pass evaluates the densities on
-    # blocks of rows through variational._simple_density and
+    # the runner's pass feeds the CSV, both actions and reality; on a linear
+    # H the stationarity probe reads the trajectory once for its exact
+    # coefficients and evaluates no density.  Every pass evaluates the
+    # densities on blocks of rows through variational._simple_density and
     # variational._standard_density, so count the rows of the (rows, N)
     # amplitude block each of them receives.
     import waveaction.variational as variational
@@ -775,7 +793,7 @@ def test_verify_makes_one_action_pass_besides_stationarity(tmp_path, monkeypatch
     data["task"] = {"kind": "verify", "n_steps": 20, "epsilons": [1e-2, 1e-3, 1e-4]}
     manifest = run_scenario(parse_scenario_dict(data), tmp_path / "out", quiet=True)
     assert "checks" in manifest.summary
-    assert rows == {"_simple_density": 4 * 21, "_standard_density": 1 * 21}
+    assert rows == {"_simple_density": 1 * 21, "_standard_density": 1 * 21}
 
 
 def test_verify_needs_three_records(tmp_path):

@@ -1,5 +1,7 @@
 """Lagrangian densities, action integrals, stationarity, Rayleigh-Ritz."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -28,7 +30,7 @@ from waveaction import (
     rayleigh_ritz_minimize,
 )
 from waveaction.grids import central_difference
-from waveaction.hamiltonian import apply_mechanical_momentum, energies_of, hamiltonian_matrix
+from waveaction.hamiltonian import TridiagonalHamiltonian, apply_mechanical_momentum, energies_of, hamiltonian_matrix
 from waveaction.variational import FAMILIES, TrialFamily, energy_and_gradient
 
 from helpers import dense_ground_energy, loop_action_integrals, random_state, random_trajectory, trajectory_shapes
@@ -305,17 +307,70 @@ def test_stationarity_quadratic_on_solution():
     assert result.slope == pytest.approx(2.0, abs=0.15)
 
 
-def test_stationarity_points_are_perturbed_minus_base_action():
-    # the probe reuses the pass's base action and perturbs every row by
-    # eps * window(t) * eta; rebuild both row by row and compare exactly
-    _, _, traj, bump = stationarity_setup(n_steps=300)
-    result = action_integrals(HARMONIC, traj).stationarity(bump, [1e-2, 1e-3])
-    base = action(HARMONIC, traj)
+def test_stationarity_second_divided_differences_agree():
+    # dS(eps) = eps S1 + eps^2 S2 exactly on a linear H, so the second divided
+    # difference (dS1/eps1 - dS2/eps2) / (eps1 - eps2) is S2 for every pair;
+    # per-epsilon passes lose digits to cancellation as eps shrinks
+    _, _, traj, bump = stationarity_setup()
+    result = action_integrals(HARMONIC, traj).stationarity(bump, [1e-2, 1e-3, 1e-4])
+    (e1, d1), (e2, d2), (e3, d3) = result.points
+    coarse = (d1 / e1 - d2 / e2) / (e1 - e2)
+    fine = (d2 / e2 - d3 / e3) / (e2 - e3)
+    assert fine == pytest.approx(coarse, rel=1e-12, abs=0.0)
+    assert result.second_order == pytest.approx(coarse, rel=1e-12, abs=0.0)
+
+
+def oracle_rounding(cfg, traj):
+    """Trapezoid time integral of sum |weights * compact density| of traj on a linear H, each term in modulus.
+
+    The density psi* (i hbar d_t psi - H psi) at row k is formed from rows
+    k-1..k+1 and the entries of H, and its terms cancel on a solution; its
+    rounding is relative to their moduli, |psi_k| times hbar (|psi_k+1| +
+    |psi_k-1|) / (t_k+1 - t_k-1) and |H| |psi_k|.  A linear action then
+    rounds to a few units in the last place of this integral.
+    """
+    grid, times, amps = traj.grid, traj.times, np.abs(traj.amplitudes)
+    last = len(times) - 1
+    sizes = []
+    for k, t in enumerate(times):
+        prev, nxt = max(k - 1, 0), min(k + 1, last)
+        h = hamiltonian_matrix(cfg, grid, t)
+        h_abs = TridiagonalHamiltonian(grid, np.abs(h.diag), np.abs(h.upper), np.abs(h.lower))
+        rate = (amps[nxt] + amps[prev]) / (times[nxt] - times[prev])
+        sizes.append(quadrature(grid, amps[k] * (cfg.constants.hbar * rate + h_abs.matvec(amps[k]))))
+    return float(np.trapezoid(sizes, times))
+
+
+def perturbed_trajectory(traj, eta, eps):
+    """traj with every row k moved by eps * window_k * eta, the probe's perturbation, built by the outer product."""
     times = traj.times
     window = np.sin(np.pi * (times - times[0]) / (times[-1] - times[0])) ** 2
+    amps = np.outer(eps * window, eta.amplitudes)
+    amps += traj.amplitudes
+    return Trajectory(traj.grid, times, amps)
+
+
+def assert_within_oracle_rounding(cfg, traj, eta, eps, delta):
+    """delta against the oracle action(perturbed) - action(traj), to that difference's own rounding.
+
+    Each term of either oracle action passes through about eight roundings
+    (the perturbed row, its rate, the three products and two sums of H psi,
+    the density's product), so the difference is good to 8 ulps of both
+    trajectories' oracle_rounding; the exact coefficients round far below it.
+    """
+    perturbed = perturbed_trajectory(traj, eta, eps)
+    oracle = action(cfg, perturbed) - action(cfg, traj)
+    bound = 8 * np.finfo(float).eps * (oracle_rounding(cfg, traj) + oracle_rounding(cfg, perturbed))
+    assert abs(delta - oracle) <= bound
+
+
+def test_stationarity_points_are_perturbed_minus_base_action():
+    # the probe perturbs every row by eps * window(t) * eta; rebuild the
+    # perturbed trajectory and integrate it, as the per-epsilon passes did
+    _, _, traj, bump = stationarity_setup(n_steps=300)
+    result = action_integrals(HARMONIC, traj).stationarity(bump, [1e-2, 1e-3])
     for eps, delta in result.points:
-        rows = [amp + eps * w * bump.amplitudes for w, amp in zip(window, traj.amplitudes)]
-        assert delta == action(HARMONIC, Trajectory(traj.grid, times, rows)) - base
+        assert_within_oracle_rounding(HARMONIC, traj, bump, eps, delta)
 
 
 @settings(max_examples=30, deadline=None)
@@ -327,8 +382,10 @@ def test_stationarity_points_are_perturbed_minus_base_action():
     driven=st.booleans(),
 )
 def test_stationarity_equals_passes_over_perturbed_trajectories(seed, shape, boundary, contact, driven):
-    # the probe perturbs each block of rows as it reads it; the oracle stores
-    # every perturbed trajectory, built by the outer product, and integrates it
+    # the oracle stores every perturbed trajectory, built by the outer
+    # product, and integrates it.  With an interaction the probe makes the
+    # same passes block by block, bit for bit; on a linear H its exact
+    # coefficients meet the oracle within the oracle's own rounding
     n_snapshots, n_points = shape
     interaction = None if contact is None else TwoBodyInteraction.contact(contact, 3)
     v1 = PotentialField.from_callable(_driven) if driven else PotentialField.harmonic()
@@ -337,17 +394,32 @@ def test_stationarity_equals_passes_over_perturbed_trajectories(seed, shape, bou
     eta = random_state(traj.grid, seed)
     epsilons = [1e-1, 1e-2, 1e-3]
     result = action_integrals(cfg, traj).stationarity(eta, epsilons)
-    times = traj.times
-    window = np.sin(np.pi * (times - times[0]) / (times[-1] - times[0])) ** 2
-    base = action(cfg, traj)
-    points = []
-    for eps in epsilons:
-        amps = np.outer(eps * window, eta.amplitudes)
-        amps += traj.amplitudes
-        points.append((eps, action(cfg, Trajectory(traj.grid, times, amps)) - base))
-    assert result.points == tuple(points)
-    slope = np.polyfit(np.log(epsilons), np.log([abs(d) for _, d in points]), 1)[0]
+    if interaction is None:
+        for eps, delta in result.points:
+            assert delta == eps * result.first_order + eps * eps * result.second_order
+            assert_within_oracle_rounding(cfg, traj, eta, eps, delta)
+    else:
+        assert result.first_order is None and result.second_order is None
+        base = action(cfg, traj)
+        points = [(eps, action(cfg, perturbed_trajectory(traj, eta, eps)) - base) for eps in epsilons]
+        assert result.points == tuple(points)
+    slope = np.polyfit(np.log(epsilons), np.log([abs(d) for _, d in result.points]), 1)[0]
     assert result.slope == float(slope)
+
+
+@pytest.mark.parametrize("contact", [None, 10.0], ids=["linear", "interacting"])
+@pytest.mark.parametrize("eps", [1e300, 1e308])
+def test_stationarity_rejects_a_non_finite_action_change(contact, eps):
+    # eps = 1e300 overflows the action change; with an interaction, 1e308
+    # already overflows the perturbed rows, as the envelope reaches past 1
+    # (warnings are errors here, so neither may warn)
+    interaction = None if contact is None else TwoBodyInteraction.contact(contact, 3)
+    cfg = HamiltonianConfig(v1=PotentialField.harmonic(), interaction=interaction)
+    traj = random_trajectory(7, 12, 64, "periodic", 1e-2)
+    eta = Wavefunction(traj.grid, 10.0 * random_state(traj.grid, 7).amplitudes)
+    assert np.abs(eta.amplitudes.real).max() > 2.0
+    with pytest.raises(ValueError, match=re.escape(f"the action change at epsilon {eps!r} is not finite")):
+        action_integrals(cfg, traj).stationarity(eta, [eps, 1e-3])
 
 
 def test_stationarity_rejects_an_envelope_from_another_grid_of_the_same_size():
