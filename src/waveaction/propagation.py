@@ -9,7 +9,11 @@ The real-time scheme is the Cayley form
     (1 + i H dt / 2 hbar) psi_new = (1 - i H dt / 2 hbar) psi_old
 
 with H evaluated at the step midpoint t + dt/2; it preserves the norm
-exactly for Hermitian H.  Imaginary time uses the implicit (backward
+exactly for Hermitian H.  A step solves for the midpoint state
+x = (1 + s H)^-1 psi_old, s = i dt / 2 hbar, and returns 2 x - psi_old,
+which is the same map, since (1 - s H) = 2 - (1 + s H), and needs no
+product with H.  x is psi-bar = (psi_old + psi_new) / 2, the state at which
+the midpoint action evaluates H.  Imaginary time uses the implicit (backward
 Euler) filter (1 + dtau H / hbar)^-1 with renormalization after every
 step, which damps every excited component regardless of dtau and, for a
 linear H, makes the energy sequence monotonically non-increasing.  A mean
@@ -178,83 +182,96 @@ def _wrap_denominator(z: np.ndarray, v_last: complex, scale: complex) -> complex
 
 
 def _wrap_corrected(y: np.ndarray, z: np.ndarray, v_last: complex, denominator: complex) -> np.ndarray:
-    """A^-1 rhs from y = B^-1 rhs by Sherman-Morrison."""
-    return y - ((y[0] + v_last * y[-1]) / denominator) * z
+    """A^-1 rhs from y = B^-1 rhs by Sherman-Morrison, in y's storage."""
+    y -= ((y[0] + v_last * y[-1]) / denominator) * z
+    return y
 
 
 class _CayleySolver:
     """Factors of 1 + scale * H for one assembled tridiagonal H (LAPACK gttrf), for repeated solves.
 
     ``solve`` applies (1 + scale H)^-1 with one gttrs call on the stored
-    factors; ``cayley`` applies (1 + scale H)^-1 (1 - scale H).  The matrix
+    factors, run in place in one copy of the right-hand side.  The matrix
     factored is the one ``_shifted_bands`` describes; on periodic grids the
     wrap-link response B^-1 u is solved once, at construction.  The routines
     follow the dtypes: real bands are factored by dgttrf, and a solve runs
-    dgttrs only when the right-hand side is real too.
+    dgttrs only when the right-hand side is real too; each solver looks up
+    its gttrs once per dtype.  A Cayley step solves for the midpoint state
+    x = (1 + scale H)^-1 psi and returns 2 x - psi (``_through_midpoint``).
     """
 
     def __init__(self, h: TridiagonalHamiltonian, scale: complex):
         self.h = h
-        self.scale = scale
         dl, d, du, u, self._v_last = _shifted_bands(h, scale)
         (gttrf,) = get_lapack_funcs(("gttrf",), (dl, d, du))
         dl, d, du, du2, ipiv, info = gttrf(dl, d, du, overwrite_dl=1, overwrite_d=1, overwrite_du=1)
         _check_info(gttrf.typecode + "gttrf", info, scale)
         self._factors = dl, d, du, du2, ipiv
+        self._gttrs = {}
         if u is not None:
             self._z = self._lu_solve(u)
             self._denominator = _wrap_denominator(self._z, self._v_last, scale)
 
-    def _lu_solve(self, rhs: np.ndarray) -> np.ndarray:
-        (gttrs,) = get_lapack_funcs(("gttrs",), (self._factors[1], rhs))
-        x, info = gttrs(*self._factors, rhs)
+    def _lu_solve(self, b: np.ndarray) -> np.ndarray:
+        """B^-1 b in b's own storage; b is contiguous and of the solve's dtype."""
+        gttrs = self._gttrs.get(b.dtype)
+        if gttrs is None:
+            (gttrs,) = get_lapack_funcs(("gttrs",), (self._factors[1], b))
+            self._gttrs[b.dtype] = gttrs
+        x, info = gttrs(*self._factors, b, overwrite_b=1)
         if info != 0:
             raise ValueError(f"{gttrs.typecode}gttrs rejected argument {-info}")
         return x
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """x with (1 + scale H) x = rhs under the grid's boundary convention."""
+        """x with (1 + scale H) x = rhs under the grid's boundary convention; rhs is left as it is."""
+        out = rhs.astype(np.result_type(self._factors[1], rhs))
         if self.h.grid.is_periodic:
-            return _wrap_corrected(self._lu_solve(rhs), self._z, self._v_last, self._denominator)
-        out = np.zeros(len(rhs), dtype=np.result_type(self._factors[1], rhs))
-        out[1:-1] = self._lu_solve(rhs[1:-1])
+            return _wrap_corrected(self._lu_solve(out), self._z, self._v_last, self._denominator)
+        out[0] = out[-1] = 0.0
+        self._lu_solve(out[1:-1])
         return out
-
-    def cayley(self, amp: np.ndarray) -> np.ndarray:
-        return self.solve(amp - self.scale * self.h.matvec(amp))
 
 
 def _solve_once(h: TridiagonalHamiltonian, scale: complex, rhs: np.ndarray) -> np.ndarray:
-    """(1 + scale H)^-1 rhs by one LAPACK gtsv call, for a matrix solved only once.
+    """(1 + scale H)^-1 rhs by one LAPACK gtsv call, for a matrix solved only once; rhs is left as it is.
 
     Equal bit for bit to ``_CayleySolver(h, scale).solve(rhs)``: gtsv runs
-    gttrf's pivoted elimination and gttrs's substitutions in one pass.  On
-    periodic grids the wrap-link vector u is the second right-hand side.
-    dgtsv solves when the bands and rhs are all real, zgtsv otherwise.
+    gttrf's pivoted elimination and gttrs's substitutions in one pass, in
+    place in one full-length copy of rhs.  On periodic grids the wrap-link
+    vector u is the second right-hand side.  dgtsv solves when the bands and
+    rhs are all real, zgtsv otherwise.
     """
     dl, d, du, u, v_last = _shifted_bands(h, scale)
+    dtype = np.result_type(d, rhs)
     if u is None:
-        b = rhs[1:-1, None].copy()
+        out = rhs.astype(dtype)
+        out[0] = out[-1] = 0.0
+        b = out[1:-1, None]
     else:
-        b = np.empty((len(rhs), 2), dtype=np.result_type(d, rhs), order="F")
+        b = np.empty((len(rhs), 2), dtype=dtype, order="F")
         b[:, 0] = rhs
         b[:, 1] = u
     (gtsv,) = get_lapack_funcs(("gtsv",), (dl, d, du, b))
-    x, info = gtsv(dl, d, du, b, overwrite_dl=1, overwrite_d=1, overwrite_du=1, overwrite_b=1)[3:]
+    info = gtsv(dl, d, du, b, overwrite_dl=1, overwrite_d=1, overwrite_du=1, overwrite_b=1)[4]
     _check_info(gtsv.typecode + "gtsv", info, scale)
     if u is None:
-        out = np.zeros(len(rhs), dtype=x.dtype)
-        out[1:-1] = x[:, 0]
         return out
-    z = x[:, 1]
-    return _wrap_corrected(x[:, 0], z, v_last, _wrap_denominator(z, v_last, scale))
+    z = b[:, 1]
+    return _wrap_corrected(b[:, 0], z, v_last, _wrap_denominator(z, v_last, scale))
+
+
+def _through_midpoint(x: np.ndarray, amp: np.ndarray) -> np.ndarray:
+    """The Cayley step's new state 2 x - amp from its midpoint state x = (1 + s H)^-1 amp, in x's storage."""
+    x *= 2.0
+    x -= amp
+    return x
 
 
 def _cayley_substep(h_at, hbar: float, amp: np.ndarray, t: float, dt: float, extra_diag=None) -> np.ndarray:
     """amp advanced from t by dt with H at the midpoint (plus extra_diag), solved once."""
     h = h_at(t + dt / 2.0).plus_diagonal(extra_diag)
-    scale = 1j * dt / (2.0 * hbar)
-    return _solve_once(h, scale, amp - scale * h.matvec(amp))
+    return _through_midpoint(_solve_once(h, 1j * dt / (2.0 * hbar), amp), amp)
 
 
 # Steppers map (amplitudes at t, t) to the amplitudes at t + dt.  Each is
@@ -266,7 +283,7 @@ def _cn_stepper(cfg: HamiltonianConfig, grid: Grid, dt: float):
     h_at = hamiltonian_at(cfg, grid)
     if cfg.is_static:  # one H, so one factorization for the whole run
         solver = _CayleySolver(h_at(0.0), 1j * dt / (2.0 * hbar))
-        return lambda amp, t: solver.cayley(amp)
+        return lambda amp, t: _through_midpoint(solver.solve(amp), amp)
     return lambda amp, t: _cayley_substep(h_at, hbar, amp, t, dt)
 
 

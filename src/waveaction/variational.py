@@ -173,15 +173,17 @@ class ActionIntegrals:
         e = np.empty(len(times))
         h_at = hamiltonian_at(self.cfg, grid)
         bra = np.conj(eta)
+        weighted_bra = grid.weights * bra
         h = None
         for lo, hi in row_blocks(self.cfg, grid.n_points, len(times)):
             h_now = h_at(times[lo])
             if h_now is not h:  # a static H is assembled, and applied to eta, once
                 h, h_eta = h_now, h_now.matvec(eta)
-                h_bra, energy = np.conj(h_eta), quadrature(grid, bra * h_eta).real
+                weighted_h_bra, energy = grid.weights * np.conj(h_eta), quadrature(grid, bra * h_eta).real
+            # the quadrature inner products of the block's rows, one matrix product each
             rows = traj.amplitudes[lo:hi]
-            c[lo:hi] = quadrature(grid, bra * rows)
-            d[lo:hi] = quadrature(grid, h_bra * rows)
+            c[lo:hi] = rows @ weighted_bra
+            d[lo:hi] = rows @ weighted_h_bra
             e[lo:hi] = energy
         hbar = self.cfg.constants.hbar
         s1 = (1j * hbar * (_rate(window, times) * np.conj(c) + window * _rate(c, times))).real - 2.0 * window * d.real

@@ -88,6 +88,28 @@ def dense_shifted_matrix(h, scale):
     return m
 
 
+def dense_cayley_step(h, scale, amp):
+    """np.linalg.solve(1 + scale H, amp - scale H amp) with the dense matrix of dense_shifted_matrix.
+
+    H amp is summed one link at a time, as that matrix is built.  Dirichlet
+    grids hold their endpoints at zero: the step solves the interior block.
+    """
+    n = h.grid.n_points
+    amp = np.array(amp, dtype=complex)
+    if not h.grid.is_periodic:
+        amp[0] = amp[-1] = 0.0
+    h_amp = h.diag * amp
+    for j in range(len(h.upper)):
+        h_amp[j] += h.upper[j] * amp[(j + 1) % n]
+        h_amp[(j + 1) % n] += h.lower[j] * amp[j]
+    m, rhs = dense_shifted_matrix(h, scale), amp - scale * h_amp
+    if h.grid.is_periodic:
+        return np.linalg.solve(m, rhs)
+    out = np.zeros(n, dtype=complex)
+    out[1:-1] = np.linalg.solve(m[1:-1, 1:-1], rhs[1:-1])
+    return out
+
+
 def banded_shift_solve(h, scale, rhs):
     """(1 + scale H) x = rhs on the Dirichlet interior by scipy's solve_banded (LAPACK zgtsv)."""
     n = h.grid.n_points

@@ -46,6 +46,7 @@ from waveaction.propagation import (
 
 from helpers import (
     banded_shift_solve,
+    dense_cayley_step,
     dense_ground_energy,
     dense_shifted_matrix,
     random_state,
@@ -111,6 +112,59 @@ def test_cn_unitary_per_step_any_potential(fields, dt, seed):
     for _ in range(20):
         psi = step_crank_nicolson(cfg, psi, 0.0, dt)
     assert abs(norm(psi) - 1.0) < 1e-12
+
+
+def _sampled_config(fields, driven, interaction=None):
+    """(grid, config) of _sampled_fields' V and A; a driven V is scaled by 1 + sin(3 t) / 2."""
+    boundary, v, a = fields
+    if driven:
+        v1 = PotentialField.from_callable(lambda x, t: v * (1.0 + 0.5 * np.sin(3.0 * t)))
+    else:
+        v1 = PotentialField.from_samples(v)
+    cfg = HamiltonianConfig(v1=v1, a_vec=PotentialField.from_samples(a), interaction=interaction)
+    return make_grid(0, 6, len(v), boundary), cfg
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    fields=_sampled_fields(),
+    driven=st.booleans(),
+    t=st.floats(-1.0, 1.0),
+    dt=st.floats(1e-4, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_cn_step_matches_the_dense_cayley_step(fields, driven, t, dt, seed):
+    # the step solves for the midpoint state and reflects through it; the
+    # oracle solves the dense 1 + sH against psi - sH psi, H at the midpoint time
+    g, cfg = _sampled_config(fields, driven)
+    psi = random_state(g, seed=seed)
+    expected = dense_cayley_step(hamiltonian_matrix(cfg, g, t + dt / 2.0), 1j * dt / 2.0, psi.amplitudes)
+    stepped = step_crank_nicolson(cfg, psi, t, dt).amplitudes
+    assert np.linalg.norm(stepped - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    fields=_sampled_fields(),
+    driven=st.booleans(),
+    coupling=st.floats(0.1, 50.0),
+    n_particles=st.integers(2, 5),
+    t=st.floats(-1.0, 1.0),
+    dt=st.floats(1e-4, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_gp_step_matches_the_dense_predictor_corrector(fields, driven, coupling, n_particles, t, dt, seed):
+    # two dense Cayley steps from psi: the predictor with the mean field of
+    # |psi|^2, the corrector with that of the average (|predicted|^2 + |psi|^2) / 2
+    g, cfg = _sampled_config(fields, driven, TwoBodyInteraction.contact(coupling, n_particles))
+    psi = random_state(g, seed=seed)
+    h, scale, c = hamiltonian_matrix(cfg, g, t + dt / 2.0), 1j * dt / 2.0, (n_particles - 1) * coupling
+    rho = np.abs(psi.amplitudes) ** 2
+    predicted = dense_cayley_step(h.plus_diagonal(c * rho), scale, psi.amplitudes)
+    rho_avg = 0.5 * (np.abs(predicted) ** 2 + rho)
+    expected = dense_cayley_step(h.plus_diagonal(c * rho_avg), scale, psi.amplitudes)
+    stepped = step_gp(cfg, psi, t, dt).amplitudes
+    assert np.linalg.norm(stepped - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
 def test_cn_free_packet_spreading():
@@ -934,6 +988,41 @@ def test_real_solves_run_in_float64_and_match_the_complex_solve(n, seed, v_scale
             assert np.linalg.norm(x - reference.real) <= 1e-13 * np.linalg.norm(reference)
 
 
+@pytest.mark.parametrize("boundary", ["dirichlet", "periodic"])
+@pytest.mark.parametrize("rhs_dtype", [np.float64, np.complex128])
+@pytest.mark.parametrize("real_system", [False, True], ids=["cayley", "imaginary-time"])
+@pytest.mark.parametrize("solver", ["factored", "once"])
+def test_solves_leave_their_right_hand_side_alone(boundary, rhs_dtype, real_system, solver):
+    # each solve runs in place in its own copy of rhs; on a Dirichlet grid the
+    # copy's endpoints are zeroed, whatever rhs holds there
+    g = make_grid(-5.0, 5.0, 41, boundary)
+    rng = np.random.default_rng(3)
+    if real_system:
+        cfg = HamiltonianConfig(v1=PotentialField.harmonic())
+        h = hamiltonian_matrix(cfg, g)
+        h, scale = TridiagonalHamiltonian(g, h.diag.real.copy(), h.upper.real.copy(), h.lower.real.copy()), 0.05
+    else:
+        cfg, _ = _random_config(g, 3, 10.0, 1.0)
+        h, scale = hamiltonian_matrix(cfg, g), 0.05j
+    rhs = rng.standard_normal(g.n_points).astype(rhs_dtype)
+    if rhs_dtype is np.complex128:
+        rhs += 1j * rng.standard_normal(g.n_points)
+    assert rhs[0] != 0 and rhs[-1] != 0 and rhs.flags.writeable
+    kept = rhs.copy()
+    out = _CayleySolver(h, scale).solve(rhs) if solver == "factored" else _solve_once(h, scale, rhs)
+    np.testing.assert_array_equal(rhs, kept)
+    assert not np.shares_memory(out, rhs)
+    assert out.dtype == np.result_type(h.diag, rhs)
+    m = dense_shifted_matrix(h, scale)
+    if boundary == "dirichlet":
+        assert out[0] == 0 and out[-1] == 0
+        ref = np.zeros(g.n_points, dtype=complex)
+        ref[1:-1] = np.linalg.solve(m[1:-1, 1:-1], rhs[1:-1])
+    else:
+        ref = np.linalg.solve(m, rhs)
+    assert np.linalg.norm(out - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
 def _driven(x, t):
     return 0.5 * x**2 + 0.4 * x * np.sin(3.0 * t)
 
@@ -1033,6 +1122,32 @@ def test_driven_propagation_reassembles_at_every_midpoint(boundary, scheme, inte
     propagate(cfg, dataclasses.replace(gaussian_wavepacket(g), time=0.25), plan)
     starts = [0.25] + [0.25 + k * plan.dt for k in range(1, plan.n_steps)]
     assert seen == [t + plan.dt / 2.0 for t in starts for _ in range(per_step)]
+
+
+@pytest.mark.parametrize("boundary", ["dirichlet", "periodic"])
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        HARMONIC,
+        HamiltonianConfig(v1=PotentialField.from_callable(_driven)),
+        HamiltonianConfig(v1=PotentialField.harmonic(), interaction=_CONTACT),
+    ],
+    ids=["cn-static", "cn-driven", "gp"],
+)
+def test_implicit_steps_make_no_matvec(monkeypatch, boundary, cfg):
+    # every implicit step is a solve for the midpoint state and a reflection through it
+    calls = []
+    matvec = TridiagonalHamiltonian.matvec
+
+    def counted(self, amp):
+        calls.append(amp.shape)
+        return matvec(self, amp)
+
+    monkeypatch.setattr(TridiagonalHamiltonian, "matvec", counted)
+    g = make_grid(-8.0, 8.0, 129, boundary)
+    traj = propagate(cfg, gaussian_wavepacket(g, center=0.5, wavenumber=1.0), PropagationPlan(dt=1e-2, n_steps=5))
+    assert len(traj.times) == 6
+    assert calls == []
 
 
 def test_singular_pivot_raises_linalg_error():

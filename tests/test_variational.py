@@ -407,6 +407,55 @@ def test_stationarity_equals_passes_over_perturbed_trajectories(seed, shape, bou
     assert result.slope == float(slope)
 
 
+def quadrature_expansion(cfg, traj, eta):
+    """(S1, S2, scale) of the exact stationarity expansion with c_k, d_k and e_k each a grid quadrature of row k.
+
+    H is assembled at every row time.  scale is the trapezoid integral of
+    the moduli of s1's three terms, the size S1 rounds relative to: S1
+    itself cancels to far below it on some trajectories.
+    """
+    grid, times, hbar = traj.grid, traj.times, cfg.constants.hbar
+    window = np.sin(np.pi * (times - times[0]) / (times[-1] - times[0])) ** 2
+    bra = np.conj(eta.amplitudes)
+    c, d, e = (np.empty(len(times), dtype=complex) for _ in range(3))
+    for k, t in enumerate(times):
+        h_eta = hamiltonian_matrix(cfg, grid, t).matvec(eta.amplitudes)
+        c[k] = quadrature(grid, bra * traj.amplitudes[k])
+        d[k] = quadrature(grid, np.conj(h_eta) * traj.amplitudes[k])
+        e[k] = quadrature(grid, bra * h_eta)
+
+    rows = np.arange(len(times))
+    prev, nxt = np.maximum(rows - 1, 0), np.minimum(rows + 1, len(times) - 1)
+
+    def rate(f):  # centred, one-sided at the two ends
+        return (f[nxt] - f[prev]) / (times[nxt] - times[prev])
+
+    terms = (hbar * rate(window) * np.conj(c), hbar * window * rate(c), 2.0 * window * d)
+    s1 = (1j * (terms[0] + terms[1])).real - terms[2].real
+    scale = np.trapezoid(sum(np.abs(term) for term in terms), times)
+    return np.trapezoid(s1, times), np.trapezoid(-(window**2) * e.real, times), scale
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    shape=trajectory_shapes(),
+    boundary=st.sampled_from(["dirichlet", "periodic"]),
+    driven=st.booleans(),
+)
+def test_expansion_coefficients_match_the_row_quadratures(seed, shape, boundary, driven):
+    # the probe forms c and d as one matrix product per row block; each
+    # quadrature inner product rounds differently, far below 1e-14 of the sizes summed
+    n_snapshots, n_points = shape
+    cfg = HamiltonianConfig(v1=PotentialField.from_callable(_driven) if driven else PotentialField.harmonic())
+    traj = random_trajectory(seed, n_snapshots, n_points, boundary, 1e-2)
+    eta = random_state(traj.grid, seed)
+    result = action_integrals(cfg, traj).stationarity(eta, [1e-1, 1e-2])
+    first, second, scale = quadrature_expansion(cfg, traj, eta)
+    assert abs(result.first_order - first) <= 1e-14 * scale
+    assert abs(result.second_order - second) <= 1e-14 * abs(second)
+
+
 @pytest.mark.parametrize("contact", [None, 10.0], ids=["linear", "interacting"])
 @pytest.mark.parametrize("eps", [1e300, 1e308])
 def test_stationarity_rejects_a_non_finite_action_change(contact, eps):
