@@ -34,18 +34,24 @@ real vector, since every iterate then stays real, and puts the phase back
 on the result; otherwise it iterates in complex128.
 
 On that real path, for a linear H or a contact interaction, the damped loop
-hands off once consecutive energies differ by less than max(tol, 1e-4) to
-Newton steps on (H + c phi^2) phi = mu phi with ||phi|| = 1 (c = (N-1) g, or
-0 for a linear H).  The Jacobian H + 3 c phi^2 - mu is tridiagonal, so each
-step is two single-use solves; for c = 0 it is one shifted
-inverse-iteration step.  Newton converges quadratically, so the returned
-state is the eigenvector to rounding, where the loop alone leaves an error
-of order sqrt(tol / gap).  A step is accepted only if it does not raise the
-energy and has no sign change above a floor relative to its peak (a real H
-with negative links has a positive ground state, so a sign change means an
-excited state); the first rejected step ends the finish and the loop
-resumes.  Complex paths (a phase freedom, and no sign test) and kernel
-interactions (a dense Jacobian) keep the loop alone.
+hands off to Newton steps on (H + c phi^2) phi = mu phi with ||phi|| = 1
+(c = (N-1) g, or 0 for a linear H) once consecutive energies differ by less
+than a threshold: 1e-2 for c >= 0, 1e-4 for c < 0, never below tol.  For
+c >= 0 the discrete energy is strictly convex in rho = phi^2 (Lieb,
+Seiringer & Yngvason 2000), so a stationary state without a sign change is
+the ground state and Newton may take over early; an attractive contact has
+positive stationary states above the ground state, so it hands off only
+near the minimum.  The Jacobian H + 3 c phi^2 - mu is tridiagonal, so each
+step is one single-use solve with a block of right-hand sides; for c = 0 it
+is one shifted inverse-iteration step.  Newton converges quadratically, so
+the returned state is the eigenvector to rounding, where the loop alone
+leaves an error of order sqrt(tol / gap).  A step is accepted only if it
+does not raise the energy and has no sign change above a floor relative to
+its peak (a real H with negative links has a positive ground state, so a
+sign change means an excited state); the first rejected step ends the
+finish, the loop resumes, and the hand-off is re-armed at a tenth of its
+last threshold.  Complex paths (a phase freedom, and no sign test) and
+kernel interactions (a dense Jacobian) keep the loop alone.
 
 The split-operator scheme is a Strang splitting with the kinetic factor
 applied by FFT.  Where the grid size n has a prime factor larger than
@@ -122,10 +128,11 @@ class GroundStateResult:
     chemical_potential is mu = <phi|H|phi> and residual the eigenvalue
     residual ||H phi - mu phi||, both with the full-weight mean field, as
     evidence of how far the final state is from a stationary one.
-    newton_steps counts the accepted Newton steps that finished the real
-    path; it is 0 on the complex and kernel paths and when the first step
-    is rejected.  iterations counts loop iterations and Newton steps, and
-    energy_history holds the start's energy and one row for each.
+    newton_steps counts the accepted Newton steps of every finish on the
+    real path; it is 0 on the complex and kernel paths and when every
+    finish was rejected at its first step.  iterations counts loop
+    iterations and Newton steps, and energy_history holds the start's
+    energy and one row for each.
     """
 
     state: Wavefunction
@@ -236,29 +243,36 @@ class _CayleySolver:
 def _solve_once(h: TridiagonalHamiltonian, scale: complex, rhs: np.ndarray) -> np.ndarray:
     """(1 + scale H)^-1 rhs by one LAPACK gtsv call, for a matrix solved only once; rhs is left as it is.
 
-    Equal bit for bit to ``_CayleySolver(h, scale).solve(rhs)``: gtsv runs
-    gttrf's pivoted elimination and gttrs's substitutions in one pass, in
-    place in one full-length copy of rhs.  On periodic grids the wrap-link
-    vector u is the second right-hand side.  dgtsv solves when the bands and
-    rhs are all real, zgtsv otherwise.
+    rhs is one vector (n,) or a block (n, k) of k right-hand sides, which
+    the one call factors the matrix for; the result has rhs's shape.  Equal
+    bit for bit to ``_CayleySolver(h, scale).solve`` of each column: gtsv
+    runs gttrf's pivoted elimination and gttrs's substitutions in one pass,
+    in place in one full-length copy of a single rhs.  On periodic grids the
+    wrap-link vector u is one more right-hand side.  dgtsv solves when the
+    bands and rhs are all real, zgtsv otherwise.
     """
     dl, d, du, u, v_last = _shifted_bands(h, scale)
     dtype = np.result_type(d, rhs)
+    n, k = len(rhs), rhs.size // len(rhs)
     if u is None:
-        out = rhs.astype(dtype)
+        out = rhs.astype(dtype, order="F")
         out[0] = out[-1] = 0.0
-        b = out[1:-1, None]
+        b = out[1:-1].reshape(n - 2, k, order="F")  # a view, contiguous for one column
     else:
-        b = np.empty((len(rhs), 2), dtype=dtype, order="F")
-        b[:, 0] = rhs
-        b[:, 1] = u
+        b = np.empty((n, k + 1), dtype=dtype, order="F")
+        b[:, :k] = rhs.reshape(n, k)
+        b[:, k] = u
     (gtsv,) = get_lapack_funcs(("gtsv",), (dl, d, du, b))
-    info = gtsv(dl, d, du, b, overwrite_dl=1, overwrite_d=1, overwrite_du=1, overwrite_b=1)[4]
+    _, _, _, x, info = gtsv(dl, d, du, b, overwrite_dl=1, overwrite_d=1, overwrite_du=1, overwrite_b=1)
     _check_info(gtsv.typecode + "gtsv", info, scale)
     if u is None:
+        b[...] = x  # x is b itself for one column; a block's interior is solved in gtsv's own copy
         return out
-    z = b[:, 1]
-    return _wrap_corrected(b[:, 0], z, v_last, _wrap_denominator(z, v_last, scale))
+    z = x[:, k]
+    denominator = _wrap_denominator(z, v_last, scale)
+    for j in range(k):
+        _wrap_corrected(x[:, j], z, v_last, denominator)
+    return x[:, 0] if rhs.ndim == 1 else x[:, :k]
 
 
 def _through_midpoint(x: np.ndarray, amp: np.ndarray) -> np.ndarray:
@@ -430,8 +444,14 @@ def propagate(
 
 
 # The real path's loop hands off to Newton once consecutive energies differ by
-# less than this or tol, whichever is larger.
-_HANDOFF_ENERGY_CHANGE = 1e-4
+# less than this or tol, whichever is larger; after a finish that does not
+# converge, at a tenth of the last threshold.  With c >= 0 a positive
+# stationary state is the ground state, so the hand-off can come early.
+_HANDOFF_ENERGY_CHANGE = 1e-2
+# An attractive contact (c < 0) has positive stationary states above the
+# ground state: handed off at 1e-2, double wells started near their barrier
+# finished at the symmetric one, up to 0.7 above the ground energy.
+_ATTRACTIVE_HANDOFF_ENERGY_CHANGE = 1e-4
 # A start is a phase times a real vector when, rotated by its peak's phase, no
 # imaginary part exceeds this fraction of the peak modulus.
 _REAL_START_FLOOR = 16 * np.finfo(np.float64).eps
@@ -468,19 +488,18 @@ def _newton_step(cfg: HamiltonianConfig, h: TridiagonalHamiltonian, amp: np.ndar
     """One Newton step on F = (H + c phi^2) phi - mu phi with ||phi|| = 1, from the real, normalized amp.
 
     mu is amp's chemical potential and c phi^2 the full-weight contact mean
-    field (c = 0 for a linear H).  Two solves with the tridiagonal Jacobian
-    J = H + 3 c phi^2 - mu, J a = F and J b = phi, give the step
-    phi - a + (<phi, a> / <phi, b>) b, which keeps phi's norm to first order;
-    it is normalized.  With c = 0, a = phi and the step is one shifted
-    inverse-iteration step, (H - mu)^-1 phi normalized.
+    field (c = 0 for a linear H).  One solve with the tridiagonal Jacobian
+    J = H + 3 c phi^2 - mu, factored once for the block J [a, b] = [F, phi],
+    gives the step phi - a + (<phi, a> / <phi, b>) b, which keeps phi's norm
+    to first order; it is normalized.  With c = 0, a = phi and the step is
+    one shifted inverse-iteration step, (H - mu)^-1 phi normalized.
     """
     grid = h.grid
     u = mean_field_diagonal(cfg, grid, amp, 1.0)
     h_amp = h.plus_diagonal(u).matvec(amp)
     mu = quadrature(grid, amp * h_amp)
     jacobian = h.plus_diagonal(-mu - 1.0 if u is None else 3.0 * u - mu - 1.0)  # J = 1 + jacobian
-    a = _solve_once(jacobian, 1.0, h_amp - mu * amp)
-    b = _solve_once(jacobian, 1.0, amp)
+    a, b = _solve_once(jacobian, 1.0, np.array((h_amp - mu * amp, amp)).T).T
     step = amp - a + (quadrature(grid, amp * a) / quadrature(grid, amp * b)) * b
     return step / norms(grid, step)
 
@@ -492,7 +511,8 @@ def _newton_finish(
 
     A step is accepted only if it does not raise the energy and has no sign
     change (a real H with negative links has a positive ground state); the
-    first rejected step ends the finish.  Converged when a step changes the
+    first rejected step ends the finish, and the caller's loop resumes from
+    the last accepted state.  Converged when a step changes the
     energy by less than tol.  A step that raises it by less than tol after an
     accepted one is at the fixed point to rounding: it replaces that step,
     its row included, which keeps the history non-increasing, since that
@@ -535,17 +555,20 @@ def ground_state_imaginary_time(
     a real vector (the phase of its largest-modulus amplitude), the loop
     iterates on that real vector in float64 and the result carries the phase
     again.  On this path, for a linear H or a contact interaction, the loop
-    hands off once consecutive energies differ by less than max(tol, 1e-4)
-    to Newton steps on (H + c phi^2) phi = mu phi (``_newton_step``), which
-    finish at the eigenvector to rounding.  A step is accepted only if it
-    does not raise the energy and changes no sign above 1e-8 of the peak;
-    the first rejected step ends the finish (``_newton_finish``).  Each
-    accepted step adds an energy_history row and counts as an iteration
-    (newton_steps counts them), so the finish keeps the history
-    non-increasing and iterations at most max_iter.  The finish stops when a step changes the
+    hands off to Newton steps on (H + c phi^2) phi = mu phi (``_newton_step``),
+    which finish at the eigenvector to rounding, once consecutive energies
+    differ by less than max(tol, 1e-2), or max(tol, 1e-4) for an attractive
+    contact (c = (N-1) g < 0), whose positive stationary states need not be
+    the ground state.  A step is accepted only if it does not raise the
+    energy and changes no sign above 1e-8 of the peak; the first rejected
+    step ends the finish (``_newton_finish``).  Each accepted step adds an
+    energy_history row and counts as an iteration (newton_steps counts them
+    over every finish), so the finish keeps the history non-increasing and
+    iterations at most max_iter.  The finish stops when a step changes the
     energy by less than tol; otherwise the loop resumes from the last
-    accepted state and stops by its own rule, so tol = 0 still runs
-    max_iter iterations.  A complex H or start, and a kernel interaction,
+    accepted state, the hand-off is re-armed at max(tol, a tenth of the last
+    threshold), and the loop still stops by its own rule, so tol = 0 still
+    runs max_iter iterations.  A complex H or start, and a kernel interaction,
     keep the loop alone, bit for bit.
     """
     if not cfg.is_static:
@@ -574,6 +597,8 @@ def ground_state_imaginary_time(
             return _solve_once(h.plus_diagonal(u), scale, amp)
 
     finish = real is not None and (cfg.interaction is None or cfg.interaction.kind == "contact")
+    attractive = cfg.interaction is not None and (cfg.interaction.n_particles - 1) * cfg.interaction.g < 0
+    handoff = max(tol, _ATTRACTIVE_HANDOFF_ENERGY_CHANGE if attractive else _HANDOFF_ENERGY_CHANGE)
     history = [float(energies_of(cfg, h, amp))]
     iterations = newton_steps = 0
     converged = False
@@ -587,10 +612,11 @@ def ground_state_imaginary_time(
         amp = amp / n
         history.append(float(energies_of(cfg, h, amp)))
         change = abs(history[-1] - history[-2])
-        if finish and change < max(tol, _HANDOFF_ENERGY_CHANGE):
-            finish = False
-            amp, newton_steps, converged = _newton_finish(cfg, h, amp, history, tol, max_iter - iterations)
-            iterations += newton_steps
+        if finish and change < handoff:
+            amp, steps, converged = _newton_finish(cfg, h, amp, history, tol, max_iter - iterations)
+            iterations += steps
+            newton_steps += steps
+            handoff = max(tol, handoff / 10)
         converged = converged or change < tol
     h_amp = h.plus_diagonal(mean_field_diagonal(cfg, grid, amp, 1.0)).matvec(amp)
     mu = float(quadrature(grid, np.conj(amp) * h_amp).real)

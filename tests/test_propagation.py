@@ -37,6 +37,8 @@ from waveaction import (
 from waveaction.grids import norms
 from waveaction.hamiltonian import TridiagonalHamiltonian, energies_of, hamiltonian_matrix, mean_field_diagonal
 from waveaction.propagation import (
+    _ATTRACTIVE_HANDOFF_ENERGY_CHANGE,
+    _HANDOFF_ENERGY_CHANGE,
     _CayleySolver,
     _changes_sign,
     _largest_prime_factor,
@@ -703,6 +705,11 @@ def test_imaginary_time_picks_the_lapack_routines_by_dtype(monkeypatch, cfg, bou
     assert prefixes and set(prefixes) == {"z"}
 
 
+def _real_hamiltonian(cfg, grid):
+    h = hamiltonian_matrix(cfg, grid)
+    return TridiagonalHamiltonian(grid, h.diag.real.copy(), h.upper.real.copy(), h.lower.real.copy())
+
+
 def _loop_alone(cfg, psi0, dtau, tol):
     """(amplitudes, energy history) of the damped imaginary-time loop with no Newton finish.
 
@@ -713,7 +720,7 @@ def _loop_alone(cfg, psi0, dtau, tol):
     h = hamiltonian_matrix(cfg, grid)
     amp = normalize(psi0).amplitudes
     if not any(a.imag.any() for a in (h.diag, h.upper, h.lower, amp)):
-        h = TridiagonalHamiltonian(grid, h.diag.real.copy(), h.upper.real.copy(), h.lower.real.copy())
+        h = _real_hamiltonian(cfg, grid)
         amp = amp.real.copy()
     history = [float(energies_of(cfg, h, amp))]
     while len(history) == 1 or abs(history[-1] - history[-2]) >= tol:
@@ -754,39 +761,72 @@ def test_complex_and_kernel_paths_keep_the_loop(case):
     assert result.state.amplitudes.imag.any() == (case != "kernel")
 
 
-def test_a_rejected_newton_step_keeps_the_loops_answer():
-    # a double well with a start mostly in its first excited state: at the
-    # hand-off the Rayleigh quotient lies nearer E1, so the Newton step heads
-    # for the antisymmetric state; its sign change rejects it
+def _first_hand_off(cfg, start, dtau, threshold):
+    """(energy, Newton step, step's energy) at the loop state whose energy change first falls below threshold."""
+    amp, history = _loop_alone(cfg, start, dtau, threshold)
+    h = _real_hamiltonian(cfg, start.grid)
+    step = _newton_step(cfg, h, amp)
+    return history[-1], step, float(energies_of(cfg, h, step))
+
+
+def _assert_finished(result):
+    assert result.converged and result.newton_steps > 0
+    assert result.residual <= 1e-9
+    assert np.all(np.diff(result.energy_history) <= 0.0)
+
+
+def _double_well_mostly_excited():
+    """A double well and a start mostly in its first excited state."""
     g = make_grid(-6, 6, 401)
-    v = (g.x**2 - 1.5**2) ** 2
-    cfg = HamiltonianConfig(v1=PotentialField.from_samples(v))
+    cfg = HamiltonianConfig(v1=PotentialField.from_samples((g.x**2 - 1.5**2) ** 2))
     left, right = (gaussian_wavepacket(g, center=c, width=0.6).amplitudes.real for c in (-1.5, 1.5))
-    start = Wavefunction(g, left - 0.8 * right)
-    e0, e1 = dense_ground_energy(g, v, n_states=2)
+    return cfg, Wavefunction(g, left - 0.8 * right)
+
+
+def test_a_newton_step_with_a_sign_change_is_retried_after_the_loop_resumes():
+    # at the first hand-off the Rayleigh quotient lies nearer E1, so the Newton
+    # step heads for the antisymmetric state and its sign change rejects it;
+    # the loop resumes, and a re-armed hand-off finishes at the ground state
+    cfg, start = _double_well_mostly_excited()
+    e0, e1 = dense_ground_energy(start.grid, cfg.v1.evaluate(start.grid), n_states=2)
+    _, step, _ = _first_hand_off(cfg, start, 1.0, _HANDOFF_ENERGY_CHANGE)
+    assert _changes_sign(step)
     result = ground_state_imaginary_time(cfg, start, dtau=1.0, tol=1e-10)
-    amp, history = _loop_alone(cfg, start, 1.0, 1e-10)
-    assert result.converged and result.newton_steps == 0
-    assert np.array_equal(result.energy_history, history)
-    assert np.array_equal(result.state.amplitudes, amp.astype(complex))
-    assert abs(result.energy - e0) < 1e-8 < e1 - e0
-    assert not _changes_sign(amp)
+    _assert_finished(result)
+    assert abs(result.energy - e0) < 1e-10 < e1 - e0
+    assert not _changes_sign(result.state.amplitudes.real)
 
 
-def test_a_newton_step_that_raises_the_energy_keeps_the_loops_answer():
+def test_a_newton_step_that_raises_the_energy_is_retried_after_the_loop_resumes():
     # an attractive condensate in a weak trap relaxes slowly, so consecutive
     # energies fall below the hand-off change while the state is still about
     # 2e-3 above the ground energy; the Newton step from there overshoots and
-    # raises the energy, and the loop's answer stands, residual and all
+    # raises the energy, and a re-armed hand-off, nearer the minimum, finishes
     g = make_grid(-8, 8, 401)
     cfg = HamiltonianConfig(v1=PotentialField.harmonic(0.5), interaction=TwoBodyInteraction.contact(-5.0, 2))
     start = gaussian_wavepacket(g, center=-1.0, width=1.6)
+    e_hand_off, step, e_step = _first_hand_off(cfg, start, 0.05, _ATTRACTIVE_HANDOFF_ENERGY_CHANGE)
+    assert e_step > e_hand_off and not _changes_sign(step)
     result = ground_state_imaginary_time(cfg, start, dtau=0.05, tol=1e-11)
-    amp, history = _loop_alone(cfg, start, 0.05, 1e-11)
-    assert result.converged and result.newton_steps == 0
-    assert np.array_equal(result.energy_history, history)
-    assert np.array_equal(result.state.amplitudes, amp.astype(complex))
-    assert 1e-6 < result.residual < 1e-4
+    _assert_finished(result)
+
+
+def test_with_tol_zero_the_re_armed_hand_off_runs_max_iter_iterations():
+    # tol = 0 never converges: each finish ends on a rejected step (the first
+    # on the sign change above) or on its budget, and the loop resumes and
+    # hands off again at a tenth of the last threshold.  Cut one step into the
+    # last finish of the tol = 1e-10 run, the finish's budget ends the run
+    # before loop steps at the fixed point move the energy by rounding, so
+    # the history is non-increasing
+    cfg, start = _double_well_mostly_excited()
+    finished = ground_state_imaginary_time(cfg, start, dtau=1.0, tol=1e-10)
+    assert finished.newton_steps > 1
+    cut = ground_state_imaginary_time(cfg, start, dtau=1.0, tol=0.0, max_iter=finished.iterations - 1)
+    long = ground_state_imaginary_time(cfg, start, dtau=1.0, tol=0.0, max_iter=400)
+    for result, max_iter in ((cut, finished.iterations - 1), (long, 400)):
+        assert not result.converged and result.newton_steps > 0
+        assert result.iterations == max_iter == len(result.energy_history) - 1
+    assert np.all(np.diff(cut.energy_history) <= 0.0)
 
 
 @pytest.mark.parametrize("boundary", ["dirichlet", "periodic"])
@@ -801,6 +841,28 @@ def test_a_linear_newton_step_is_one_shifted_inverse_iteration_step(boundary):
     step = _newton_step(HARMONIC, h, amp)
     # the Newton step keeps phi's orientation; inverse iteration's sign is mu's
     np.testing.assert_allclose(step, np.sign(quadrature(g, amp * x)) * x, rtol=0, atol=1e-12)
+
+
+def _newton_step_by_two_solves(cfg, h, amp):
+    """_newton_step with its Jacobian factored again for each right-hand side."""
+    grid = h.grid
+    u = mean_field_diagonal(cfg, grid, amp, 1.0)
+    h_amp = h.plus_diagonal(u).matvec(amp)
+    mu = quadrature(grid, amp * h_amp)
+    jacobian = h.plus_diagonal(-mu - 1.0 if u is None else 3.0 * u - mu - 1.0)
+    a = _solve_once(jacobian, 1.0, h_amp - mu * amp)
+    b = _solve_once(jacobian, 1.0, amp)
+    step = amp - a + (quadrature(grid, amp * a) / quadrature(grid, amp * b)) * b
+    return step / norms(grid, step)
+
+
+@pytest.mark.parametrize("boundary", ["dirichlet", "periodic"])
+@_LINEAR_AND_CONDENSATE
+def test_a_newton_step_factors_its_jacobian_once_and_keeps_every_bit(boundary, cfg):
+    g = make_grid(-8, 8, 401, boundary)
+    h = _real_hamiltonian(cfg, g)
+    amp = normalize(gaussian_wavepacket(g, center=0.5, width=1.2)).amplitudes.real.copy()
+    np.testing.assert_array_equal(_newton_step(cfg, h, amp), _newton_step_by_two_solves(cfg, h, amp))
 
 
 def test_the_sign_rule_tolerates_rounding_tails():
@@ -827,14 +889,14 @@ _TRAPS = {"harmonic": PotentialField.harmonic, "quartic": PotentialField.quartic
 @given(
     boundary=st.sampled_from(["dirichlet", "periodic"]),
     trap=st.sampled_from(sorted(_TRAPS)),
-    # weaker traps with an attractive g hand off too early (the energy-rise test above)
-    strength=st.floats(1.0, 2.0),
+    strength=st.floats(0.5, 2.0),
     g_contact=st.one_of(st.none(), st.floats(-5.0, 1000.0)),
     center=st.floats(-1.0, 1.0),
     width=st.floats(0.6, 1.6),
 )
 @example(boundary="periodic", trap="quartic", strength=2.0, g_contact=1000.0, center=1.0, width=0.6)
 @example(boundary="dirichlet", trap="harmonic", strength=1.0, g_contact=-5.0, center=-1.0, width=1.6)
+@example(boundary="dirichlet", trap="harmonic", strength=0.5, g_contact=-5.0, center=-1.0, width=1.6)
 # its first Newton step leaves a tail of -2.6e-11 of the peak near the wall
 @example(boundary="dirichlet", trap="harmonic", strength=1.73, g_contact=150.38, center=-0.1, width=1.48)
 def test_finished_ground_states_are_eigenstates(boundary, trap, strength, g_contact, center, width):
@@ -849,6 +911,35 @@ def test_finished_ground_states_are_eigenstates(boundary, trap, strength, g_cont
     assert not result.state.amplitudes.imag.any() and not _changes_sign(result.state.amplitudes.real)
     if interaction is None:
         assert abs(result.energy - dense_ground_energy(g, v1.evaluate(g))[0]) <= 1e-10
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    boundary=st.sampled_from(["dirichlet", "periodic"]),
+    depth=st.floats(0.3, 2.0),
+    half_separation=st.floats(1.0, 2.0),
+    dtau=st.sampled_from([0.05, 0.2]),
+    g_contact=st.one_of(st.floats(-8.0, -0.5), st.floats(0.5, 200.0)),
+    center=st.one_of(st.floats(-2.0, -0.02), st.floats(0.02, 2.0)),
+    width=st.floats(0.4, 1.2),
+)
+# an attractive condensate started near the barrier: handed off at an energy
+# change of 1e-2, Newton finishes at the symmetric stationary state, positive
+# and 0.69 above the loop's minimum in one well
+@example(boundary="periodic", depth=1.57, half_separation=1.02, dtau=0.05, g_contact=-4.7, center=-0.08, width=1.13)
+def test_double_well_condensates_finish_at_the_loops_minimum(
+    boundary, depth, half_separation, dtau, g_contact, center, width
+):
+    # with c < 0 a positive stationary state need not be the ground state, so
+    # an early hand-off could finish above the minimum the loop alone reaches
+    g = make_grid(-6, 6, 401, boundary)
+    v = PotentialField.from_samples(depth * (g.x**2 - half_separation**2) ** 2)
+    cfg = HamiltonianConfig(v1=v, interaction=TwoBodyInteraction.contact(g_contact, 2))
+    start = gaussian_wavepacket(g, center, width)
+    result = ground_state_imaginary_time(cfg, start, dtau=dtau, tol=1e-11)
+    assert result.converged and result.residual <= 1e-9
+    _, history = _loop_alone(cfg, start, dtau, 1e-13)
+    assert result.energy <= history[-1] + 1e-9
 
 
 def test_imaginary_time_agrees_with_variational_route():
@@ -951,8 +1042,13 @@ def test_single_use_solve_equals_the_factored_solve(n, seed, v_scale, a_scale, g
     cfg, rhs = _random_config(g, seed, v_scale, a_scale)
     mean_field = g_scale * np.abs(random_state(g, seed).amplitudes) ** 2
     h = hamiltonian_matrix(cfg, g).plus_diagonal(mean_field)
+    block = np.stack((rhs, rhs[::-1].conj()), axis=1)
     for scale in (1j * dt / 2.0, dt):
         np.testing.assert_array_equal(_solve_once(h, scale, rhs), _CayleySolver(h, scale).solve(rhs))
+        # a block of right-hand sides, solved by the one call, column by column
+        solved = _solve_once(h, scale, block)
+        for j in range(block.shape[1]):
+            np.testing.assert_array_equal(solved[:, j], _CayleySolver(h, scale).solve(block[:, j]))
 
 
 @settings(max_examples=60, deadline=None)
