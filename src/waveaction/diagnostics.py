@@ -72,9 +72,9 @@ def _pair_step(psi_before: Wavefunction, psi_after: Wavefunction):
     return dt, 0.5 * (psi_before.amplitudes + psi_after.amplitudes), psi_before.time + dt / 2.0
 
 
-def _continuity_field(cfg, grid: Grid, before, after, mid, dt, t_mid: float) -> np.ndarray:
-    """d_t rho + d_x J of each pair of rows, with J at the rows of the midpoint states mid."""
-    d_rho = (np.abs(after) ** 2 - np.abs(before) ** 2) / dt
+def _continuity_field(cfg, grid: Grid, rho_before, rho_after, mid, dt, t_mid: float) -> np.ndarray:
+    """d_t rho + d_x J of each pair of rows, given both densities, with J at the rows of the midpoint states mid."""
+    d_rho = (rho_after - rho_before) / dt
     return d_rho + central_difference(grid, _current(cfg, grid, mid, t_mid))
 
 
@@ -97,7 +97,8 @@ def continuity_residual(
     """
     dt, mid, t_mid = _pair_step(psi_before, psi_after)
     grid = psi_before.grid
-    residual = _continuity_field(cfg, grid, psi_before.amplitudes, psi_after.amplitudes, mid, dt, t_mid)
+    rho_before, rho_after = np.abs(psi_before.amplitudes) ** 2, np.abs(psi_after.amplitudes) ** 2
+    residual = _continuity_field(cfg, grid, rho_before, rho_after, mid, dt, t_mid)
     sup = float(np.max(np.abs(residual)))
     return ContinuityReport(residual=residual, sup_norm=sup, l2_norm=float(norms(grid, residual)), dt_used=float(dt))
 
@@ -112,10 +113,10 @@ def pair_residuals(
 
     The rows are states on the grid of h_at's H, recorded at times (B + 1,),
     and each array holds one value per pair, as continuity_residual and
-    hamilton_equations_residual give it; each pair's midpoint state is
-    formed once.  The potentials are evaluated at the first pair's midpoint
-    time, so with time-dependent potentials amps holds one pair, as the
-    blocks of row_blocks do.
+    hamilton_equations_residual give it; each row's density and each
+    pair's midpoint state are formed once.  The potentials are evaluated at
+    the first pair's midpoint time, so with time-dependent potentials amps
+    holds one pair, as the blocks of row_blocks do.
     """
     before, after = amps[:-1], amps[1:]
     dt = (times[1:] - times[:-1])[:, None]
@@ -123,7 +124,8 @@ def pair_residuals(
     t_mid = times[0] + dt[0, 0] / 2.0
     h = h_at(t_mid)
     grid = h.grid
-    residual = _continuity_field(cfg, grid, before, after, mid, dt, t_mid)
+    rho = np.abs(amps) ** 2
+    residual = _continuity_field(cfg, grid, rho[:-1], rho[1:], mid, dt, t_mid)
     d_psi, h_mid = _hamilton_fields(cfg, h, before, after, mid, dt)
     r1 = norms(grid, d_psi - h_mid / (1j * cfg.constants.hbar))
     return np.max(np.abs(residual), axis=-1), norms(grid, residual), r1

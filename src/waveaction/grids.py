@@ -1,7 +1,11 @@
 """Uniform 1-D grids, complex wavefunctions and trajectories, and the discrete calculus on them.
 
 A Wavefunction and each row of a Trajectory obey one state rule: a
-read-only, finite complex128 copy, clamped to zero at Dirichlet endpoints.
+read-only, finite complex128 array, clamped to zero at Dirichlet endpoints.
+The input is copied, unless it is already a read-only, C-contiguous
+complex128 array of the right shape whose Dirichlet endpoints are zero:
+that array is kept as it is (still scanned for finiteness), so whoever made
+it must not write to it through another view.
 
 All stencils are second-order central differences.  Quadrature is the
 trapezoidal rule on Dirichlet grids and the rectangle rule on periodic
@@ -76,12 +80,27 @@ def make_grid(x_min: float, x_max: float, n_points: int, boundary: str = DIRICHL
 
 
 def _state_array(grid: Grid, amplitudes, shape: tuple) -> np.ndarray:
-    """The state rule: a read-only complex128 copy of the given shape, finite, Dirichlet endpoints of each row zero."""
-    amp = np.array(amplitudes, dtype=np.complex128)
+    """The state rule: a read-only complex128 array of the given shape, finite, Dirichlet endpoints of each row zero.
+
+    A read-only, C-contiguous complex128 ndarray of that shape is kept as it
+    is when its Dirichlet endpoints are already +0.0 (bit for bit what the
+    clamp writes); any other input is copied, then clamped.
+    """
+    taken = (
+        type(amplitudes) is np.ndarray
+        and not amplitudes.flags.writeable
+        and amplitudes.flags.c_contiguous
+        and amplitudes.dtype == np.complex128
+        and amplitudes.shape == shape
+    )
+    amp = amplitudes if taken else np.array(amplitudes, dtype=np.complex128)
     if amp.shape != shape:
         raise ValueError(f"amplitude array has shape {amp.shape}, expected {shape}")
     check_finite(amp)
-    if not grid.is_periodic:
+    # the bits of each row's endpoints: real and imaginary parts of the first and last amplitude
+    if not grid.is_periodic and not (taken and not amp.view(np.uint64)[..., [0, 1, -2, -1]].any()):
+        if taken:
+            amp = amp.copy()
         amp[..., 0] = 0.0
         amp[..., -1] = 0.0
     amp.setflags(write=False)
@@ -111,8 +130,11 @@ class Wavefunction:
 class Trajectory:
     """States recorded on one grid: times of shape (T,), amplitudes of shape (T, N).
 
-    Both arrays are copied and stored read-only.  The times are finite and
-    strictly increasing; each row obeys the Wavefunction rule.
+    Both arrays are stored read-only: the times are copied, the amplitudes
+    follow the state rule (kept as they are when already read-only complex128
+    with zero Dirichlet endpoints, as propagate's record array is, else
+    copied).  The times are finite and strictly increasing; each row obeys
+    the Wavefunction rule.
     """
 
     grid: Grid

@@ -1,8 +1,10 @@
 """Time evolution: Crank-Nicolson stepping, mean-field (nonlinear) stepping,
 and imaginary-time relaxation to the ground state.
 
-propagate records the Wavefunctions it hands its observers, every
-record_stride-th one, and stacks them into a grids.Trajectory.
+propagate writes every record_stride-th state once, into its row of one
+preallocated (n_records, N) array; the Wavefunction it hands its observers
+at that step is a read-only view of the row, and the array becomes the
+grids.Trajectory's amplitudes as it is.
 
 The real-time scheme is the Cayley form
 
@@ -412,7 +414,10 @@ def propagate(
 
     Observers are called after every step with (step index, time, state)
     and must not mutate the state; an observer exception aborts the run
-    with the step context attached.  The recorded rows are the states they received.
+    with the step context attached.  Each recorded state is written once,
+    into its row of one preallocated (n_records, N) complex128 array: the
+    state an observer receives at a record step is a read-only view of that
+    row, and the array becomes the Trajectory's amplitudes without a copy.
     """
     if abs(norm(psi0) - 1.0) > 1e-6:
         raise ValueError("initial state must be normalized")
@@ -425,10 +430,18 @@ def propagate(
     else:
         advance = _cn_stepper(cfg, grid, plan.dt)
     psi, t = psi0, psi0.time
-    records = [psi0]
+    records = np.empty((plan.n_records, grid.n_points), dtype=np.complex128)
+    times = np.empty(plan.n_records)
+    records[0], times[0] = psi0.amplitudes, t
     for k in range(1, plan.n_steps + 1):
         amp = advance(psi.amplitudes, t)
         t = psi0.time + k * plan.dt
+        if k % plan.record_stride == 0:
+            # the state is a read-only view of its row, which the state rule keeps as it is
+            r = k // plan.record_stride
+            records[r], times[r] = amp, t
+            amp = records[r]
+            amp.setflags(write=False)
         try:
             psi = Wavefunction(grid, amp, t)
         except ValueError as exc:
@@ -438,9 +451,8 @@ def propagate(
                 obs(k, t, psi)
             except Exception as exc:
                 raise ObserverError(f"observer failed at step {k}, t = {t:.6g}") from exc
-        if k % plan.record_stride == 0:
-            records.append(psi)
-    return Trajectory(grid, [r.time for r in records], [r.amplitudes for r in records])
+    records.setflags(write=False)
+    return Trajectory(grid, times, records)
 
 
 # The real path's loop hands off to Newton once consecutive energies differ by

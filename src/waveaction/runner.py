@@ -6,9 +6,12 @@ row k the state at CSV row k; or ``ground_state.npy``, (N,)), and a manifest
 JSON with summary scalars and the grid.  Each task returns its outputs as
 CSV columns and arrays keyed by file name; ``run_scenario`` writes them and
 the manifest through one atomic writer (a temporary name, then a rename).
-CSV numbers carry 17 significant digits so doubles round-trip exactly.  A
-run that fails with a solver error still writes its manifest, with the
-error and the phase it arose in.
+A propagation run reads its trajectory in one action pass
+(variational.action_integrals), which also gives the diagnostics CSV its
+norm and energy columns; the pair columns (continuity, Hamilton residual)
+come from diagnostics.pair_residuals.  CSV numbers carry 17 significant
+digits so doubles round-trip exactly.  A run that fails with a solver error
+still writes its manifest, with the error and the phase it arose in.
 """
 
 from __future__ import annotations
@@ -24,8 +27,8 @@ import numpy as np
 
 from . import __version__
 from .diagnostics import pair_residuals
-from .grids import Trajectory, Wavefunction, norm, normalize, norms
-from .hamiltonian import energies_of, hamiltonian_at, row_blocks
+from .grids import Trajectory, Wavefunction, norm, normalize
+from .hamiltonian import hamiltonian_at, row_blocks
 from .propagation import ground_state_imaginary_time, propagate
 from .scenario import (
     Scenario,
@@ -35,7 +38,7 @@ from .scenario import (
     build_plan,
     scenario_json,
 )
-from .variational import FAMILIES, MIN_ACTION_RECORDS, action_integrals, rayleigh_ritz_minimize
+from .variational import FAMILIES, action_integrals, rayleigh_ritz_minimize
 
 VERIFY_THRESHOLDS = {
     "norm_drift": 1e-10,
@@ -103,30 +106,32 @@ def _hash_scenario(scenario: Scenario) -> str:
     return hashlib.sha256(scenario_json(scenario).encode()).hexdigest()
 
 
-def _diagnostics_columns(cfg, traj: Trajectory, stride: int, integrals) -> dict:
-    """The diagnostics CSV's columns in CSV_COLUMNS order, computed a block of rows at a time.
+def _diagnostics_columns(integrals, stride: int) -> dict:
+    """The diagnostics CSV's columns in CSV_COLUMNS order, from the trajectory's action pass.
 
-    The norm and energy are those of each row, the continuity norms and the
-    Hamilton residual those of the pair it ends (0 at the first row).
+    The norm and energy are those of each row, read from the action pass
+    (integrals, of variational.action_integrals), as are the running actions
+    (0 when the run records too few states to integrate them).  The
+    continuity norms and the Hamilton residual are those of the pair a row
+    ends (0 at the first row), computed a block of rows at a time.
     """
+    cfg, traj = integrals.cfg, integrals.trajectory
     grid, times, amps = traj.grid, traj.times, traj.amplitudes
     n_rows = len(times)
-    if integrals is not None:
+    if integrals.simple is not None:
         run_simple, run_standard = integrals.running("simple"), integrals.running("standard")
     else:
         run_simple = run_standard = np.zeros(n_rows)
     h_at = hamiltonian_at(cfg, grid)
-    norm_col, energy_col = np.empty(n_rows), np.empty(n_rows)
     cont_sup, cont_l2, r1 = np.zeros(n_rows), np.zeros(n_rows), np.zeros(n_rows)
     for lo, hi in row_blocks(cfg, grid.n_points, n_rows):
-        norm_col[lo:hi] = norms(grid, amps[lo:hi])
-        energy_col[lo:hi] = energies_of(cfg, h_at(float(times[lo])), amps[lo:hi])
         first = max(lo, 1)
         if first < hi:
             pairs = pair_residuals(cfg, h_at, times[first - 1 : hi], amps[first - 1 : hi])
             cont_sup[first:hi], cont_l2[first:hi], r1[first:hi] = pairs
     step = np.arange(n_rows) * stride
-    return dict(zip(CSV_COLUMNS, (step, times, norm_col, energy_col, cont_sup, cont_l2, run_simple, run_standard, r1)))
+    columns = (step, times, integrals.norms, integrals.energies, cont_sup, cont_l2, run_simple, run_standard, r1)
+    return dict(zip(CSV_COLUMNS, columns))
 
 
 class _Phase:
@@ -147,8 +152,8 @@ def _run_propagation(scenario: Scenario, cfg, grid, phase: _Phase) -> tuple:
     phase.name = "propagate"
     traj = propagate(cfg, psi0, plan, observers=[watch_norm])
     phase.name = "analysis"
-    integrals = action_integrals(cfg, traj) if plan.n_records >= MIN_ACTION_RECORDS else None
-    columns = _diagnostics_columns(cfg, traj, plan.record_stride, integrals)
+    integrals = action_integrals(cfg, traj)
+    columns = _diagnostics_columns(integrals, plan.record_stride)
     summary = {
         "final_energy": float(columns["energy"][-1]),
         "final_norm": float(columns["norm"][-1]),

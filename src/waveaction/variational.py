@@ -57,17 +57,23 @@ class LagrangianSample:
 
 @dataclass(frozen=True, eq=False)
 class ActionIntegrals:
-    """Spatial integrals of both densities at each snapshot of one trajectory.
+    """Spatial integrals of both densities at each snapshot of one trajectory, and each snapshot's norm and energy.
 
     simple is complex (its imaginary part tracks the norm change), standard
     is real; the time-integration rule, a cumulative trapezoid, lives here
-    and nowhere else.
+    and nowhere else.  norms and energies are each row's grids.norms and
+    hamiltonian.energies_of, bit for bit, read in the same pass from the
+    |psi|^2 and H psi the densities use.  A trajectory of fewer than
+    MIN_ACTION_RECORDS rows has no action: simple and standard are None, and
+    running, reality_deviations and stationarity raise ValueError.
     """
 
     cfg: HamiltonianConfig
     trajectory: Trajectory
-    simple: np.ndarray
-    standard: np.ndarray
+    simple: Optional[np.ndarray]
+    standard: Optional[np.ndarray]
+    norms: np.ndarray
+    energies: np.ndarray
 
     @staticmethod
     def _running_trapezoid(series: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -79,6 +85,7 @@ class ActionIntegrals:
         """Cumulative trapezoid integral of the chosen series up to each snapshot (0 at the first)."""
         if which not in ("simple", "standard"):
             raise ValueError("which must be 'simple' or 'standard'")
+        check_action_records(len(self.trajectory.times))
         series = self.simple.real if which == "simple" else self.standard
         return self._running_trapezoid(series, self.trajectory.times)
 
@@ -89,6 +96,7 @@ class ActionIntegrals:
         endpoints carry a first-order phase error that is not a statement
         about the density itself.
         """
+        check_action_records(len(self.trajectory.times))
         return np.abs(self.simple.imag[1:-1])
 
     def stationarity(self, perturbation: Wavefunction, epsilons: Sequence[float]) -> StationarityResult:
@@ -113,6 +121,7 @@ class ActionIntegrals:
         if len(positive) < 2:
             raise ValueError("need at least two distinct positive epsilons for a slope")
         traj = self.trajectory
+        check_action_records(len(traj.times))
         require_same_grid(perturbation.grid, traj.grid)
         times = traj.times
         window = np.sin(np.pi * (times - times[0]) / (times[-1] - times[0])) ** 2
@@ -139,7 +148,8 @@ class ActionIntegrals:
                 # the change, non-finite; the check below reports it
                 with np.errstate(over="ignore", invalid="ignore"):
                     for lo, hi, h, amp, damp, extra, _ in _blocks(self.cfg, traj.grid, times, rows_of):
-                        simple[lo:hi] = quadrature(traj.grid, _simple_density(self.cfg, h, amp, damp, extra)).real
+                        h_psi = h.plus_diagonal(extra).matvec(amp)
+                        simple[lo:hi] = quadrature(traj.grid, _simple_density(self.cfg, h_psi, np.conj(amp), damp)).real
                     return float(self._running_trapezoid(simple, times)[-1]) - base
 
         points = []
@@ -275,28 +285,30 @@ def lagrangian_densities(cfg: HamiltonianConfig, psi: Wavefunction, dpsi_dt: Wav
     h = hamiltonian_matrix(cfg, psi.grid, t)
     amp, damp = psi.amplitudes, dpsi_dt.amplitudes
     extra = mean_field_diagonal(cfg, psi.grid, amp, 0.5)
+    h_psi = h.plus_diagonal(extra).matvec(amp)
     return LagrangianSample(
-        _simple_density(cfg, h, amp, damp, extra), _standard_density(cfg, psi.grid, amp, damp, t, extra), t
+        _simple_density(cfg, h_psi, np.conj(amp), damp),
+        _standard_density(cfg, psi.grid, amp, np.abs(amp) ** 2, damp, t, extra),
+        t,
     )
 
 
-def _simple_density(cfg: HamiltonianConfig, h, amp: np.ndarray, damp: np.ndarray, extra) -> np.ndarray:
-    """psi* (i hbar d_t - H) psi of each row of amp (..., N) with rate damp, on h plus the mean field extra."""
-    h_psi = h.plus_diagonal(extra).matvec(amp)
-    return np.conj(amp) * (1j * cfg.constants.hbar * damp - h_psi)
+def _simple_density(cfg: HamiltonianConfig, h_psi: np.ndarray, bra: np.ndarray, damp: np.ndarray) -> np.ndarray:
+    """psi* (i hbar d_t - H) psi of each row (..., N), given H psi (mean field included), bra = psi* and rate damp."""
+    return bra * (1j * cfg.constants.hbar * damp - h_psi)
 
 
 def _standard_density(
-    cfg: HamiltonianConfig, grid: Grid, amp: np.ndarray, damp: np.ndarray, t: float, extra
+    cfg: HamiltonianConfig, grid: Grid, amp: np.ndarray, rho: np.ndarray, damp: np.ndarray, t: float, extra
 ) -> np.ndarray:
-    """The first-order density of each row of amp (..., N) with rate damp at t, with the mean field extra."""
+    """The first-order density of each row of amp (..., N), rho = |amp|^2, with rate damp at t and mean field extra."""
     c = cfg.constants
     time_part = -c.hbar * np.imag(np.conj(amp) * damp)
     kinetic = _forward_kinetic_density(cfg, grid, amp, t)
     scalar = cfg.v1.evaluate(grid, t) + c.charge * cfg.a0.evaluate(grid, t)
     if extra is not None:
         scalar = scalar + extra
-    return time_part - kinetic - scalar * np.abs(amp) ** 2
+    return time_part - kinetic - scalar * rho
 
 
 def _check_uniform(times: np.ndarray) -> None:
@@ -317,40 +329,65 @@ def check_action_records(n_records: int) -> None:
 
 
 def action_integrals(cfg: HamiltonianConfig, traj: Trajectory) -> ActionIntegrals:
-    """One pass over the snapshots: the spatial integral of both densities at each.
+    """One pass over the snapshots: the spatial integral of both densities at each, and each one's norm and energy.
 
     The time derivative at each row is the centred difference of its
     neighbours (one-sided at the ends), formed a block of rows at a time.  Every
     action-derived quantity of a trajectory (both actions, their running
     integrals, the reality deviations, the stationarity probe) is read
-    from the result.
+    from the result.  The pass forms each row's |psi|^2 and H psi (with the
+    half-weight mean field) once, for the densities, the norm and the energy,
+    so the norm and energy columns of a run's diagnostics come from here.
+    A trajectory of fewer than MIN_ACTION_RECORDS rows gets norms and
+    energies only.  Raises RuntimeError, as energies_of does, when an energy
+    has an imaginary part, and ValueError when the snapshots of an integrable
+    trajectory are not uniformly spaced.
     """
     times = traj.times
-    check_action_records(len(times))
-    _check_uniform(times)
+    integrable = len(times) >= MIN_ACTION_RECORDS
+    if integrable:
+        _check_uniform(times)
     grid = traj.grid
-    simple = np.empty(len(times), dtype=complex)
-    standard = np.empty(len(times))
+    simple = np.empty(len(times), dtype=complex) if integrable else None
+    standard = np.empty(len(times)) if integrable else None
+    row_norms, energies = np.empty(len(times)), np.empty(len(times))
     for lo, hi, h, amp, damp, extra, t in _blocks(cfg, grid, times, lambda lo, hi: traj.amplitudes[lo:hi]):
-        simple[lo:hi] = quadrature(grid, _simple_density(cfg, h, amp, damp, extra))
-        standard[lo:hi] = quadrature(grid, _standard_density(cfg, grid, amp, damp, t, extra)).real
-    return ActionIntegrals(cfg, traj, simple, standard)
+        h_psi, bra, rho = h.plus_diagonal(extra).matvec(amp), np.conj(amp), np.abs(amp) ** 2
+        row_norms[lo:hi] = np.sqrt(quadrature(grid, rho))  # grids.norms
+        energies[lo:hi] = _real_energies(quadrature(grid, bra * h_psi))  # hamiltonian.energies_of
+        if integrable:
+            simple[lo:hi] = quadrature(grid, _simple_density(cfg, h_psi, bra, damp))
+            standard[lo:hi] = quadrature(grid, _standard_density(cfg, grid, amp, rho, damp, t, extra)).real
+    return ActionIntegrals(cfg, traj, simple, standard, row_norms, energies)
+
+
+def _real_energies(values: np.ndarray) -> np.ndarray:
+    """The real parts of <psi|H|psi> values; raises as TridiagonalHamiltonian.expectations does on an imaginary part."""
+    if (np.abs(values.imag) > 1e-8).any():
+        imag = np.ravel(values.imag)
+        raise RuntimeError(
+            f"energy has imaginary part {imag[np.abs(imag) > 1e-8][0]:.3e}; Hamiltonian assembly is not Hermitian"
+        )
+    return values.real
 
 
 def _blocks(cfg: HamiltonianConfig, grid: Grid, times: np.ndarray, rows_of: Callable):
     """(lo, hi, h, amp, damp, extra, t) of each block of row_blocks, with rows_of(lo, hi) the rows lo..hi-1.
 
     amp holds rows lo..hi-1 and damp their time derivatives, read with one
-    halo row on each side; h is H at t = times[lo] and extra the half-weight
-    mean field of amp, which both densities share.
+    halo row on each side (None for a trajectory of fewer than
+    MIN_ACTION_RECORDS rows, which has no action); h is H at t = times[lo]
+    and extra the half-weight mean field of amp, which both densities share.
     """
     h_at = hamiltonian_at(cfg, grid)
     last = len(times) - 1
     for lo, hi in row_blocks(cfg, grid.n_points, len(times)):
         start = max(lo - 1, 0)
         rows = rows_of(start, min(hi + 1, last + 1))
-        prev, nxt = _neighbours(lo, hi, last)
-        damp = (rows[nxt - start] - rows[prev - start]) / (times[nxt] - times[prev])[:, None]
+        damp = None
+        if len(times) >= MIN_ACTION_RECORDS:
+            prev, nxt = _neighbours(lo, hi, last)
+            damp = (rows[nxt - start] - rows[prev - start]) / (times[nxt] - times[prev])[:, None]
         amp = rows[lo - start : hi - start]
         yield lo, hi, h_at(times[lo]), amp, damp, mean_field_diagonal(cfg, grid, amp, 0.5), times[lo]
 

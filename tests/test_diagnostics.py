@@ -88,8 +88,10 @@ def test_per_state_functions_evaluate_at_the_state_time(seed, n_points, boundary
     functional = quadrature(g, 1j * np.conj(amp) * h.plus_diagonal(half).matvec(amp)) / 1j
     assert canonical_fields(cfg, psi).hamiltonian_functional == float(functional.real)
     sample = lagrangian_densities(cfg, psi, rate)
-    np.testing.assert_array_equal(sample.l_simple, _simple_density(cfg, h, amp, damp, half))
-    np.testing.assert_array_equal(sample.l_standard, _standard_density(cfg, g, amp, damp, tau, half))
+    h_amp = h.plus_diagonal(half).matvec(amp)
+    np.testing.assert_array_equal(sample.l_simple, _simple_density(cfg, h_amp, np.conj(amp), damp))
+    rho = np.abs(amp) ** 2
+    np.testing.assert_array_equal(sample.l_standard, _standard_density(cfg, g, amp, rho, damp, tau, half))
     assert h_psi.time == p_psi.time == fields.time == sample.time == tau
 
 

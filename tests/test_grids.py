@@ -298,3 +298,73 @@ def test_trajectory_rows_obey_the_wavefunction_rule(seed, n_rows, n_points, boun
     with pytest.raises(ValueError) as from_trajectory:
         Trajectory(g, np.arange(n_rows) * 0.1, rows)
     assert str(from_trajectory.value) == str(from_wavefunction.value) == "amplitudes must be finite"
+
+
+def _copied_and_clamped(g, values):
+    """The state rule's result by its definition: a complex128 copy with zero Dirichlet endpoints."""
+    out = np.array(values, dtype=np.complex128)
+    if not g.is_periodic:
+        out[..., 0] = out[..., -1] = 0.0
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_rows=st.integers(0, 4),
+    n_points=st.integers(8, 60),
+    boundary=st.sampled_from(["dirichlet", "periodic"]),
+    dtype=st.sampled_from([np.complex128, np.complex64, np.float64]),
+    read_only=st.booleans(),
+    strided=st.booleans(),
+    ends=st.sampled_from(["zero", "negative-zero", "nonzero"]),
+)
+def test_state_rule_keeps_a_finished_array_and_copies_anything_else(
+    seed, n_rows, n_points, boundary, dtype, read_only, strided, ends
+):
+    # a read-only, C-contiguous complex128 array of the right shape whose
+    # Dirichlet endpoints are +0.0 is stored as it is; any other input is
+    # copied and clamped, and the caller's array is never written
+    g = make_grid(-3.0, 3.0, n_points, boundary)
+    rng = np.random.default_rng(seed)
+    shape = (n_points,) if n_rows == 0 else (n_rows, n_points)
+    values = rng.standard_normal(shape).astype(dtype)
+    if dtype is not np.float64:
+        values += 1j * rng.standard_normal(shape)
+    values[..., 0], values[..., -1] = {"zero": (0.0, 0.0), "negative-zero": (-0.0, 0.0), "nonzero": (0.5, 0.0)}[ends]
+    if strided:  # every other point of a twice-as-long array: not contiguous
+        wide = np.zeros(shape[:-1] + (2 * n_points,), dtype=dtype)
+        wide[..., ::2] = values
+        values = wide[..., ::2]
+    values.setflags(write=not read_only)
+    kept = values.copy()
+    if n_rows == 0:
+        stored = Wavefunction(g, values).amplitudes
+    else:
+        stored = Trajectory(g, np.arange(n_rows) * 0.1, values).amplitudes
+    assert stored.tobytes() == _copied_and_clamped(g, kept).tobytes()
+    assert not stored.flags.writeable and stored.dtype == np.complex128
+    taken = (
+        dtype is np.complex128
+        and read_only
+        and not strided
+        and (boundary == "periodic" or ends == "zero")
+    )
+    assert np.shares_memory(stored, values) == taken
+    assert values.tobytes() == kept.tobytes()
+
+
+def test_state_rule_still_scans_a_kept_array_and_checks_the_times_first():
+    g = make_grid(-3.0, 3.0, 16)
+    rows = np.zeros((3, 16), dtype=complex)
+    rows[1, 5] = np.nan
+    rows.setflags(write=False)
+    with pytest.raises(ValueError, match="amplitudes must be finite"):
+        Trajectory(g, [0.0, 0.1, 0.2], rows)
+    with pytest.raises(ValueError, match="amplitudes must be finite"):
+        Wavefunction(g, rows[1])
+    for bad_times in ([0.0, 0.1, 0.1], [0.0, 0.2, 0.1]):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            Trajectory(g, bad_times, rows)
+    with pytest.raises(ValueError, match="shape"):
+        Trajectory(g, [0.0, 0.1], rows)

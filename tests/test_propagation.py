@@ -1060,6 +1060,8 @@ def test_single_use_solve_equals_the_factored_solve(n, seed, v_scale, a_scale, g
     boundary=st.sampled_from(["dirichlet", "periodic"]),
     dtau=st.floats(1e-4, 1.0),
 )
+# a nearly singular periodic system (condition number 3.4e5): the two paths differ by 1.7e-13
+@example(n=159, seed=19564, v_scale=-6.03125, g_scale=1.84375, boundary="periodic", dtau=0.599609375)
 def test_real_solves_run_in_float64_and_match_the_complex_solve(n, seed, v_scale, g_scale, boundary, dtau):
     # a real H (no vector potential) with a mean-field diagonal, a real scale
     # and a real right-hand side: dgtsv and dgttrf + dgttrs against the same
@@ -1080,8 +1082,14 @@ def test_real_solves_run_in_float64_and_match_the_complex_solve(n, seed, v_scale
         if boundary == "dirichlet":
             np.testing.assert_array_equal(x, reference.real)
         else:
-            # the complex Sherman-Morrison division multiplies by the reciprocal
-            assert np.linalg.norm(x - reference.real) <= 1e-13 * np.linalg.norm(reference)
+            # the complex Sherman-Morrison division multiplies by the reciprocal,
+            # so the two paths round apart, and like a forward error their gap
+            # grows with the condition number of the cyclic system: the bound
+            # is 1e-13 up to a condition number of 1e3 (the worst of 6000
+            # random solves reached 0.19 of it)
+            cond = np.linalg.cond(dense_shifted_matrix(real_h, dtau))
+            gap = np.linalg.norm(x - reference.real) / np.linalg.norm(reference)
+            assert gap <= max(1e-13, 1e-16 * cond)
 
 
 @pytest.mark.parametrize("boundary", ["dirichlet", "periodic"])
@@ -1317,3 +1325,89 @@ def test_recorded_rows_are_the_states_the_observers_received(stride, cfg):
     states = [psi0] + [seen[k] for k in range(stride, 13, stride)]
     assert traj.times.tolist() == [psi.time for psi in states]
     assert traj.amplitudes.tobytes() == b"".join(psi.amplitudes.tobytes() for psi in states)
+
+
+_RECORDING_SCHEMES = {
+    "cn-static": (HARMONIC, "crank-nicolson"),
+    "cn-driven": (HamiltonianConfig(v1=PotentialField.from_callable(_driven)), "crank-nicolson"),
+    "gp": (HamiltonianConfig(v1=PotentialField.harmonic(), interaction=_CONTACT), "crank-nicolson"),
+    "split-operator": (HARMONIC, "split-operator"),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    scheme=st.sampled_from(sorted(_RECORDING_SCHEMES)),
+    boundary=st.sampled_from(["dirichlet", "periodic"]),
+    stride=st.integers(1, 4),
+    n_records=st.integers(1, 6),
+    n_points=st.integers(16, 90),
+    start=st.tuples(st.floats(-1.0, 1.0), st.floats(0.4, 1.2), st.floats(-2.0, 2.0), st.floats(-1.0, 1.0)),
+)
+def test_record_array_is_the_stack_of_the_observed_states(scheme, boundary, stride, n_records, n_points, start):
+    # propagate writes each recorded state once into its row of one array;
+    # that array, taken as it is, must equal bit for bit copies of the states
+    # the observers received, taken when they received them, and each
+    # recorded state an observer saw is a read-only view of its row
+    cfg, method = _RECORDING_SCHEMES[scheme]
+    if method == "split-operator" and boundary == "dirichlet":
+        boundary = "periodic"  # the scheme's own rule
+    center, width, wavenumber, t0 = start
+    psi0 = dataclasses.replace(
+        gaussian_wavepacket(make_grid(-6, 6, n_points, boundary), center, width, wavenumber), time=t0
+    )
+    plan = PropagationPlan(dt=2e-3, n_steps=stride * (n_records - 1), scheme=method, record_stride=stride)
+    seen, copies = {}, {}
+
+    def keep(step, t, psi):
+        assert not psi.amplitudes.flags.writeable
+        seen[step], copies[step] = psi, (t, psi.amplitudes.copy())
+
+    traj = propagate(cfg, psi0, plan, [keep])
+    recorded = range(stride, plan.n_steps + 1, stride)
+    assert traj.times.tolist() == [t0] + [copies[k][0] for k in recorded]
+    expected = np.stack([psi0.amplitudes] + [copies[k][1] for k in recorded])
+    assert traj.amplitudes.tobytes() == expected.tobytes()
+    assert not traj.amplitudes.flags.writeable and not traj.times.flags.writeable
+    for row, k in enumerate(recorded, start=1):
+        assert np.shares_memory(seen[k].amplitudes, traj.amplitudes[row])
+    for k in set(seen) - set(recorded):
+        assert not np.shares_memory(seen[k].amplitudes, traj.amplitudes)
+
+
+@pytest.mark.parametrize("bad_step", [2, 3], ids=["recorded", "unrecorded"])
+def test_a_non_finite_step_names_its_step_whether_recorded_or_not(monkeypatch, bad_step):
+    # a recorded state is checked in its row of the record array, an
+    # unrecorded one in its own copy; either way step k is named
+    solve, calls = _CayleySolver.solve, []
+
+    def failing(self, rhs):
+        calls.append(None)
+        out = solve(self, rhs)
+        if len(calls) == bad_step:
+            out[7] = np.nan
+        return out
+
+    monkeypatch.setattr(_CayleySolver, "solve", failing)
+    psi0 = gaussian_wavepacket(make_grid(-5, 5, 64))
+    with pytest.raises(RuntimeError, match=f"^step {bad_step} .*amplitudes must be finite"):
+        propagate(HARMONIC, psi0, PropagationPlan(dt=1e-3, n_steps=4, record_stride=2))
+
+
+def test_propagate_at_stride_1_holds_about_one_trajectory_of_memory():
+    # the setting of scenarios/verify_harmonic.json: each recorded state is
+    # written once into the record array, which becomes the trajectory's
+    # amplitudes, so no second (T, N) array doubles the peak.  numpy reports
+    # its buffers to tracemalloc, so the measure does not depend on the machine.
+    import tracemalloc
+
+    psi0 = gaussian_wavepacket(make_grid(-10.0, 10.0, 1001), width=0.7071067811865476)
+    plan = PropagationPlan(dt=1e-3, n_steps=400)
+    tracemalloc.start()
+    try:
+        traj = propagate(HARMONIC, psi0, plan)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert traj.amplitudes.shape == (401, 1001)
+    assert peak <= 1.25 * traj.amplitudes.nbytes, peak / traj.amplitudes.nbytes

@@ -1,5 +1,6 @@
 """Scenario schema, runner outputs, CLI exit codes, determinism."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -20,6 +21,7 @@ from waveaction import (
     ScenarioError,
     Trajectory,
     TwoBodyInteraction,
+    action_integrals,
     continuity_residual,
     energy,
     gaussian_wavepacket,
@@ -681,9 +683,10 @@ def test_state_that_blows_up_writes_a_failure_manifest(tmp_path, monkeypatch, ca
 
 
 def test_runner_energy_column_keeps_the_hermiticity_check(tmp_path, monkeypatch):
-    # the energy column is computed on blocks of rows; a non-Hermitian H must
-    # still raise, and the failure manifest names the analysis phase
-    import waveaction.runner as runner
+    # the energy column is computed by the action pass on blocks of rows; a
+    # non-Hermitian H must still raise, and the failure manifest names the
+    # analysis phase
+    import waveaction.variational as variational
     from waveaction.hamiltonian import TridiagonalHamiltonian, hamiltonian_at
 
     def skewed_at(cfg, grid):
@@ -691,7 +694,7 @@ def test_runner_energy_column_keeps_the_hermiticity_check(tmp_path, monkeypatch)
         skewed = TridiagonalHamiltonian(grid, h.diag + 1e-3j, h.upper, h.lower)
         return lambda t: skewed
 
-    monkeypatch.setattr(runner, "hamiltonian_at", skewed_at)
+    monkeypatch.setattr(variational, "hamiltonian_at", skewed_at)
     data = minimal_ground_state("skewed")
     data["task"] = {"kind": "propagate", "n_steps": 30}
     with pytest.raises(RuntimeError, match="energy has imaginary part .*not Hermitian"):
@@ -737,7 +740,7 @@ def test_diagnostics_columns_equal_the_per_pair_functions(seed, shape, boundary,
     else:
         pair = None if interaction is None else TwoBodyInteraction.contact(25.0, 3)
     cfg = HamiltonianConfig(v1=v1, a_vec=a_vec, interaction=pair)
-    columns = runner._diagnostics_columns(cfg, traj, 1, None)
+    columns = runner._diagnostics_columns(action_integrals(cfg, traj), 1)
     snapshots = traj.snapshots
     assert list(columns["time"]) == [t for t, _ in snapshots]
     for k, (t, psi) in enumerate(snapshots):
@@ -838,7 +841,7 @@ def test_diagnostics_hamilton_r1_is_the_public_residual(cfg):
     traj = propagate(cfg, gaussian_wavepacket(grid, center=0.5), plan)
     states = [psi for _, psi in traj.snapshots]
     expected = [0.0] + [hamilton_equations_residual(cfg, a, b)[0] for a, b in zip(states, states[1:])]
-    assert list(_diagnostics_columns(cfg, traj, 2, None)["hamilton_r1"]) == expected
+    assert list(_diagnostics_columns(action_integrals(cfg, traj), 2)["hamilton_r1"]) == expected
 
 
 def test_cli_batch_runs_directory(tmp_path, monkeypatch):
@@ -1113,3 +1116,58 @@ def test_cli_batch_on_a_directory_without_scenarios_exits_1(tmp_path, capsys):
     assert main(["batch", str(tmp_path), "--out", str(tmp_path / "runs"), "--quiet"]) == 1
     assert f"error: no scenario files in {tmp_path}" in capsys.readouterr().err
     assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("n_steps", [20, 1, 0], ids=["21-records", "2-records", "1-record"])
+@pytest.mark.parametrize("interaction", [None, "contact", "kernel"])
+@pytest.mark.parametrize("driven", [False, True], ids=["static", "driven"])
+@pytest.mark.parametrize("boundary", ["dirichlet", "periodic"])
+def test_csv_norm_and_energy_columns_are_the_per_row_functions(
+    tmp_path, monkeypatch, boundary, driven, interaction, n_steps
+):
+    # the action pass forms the norm and energy columns from the |psi|^2 and
+    # H psi of its densities, also for runs too short to integrate an action;
+    # each must equal grids.norms and hamiltonian.energies_of of its row, bit
+    # for bit.  A driven H (one-row blocks) comes in through the runner's
+    # build_config, since scenarios hold static potentials only.
+    import waveaction.runner as runner
+    from waveaction.hamiltonian import energies_of, hamiltonian_matrix
+
+    data = minimal_ground_state("columns")
+    n_points = 201 if interaction == "kernel" else 601  # static blocks of 40 and of 13 rows
+    data["grid"].update(n_points=n_points, boundary=boundary)
+    data["initial_state"] = {"kind": "gaussian", "center": 0.5, "width": 0.8, "wavenumber": 1.0}
+    data["task"] = {"kind": "propagate", "n_steps": n_steps, "dt": 2e-3}
+    if interaction == "contact":
+        data["interaction"] = {"kind": "contact", "g": 20.0, "n_particles": 3}
+    elif interaction == "kernel":
+        x = np.linspace(-10.0, 10.0, n_points, endpoint=boundary == "dirichlet")
+        kernel = np.exp(-np.abs(x[:, None] - x)).tolist()
+        data["interaction"] = {"kind": "kernel", "kernel": kernel, "n_particles": 3}
+    if interaction is not None:
+        data["task"]["kind"] = "gp-propagate"
+    configs, build = [], runner.build_config
+
+    def config_of(scenario):
+        cfg = build(scenario)
+        if driven:
+            cfg = dataclasses.replace(cfg, v1=PotentialField.from_callable(_driven_trap))
+        configs.append(cfg)
+        return cfg
+
+    monkeypatch.setattr(runner, "build_config", config_of)
+    scenario = parse_scenario_dict(data)
+    out = tmp_path / "out"
+    run_scenario(scenario, out, quiet=True)
+    monkeypatch.undo()
+    (cfg,), grid = configs, build_grid(scenario)
+    rows = np.load(out / "trajectory.npy")
+    lines = (out / "diagnostics.csv").read_text().splitlines()
+    header = lines[0].split(",")
+    columns = {name: [float(line.split(",")[header.index(name)]) for line in lines[1:]] for name in header}
+    assert len(rows) == len(columns["norm"]) == n_steps + 1
+    for t, row, norm_value, energy_value in zip(columns["time"], rows, columns["norm"], columns["energy"]):
+        assert norm_value == float(norms(grid, row))
+        assert energy_value == float(energies_of(cfg, hamiltonian_matrix(cfg, grid, t), row))
+    if n_steps < 2:
+        assert columns["action_simple_running"] == columns["action_standard_running"] == [0.0] * (n_steps + 1)
