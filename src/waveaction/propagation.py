@@ -62,7 +62,8 @@ algorithm, itself a convolution of length at least 2n - 1, or by a slow
 generic pass for that factor.  The step is then one zero-padded
 convolution of length next_fast_len(2n - 1) with a kernel spectrum built
 once per run: two transforms where the n-point route takes four.  Every
-other n keeps the n-point transforms.
+other n keeps the n-point transforms.  scipy.fft is imported when a
+split-operator stepper is built, so the other schemes never load it.
 """
 
 from __future__ import annotations
@@ -71,7 +72,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import fft as sp_fft
 from scipy.linalg import get_lapack_funcs
 
 from .grids import Grid, Trajectory, Wavefunction, norm, normalize, norms, quadrature
@@ -327,6 +327,8 @@ def _largest_prime_factor(n: int) -> int:
 
 
 def _split_stepper(cfg: HamiltonianConfig, grid: Grid, dt: float):
+    from scipy import fft as sp_fft  # loaded by split-operator runs alone
+
     check_split_operator(cfg, grid)
     c = cfg.constants
     n = grid.n_points

@@ -19,7 +19,6 @@ from pathlib import Path
 from typing import Optional
 
 import numpy as np
-from scipy import fft as sp_fft
 
 from .grids import DIRICHLET, PERIODIC, Grid, Wavefunction, gaussian_wavepacket, make_grid, normalize
 from .hamiltonian import (
@@ -311,6 +310,8 @@ def build_initial_state(scenario: Scenario, grid: Grid) -> Wavefunction:
     kind, params = _split_kind(scenario.initial_state)
     if kind == "gaussian":
         return gaussian_wavepacket(grid, **params)
+    from scipy import fft as sp_fft  # loaded by random initial states alone
+
     rng = np.random.default_rng(scenario.rng_seed)
     raw = rng.standard_normal(grid.n_points) + 1j * rng.standard_normal(grid.n_points)
     k = 2.0 * np.pi * sp_fft.fftfreq(grid.n_points, d=grid.dx)

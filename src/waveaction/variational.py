@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .grids import Grid, Trajectory, Wavefunction, gaussian_wavepacket, normalize, norms, quadrature
 from .grids import require_same_grid
@@ -418,11 +417,14 @@ def action(cfg: HamiltonianConfig, traj: Trajectory, which: str = "simple") -> f
 def _gaussian_derivatives(params: np.ndarray, grid: Grid, state: Wavefunction) -> np.ndarray:
     """Rows (x-c)/2w^2 and (x-c)^2/2w^3, and i x for a third (wavenumber) parameter, each times state."""
     center, width = params[0], params[1]
+    amp = state.amplitudes
     u = grid.x - center
-    rows = [u / (2.0 * width**2), u**2 / (2.0 * width**3)]
+    out = np.empty((len(params), grid.n_points), dtype=complex)
+    np.multiply(u / (2.0 * width**2), amp, out=out[0])
+    np.multiply(u**2 / (2.0 * width**3), amp, out=out[1])
     if len(params) == 3:
-        rows.append(1j * grid.x)
-    return np.array(rows) * state.amplitudes
+        np.multiply(1j * grid.x, amp, out=out[2])
+    return out
 
 
 def _gaussian_build(params: np.ndarray, grid: Grid) -> Wavefunction:
@@ -501,7 +503,8 @@ def energy_and_gradient(cfg: HamiltonianConfig, h, family: TrialFamily, params: 
     mu = <phi|r>, the derivative in parameter i is 2 Re <D_i|r - mu phi>,
     D_i the family's derivative rows.  The half-weight interaction energy
     differentiates to the full-weight field, so mu is not the energy when
-    there is an interaction.
+    there is an interaction.  r - mu phi is formed once and each derivative
+    row is reduced against it on its own, so no (p, N) temporary is made.
     """
     grid = h.grid
     state = family.build(params, grid)
@@ -509,8 +512,9 @@ def energy_and_gradient(cfg: HamiltonianConfig, h, family: TrialFamily, params: 
     e = float(energies_of(cfg, h, phi))
     r = h.plus_diagonal(mean_field_diagonal(cfg, grid, phi, 1.0)).matvec(phi)
     mu = quadrature(grid, np.conj(phi) * r).real
+    residual = r - mu * phi
     d = family.derivatives(params, grid, state)
-    return e, 2.0 * quadrature(grid, np.conj(d) * (r - mu * phi)).real
+    return e, np.array([2.0 * quadrature(grid, np.conj(row) * residual).real for row in d])
 
 
 def rayleigh_ritz_minimize(
@@ -540,6 +544,8 @@ def rayleigh_ritz_minimize(
     Should that run end on no finite energy, the best finite point is
     returned, not converged.
     """
+    from scipy.optimize import minimize  # loaded by Rayleigh-Ritz runs alone
+
     if not cfg.is_static:
         raise ValueError("Rayleigh-Ritz minimization requires static potentials")
     if max_iter < 1:

@@ -942,6 +942,25 @@ def test_double_well_condensates_finish_at_the_loops_minimum(
     assert result.energy <= history[-1] + 1e-9
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="the finish stops on the energy change alone: its one Newton step moves the energy by less "
+    "than tol while the state is still localized in one well, so the run reports converged at residual "
+    "1.09e-5; Newton continued from there reaches 3.5e-11 at a state still localized that changes sign",
+)
+def test_repulsive_condensate_in_a_deep_double_well_finishes_at_its_ground_state():
+    # a draw within the ranges of test_double_well_condensates_finish_at_the_loops_minimum
+    g = make_grid(-6, 6, 401)
+    v = PotentialField.from_samples(2.0 * (g.x**2 - 4.0) ** 2)
+    cfg = HamiltonianConfig(v1=v, interaction=TwoBodyInteraction.contact(1.0, 2))
+    result = ground_state_imaginary_time(cfg, gaussian_wavepacket(g, -1.0, 0.5), dtau=0.05, tol=1e-11)
+    assert result.converged and result.residual <= 1e-9
+    amp = result.state.amplitudes.real
+    assert not _changes_sign(amp)
+    # c >= 0 and an even V: the ground density is unique, hence even, so each well holds half the norm
+    assert abs(quadrature(g, np.where(g.x < 0.0, amp**2, 0.0)) - 0.5) <= 1e-3
+
+
 def test_imaginary_time_agrees_with_variational_route():
     # the two ground-state routes must agree on shared cases
     from waveaction import gaussian_family, rayleigh_ritz_minimize

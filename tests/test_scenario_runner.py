@@ -1011,6 +1011,49 @@ def test_cli_module_entry_point(tmp_path):
     assert "OK" in proc.stdout
 
 
+_MODULE_SET_SCRIPT = """
+import json, sys
+from pathlib import Path
+watched = ("scipy.optimize", "scipy.fft", "scipy.special", "scipy.sparse")
+loaded = lambda: sorted(m for m in watched if m in sys.modules)
+import waveaction
+report = {"import waveaction": loaded()}
+scenarios, out = Path(sys.argv[1]), Path(sys.argv[2])
+for name in sys.argv[3:]:
+    waveaction.run_scenario(waveaction.parse_scenario(scenarios / name), out / name, quiet=True)
+    report[name] = loaded()
+print(json.dumps(report))
+"""
+
+
+def test_scipy_optimize_and_fft_load_only_in_the_runs_that_use_them(tmp_path):
+    # module sets only, in a fresh interpreter: scipy.optimize serves
+    # Rayleigh-Ritz alone, scipy.fft the split-operator scheme and random
+    # initial states alone, and scipy.special and scipy.sparse come only with
+    # them.  The split-operator run goes before Rayleigh-Ritz, since
+    # scipy.optimize itself imports scipy.fft.
+    unaffected = [
+        "verify_harmonic.json",
+        "harmonic_ground_state.json",
+        "condensate_ground_state.json",
+        "wavepacket_in_trap.json",
+    ]
+    order = [*unaffected, "wavepacket_split_operator.json", "rayleigh_ritz_quartic.json"]
+    scenarios = Path(__file__).resolve().parents[1] / "scenarios"
+    proc = subprocess.run(
+        [sys.executable, "-c", _MODULE_SET_SCRIPT, str(scenarios), str(tmp_path), *order],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    for step in ["import waveaction", *unaffected]:
+        assert report[step] == [], step
+    assert "scipy.fft" in report["wavepacket_split_operator.json"]
+    assert "scipy.optimize" not in report["wavepacket_split_operator.json"]
+    assert "scipy.optimize" in report["rayleigh_ritz_quartic.json"]
+
+
 def test_rayleigh_ritz_task(tmp_path):
     data = minimal_ground_state("rr")
     data["task"] = {"kind": "rayleigh-ritz", "family": "gaussian", "initial_params": [0.2, 1.2]}

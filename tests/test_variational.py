@@ -30,7 +30,13 @@ from waveaction import (
     rayleigh_ritz_minimize,
 )
 from waveaction.grids import central_difference
-from waveaction.hamiltonian import TridiagonalHamiltonian, apply_mechanical_momentum, energies_of, hamiltonian_matrix
+from waveaction.hamiltonian import (
+    TridiagonalHamiltonian,
+    apply_mechanical_momentum,
+    energies_of,
+    hamiltonian_matrix,
+    mean_field_diagonal,
+)
 from waveaction.variational import FAMILIES, TrialFamily, energy_and_gradient
 
 from helpers import dense_ground_energy, loop_action_integrals, random_state, random_trajectory, trajectory_shapes
@@ -688,6 +694,79 @@ def test_energy_gradient_matches_central_differences(family_name, boundary, cont
     result = rayleigh_ritz_minimize(cfg, family, params, grid=g)
     assert result.energy == energies_of(cfg, h, family.build(result.params, g).amplitudes)
     assert result.energy <= energy
+
+
+def _stacked_gaussian_derivatives(params, grid, state):
+    """The Gaussian families' derivative rows as one stacked (p, N) product, the row-by-row fill's oracle."""
+    u = grid.x - params[0]
+    rows = [u / (2.0 * params[1] ** 2), u**2 / (2.0 * params[1] ** 3)]
+    if len(params) == 3:
+        rows.append(1j * grid.x)
+    return np.array(rows) * state.amplitudes
+
+
+def _stacked_energy_gradient(cfg, h, family, params):
+    """The gradient as one reduction over the (p, N) product conj(D) (r - mu phi), the row-by-row reduction's oracle."""
+    g = h.grid
+    state = family.build(params, g)
+    phi = state.amplitudes
+    r = h.plus_diagonal(mean_field_diagonal(cfg, g, phi, 1.0)).matvec(phi)
+    mu = quadrature(g, np.conj(phi) * r).real
+    d = family.derivatives(params, g, state)
+    return 2.0 * quadrature(g, np.conj(d) * (r - mu * phi)).real
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    family_name=st.sampled_from(sorted(FAMILIES)),
+    boundary=st.sampled_from(["dirichlet", "periodic"]),
+    contact=st.sampled_from([None, -4.0, 30.0]),
+    n_points=st.integers(17, 600),
+    fractions=st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3),
+)
+def test_gradient_rows_keep_the_bits_of_the_stacked_formulas(family_name, boundary, contact, n_points, fractions):
+    g = make_grid(-8, 8, n_points, boundary)
+    cfg = HamiltonianConfig(
+        v1=PotentialField.harmonic(),
+        interaction=None if contact is None else TwoBodyInteraction.contact(contact, 3),
+    )
+    family = FAMILIES[family_name]()
+    params = np.array([lo + f * (hi - lo) for f, (lo, hi) in zip(fractions, family.parameter_bounds)])
+    h = hamiltonian_matrix(cfg, g)
+    if family_name.startswith("gaussian"):
+        state = family.build(params, g)
+        assert _same_bits(family.derivatives(params, g, state), _stacked_gaussian_derivatives(params, g, state))
+    _, grad = energy_and_gradient(cfg, h, family, params)
+    assert _same_bits(grad, _stacked_energy_gradient(cfg, h, family, params))
+
+
+@pytest.mark.parametrize("family_name", sorted(FAMILIES))
+def test_energy_and_gradient_holds_no_derivative_sized_temporary(family_name):
+    # the derivative rows are filled in place and reduced one at a time, so no
+    # (p, N) complex temporary adds to the peak (11, 14 and 11 states' bytes
+    # with the stacked formulas for gaussian, gaussian-phase and box-sine);
+    # numpy reports its buffers to tracemalloc, so the measure does not depend
+    # on the machine
+    import tracemalloc
+
+    g = make_grid(-10, 10, 4001)
+    family = FAMILIES[family_name]()
+    start = {"center": 0.3, "width": 1.1, "wavenumber": 0.5, "c2": 0.2, "c3": -0.1}
+    params = np.array([start[name] for name in family.parameter_names])
+    h = hamiltonian_matrix(HARMONIC, g)
+    energy_and_gradient(HARMONIC, h, family, params)  # warm-up
+    tracemalloc.start()
+    try:
+        energy_and_gradient(HARMONIC, h, family, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    state_bytes = g.n_points * np.dtype(complex).itemsize
+    assert peak <= 10 * state_bytes, peak / state_bytes
 
 
 def test_rayleigh_ritz_iteration_cap_flags_result():
