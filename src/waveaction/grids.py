@@ -5,7 +5,10 @@ read-only, finite complex128 array, clamped to zero at Dirichlet endpoints.
 The input is copied, unless it is already a read-only, C-contiguous
 complex128 array of the right shape whose Dirichlet endpoints are zero:
 that array is kept as it is (still scanned for finiteness), so whoever made
-it must not write to it through another view.
+it must not write to it through another view.  The finiteness scan is one
+sum of squares of the real and imaginary parts; only when that sum is not
+finite (a non-finite entry, or finite entries whose squares overflow) are
+the entries themselves tested.
 
 All stencils are second-order central differences.  Quadrature is the
 trapezoidal rule on Dirichlet grids and the rectangle rule on periodic
@@ -18,6 +21,7 @@ row by row, the result for each (N,) state.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
@@ -134,12 +138,15 @@ class Trajectory:
     follow the state rule (kept as they are when already read-only complex128
     with zero Dirichlet endpoints, as propagate's record array is, else
     copied).  The times are finite and strictly increasing; each row obeys
-    the Wavefunction rule.
+    the Wavefunction rule.  norm_drift is the largest |norm - 1| over every
+    step of the run that made the trajectory, recorded or not, as propagate
+    measures it; None for a trajectory built from given states.
     """
 
     grid: Grid
     times: np.ndarray
     amplitudes: np.ndarray
+    norm_drift: Optional[float] = None
 
     def __post_init__(self):
         times = np.array(self.times, dtype=np.float64)
@@ -163,8 +170,17 @@ class Trajectory:
 
 
 def check_finite(amp: np.ndarray) -> None:
-    """Raise ValueError unless every entry of the complex128 array amp is finite."""
-    if not np.all(np.isfinite(amp.view(np.float64))):
+    """Raise ValueError unless every entry of the complex128 array amp is finite.
+
+    One reduction, the sum of the squares of every real and imaginary part,
+    is finite when every entry is; only when it is not (a non-finite entry,
+    or finite entries whose squares overflow) are the entries tested one by
+    one.  Only the sum's finiteness is read, so BLAS may compute it.
+    """
+    parts = amp.view(np.float64).reshape(-1)
+    with np.errstate(over="ignore"):  # an overflowing sum sends the array to the exact scan, silently
+        squares = np.dot(parts, parts)
+    if not np.isfinite(squares) and not np.isfinite(parts).all():
         raise ValueError("amplitudes must be finite")
 
 

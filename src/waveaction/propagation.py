@@ -2,9 +2,15 @@
 and imaginary-time relaxation to the ground state.
 
 propagate writes every record_stride-th state once, into its row of one
-preallocated (n_records, N) array; the Wavefunction it hands its observers
-at that step is a read-only view of the row, and the array becomes the
-grids.Trajectory's amplitudes as it is.
+preallocated (n_records, N) array, and the array becomes the
+grids.Trajectory's amplitudes as it is.  Each step costs the solve (or the
+FFT pair) and one reduction: the sum s of the squares of the new state's
+real and imaginary parts, which is finite exactly when the state is (or
+its squares overflow, which the exact scan run then tells apart) and gives
+its norm sqrt(dx s), since Dirichlet endpoints are zero and periodic
+weights uniform.  The largest |norm - 1| over every step becomes the
+Trajectory's norm_drift.  A Wavefunction is built per step only for
+observers; at a record step it is a read-only view of the row.
 
 The real-time scheme is the Cayley form
 
@@ -29,11 +35,13 @@ complex, d for real).  A static linear H is factored once per run (gttrf)
 and every step reuses the factors (gttrs).  A matrix solved only once (the
 midpoint H of a time-dependent run, the predictor and the corrector of a
 mean-field step, each mean-field imaginary-time iteration) takes one gtsv
-call, which gives the same bits.  On periodic grids both restore the wrap
-link by a Sherman-Morrison correction.  Imaginary time iterates in float64
-when H is real (no vector potential) and the start state is a phase times a
-real vector, since every iterate then stays real, and puts the phase back
-on the result; otherwise it iterates in complex128.
+call, which gives the same bits.  When only the mean field changes between
+such solves (a static H), the scaled link bands are formed once per run and
+copied for each call, since gtsv overwrites them.  On periodic grids both
+restore the wrap link by a Sherman-Morrison correction.  Imaginary time
+iterates in float64 when H is real (no vector potential) and the start
+state is a phase times a real vector, since every iterate then stays real,
+and puts the phase back on the result; otherwise it iterates in complex128.
 
 On that real path, for a linear H or a contact interaction, the damped loop
 hands off to Newton steps on (H + c phi^2) phi = mu phi with ||phi|| = 1
@@ -69,12 +77,13 @@ split-operator stepper is built, so the other schemes never load it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+import math
 from typing import Callable, Sequence
 
 import numpy as np
 from scipy.linalg import get_lapack_funcs
 
-from .grids import Grid, Trajectory, Wavefunction, norm, normalize, norms, quadrature
+from .grids import Grid, Trajectory, Wavefunction, check_finite, norm, normalize, norms, quadrature
 from .hamiltonian import (
     HamiltonianConfig,
     TridiagonalHamiltonian,
@@ -147,28 +156,44 @@ class GroundStateResult:
     newton_steps: int
 
 
-def _shifted_bands(h: TridiagonalHamiltonian, scale: complex) -> tuple:
-    """The bands (dl, d, du) that LAPACK solves for 1 + scale * H, and the wrap-link terms (u, v_last).
+def _link_bands(h: TridiagonalHamiltonian, scale: complex) -> tuple:
+    """The off-diagonal bands (dl, du) that LAPACK solves for 1 + scale * H, and the wrap links (c_fl, c_lf).
 
-    Dirichlet grids give the interior block (the endpoints stay at zero) and
-    no wrap link, u = v_last = None.  Periodic grids give every link but the
-    wrap link with both end diagonals shifted, A = B + u v^T with
-    u = (gamma, 0, ..., 0, c_lf) and v = (1, 0, ..., 0, v_last), so that a
-    Sherman-Morrison correction restores the wrap link.
+    Dirichlet grids give the interior block's links and no wrap links
+    (None); periodic grids give every link but the wrap link, and the wrap
+    link's two entries (1 + sH)[0, n-1] and (1 + sH)[n-1, 0].
     """
     n = h.grid.n_points
     if not h.grid.is_periodic:
-        return scale * h.lower[1 : n - 2], 1.0 + scale * h.diag[1 : n - 1], scale * h.upper[1 : n - 2], None, None
-    d = 1.0 + scale * h.diag
-    c_fl = scale * h.lower[-1]  # (1 + sH)[0, n-1]
-    c_lf = scale * h.upper[-1]  # (1 + sH)[n-1, 0]
+        return scale * h.lower[1 : n - 2], scale * h.upper[1 : n - 2], None, None
+    return scale * h.lower[:-1], scale * h.upper[:-1], scale * h.lower[-1], scale * h.upper[-1]
+
+
+def _shifted_bands(h: TridiagonalHamiltonian, scale: complex, links=None) -> tuple:
+    """The bands (dl, d, du) that LAPACK solves for 1 + scale * H, and the wrap-link terms (u, v_last).
+
+    links are ``_link_bands(h, scale)``, formed here when None; dl and du
+    are its arrays themselves.  Dirichlet grids give the interior block (the
+    endpoints stay at zero) and no wrap link, u = v_last = None.  Periodic
+    grids give every link but the wrap link with both end diagonals
+    shifted, A = B + u v^T with u = (gamma, 0, ..., 0, c_lf) and
+    v = (1, 0, ..., 0, v_last), so that a Sherman-Morrison correction
+    restores the wrap link.
+    """
+    n = h.grid.n_points
+    # the diagonal first: forming the links first moved the glibc heap of the
+    # ground-states workload from about 1.5k to 2.9k minor faults per pass
+    d = 1.0 + scale * (h.diag if h.grid.is_periodic else h.diag[1 : n - 1])
+    dl, du, c_fl, c_lf = _link_bands(h, scale) if links is None else links
+    if not h.grid.is_periodic:
+        return dl, d, du, None, None
     gamma = -d[0] if d[0] != 0 else -1.0  # -d[0] avoids cancellation in B[0, 0]
     d[0] -= gamma
     d[-1] -= c_lf * c_fl / gamma
     u = np.zeros(n, dtype=d.dtype)
     u[0] = gamma
     u[-1] = c_lf
-    return scale * h.lower[:-1], d, scale * h.upper[:-1], u, c_fl / gamma
+    return dl, d, du, u, c_fl / gamma
 
 
 def _check_info(routine: str, info: int, scale: complex) -> None:
@@ -242,7 +267,7 @@ class _CayleySolver:
         return out
 
 
-def _solve_once(h: TridiagonalHamiltonian, scale: complex, rhs: np.ndarray) -> np.ndarray:
+def _solve_once(h: TridiagonalHamiltonian, scale: complex, rhs: np.ndarray, links=None) -> np.ndarray:
     """(1 + scale H)^-1 rhs by one LAPACK gtsv call, for a matrix solved only once; rhs is left as it is.
 
     rhs is one vector (n,) or a block (n, k) of k right-hand sides, which
@@ -251,9 +276,13 @@ def _solve_once(h: TridiagonalHamiltonian, scale: complex, rhs: np.ndarray) -> n
     runs gttrf's pivoted elimination and gttrs's substitutions in one pass,
     in place in one full-length copy of a single rhs.  On periodic grids the
     wrap-link vector u is one more right-hand side.  dgtsv solves when the
-    bands and rhs are all real, zgtsv otherwise.
+    bands and rhs are all real, zgtsv otherwise.  links, when given, are
+    ``_link_bands(h, scale)`` formed once for several solves; gtsv runs on
+    copies of them, which it overwrites.
     """
-    dl, d, du, u, v_last = _shifted_bands(h, scale)
+    dl, d, du, u, v_last = _shifted_bands(h, scale, links)
+    if links is not None:
+        dl, du = dl.copy(), du.copy()
     dtype = np.result_type(d, rhs)
     n, k = len(rhs), rhs.size // len(rhs)
     if u is None:
@@ -284,23 +313,17 @@ def _through_midpoint(x: np.ndarray, amp: np.ndarray) -> np.ndarray:
     return x
 
 
-def _cayley_substep(h_at, hbar: float, amp: np.ndarray, t: float, dt: float, extra_diag=None) -> np.ndarray:
-    """amp advanced from t by dt with H at the midpoint (plus extra_diag), solved once."""
-    h = h_at(t + dt / 2.0).plus_diagonal(extra_diag)
-    return _through_midpoint(_solve_once(h, 1j * dt / (2.0 * hbar), amp), amp)
-
-
 # Steppers map (amplitudes at t, t) to the amplitudes at t + dt.  Each is
 # built once per run, so static factors and phases are built once too.
 
 
 def _cn_stepper(cfg: HamiltonianConfig, grid: Grid, dt: float):
-    hbar = cfg.constants.hbar
+    scale = 1j * dt / (2.0 * cfg.constants.hbar)
     h_at = hamiltonian_at(cfg, grid)
     if cfg.is_static:  # one H, so one factorization for the whole run
-        solver = _CayleySolver(h_at(0.0), 1j * dt / (2.0 * hbar))
+        solver = _CayleySolver(h_at(0.0), scale)
         return lambda amp, t: _through_midpoint(solver.solve(amp), amp)
-    return lambda amp, t: _cayley_substep(h_at, hbar, amp, t, dt)
+    return lambda amp, t: _through_midpoint(_solve_once(h_at(t + dt / 2.0), scale, amp), amp)
 
 
 def check_split_operator(cfg: HamiltonianConfig, grid: Grid) -> None:
@@ -361,18 +384,19 @@ def _split_stepper(cfg: HamiltonianConfig, grid: Grid, dt: float):
 
 
 def _gp_stepper(cfg: HamiltonianConfig, grid: Grid, dt: float):
-    """The density-averaged predictor-corrector of step_gp."""
-    hbar = cfg.constants.hbar
+    """The density-averaged predictor-corrector of step_gp; a static H's link bands are formed once."""
+    scale = 1j * dt / (2.0 * cfg.constants.hbar)
     h_at = hamiltonian_at(cfg, grid)
+    links = _link_bands(h_at(0.0), scale) if cfg.is_static else None
 
-    def mean_field(rho):
-        return mean_field_density_values(cfg.interaction, grid, rho)
+    def substep(amp, t, rho):
+        h = h_at(t + dt / 2.0).plus_diagonal(mean_field_density_values(cfg.interaction, grid, rho))
+        return _through_midpoint(_solve_once(h, scale, amp, links), amp)
 
     def advance(amp, t):
         rho = np.abs(amp) ** 2
-        predicted = _cayley_substep(h_at, hbar, amp, t, dt, mean_field(rho))
-        rho_avg = 0.5 * (np.abs(predicted) ** 2 + rho)
-        return _cayley_substep(h_at, hbar, amp, t, dt, mean_field(rho_avg))
+        predicted = substep(amp, t, rho)
+        return substep(amp, t, 0.5 * (np.abs(predicted) ** 2 + rho))
 
     return advance
 
@@ -412,14 +436,26 @@ def propagate(
 ) -> Trajectory:
     """Run the configured stepper for plan.n_steps from psi0 at psi0.time, recording at the stride.
 
-    The state after step k is at psi0.time + k * plan.dt.
+    The state after step k is at psi0.time + k * plan.dt.  Each recorded
+    state is written once, into its row of one preallocated
+    (n_records, N) complex128 array, which becomes the Trajectory's
+    amplitudes without a copy.  Every stepped array is made read-only
+    before the next step reads it.
+
+    Each step's state is checked and measured by one reduction,
+    s = sum(Re^2 + Im^2) by einsum (numpy's own loop, so its bits do not
+    depend on the BLAS thread count).  A non-finite s with a non-finite
+    amplitude raises RuntimeError naming the step; a finite state whose
+    squares overflow is kept, and its drift reads inf.  The norm is
+    sqrt(dx s): Dirichlet endpoints are zero and periodic weights uniform.
+    The Trajectory's norm_drift is the largest |norm - 1| over steps 1 to
+    n_steps, recorded or not (0.0 for no step).
 
     Observers are called after every step with (step index, time, state)
     and must not mutate the state; an observer exception aborts the run
-    with the step context attached.  Each recorded state is written once,
-    into its row of one preallocated (n_records, N) complex128 array: the
-    state an observer receives at a record step is a read-only view of that
-    row, and the array becomes the Trajectory's amplitudes without a copy.
+    with the step context attached.  The state is a read-only Wavefunction,
+    built only when there are observers; at a record step it is a view of
+    its row.
     """
     if abs(norm(psi0) - 1.0) > 1e-6:
         raise ValueError("initial state must be normalized")
@@ -431,30 +467,37 @@ def propagate(
         advance = _gp_stepper(cfg, grid, plan.dt)
     else:
         advance = _cn_stepper(cfg, grid, plan.dt)
-    psi, t = psi0, psi0.time
+    amp, t = psi0.amplitudes, psi0.time
     records = np.empty((plan.n_records, grid.n_points), dtype=np.complex128)
     times = np.empty(plan.n_records)
-    records[0], times[0] = psi0.amplitudes, t
+    records[0], times[0] = amp, t
+    drift = 0.0
     for k in range(1, plan.n_steps + 1):
-        amp = advance(psi.amplitudes, t)
+        amp = advance(amp, t)
         t = psi0.time + k * plan.dt
         if k % plan.record_stride == 0:
-            # the state is a read-only view of its row, which the state rule keeps as it is
             r = k // plan.record_stride
             records[r], times[r] = amp, t
             amp = records[r]
-            amp.setflags(write=False)
-        try:
-            psi = Wavefunction(grid, amp, t)
-        except ValueError as exc:
-            raise RuntimeError(f"step {k} (t = {t:.6g}) failed: {exc}") from exc
-        for obs in observers:
+        amp.setflags(write=False)
+        parts = amp.view(np.float64)
+        squares = float(np.einsum("i,i", parts, parts))
+        if not math.isfinite(squares):
             try:
-                obs(k, t, psi)
-            except Exception as exc:
-                raise ObserverError(f"observer failed at step {k}, t = {t:.6g}") from exc
+                check_finite(amp)
+            except ValueError as exc:
+                raise RuntimeError(f"step {k} (t = {t:.6g}) failed: {exc}") from exc
+        drift = max(drift, abs(math.sqrt(grid.dx * squares) - 1.0))
+        if observers:
+            # a read-only row with zero Dirichlet endpoints, which the state rule keeps as it is
+            psi = Wavefunction(grid, amp, t)
+            for obs in observers:
+                try:
+                    obs(k, t, psi)
+                except Exception as exc:
+                    raise ObserverError(f"observer failed at step {k}, t = {t:.6g}") from exc
     records.setflags(write=False)
-    return Trajectory(grid, times, records)
+    return Trajectory(grid, times, records, drift)
 
 
 # The real path's loop hands off to Newton once consecutive energies differ by
@@ -605,10 +648,11 @@ def ground_state_imaginary_time(
     if cfg.interaction is None:
         solve = _CayleySolver(h, scale).solve
     else:
+        links = _link_bands(h, scale)
 
         def solve(amp):
             u = mean_field_density_values(cfg.interaction, grid, np.abs(amp) ** 2)
-            return _solve_once(h.plus_diagonal(u), scale, amp)
+            return _solve_once(h.plus_diagonal(u), scale, amp, links)
 
     finish = real is not None and (cfg.interaction is None or cfg.interaction.kind == "contact")
     attractive = cfg.interaction is not None and (cfg.interaction.n_particles - 1) * cfg.interaction.g < 0

@@ -144,20 +144,15 @@ def _run_propagation(scenario: Scenario, cfg, grid, phase: _Phase) -> tuple:
     """(converged, summary, outputs) of a propagate, gp-propagate or verify task, started at its t_start."""
     psi0 = replace(build_initial_state(scenario, grid), time=scenario.task["t_start"])
     plan = build_plan(scenario)
-    norm_drift = {"max": 0.0}
-
-    def watch_norm(step, t, psi):
-        norm_drift["max"] = max(norm_drift["max"], abs(norm(psi) - 1.0))
-
     phase.name = "propagate"
-    traj = propagate(cfg, psi0, plan, observers=[watch_norm])
+    traj = propagate(cfg, psi0, plan)
     phase.name = "analysis"
     integrals = action_integrals(cfg, traj)
     columns = _diagnostics_columns(integrals, plan.record_stride)
     summary = {
         "final_energy": float(columns["energy"][-1]),
         "final_norm": float(columns["norm"][-1]),
-        "norm_drift": norm_drift["max"],
+        "norm_drift": traj.norm_drift,
         "max_continuity_sup": float(columns["continuity_sup"].max()),
         "action_simple": float(columns["action_simple_running"][-1]),
         "action_standard": float(columns["action_standard_running"][-1]),

@@ -18,7 +18,14 @@ from waveaction import (
     plane_wave,
     quadrature,
 )
-from waveaction.grids import central_difference, commensurate_wavenumber, norms, require_same_grid, second_difference
+from waveaction.grids import (
+    central_difference,
+    check_finite,
+    commensurate_wavenumber,
+    norms,
+    require_same_grid,
+    second_difference,
+)
 
 from helpers import loop_inner_product, random_state, richardson_order
 
@@ -368,3 +375,51 @@ def test_state_rule_still_scans_a_kept_array_and_checks_the_times_first():
             Trajectory(g, bad_times, rows)
     with pytest.raises(ValueError, match="shape"):
         Trajectory(g, [0.0, 0.1], rows)
+
+
+_NON_FINITE = (np.inf, -np.inf, np.nan)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    shape=st.one_of(st.tuples(st.integers(1, 40)), st.tuples(st.integers(1, 6), st.integers(1, 40))),
+    scale=st.sampled_from([1.0, 1e150, 1e300]),
+    seed=st.integers(0, 2**32 - 1),
+    bad=st.lists(
+        st.tuples(st.integers(0, 10**6), st.sampled_from(["real", "imag"]), st.sampled_from(_NON_FINITE)),
+        max_size=3,
+    ),
+)
+def test_check_finite_raises_exactly_when_an_entry_is_not_finite(shape, scale, seed, bad):
+    # the one reduction overflows for finite entries of 1e150 and more, so
+    # only the exact scan may decide there; a non-finite real or imaginary
+    # part anywhere in a state or a block of states must be found
+    rng = np.random.default_rng(seed)
+    amp = scale * (rng.uniform(-1, 1, shape) + 1j * rng.uniform(-1, 1, shape))
+    flat = amp.reshape(-1)
+    for index, part, value in bad:
+        if part == "real":
+            flat[index % flat.size] = complex(value, flat[index % flat.size].imag)
+        else:
+            flat[index % flat.size] = complex(flat[index % flat.size].real, value)
+    if np.isfinite(amp.view(np.float64)).all():
+        check_finite(amp)
+    else:
+        with pytest.raises(ValueError, match="amplitudes must be finite"):
+            check_finite(amp)
+
+
+def test_check_finite_makes_no_temporary_of_the_array():
+    # the finiteness scan of a trajectory-sized block allocates nothing of its
+    # size (an elementwise isfinite would make a bool array of 1/8 its bytes)
+    import tracemalloc
+
+    rng = np.random.default_rng(5)
+    amp = rng.standard_normal((401, 1001)) + 1j * rng.standard_normal((401, 1001))
+    tracemalloc.start()
+    try:
+        check_finite(amp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.01 * amp.nbytes, peak / amp.nbytes
