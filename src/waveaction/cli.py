@@ -62,7 +62,7 @@ def _run_one(path: Path, out_dir: Path, stride, quiet: bool) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        manifest = run_scenario(scenario, out_dir, quiet=quiet)
+        manifest = run_scenario(scenario, out_dir, quiet=True)  # the line is printed here, not logged
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
@@ -72,6 +72,8 @@ def _run_one(path: Path, out_dir: Path, stride, quiet: bool) -> int:
     except (RuntimeError, MemoryError) as exc:  # includes ObserverError
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_NOT_CONVERGED
+    if not quiet:
+        print(manifest.line(out_dir))
     return EXIT_OK if manifest.converged else EXIT_NOT_CONVERGED
 
 

@@ -243,12 +243,21 @@ def normalize(psi: Wavefunction) -> Wavefunction:
 
 
 def central_difference(grid: Grid, values: np.ndarray) -> np.ndarray:
-    """Antisymmetric stencil (f_{j+1} - f_{j-1}) / (2 dx) along the last axis, with boundary handling."""
-    out = np.zeros_like(np.asarray(values, dtype=np.result_type(values, 1.0)))
+    """Antisymmetric stencil (f_{j+1} - f_{j-1}) / (2 dx) along the last axis, with boundary handling.
+
+    The differences are formed in the output array and divided there; the
+    Dirichlet endpoints are 0.
+    """
+    values = np.asarray(values)
+    out = np.empty_like(values, dtype=np.result_type(values, 1.0))
+    np.subtract(values[..., 2:], values[..., :-2], out=out[..., 1:-1])
     if grid.is_periodic:
-        out[:] = (np.roll(values, -1, axis=-1) - np.roll(values, 1, axis=-1)) / (2.0 * grid.dx)
-    else:
-        out[..., 1:-1] = (values[..., 2:] - values[..., :-2]) / (2.0 * grid.dx)
+        np.subtract(values[..., 1], values[..., -1], out=out[..., 0])
+        np.subtract(values[..., 0], values[..., -2], out=out[..., -1])
+    else:  # before the division, which must not read the uninitialized endpoints
+        out[..., 0] = 0.0
+        out[..., -1] = 0.0
+    out /= 2.0 * grid.dx
     return out
 
 

@@ -330,10 +330,17 @@ def mean_field_diagonal(
 
 
 def mechanical_momentum(cfg: HamiltonianConfig, grid: Grid, amp: np.ndarray, t: float = 0.0) -> np.ndarray:
-    """P applied to each row of amp (..., N); Dirichlet endpoints are zero."""
+    """P applied to each row of amp (..., N); Dirichlet endpoints are zero.
+
+    Where A(t) is zero on the whole grid the q A psi term is an exact zero and is not formed.
+    """
     c = cfg.constants
     a = cfg.a_vec.evaluate(grid, t)
-    out = -1j * c.hbar * central_difference(grid, amp) - c.charge * a * amp
+    if a.any():
+        out = -1j * c.hbar * central_difference(grid, amp) - c.charge * a * amp
+    else:
+        out = central_difference(grid, amp)
+        np.multiply(-1j * c.hbar, out, out=out)
     if not grid.is_periodic:
         out[..., 0] = 0.0
         out[..., -1] = 0.0

@@ -19,6 +19,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import json
+import logging
 import operator
 import time
 from dataclasses import asdict, dataclass, field, replace
@@ -49,6 +50,8 @@ VERIFY_THRESHOLDS = {
     "continuity_sup_max": 1e-4,
 }
 
+_log = logging.getLogger(__name__)
+
 
 CSV_COLUMNS = (
     "step",
@@ -75,6 +78,11 @@ class RunManifest:
     converged: bool
     grid: dict
     summary: dict = field(default_factory=dict)
+
+    def line(self, out_dir) -> str:
+        """One line naming the run, its outcome and wall time, and the directory its outputs went to."""
+        state = "ok" if self.converged else "NOT CONVERGED"
+        return f"[{self.name}] {self.task}: {state} ({self.wall_time_s:.2f}s) -> {out_dir}"
 
 
 def _write(path: Path, content) -> None:
@@ -250,6 +258,8 @@ def run_scenario(scenario: Scenario, out_dir, quiet: bool = False) -> RunManifes
     error (RuntimeError or MemoryError, also exit code 2) propagates once a
     manifest with converged false and a summary of the error text and the
     phase it arose in (build, propagate, analysis or write) is written.
+    Unless quiet, the manifest's line (RunManifest.line) is logged at INFO
+    on this module's logger.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -281,8 +291,7 @@ def run_scenario(scenario: Scenario, out_dir, quiet: bool = False) -> RunManifes
         raise
     manifest = write_manifest(converged, summary)
     if not quiet:
-        state = "ok" if converged else "NOT CONVERGED"
-        print(f"[{scenario.name}] {manifest.task}: {state} ({manifest.wall_time_s:.2f}s) -> {out_dir}")
+        _log.info("%s", manifest.line(out_dir))
     return manifest
 
 

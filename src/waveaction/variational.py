@@ -261,14 +261,24 @@ def _forward_kinetic_density(cfg: HamiltonianConfig, grid: Grid, amp: np.ndarray
 
     Link j joins nodes j and j+1, the last one wrapping round to node 0; on
     a Dirichlet grid that link joins two clamped zeros, so its density is 0.
+    Where A(t) is zero on the whole grid the A term is an exact zero and is
+    not formed: p+ = -i hbar D+ psi, with D+ psi formed in the rolled copy.
     """
     c = cfg.constants
     a = cfg.a_vec.evaluate(grid, t)
     nxt = np.roll(amp, -1, axis=-1)
-    d_plus = (nxt - amp) / grid.dx
-    a_link = 0.5 * (a + np.concatenate((a[1:], a[:1])))
-    p_plus = -1j * c.hbar * d_plus - c.charge * a_link * (0.5 * (amp + nxt))
-    return np.abs(p_plus) ** 2 / (2.0 * c.mass)
+    if a.any():
+        d_plus = (nxt - amp) / grid.dx
+        a_link = 0.5 * (a + np.concatenate((a[1:], a[:1])))
+        p_plus = -1j * c.hbar * d_plus - c.charge * a_link * (0.5 * (amp + nxt))
+    else:
+        nxt -= amp
+        nxt /= grid.dx
+        p_plus = np.multiply(-1j * c.hbar, nxt, out=nxt)
+    kinetic = np.abs(p_plus)
+    np.square(kinetic, out=kinetic)
+    kinetic /= 2.0 * c.mass
+    return kinetic
 
 
 def lagrangian_densities(cfg: HamiltonianConfig, psi: Wavefunction, dpsi_dt: Wavefunction) -> LagrangianSample:

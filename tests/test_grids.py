@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from waveaction import (
     Trajectory,
@@ -258,6 +259,39 @@ def test_block_of_rows_gives_each_row_its_own_result(seed, n_rows, n_points, bou
     assert sums.shape == (n_rows,)
     np.testing.assert_array_equal(sums, [quadrature(g, values) for values in block])
     np.testing.assert_array_equal(norms(g, block), [norms(g, values) for values in block])
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    data=st.data(),
+    n_rows=st.sampled_from([None, 1, 3]),
+    n_points=st.integers(8, 40),
+    boundary=st.sampled_from(["dirichlet", "periodic"]),
+    complex_values=st.booleans(),
+)
+def test_central_difference_matches_the_elementwise_stencil(data, n_rows, n_points, boundary, complex_values):
+    # bit for bit what (f[j+1] - f[j-1]) / (2 dx) gives one entry at a time, for a
+    # state (N,) and a block (B, N); the Dirichlet endpoints are exactly 0
+    g = make_grid(-3.0, 2.5, n_points, boundary)
+    shape = (n_points,) if n_rows is None else (n_rows, n_points)
+    if complex_values:
+        elements = st.complex_numbers(max_magnitude=1e150, allow_nan=False, allow_infinity=False)
+    else:
+        elements = st.floats(-1e150, 1e150, allow_nan=False)
+    values = data.draw(arrays(np.complex128 if complex_values else np.float64, shape, elements=elements))
+    out = central_difference(g, values)
+    assert out.dtype == values.dtype and out.shape == shape
+    expected = np.zeros_like(values)
+    for row in np.ndindex(*shape[:-1]):
+        f = values[row]
+        for j in range(n_points):
+            if g.is_periodic:
+                expected[row + (j,)] = (f[(j + 1) % n_points] - f[j - 1]) / (2.0 * g.dx)
+            elif 0 < j < n_points - 1:
+                expected[row + (j,)] = (f[j + 1] - f[j - 1]) / (2.0 * g.dx)
+    assert out.tobytes() == expected.tobytes()
+    if boundary == "dirichlet":
+        assert not any(out[..., [0, -1]].tobytes())  # +0.0, real and imaginary parts
 
 
 @pytest.mark.parametrize(

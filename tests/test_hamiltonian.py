@@ -23,10 +23,11 @@ from waveaction import (
     make_grid,
     normalize,
     plane_wave,
+    probability_fields,
     quadrature,
 )
 from waveaction.grids import commensurate_wavenumber
-from waveaction.hamiltonian import energies_of, hamiltonian_matrix, mean_field_density_values
+from waveaction.hamiltonian import energies_of, hamiltonian_matrix, mean_field_density_values, mechanical_momentum
 
 from helpers import dense_momentum_matrix, random_state
 
@@ -111,15 +112,44 @@ def test_mechanical_momentum_constant_field_shift():
     np.testing.assert_allclose(apply_mechanical_momentum(cfg, psi).amplitudes, expected, atol=1e-13)
 
 
+def general_momentum(cfg, grid, amp, t):
+    # the general expression of P psi, which forms the q A psi term whatever A is, with the central
+    # stencil written out as zeros, a difference and a division; the reference whose bits the
+    # zero-A shortcut must give
+    c = cfg.constants
+    a = cfg.a_vec.evaluate(grid, t)
+    d = np.zeros_like(amp)
+    if grid.is_periodic:
+        d[:] = (np.roll(amp, -1, axis=-1) - np.roll(amp, 1, axis=-1)) / (2.0 * grid.dx)
+    else:
+        d[..., 1:-1] = (amp[..., 2:] - amp[..., :-2]) / (2.0 * grid.dx)
+    out = -1j * c.hbar * d - c.charge * a * amp
+    if not grid.is_periodic:
+        out[..., 0] = 0.0
+        out[..., -1] = 0.0
+    return out
+
+
+@pytest.mark.parametrize("field", ["sampled", "free", "zero-samples"])
 @pytest.mark.parametrize("boundary", ["dirichlet", "periodic"])
-def test_mechanical_momentum_matches_dense_oracle(boundary):
+def test_mechanical_momentum_matches_dense_oracle(boundary, field):
+    hbar, mass, charge = 0.8, 1.7, -1.3
     g = make_grid(0, 1, 16, boundary)
-    a = np.cos(3.0 * g.x) + 0.5
-    cfg = HamiltonianConfig(a_vec=PotentialField.from_samples(a))
+    a = np.cos(3.0 * g.x) + 0.5 if field == "sampled" else np.zeros(g.n_points)
+    a_vec = PotentialField.free() if field == "free" else PotentialField.from_samples(a)
+    cfg = HamiltonianConfig(constants=PhysicalConstants(hbar=hbar, mass=mass, charge=charge), a_vec=a_vec)
     psi = random_state(g, seed=7, smooth=False)
-    oracle = dense_momentum_matrix(g, a) @ psi.amplitudes
+    oracle = dense_momentum_matrix(g, a, hbar=hbar, charge=charge) @ psi.amplitudes
     got = apply_mechanical_momentum(cfg, psi).amplitudes
     np.testing.assert_allclose(got, oracle, atol=1e-13)
+
+    # bit for bit the general expression, for a zero A too: P psi, a block of rows, and the current
+    reference = general_momentum(cfg, g, psi.amplitudes, psi.time)
+    np.testing.assert_array_equal(got, reference)
+    block = np.stack([psi.amplitudes, np.conj(psi.amplitudes), 1j * psi.amplitudes])
+    np.testing.assert_array_equal(mechanical_momentum(cfg, g, block), general_momentum(cfg, g, block, 0.0))
+    current = np.real(np.conj(psi.amplitudes) * (reference / mass))
+    np.testing.assert_array_equal(probability_fields(cfg, psi).current, current)
 
 
 def test_apply_hamiltonian_free_particle_stencil_eigenvalue():

@@ -388,6 +388,25 @@ def test_cli_unreadable_scenario_exits_1(tmp_path, capsys, command, unreadable):
     assert not (tmp_path / "out").exists()
 
 
+def test_run_line_is_logged_by_the_runner_and_printed_by_the_cli(tmp_path, capsys, caplog):
+    path = write_scenario(tmp_path, minimal_ground_state())
+    scenario = parse_scenario(path)
+    with caplog.at_level("INFO", logger="waveaction.runner"):
+        manifest = run_scenario(scenario, tmp_path / "logged")
+        run_scenario(scenario, tmp_path / "quiet", quiet=True)
+    line = f"[harmonic-ground] ground-state: ok ({manifest.wall_time_s:.2f}s) -> {tmp_path / 'logged'}"
+    assert manifest.line(tmp_path / "logged") == line
+    assert [(r.name, r.levelname, r.getMessage()) for r in caplog.records] == [("waveaction.runner", "INFO", line)]
+    assert capsys.readouterr().out == ""  # the runner prints nothing
+    caplog.clear()
+    with caplog.at_level("INFO", logger="waveaction.runner"):
+        assert main(["run", str(path), "--out", str(tmp_path / "cli")]) == 0
+        assert main(["run", str(path), "--out", str(tmp_path / "cli-quiet"), "--quiet"]) == 0
+    wall = json.loads((tmp_path / "cli" / "manifest.json").read_text())["wall_time_s"]
+    assert capsys.readouterr().out == f"[harmonic-ground] ground-state: ok ({wall:.2f}s) -> {tmp_path / 'cli'}\n"
+    assert not caplog.records  # the CLI's line is printed, not logged as well
+
+
 def test_ground_state_run_outputs(tmp_path):
     path = write_scenario(tmp_path, minimal_ground_state())
     scenario = parse_scenario(path)

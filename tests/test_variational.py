@@ -37,7 +37,7 @@ from waveaction.hamiltonian import (
     hamiltonian_matrix,
     mean_field_diagonal,
 )
-from waveaction.variational import FAMILIES, TrialFamily, energy_and_gradient
+from waveaction.variational import FAMILIES, TrialFamily, _forward_kinetic_density, energy_and_gradient
 
 from helpers import dense_ground_energy, loop_action_integrals, random_state, random_trajectory, trajectory_shapes
 
@@ -93,19 +93,36 @@ def test_standard_density_is_real_array():
     assert sample.l_standard.dtype.kind == "f"
 
 
+def general_kinetic_density(cfg, grid, amp, t):
+    # the general expression of the link kinetic density, which forms the A term whatever A is;
+    # the reference whose bits the zero-A shortcut must give
+    c = cfg.constants
+    a = cfg.a_vec.evaluate(grid, t)
+    nxt = np.roll(amp, -1, axis=-1)
+    d_plus = (nxt - amp) / grid.dx
+    a_link = 0.5 * (a + np.concatenate((a[1:], a[:1])))
+    p_plus = -1j * c.hbar * d_plus - c.charge * a_link * (0.5 * (amp + nxt))
+    return np.abs(p_plus) ** 2 / (2.0 * c.mass)
+
+
+@pytest.mark.parametrize("field", ["sampled", "free", "zero-samples"])
 @pytest.mark.parametrize("boundary", ["dirichlet", "periodic"])
-def test_standard_density_matches_per_link_oracle(boundary):
+def test_standard_density_matches_per_link_oracle(boundary, field):
     # L1_j = -hbar Im(psi_j* rate_j) - |P psi|^2_j / 2m - (V_j + q A0_j) |psi_j|^2, where link j
     # joins nodes j and j+1 (wrapping round on a periodic grid; a Dirichlet grid has no last link)
     hbar, mass, charge = 0.7, 1.3, -0.9
     g = make_grid(-4, 5, 97, boundary)
     rng = np.random.default_rng(11)
     a_vals, a0_vals = rng.standard_normal(g.n_points), rng.standard_normal(g.n_points)
+    a_vec = PotentialField.from_samples(a_vals)
+    if field != "sampled":  # a zero vector potential, given as the free field or as zero samples
+        a_vals = np.zeros(g.n_points)
+        a_vec = PotentialField.free() if field == "free" else PotentialField.from_samples(a_vals)
     cfg = HamiltonianConfig(
         constants=PhysicalConstants(hbar=hbar, mass=mass, charge=charge),
         v1=PotentialField.harmonic(),
         a0=PotentialField.from_samples(a0_vals),
-        a_vec=PotentialField.from_samples(a_vals),
+        a_vec=a_vec,
     )
     psi, rate = random_state(g, seed=3, smooth=False), random_state(g, seed=4, smooth=False)
     sample = lagrangian_densities(cfg, psi, rate)
@@ -126,6 +143,17 @@ def test_standard_density_matches_per_link_oracle(boundary):
     assert np.max(np.abs(sample.l_standard - expected)) <= 1e-13 * np.max(np.abs(expected))
     if boundary == "dirichlet":
         assert sample.l_standard[-1] == 0.0
+
+    # bit for bit the general expression, for a zero A too, for a state and for a block of rows
+    block = np.stack([amp, rate.amplitudes, np.conj(amp)])
+    for rows in (amp, block):
+        np.testing.assert_array_equal(
+            _forward_kinetic_density(cfg, g, rows, 0.0), general_kinetic_density(cfg, g, rows, 0.0)
+        )
+    time_part = -hbar * np.imag(np.conj(amp) * damp)
+    scalar = v + charge * a0_vals
+    reference = time_part - general_kinetic_density(cfg, g, amp, 0.0) - scalar * np.abs(amp) ** 2
+    np.testing.assert_array_equal(sample.l_standard, reference)
 
 
 def test_integrated_density_difference_matches_flux_oracle():
