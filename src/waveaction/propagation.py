@@ -29,31 +29,44 @@ field rebuilt from each iterate changes H between steps, and the energy can
 then rise: a contact g = 750 on three particles in a harmonic trap raises it
 by up to 1.7 at dtau = 0.5.
 
-Both implicit schemes solve tridiagonal systems 1 + s H with LAPACK, the
-routine following the dtype of the bands and the right-hand side (z for
-complex, d for real).  A static linear H is factored once per run (gttrf)
-and every step reuses the factors (gttrs).  A matrix solved only once (the
-midpoint H of a time-dependent run, the predictor and the corrector of a
-mean-field step, each mean-field imaginary-time iteration) takes one gtsv
-call, which gives the same bits.  When only the mean field changes between
-such solves (a static H), the scaled link bands are formed once per run and
-copied for each call, since gtsv overwrites them.  On periodic grids both
-restore the wrap link by a Sherman-Morrison correction.  Imaginary time
-iterates in float64 when H is real (no vector potential) and the start
-state is a phase times a real vector, since every iterate then stays real,
-and puts the phase back on the result; otherwise it iterates in complex128.
+Both implicit schemes solve tridiagonal systems 1 + s H with LAPACK.  A
+static linear H is factored once per run and every step reuses the
+factors; a matrix solved only once (the midpoint H of a time-dependent run,
+the predictor and the corrector of a mean-field step, each mean-field
+imaginary-time iteration) takes one call that factors and solves, which
+gives the same bits.  The routines are chosen once per run.  Imaginary time
+on the real path (below) with a linear H or a contact c = (N-1) g >= 0
+solves by LDL^T factors without pivots (pttrf and pttrs, or ptsv once)
+when one pttrf of 1 + s H succeeds: that matrix is then positive definite,
+and the mean field of c >= 0 only adds a non-negative diagonal to it.  Every
+other solve, and every Newton step (its Jacobian is indefinite), runs the
+pivoted general routines (gttrf and gttrs, or gtsv once), z when the bands
+or the right-hand side are complex and d when both are real.  When only the
+mean field changes between single-use solves (a static H), the scaled link
+bands are formed once per run and copied for each call, since the routines
+overwrite them.  On periodic grids every solve restores the wrap link by a
+Sherman-Morrison correction.  Imaginary time iterates in float64 when H is
+real (no vector potential) and the start state is a phase times a real
+vector, since every iterate then stays real, and puts the phase back on the
+result; otherwise it iterates in complex128.
 
 On that real path, for a linear H or a contact interaction, the damped loop
 hands off to Newton steps on (H + c phi^2) phi = mu phi with ||phi|| = 1
 (c = (N-1) g, or 0 for a linear H) once consecutive energies differ by less
 than a threshold: 1e-2 for c >= 0, 1e-4 for c < 0, never below tol.  For
 c >= 0 the discrete energy is strictly convex in rho = phi^2 (Lieb,
-Seiringer & Yngvason 2000), so a stationary state without a sign change is
-the ground state and Newton may take over early; an attractive contact has
-positive stationary states above the ground state, so it hands off only
-near the minimum.  The Jacobian H + 3 c phi^2 - mu is tridiagonal, so each
-step is one single-use solve with a block of right-hand sides; for c = 0 it
-is one shifted inverse-iteration step.  Newton converges quadratically, so
+Seiringer & Yngvason 2000), so in exact arithmetic a stationary state
+without a sign change is the ground state, and Newton may take over early.
+The sign test on a computed state cannot tell that state from a
+self-trapped one whose other well holds 3.5e-49 of its peak: a
+repulsive condensate in a deep double well can finish there, 0.27 above
+its ground energy (the strict xfail
+test_repulsive_condensate_in_a_deep_double_well_finishes_at_its_ground_state).
+An attractive contact has positive stationary states above the ground
+state, so it hands off only near the minimum.  The Jacobian
+H + 3 c phi^2 - mu is tridiagonal, so each step is one single-use solve
+with a block of right-hand sides; for c = 0 it is one shifted
+inverse-iteration step.  Newton converges quadratically, so
 the returned state is the eigenvector to rounding, where the loop alone
 leaves an error of order sqrt(tol / gap).  A step is accepted only if it
 does not raise the energy and has no sign change above a floor relative to
@@ -306,6 +319,89 @@ def _solve_once(h: TridiagonalHamiltonian, scale: complex, rhs: np.ndarray, link
     return x[:, 0] if rhs.ndim == 1 else x[:, :k]
 
 
+class _LDLTSolver:
+    """LDL^T factors of a positive definite 1 + scale * H (LAPACK pttrf) for a real H, for repeated solves.
+
+    A real H is symmetric (its links are -hbar^2 / 2 m dx^2 either way), so
+    the pt routines, which read d and one off-diagonal, solve it without
+    pivots.  The matrix factored is the one ``_shifted_bands`` describes.  On
+    periodic grids it takes gamma = -A[0, 0] (-1 where A[0, 0] = 0), and
+    v = u / gamma.  So B = A + u u^T / |gamma| where A[0, 0] >= 0, and
+    B[0, 0] = 2 A[0, 0] < 0 otherwise: either way A is positive definite
+    exactly when B is and the Sherman-Morrison denominator 1 + v^T B^-1 u is
+    positive.  ``factor`` returns None when either test fails; B^-1 u is
+    solved there, once.
+    ``solve`` applies (1 + scale H)^-1 with one pttrs call, run in place in
+    one copy of the real right-hand side.
+    """
+
+    def __init__(self, pttrs, d: np.ndarray, e: np.ndarray):
+        self._pttrs, self._factors, self._wrap = pttrs, (d, e), None
+
+    @classmethod
+    def factor(cls, h: TridiagonalHamiltonian, scale: float, links=None):
+        """The solver for 1 + scale H, or None where that matrix is not positive definite.
+
+        links, when given, are ``_link_bands(h, scale)`` and are left as they are.
+        """
+        dl, d, _, u, v_last = _shifted_bands(h, scale, links)
+        pttrf, pttrs = get_lapack_funcs(("pttrf", "pttrs"), (d, dl))
+        d, e, info = pttrf(d, dl, overwrite_d=1, overwrite_e=links is None)
+        if info > 0:  # a pivot that is not positive
+            return None
+        _check_info(pttrf.typecode + "pttrf", info, scale)
+        solver = cls(pttrs, d, e)
+        if u is not None:
+            z = solver._ldlt_solve(u)
+            if not 1.0 + z[0] + v_last * z[-1] > 0:
+                return None
+            solver._wrap = z, v_last, _wrap_denominator(z, v_last, scale)
+        return solver
+
+    def _ldlt_solve(self, b: np.ndarray) -> np.ndarray:
+        """B^-1 b in b's own storage; b is a contiguous float64 vector."""
+        x, info = self._pttrs(*self._factors, b, overwrite_b=1)
+        if info != 0:
+            raise ValueError(f"{self._pttrs.typecode}pttrs rejected argument {-info}")
+        return x
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """x with (1 + scale H) x = rhs under the grid's boundary convention; rhs is real and left as it is."""
+        out = rhs.astype(np.float64)
+        if self._wrap is not None:
+            return _wrap_corrected(self._ldlt_solve(out), *self._wrap)
+        out[0] = out[-1] = 0.0
+        self._ldlt_solve(out[1:-1])
+        return out
+
+
+def _ldlt_solve_once(h: TridiagonalHamiltonian, scale: float, rhs: np.ndarray, links) -> np.ndarray:
+    """(1 + scale H)^-1 rhs by one LAPACK ptsv call, for a positive definite matrix solved only once.
+
+    The single-use form of ``_LDLTSolver``, equal to its solve bit for bit:
+    ptsv runs pttrf and pttrs in one call, in place in one copy of the real
+    vector rhs, which is left as it is.  On periodic grids the wrap-link
+    vector u is a second right-hand side.  links are ``_link_bands(h,
+    scale)``, formed once for several solves; ptsv reads them in a copy.  A
+    pivot that is not positive raises LinAlgError.
+    """
+    dl, d, _, u, v_last = _shifted_bands(h, scale, links)
+    (ptsv,) = get_lapack_funcs(("ptsv",), (d, dl))
+    if u is None:
+        out = rhs.astype(np.float64)
+        out[0] = out[-1] = 0.0
+        b = out[1:-1]
+    else:
+        b = np.empty((len(rhs), 2), order="F")
+        b[:, 0], b[:, 1] = rhs, u
+    _, _, x, info = ptsv(d, dl, b, overwrite_d=1, overwrite_b=1)
+    _check_info(ptsv.typecode + "ptsv", info, scale)
+    if u is None:
+        return out  # x is b, a view of out
+    z = x[:, 1]
+    return _wrap_corrected(x[:, 0], z, v_last, _wrap_denominator(z, v_last, scale))
+
+
 def _through_midpoint(x: np.ndarray, amp: np.ndarray) -> np.ndarray:
     """The Cayley step's new state 2 x - amp from its midpoint state x = (1 + s H)^-1 amp, in x's storage."""
     x *= 2.0
@@ -502,7 +598,7 @@ def propagate(
 
 # The real path's loop hands off to Newton once consecutive energies differ by
 # less than this or tol, whichever is larger; after a finish that does not
-# converge, at a tenth of the last threshold.  With c >= 0 a positive
+# converge, at a tenth of the last threshold.  With c >= 0 an exact positive
 # stationary state is the ground state, so the hand-off can come early.
 _HANDOFF_ENERGY_CHANGE = 1e-2
 # An attractive contact (c < 0) has positive stationary states above the
@@ -627,6 +723,12 @@ def ground_state_imaginary_time(
     threshold), and the loop still stops by its own rule, so tol = 0 still
     runs max_iter iterations.  A complex H or start, and a kernel interaction,
     keep the loop alone, bit for bit.
+
+    The loop's solves run the pt routines (``_LDLTSolver``, factored once for
+    a linear H, and ``_ldlt_solve_once`` for each iteration of a contact)
+    when the run is on the real path, its contact is not attractive and one
+    pttrf shows 1 + dtau H / hbar positive definite; otherwise they run the
+    gt routines, as the Newton steps always do.
     """
     if not cfg.is_static:
         raise ValueError("ground-state search requires static potentials")
@@ -645,17 +747,22 @@ def ground_state_imaginary_time(
     if real is not None:
         h = TridiagonalHamiltonian(grid, h.diag.real.copy(), h.upper.real.copy(), h.lower.real.copy())
         phase, amp = real
+    finish = real is not None and (cfg.interaction is None or cfg.interaction.kind == "contact")
+    attractive = cfg.interaction is not None and (cfg.interaction.n_particles - 1) * cfg.interaction.g < 0
+    # c >= 0 adds a non-negative diagonal to 1 + scale H, so where that matrix
+    # is positive definite, every iteration's is
     if cfg.interaction is None:
-        solve = _CayleySolver(h, scale).solve
+        ldlt = _LDLTSolver.factor(h, scale) if finish else None
+        solve = (_CayleySolver(h, scale) if ldlt is None else ldlt).solve
     else:
         links = _link_bands(h, scale)
+        positive = finish and not attractive and _LDLTSolver.factor(h, scale, links) is not None
+        solve_once = _ldlt_solve_once if positive else _solve_once
 
         def solve(amp):
             u = mean_field_density_values(cfg.interaction, grid, np.abs(amp) ** 2)
-            return _solve_once(h.plus_diagonal(u), scale, amp, links)
+            return solve_once(h.plus_diagonal(u), scale, amp, links)
 
-    finish = real is not None and (cfg.interaction is None or cfg.interaction.kind == "contact")
-    attractive = cfg.interaction is not None and (cfg.interaction.n_particles - 1) * cfg.interaction.g < 0
     handoff = max(tol, _ATTRACTIVE_HANDOFF_ENERGY_CHANGE if attractive else _HANDOFF_ENERGY_CHANGE)
     history = [float(energies_of(cfg, h, amp))]
     iterations = newton_steps = 0

@@ -22,7 +22,7 @@ import json
 import logging
 import operator
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 import numpy as np
 
@@ -277,7 +277,9 @@ def run_scenario(scenario: Scenario, out_dir, quiet: bool = False) -> RunManifes
             grid=dict(scenario.grid),
             summary=summary,
         )
-        _write(out_dir / "manifest.json", json.dumps(asdict(manifest), indent=2, sort_keys=True) + "\n")
+        # the fields themselves, not asdict's deep copy
+        record = {f.name: getattr(manifest, f.name) for f in fields(manifest)}
+        _write(out_dir / "manifest.json", json.dumps(record, indent=2, sort_keys=True) + "\n")
         return manifest
 
     try:

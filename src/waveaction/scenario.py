@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Optional
 
@@ -273,7 +273,9 @@ def serialize_scenario(scenario: Scenario) -> dict:
 
 
 def scenario_json(scenario: Scenario) -> str:
-    return json.dumps(serialize_scenario(scenario), sort_keys=True, separators=(",", ":"))
+    """serialize_scenario's dict as compact JSON with sorted keys, written from the fields themselves, not a copy."""
+    record = {f.name: getattr(scenario, f.name) for f in fields(scenario)}
+    return json.dumps(record, sort_keys=True, separators=(",", ":"))
 
 
 def _split_kind(spec: dict) -> tuple:

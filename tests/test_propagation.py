@@ -4,7 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import fft as sp_fft
@@ -40,11 +40,14 @@ from waveaction.propagation import (
     _ATTRACTIVE_HANDOFF_ENERGY_CHANGE,
     _HANDOFF_ENERGY_CHANGE,
     _CayleySolver,
+    _LDLTSolver,
     _changes_sign,
     _cn_stepper,
     _gp_stepper,
     _largest_prime_factor,
+    _ldlt_solve_once,
     _link_bands,
+    _newton_finish,
     _newton_step,
     _solve_once,
     _split_stepper,
@@ -709,6 +712,72 @@ def test_imaginary_time_picks_the_lapack_routines_by_dtype(monkeypatch, cfg, bou
     assert prefixes and set(prefixes) == {"z"}
 
 
+class _RecordedRoutine:
+    """A LAPACK routine that appends its name, such as dpttrf, to calls whenever it runs."""
+
+    def __init__(self, func, name, calls):
+        self.func, self.calls, self.typecode = func, calls, func.typecode
+        self.name = func.typecode + name
+
+    def __call__(self, *args, **kwargs):
+        self.calls.append(self.name)
+        return self.func(*args, **kwargs)
+
+
+@pytest.mark.parametrize("boundary", ["dirichlet", "periodic"])
+@pytest.mark.parametrize(
+    "case",
+    ["linear", "repulsive", "complex-linear", "complex-repulsive", "kernel", "attractive", "indefinite"],
+)
+def test_imaginary_time_solves_by_ldlt_only_where_the_run_stays_positive_definite(monkeypatch, case, boundary):
+    # the gate is one pttrf of 1 + dtau H per run; where it succeeds, a linear
+    # run solves by pttrs on those factors and a repulsive contact by one ptsv
+    # per iteration, and the Newton steps keep gtsv for their indefinite
+    # Jacobian; every other run calls the gt routines alone
+    import waveaction.propagation as propagation
+
+    calls = []
+
+    def spy(names, arrays=()):
+        return [_RecordedRoutine(f, name, calls) for f, name in zip(get_lapack_funcs(names, arrays), names)]
+
+    monkeypatch.setattr(propagation, "get_lapack_funcs", spy)
+    g = make_grid(-8, 8, 201, boundary)
+    start, dtau, max_iter = gaussian_wavepacket(g, center=0.5), 0.05, 10**6
+    interaction = {
+        "repulsive": TwoBodyInteraction.contact(20.0, 3),
+        "complex-repulsive": TwoBodyInteraction.contact(20.0, 3),
+        "kernel": _kernel_interaction(g),
+        "attractive": TwoBodyInteraction.contact(-5.0, 2),
+    }.get(case)
+    v1 = PotentialField.harmonic()
+    if case.startswith("complex"):
+        start = gaussian_wavepacket(g, center=0.5, wavenumber=1.0)
+    if case == "indefinite":
+        # 1 + dtau H has a negative eigenvalue, about 1 + 0.5 (0.5 - 10); a few iterations show the routines
+        v1, dtau, max_iter = PotentialField.from_samples(0.5 * g.x**2 - 10.0), 0.5, 5
+    cfg = HamiltonianConfig(v1=v1, interaction=interaction)
+    result = ground_state_imaginary_time(cfg, start, dtau=dtau, tol=1e-10, max_iter=max_iter)
+    expected = {
+        "linear": {"dpttrf", "dpttrs", "dgtsv"},
+        "repulsive": {"dpttrf", "dptsv", "dgtsv"} | ({"dpttrs"} if boundary == "periodic" else set()),
+        "complex-linear": {"zgttrf", "zgttrs"},
+        "complex-repulsive": {"zgtsv"},
+        "kernel": {"dgtsv"},
+        "attractive": {"dgtsv"},
+        "indefinite": {"dpttrf", "dgttrf", "dgttrs"},  # and dgtsv if a Newton step comes within 5 iterations
+    }[case]
+    assert set(calls) - {"dgtsv"} == expected - {"dgtsv"}
+    if case != "indefinite":
+        assert set(calls) == expected
+    assert calls.count("dpttrf") == ("dpttrf" in expected)  # the gate is decided once per run
+    loop_iterations = result.iterations - result.newton_steps
+    if case == "linear":  # and one for the wrap-link response on a periodic grid
+        assert calls.count("dpttrs") == loop_iterations + (boundary == "periodic")
+    if case == "repulsive":
+        assert calls.count("dptsv") == loop_iterations
+
+
 def _real_hamiltonian(cfg, grid):
     h = hamiltonian_matrix(cfg, grid)
     return TridiagonalHamiltonian(grid, h.diag.real.copy(), h.upper.real.copy(), h.lower.real.copy())
@@ -946,6 +1015,23 @@ def test_double_well_condensates_finish_at_the_loops_minimum(
     assert result.energy <= history[-1] + 1e-9
 
 
+@pytest.mark.parametrize("boundary", ["dirichlet", "periodic"])
+def test_an_attractive_double_well_keeps_the_general_solves_bit_for_bit(boundary):
+    # with c < 0, 1 + dtau (H + c phi^2) can be indefinite, so the loop keeps
+    # gtsv: the result is the loop alone up to the hand-off, then the Newton finish
+    g = make_grid(-6, 6, 401, boundary)
+    v = PotentialField.from_samples((g.x**2 - 1.5**2) ** 2)
+    cfg = HamiltonianConfig(v1=v, interaction=TwoBodyInteraction.contact(-7.0, 2))
+    start = gaussian_wavepacket(g, -0.5, 0.8)
+    result = ground_state_imaginary_time(cfg, start, dtau=0.2, tol=1e-11)
+    amp, history = _loop_alone(cfg, start, 0.2, _ATTRACTIVE_HANDOFF_ENERGY_CHANGE)
+    amp, steps, converged = _newton_finish(cfg, _real_hamiltonian(cfg, g), amp, history, 1e-11, 10**6)
+    assert converged and result.converged and result.newton_steps == steps > 0
+    assert result.iterations == len(history) - 1
+    assert np.array_equal(result.energy_history, history)
+    assert np.array_equal(result.state.amplitudes, amp.astype(complex))
+
+
 @pytest.mark.xfail(
     strict=True,
     reason="the finish stops on the energy change alone: its one Newton step moves the energy by less "
@@ -1120,6 +1206,65 @@ def test_real_solves_run_in_float64_and_match_the_complex_solve(n, seed, v_scale
             cond = np.linalg.cond(dense_shifted_matrix(real_h, dtau))
             gap = np.linalg.norm(x - reference.real) / np.linalg.norm(reference)
             assert gap <= max(1e-13, 1e-16 * cond)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(8, 300),
+    seed=st.integers(0, 2**32 - 1),
+    v_scale=st.floats(0.0, 100.0),
+    g_scale=st.floats(0.0, 50.0),
+    boundary=st.sampled_from(["dirichlet", "periodic"]),
+    dtau=st.floats(1e-4, 1.0),
+)
+def test_ldlt_solves_match_the_general_solve(n, seed, v_scale, g_scale, boundary, dtau):
+    # V >= 0 and a mean-field diagonal >= 0 keep 1 + dtau H positive definite:
+    # the factor-once (pttrf + pttrs) and single-use (ptsv) solves agree bit
+    # for bit, leave rhs and the formed links alone, and match the pivoted
+    # gtsv solve within the rounding bound of the test above
+    g = make_grid(-5.0, 5.0, n, boundary)
+    rng = np.random.default_rng(seed)
+    cfg = HamiltonianConfig(v1=PotentialField.from_samples(v_scale * rng.uniform(0.0, 1.0, n)))
+    h = _real_hamiltonian(cfg, g).plus_diagonal(g_scale * rng.uniform(0.0, 1.0, n))
+    rhs = rng.standard_normal(n)
+    links = _link_bands(h, dtau)
+    kept = rhs.copy(), links[0].copy(), links[1].copy()
+    solver = _LDLTSolver.factor(h, dtau, links)
+    assert solver is not None
+    factored, once = solver.solve(rhs), _ldlt_solve_once(h, dtau, rhs, links)
+    np.testing.assert_array_equal(factored, once)
+    for array, copy in zip((rhs, *links[:2]), kept):
+        np.testing.assert_array_equal(array, copy)
+    assert once.dtype == np.float64 and not np.shares_memory(once, rhs)
+    reference = _solve_once(h, dtau, rhs)
+    m = dense_shifted_matrix(h, dtau)
+    if boundary == "dirichlet":
+        assert once[0] == once[-1] == 0.0
+        m = m[1:-1, 1:-1]
+    gap = np.linalg.norm(once - reference) / np.linalg.norm(reference)
+    assert gap <= max(1e-13, 1e-16 * np.linalg.cond(m))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(8, 120),
+    seed=st.integers(0, 2**32 - 1),
+    v_scale=st.floats(-50.0, 50.0),
+    boundary=st.sampled_from(["dirichlet", "periodic"]),
+    dtau=st.floats(1e-3, 1.0),
+)
+# B = A + u u^T / |gamma| is positive definite, A is not: the Sherman-Morrison denominator decides
+@example(n=21, seed=2715849496, v_scale=-11.886246759595643, boundary="periodic", dtau=0.10642269776980816)
+def test_ldlt_factors_exactly_where_the_matrix_is_positive_definite(n, seed, v_scale, boundary, dtau):
+    g = make_grid(-5.0, 5.0, n, boundary)
+    rng = np.random.default_rng(seed)
+    h = _real_hamiltonian(HamiltonianConfig(v1=PotentialField.from_samples(v_scale * rng.uniform(0.0, 1.0, n))), g)
+    m = dense_shifted_matrix(h, dtau).real
+    if boundary == "dirichlet":
+        m = m[1:-1, 1:-1]
+    lowest = np.linalg.eigvalsh(m)[0]
+    assume(abs(lowest) > 1e-9 * np.abs(m).max())  # rounding decides a nearly singular matrix
+    assert (_LDLTSolver.factor(h, dtau) is not None) == (lowest > 0)
 
 
 @pytest.mark.parametrize("boundary", ["dirichlet", "periodic"])

@@ -269,6 +269,37 @@ def test_serialized_scenario_is_a_deep_copy():
     assert scenario_json(scenario) == text and _hash_scenario(scenario) == digest
 
 
+def _benchmark_workload_dicts(seed):
+    """The scenario dicts of every benchmark workload; perfbench/workloads.py imports the standard library alone."""
+    import importlib.util
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return [d for name in workloads.WORKLOADS for d in workloads.scenario_dicts(name, seed)]
+
+
+def test_scenario_json_is_the_serialized_dicts_json():
+    # scenario_json writes the fields themselves, with no deep copy; the text
+    # (and so the hash in every manifest) is that of the serialized dict
+    bundled = sorted((Path(__file__).resolve().parents[1] / "scenarios").glob("*.json"))
+    scenarios = [parse_scenario(path) for path in bundled]
+    scenarios += [parse_scenario_dict(d) for d in _benchmark_workload_dicts(1)]
+    assert len(bundled) >= 7 and len(scenarios) >= len(bundled) + 3
+    for scenario in scenarios:
+        assert scenario_json(scenario) == json.dumps(serialize_scenario(scenario), sort_keys=True, separators=(",", ":"))
+
+
+def test_manifest_text_is_that_of_the_manifests_dict(tmp_path):
+    # written from the manifest's fields, not asdict's deep copy, with the same bytes
+    data = minimal_ground_state("manifest-text")
+    data["grid"]["n_points"] = 101
+    manifest = run_scenario(parse_scenario_dict(data), tmp_path, quiet=True)
+    text = json.dumps(dataclasses.asdict(manifest), indent=2, sort_keys=True) + "\n"
+    assert (tmp_path / "manifest.json").read_text() == text
+
+
 def _small_ground_state(**changes):
     data = minimal_ground_state("invalid")
     data["grid"]["n_points"] = 9
@@ -654,16 +685,20 @@ def test_cli_stride_that_does_not_divide_n_steps_exits_1(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "task, where",
-    [({"kind": "propagate", "n_steps": 4}, "step 1 "), ({"kind": "ground-state"}, "iteration 1 ")],
+    "task, where, solver",
+    [
+        ({"kind": "propagate", "n_steps": 4}, "step 1 ", "_CayleySolver"),
+        # a linear relaxation whose 1 + dtau H is positive definite solves by LDL^T factors
+        ({"kind": "ground-state"}, "iteration 1 ", "_LDLTSolver"),
+    ],
     ids=["propagate", "ground-state"],
 )
-def test_cli_state_that_blows_up_exits_2(tmp_path, monkeypatch, capsys, task, where):
+def test_cli_state_that_blows_up_exits_2(tmp_path, monkeypatch, capsys, task, where, solver):
     # a solver that returns NaN makes the first stepped or relaxed state non-finite
     import waveaction.propagation as propagation
 
     monkeypatch.setattr(
-        propagation._CayleySolver, "solve", lambda self, rhs: np.full(len(rhs), np.nan, dtype=complex)
+        getattr(propagation, solver), "solve", lambda self, rhs: np.full(len(rhs), np.nan, dtype=complex)
     )
     data = minimal_ground_state("blow-up")
     data["grid"]["n_points"] = 201
@@ -676,15 +711,19 @@ def test_cli_state_that_blows_up_exits_2(tmp_path, monkeypatch, capsys, task, wh
 
 
 @pytest.mark.parametrize(
-    "task, where",
-    [({"kind": "propagate", "n_steps": 4}, "step 1 "), ({"kind": "ground-state"}, "iteration 1 ")],
+    "task, where, solver",
+    [
+        ({"kind": "propagate", "n_steps": 4}, "step 1 ", "_CayleySolver"),
+        # a linear relaxation whose 1 + dtau H is positive definite solves by LDL^T factors
+        ({"kind": "ground-state"}, "iteration 1 ", "_LDLTSolver"),
+    ],
     ids=["propagate", "ground-state"],
 )
-def test_state_that_blows_up_writes_a_failure_manifest(tmp_path, monkeypatch, capsys, task, where):
+def test_state_that_blows_up_writes_a_failure_manifest(tmp_path, monkeypatch, capsys, task, where, solver):
     import waveaction.propagation as propagation
 
     monkeypatch.setattr(
-        propagation._CayleySolver, "solve", lambda self, rhs: np.full(len(rhs), np.nan, dtype=complex)
+        getattr(propagation, solver), "solve", lambda self, rhs: np.full(len(rhs), np.nan, dtype=complex)
     )
     data = minimal_ground_state("blow-up")
     data["grid"]["n_points"] = 201
