@@ -36,9 +36,10 @@ the predictor and the corrector of a mean-field step, each mean-field
 imaginary-time iteration) takes one call that factors and solves, which
 gives the same bits.  The routines are chosen once per run.  Imaginary time
 on the real path (below) with a linear H or a contact c = (N-1) g >= 0
-solves by LDL^T factors without pivots (pttrf and pttrs, or ptsv once)
-when one pttrf of 1 + s H succeeds: that matrix is then positive definite,
-and the mean field of c >= 0 only adds a non-negative diagonal to it.  Every
+solves by LDL^T factors without pivots (pttrf and pttrs; a contact's
+iterations each factor their own matrix, and ptsv would cost the same) when
+one pttrf of 1 + s H succeeds: that matrix is then positive definite, and
+the mean field of c >= 0 only adds a non-negative diagonal to it.  Every
 other solve, and every Newton step (its Jacobian is indefinite), runs the
 pivoted general routines (gttrf and gttrs, or gtsv once), z when the bands
 or the right-hand side are complex and d when both are real.  When only the
@@ -375,33 +376,6 @@ class _LDLTSolver:
         return out
 
 
-def _ldlt_solve_once(h: TridiagonalHamiltonian, scale: float, rhs: np.ndarray, links) -> np.ndarray:
-    """(1 + scale H)^-1 rhs by one LAPACK ptsv call, for a positive definite matrix solved only once.
-
-    The single-use form of ``_LDLTSolver``, equal to its solve bit for bit:
-    ptsv runs pttrf and pttrs in one call, in place in one copy of the real
-    vector rhs, which is left as it is.  On periodic grids the wrap-link
-    vector u is a second right-hand side.  links are ``_link_bands(h,
-    scale)``, formed once for several solves; ptsv reads them in a copy.  A
-    pivot that is not positive raises LinAlgError.
-    """
-    dl, d, _, u, v_last = _shifted_bands(h, scale, links)
-    (ptsv,) = get_lapack_funcs(("ptsv",), (d, dl))
-    if u is None:
-        out = rhs.astype(np.float64)
-        out[0] = out[-1] = 0.0
-        b = out[1:-1]
-    else:
-        b = np.empty((len(rhs), 2), order="F")
-        b[:, 0], b[:, 1] = rhs, u
-    _, _, x, info = ptsv(d, dl, b, overwrite_d=1, overwrite_b=1)
-    _check_info(ptsv.typecode + "ptsv", info, scale)
-    if u is None:
-        return out  # x is b, a view of out
-    z = x[:, 1]
-    return _wrap_corrected(x[:, 0], z, v_last, _wrap_denominator(z, v_last, scale))
-
-
 def _through_midpoint(x: np.ndarray, amp: np.ndarray) -> np.ndarray:
     """The Cayley step's new state 2 x - amp from its midpoint state x = (1 + s H)^-1 amp, in x's storage."""
     x *= 2.0
@@ -725,10 +699,11 @@ def ground_state_imaginary_time(
     keep the loop alone, bit for bit.
 
     The loop's solves run the pt routines (``_LDLTSolver``, factored once for
-    a linear H, and ``_ldlt_solve_once`` for each iteration of a contact)
-    when the run is on the real path, its contact is not attractive and one
-    pttrf shows 1 + dtau H / hbar positive definite; otherwise they run the
-    gt routines, as the Newton steps always do.
+    a linear H and once per iteration for a contact, whose mean field changes
+    the diagonal) when the run is on the real path, its contact is not
+    attractive and one pttrf shows 1 + dtau H / hbar positive definite;
+    otherwise they run the gt routines, as the Newton steps always do.  A
+    contact iteration whose matrix fails the pttrf raises LinAlgError.
     """
     if not cfg.is_static:
         raise ValueError("ground-state search requires static potentials")
@@ -757,11 +732,15 @@ def ground_state_imaginary_time(
     else:
         links = _link_bands(h, scale)
         positive = finish and not attractive and _LDLTSolver.factor(h, scale, links) is not None
-        solve_once = _ldlt_solve_once if positive else _solve_once
 
         def solve(amp):
-            u = mean_field_density_values(cfg.interaction, grid, np.abs(amp) ** 2)
-            return solve_once(h.plus_diagonal(u), scale, amp, links)
+            h_now = h.plus_diagonal(mean_field_density_values(cfg.interaction, grid, np.abs(amp) ** 2))
+            if not positive:
+                return _solve_once(h_now, scale, amp, links)
+            ldlt = _LDLTSolver.factor(h_now, scale, links)
+            if ldlt is None:
+                raise np.linalg.LinAlgError(f"1 + s H is not positive definite (s = {scale:.6g})")
+            return ldlt.solve(amp)
 
     handoff = max(tol, _ATTRACTIVE_HANDOFF_ENERGY_CHANGE if attractive else _HANDOFF_ENERGY_CHANGE)
     history = [float(energies_of(cfg, h, amp))]

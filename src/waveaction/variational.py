@@ -19,10 +19,12 @@ fluxes, exactly as in the continuum.
 
 An action is the float that ends ActionIntegrals.running, the trapezoid
 time integral over a grids.Trajectory.  The stationarity probe perturbs a
-trajectory by eps * window * eta.  For a linear H the compact action is a
-Hermitian form in psi, so its change is eps * S1 + eps^2 * S2 exactly, and
-two inner products per row give both coefficients for every eps; with an
-interaction each eps costs one pass over the compact density.
+trajectory by eps * window * eta.  The compact action's change is
+eps S1 + eps^2 S2 + eps^3 S3 + eps^4 S4 exactly: for a linear H it is a
+Hermitian form in psi, so S3 = S4 = 0 and two inner products per row give
+S1 and S2, and the half-weight mean field adds a bilinear form of the
+density to all four, read in the same pass.  One read of the trajectory
+serves every eps.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from .hamiltonian import (
     energies_of,
     hamiltonian_at,
     hamiltonian_matrix,
+    mean_field_density_values,
     mean_field_diagonal,
     row_blocks,
 )
@@ -104,16 +107,15 @@ class ActionIntegrals:
         The spatial envelope eta is supplied on the trajectory's grid; a
         sin^2 window in time makes the perturbation vanish at both endpoints
         of the trajectory, as the variational boundary conditions require.
-        For a linear H the compact action is a Hermitian form in psi, so the
-        change is eps * S1 + eps^2 * S2 exactly: both coefficients come from
-        one read of the trajectory (see _expansion) and serve every epsilon.
-        With an interaction the action is quartic in eps, and each epsilon
-        costs one pass that evaluates the compact density of the perturbed
-        rows only, against this result's base action.
+        The compact action is a polynomial in eps of degree 2 for a linear H
+        and 4 with an interaction, so the change is
+        eps S1 + eps^2 S2 + eps^3 S3 + eps^4 S4 exactly: the four
+        coefficients come from one read of the trajectory (see _expansion)
+        and serve every epsilon.  The eps^3 and eps^4 terms are formed only
+        where S3 or S4 is nonzero, so a linear H keeps eps S1 + eps^2 S2.
         Returns the action change for each epsilon, the least-squares slope
-        of log|dS| vs log eps (2 on solution trajectories, 1 off-shell) and,
-        for a linear H, S1 and S2.  Raises ValueError when an action change
-        is not finite.
+        of log|dS| vs log eps (2 on solution trajectories, 1 off-shell) and
+        S1 to S4.  Raises ValueError when an action change is not finite.
         """
         eps_list = [float(e) for e in epsilons]
         positive = sorted({e for e in eps_list if e > 0})
@@ -124,32 +126,14 @@ class ActionIntegrals:
         require_same_grid(perturbation.grid, traj.grid)
         times = traj.times
         window = np.sin(np.pi * (times - times[0]) / (times[-1] - times[0])) ** 2
-        eta = perturbation.amplitudes
+        first, second, third, fourth = self._expansion(window, perturbation.amplitudes)
 
-        if self.cfg.interaction is None:
-            first, second = self._expansion(window, eta)
-
-            def change(eps: float) -> float:
-                return eps * first + eps * eps * second
-
-        else:
-            first = second = None
-            base = float(self.running("simple")[-1])
-
-            def change(eps: float) -> float:
-                weights = eps * window
-                simple = np.empty(len(times))
-
-                def rows_of(lo: int, hi: int) -> np.ndarray:
-                    return traj.amplitudes[lo:hi] + weights[lo:hi, None] * eta
-
-                # a perturbed row that overflows makes its own density, and so
-                # the change, non-finite; the check below reports it
-                with np.errstate(over="ignore", invalid="ignore"):
-                    for lo, hi, h, amp, damp, extra, _ in _blocks(self.cfg, traj.grid, times, rows_of):
-                        h_psi = h.plus_diagonal(extra).matvec(amp)
-                        simple[lo:hi] = quadrature(traj.grid, _simple_density(self.cfg, h_psi, np.conj(amp), damp)).real
-                    return float(self._running_trapezoid(simple, times)[-1]) - base
+        def change(eps: float) -> float:
+            delta = eps * first + eps * eps * second
+            if third or fourth:  # both 0 on a linear H, where inf * 0 would make a finite change NaN
+                cube = eps * eps * eps
+                delta += cube * third + cube * eps * fourth
+            return delta
 
         points = []
         for eps in eps_list:
@@ -163,26 +147,39 @@ class ActionIntegrals:
         log_e = np.log([e for e, _ in fit_points])
         log_d = np.log([abs(d) for _, d in fit_points])
         slope = float(np.polyfit(log_e, log_d, 1)[0])
-        return StationarityResult(points=tuple(points), slope=slope, first_order=first, second_order=second)
+        return StationarityResult(tuple(points), slope, first, second, third, fourth)
 
     def _expansion(self, window: np.ndarray, eta: np.ndarray) -> tuple:
-        """(S1, S2) of the compact action's change eps * S1 + eps^2 * S2 under psi -> psi + eps * window * eta.
+        """(S1, S2, S3, S4) of the compact action's change sum_j eps^j S_j under psi -> psi + eps * window * eta.
 
-        Exact for a linear H, Hermitian in the quadrature inner product <a, b>.
-        With c_k = <eta, psi_k>, d_k = <H(t_k) eta, psi_k> = <eta, H(t_k) psi_k>
-        and e_k = <eta, H(t_k) eta>, and the rates of window and c formed as
-        _blocks forms the rate of psi, the density integrals at row k are
-        s1 = Re[i hbar (window' conj(c) + window c')] - 2 window Re d and
-        s2 = -window^2 e; S1 and S2 are their trapezoid time integrals.
+        The linear part is a Hermitian form in psi under the quadrature inner
+        product <a, b>.  With c_k = <eta, psi_k>, d_k = <H(t_k) eta, psi_k> =
+        <eta, H(t_k) psi_k> and e_k = <eta, H(t_k) eta>, and the rates of
+        window and c formed as _blocks forms the rate of psi, its density
+        integrals at row k are s1 = Re[i hbar (window' conj(c) + window c')]
+        - 2 window Re d and s2 = -window^2 e.  An interaction adds the
+        half-weight term -B(rho, rho) / 2, with B(a, b) = int a U(b) and U
+        hamiltonian.mean_field_density_values, one symmetric bilinear form for
+        a contact and a kernel alike.  The perturbed density is
+        rho + eps w r + eps^2 w^2 q, with r = 2 Re(psi* eta), q = |eta|^2 and
+        w the window, so the term adds -w B(rho, r) to s1 and
+        -w^2 (B(r, r) + 2 B(rho, q)) / 2 to s2, and gives s3 = -w^3 B(r, q)
+        and s4 = -w^4 B(q, q) / 2; U(q) is formed once and U(r) once per row.
+        S1 to S4 are the trapezoid time integrals; S3 = S4 = 0 for a linear H.
         """
         traj = self.trajectory
         grid, times = traj.grid, traj.times
+        interaction = self.cfg.interaction
         c = np.empty(len(times), dtype=complex)
         d = np.empty(len(times), dtype=complex)
         e = np.empty(len(times))
         h_at = hamiltonian_at(self.cfg, grid)
         bra = np.conj(eta)
         weighted_bra = grid.weights * bra
+        if interaction is not None:
+            q = np.abs(eta) ** 2
+            weighted_u_q = grid.weights * mean_field_density_values(interaction, grid, q)
+            forms = np.empty((4, len(times)))  # B(rho, r), B(r, r), B(rho, q) and B(r, q) of each row
         h = None
         for lo, hi in row_blocks(self.cfg, grid.n_points, len(times)):
             h_now = h_at(times[lo])
@@ -194,24 +191,38 @@ class ActionIntegrals:
             c[lo:hi] = rows @ weighted_bra
             d[lo:hi] = rows @ weighted_h_bra
             e[lo:hi] = energy
+            if interaction is not None:
+                rho, r = np.abs(rows) ** 2, 2.0 * (rows * bra).real
+                u_r = mean_field_density_values(interaction, grid, r)
+                forms[:2, lo:hi] = quadrature(grid, rho * u_r), quadrature(grid, r * u_r)
+                forms[2:, lo:hi] = rho @ weighted_u_q, r @ weighted_u_q
         hbar = self.cfg.constants.hbar
         s1 = (1j * hbar * (_rate(window, times) * np.conj(c) + window * _rate(c, times))).real - 2.0 * window * d.real
         s2 = -(window**2) * e
-        return float(self._running_trapezoid(s1, times)[-1]), float(self._running_trapezoid(s2, times)[-1])
+        s3 = s4 = np.zeros(len(times))
+        if interaction is not None:
+            s1 = s1 - window * forms[0]
+            s2 = s2 - 0.5 * window**2 * (forms[1] + 2.0 * forms[2])
+            s3 = -(window**3) * forms[3]
+            s4 = -0.5 * window**4 * float(q @ weighted_u_q)
+        return tuple(float(self._running_trapezoid(s, times)[-1]) for s in (s1, s2, s3, s4))
 
 
 @dataclass(frozen=True, eq=False)
 class StationarityResult:
     """Action increments per perturbation amplitude, their log-log slope, and the exact coefficients.
 
-    first_order and second_order are S1 and S2 of dS(eps) = eps S1 + eps^2 S2
-    for a linear H; None with an interaction, whose action is quartic in eps.
+    first_order to fourth_order are S1 to S4 of
+    dS(eps) = eps S1 + eps^2 S2 + eps^3 S3 + eps^4 S4; third_order and
+    fourth_order are 0.0 for a linear H, whose action is quadratic in eps.
     """
 
     points: tuple
     slope: float
-    first_order: Optional[float]
-    second_order: Optional[float]
+    first_order: float
+    second_order: float
+    third_order: float
+    fourth_order: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -360,7 +371,7 @@ def action_integrals(cfg: HamiltonianConfig, traj: Trajectory) -> ActionIntegral
     simple = np.empty(len(times), dtype=complex) if integrable else None
     standard = np.empty(len(times)) if integrable else None
     row_norms, energies = np.empty(len(times)), np.empty(len(times))
-    for lo, hi, h, amp, damp, extra, t in _blocks(cfg, grid, times, lambda lo, hi: traj.amplitudes[lo:hi]):
+    for lo, hi, h, amp, damp, extra, t in _blocks(cfg, traj):
         h_psi, bra, rho = h.plus_diagonal(extra).matvec(amp), np.conj(amp), np.abs(amp) ** 2
         row_norms[lo:hi] = np.sqrt(quadrature(grid, rho))  # grids.norms
         energies[lo:hi] = _real_energies(quadrature(grid, bra * h_psi))  # hamiltonian.energies_of
@@ -380,19 +391,20 @@ def _real_energies(values: np.ndarray) -> np.ndarray:
     return values.real
 
 
-def _blocks(cfg: HamiltonianConfig, grid: Grid, times: np.ndarray, rows_of: Callable):
-    """(lo, hi, h, amp, damp, extra, t) of each block of row_blocks, with rows_of(lo, hi) the rows lo..hi-1.
+def _blocks(cfg: HamiltonianConfig, traj: Trajectory):
+    """(lo, hi, h, amp, damp, extra, t) of each block of row_blocks over the rows of traj.
 
     amp holds rows lo..hi-1 and damp their time derivatives, read with one
     halo row on each side (None for a trajectory of fewer than
     MIN_ACTION_RECORDS rows, which has no action); h is H at t = times[lo]
     and extra the half-weight mean field of amp, which both densities share.
     """
+    grid, times = traj.grid, traj.times
     h_at = hamiltonian_at(cfg, grid)
     last = len(times) - 1
     for lo, hi in row_blocks(cfg, grid.n_points, len(times)):
         start = max(lo - 1, 0)
-        rows = rows_of(start, min(hi + 1, last + 1))
+        rows = traj.amplitudes[start : hi + 1]
         damp = None
         if len(times) >= MIN_ACTION_RECORDS:
             prev, nxt = _neighbours(lo, hi, last)

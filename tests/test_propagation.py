@@ -45,7 +45,6 @@ from waveaction.propagation import (
     _cn_stepper,
     _gp_stepper,
     _largest_prime_factor,
-    _ldlt_solve_once,
     _link_bands,
     _newton_finish,
     _newton_step,
@@ -731,9 +730,9 @@ class _RecordedRoutine:
 )
 def test_imaginary_time_solves_by_ldlt_only_where_the_run_stays_positive_definite(monkeypatch, case, boundary):
     # the gate is one pttrf of 1 + dtau H per run; where it succeeds, a linear
-    # run solves by pttrs on those factors and a repulsive contact by one ptsv
-    # per iteration, and the Newton steps keep gtsv for their indefinite
-    # Jacobian; every other run calls the gt routines alone
+    # run solves by pttrs on those factors and a repulsive contact by one
+    # pttrf and pttrs per iteration, and the Newton steps keep gtsv for their
+    # indefinite Jacobian; every other run calls the gt routines alone
     import waveaction.propagation as propagation
 
     calls = []
@@ -760,7 +759,7 @@ def test_imaginary_time_solves_by_ldlt_only_where_the_run_stays_positive_definit
     result = ground_state_imaginary_time(cfg, start, dtau=dtau, tol=1e-10, max_iter=max_iter)
     expected = {
         "linear": {"dpttrf", "dpttrs", "dgtsv"},
-        "repulsive": {"dpttrf", "dptsv", "dgtsv"} | ({"dpttrs"} if boundary == "periodic" else set()),
+        "repulsive": {"dpttrf", "dpttrs", "dgtsv"},
         "complex-linear": {"zgttrf", "zgttrs"},
         "complex-repulsive": {"zgtsv"},
         "kernel": {"dgtsv"},
@@ -770,12 +769,15 @@ def test_imaginary_time_solves_by_ldlt_only_where_the_run_stays_positive_definit
     assert set(calls) - {"dgtsv"} == expected - {"dgtsv"}
     if case != "indefinite":
         assert set(calls) == expected
-    assert calls.count("dpttrf") == ("dpttrf" in expected)  # the gate is decided once per run
     loop_iterations = result.iterations - result.newton_steps
-    if case == "linear":  # and one for the wrap-link response on a periodic grid
-        assert calls.count("dpttrs") == loop_iterations + (boundary == "periodic")
-    if case == "repulsive":
-        assert calls.count("dptsv") == loop_iterations
+    periodic = boundary == "periodic"  # each factoring solves for the wrap-link response once
+    if case == "repulsive":  # the gate, then one factoring per iteration
+        assert calls.count("dpttrf") == 1 + loop_iterations
+        assert calls.count("dpttrs") == periodic + loop_iterations * (1 + periodic)
+    else:
+        assert calls.count("dpttrf") == ("dpttrf" in expected)  # the gate is decided once per run
+    if case == "linear":
+        assert calls.count("dpttrs") == loop_iterations + periodic
 
 
 def _real_hamiltonian(cfg, grid):
@@ -1219,9 +1221,8 @@ def test_real_solves_run_in_float64_and_match_the_complex_solve(n, seed, v_scale
 )
 def test_ldlt_solves_match_the_general_solve(n, seed, v_scale, g_scale, boundary, dtau):
     # V >= 0 and a mean-field diagonal >= 0 keep 1 + dtau H positive definite:
-    # the factor-once (pttrf + pttrs) and single-use (ptsv) solves agree bit
-    # for bit, leave rhs and the formed links alone, and match the pivoted
-    # gtsv solve within the rounding bound of the test above
+    # the LDL^T solve (pttrf + pttrs) leaves rhs and the formed links alone
+    # and matches the pivoted gtsv solve within the rounding bound of the test above
     g = make_grid(-5.0, 5.0, n, boundary)
     rng = np.random.default_rng(seed)
     cfg = HamiltonianConfig(v1=PotentialField.from_samples(v_scale * rng.uniform(0.0, 1.0, n)))
@@ -1231,17 +1232,16 @@ def test_ldlt_solves_match_the_general_solve(n, seed, v_scale, g_scale, boundary
     kept = rhs.copy(), links[0].copy(), links[1].copy()
     solver = _LDLTSolver.factor(h, dtau, links)
     assert solver is not None
-    factored, once = solver.solve(rhs), _ldlt_solve_once(h, dtau, rhs, links)
-    np.testing.assert_array_equal(factored, once)
+    factored = solver.solve(rhs)
     for array, copy in zip((rhs, *links[:2]), kept):
         np.testing.assert_array_equal(array, copy)
-    assert once.dtype == np.float64 and not np.shares_memory(once, rhs)
+    assert factored.dtype == np.float64 and not np.shares_memory(factored, rhs)
     reference = _solve_once(h, dtau, rhs)
     m = dense_shifted_matrix(h, dtau)
     if boundary == "dirichlet":
-        assert once[0] == once[-1] == 0.0
+        assert factored[0] == factored[-1] == 0.0
         m = m[1:-1, 1:-1]
-    gap = np.linalg.norm(once - reference) / np.linalg.norm(reference)
+    gap = np.linalg.norm(factored - reference) / np.linalg.norm(reference)
     assert gap <= max(1e-13, 1e-16 * np.linalg.cond(m))
 
 

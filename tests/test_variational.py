@@ -35,6 +35,7 @@ from waveaction.hamiltonian import (
     apply_mechanical_momentum,
     energies_of,
     hamiltonian_matrix,
+    mean_field_density_values,
     mean_field_diagonal,
 )
 from waveaction.variational import FAMILIES, TrialFamily, _forward_kinetic_density, energy_and_gradient
@@ -355,23 +356,36 @@ def test_stationarity_second_divided_differences_agree():
 
 
 def oracle_rounding(cfg, traj):
-    """Trapezoid time integral of sum |weights * compact density| of traj on a linear H, each term in modulus.
+    """Trapezoid time integral of sum |weights * compact density| of traj, each term in modulus.
 
-    The density psi* (i hbar d_t psi - H psi) at row k is formed from rows
-    k-1..k+1 and the entries of H, and its terms cancel on a solution; its
-    rounding is relative to their moduli, |psi_k| times hbar (|psi_k+1| +
-    |psi_k-1|) / (t_k+1 - t_k-1) and |H| |psi_k|.  A linear action then
-    rounds to a few units in the last place of this integral.
+    The density psi* (i hbar d_t psi - H psi) - rho U(rho) / 2 at row k is
+    formed from rows k-1..k+1, the entries of H and the mean field U, and
+    its terms cancel on a solution; its rounding is relative to their
+    moduli, |psi_k| times hbar (|psi_k+1| + |psi_k-1|) / (t_k+1 - t_k-1),
+    |H| |psi_k| and rho_k |U|(rho_k) / 2, with |U| the mean field of |g| or
+    of the kernel's moduli.  An action then rounds to a few units in the
+    last place of this integral.
     """
     grid, times, amps = traj.grid, traj.times, np.abs(traj.amplitudes)
     last = len(times) - 1
+    interaction = cfg.interaction
+    if interaction is not None:
+        n = interaction.n_particles
+        if interaction.kind == "contact":
+            modulus = TwoBodyInteraction.contact(abs(interaction.g), n)
+        else:
+            modulus = TwoBodyInteraction.from_kernel(np.abs(interaction.kernel), n)
     sizes = []
     for k, t in enumerate(times):
         prev, nxt = max(k - 1, 0), min(k + 1, last)
         h = hamiltonian_matrix(cfg, grid, t)
         h_abs = TridiagonalHamiltonian(grid, np.abs(h.diag), np.abs(h.upper), np.abs(h.lower))
         rate = (amps[nxt] + amps[prev]) / (times[nxt] - times[prev])
-        sizes.append(quadrature(grid, amps[k] * (cfg.constants.hbar * rate + h_abs.matvec(amps[k]))))
+        size = amps[k] * (cfg.constants.hbar * rate + h_abs.matvec(amps[k]))
+        if interaction is not None:
+            rho = amps[k] ** 2
+            size += 0.5 * rho * mean_field_density_values(modulus, grid, rho)
+        sizes.append(quadrature(grid, size))
     return float(np.trapezoid(sizes, times))
 
 
@@ -388,9 +402,10 @@ def assert_within_oracle_rounding(cfg, traj, eta, eps, delta):
     """delta against the oracle action(perturbed) - action(traj), to that difference's own rounding.
 
     Each term of either oracle action passes through about eight roundings
-    (the perturbed row, its rate, the three products and two sums of H psi,
-    the density's product), so the difference is good to 8 ulps of both
-    trajectories' oracle_rounding; the exact coefficients round far below it.
+    (the perturbed row, its rate, the three products and two sums of H psi
+    with its mean field, the density's product), so the difference is good
+    to 8 ulps of both trajectories' oracle_rounding; the exact coefficients
+    round far below it.
     """
     perturbed = perturbed_trajectory(traj, eta, eps)
     oracle = action(cfg, perturbed) - action(cfg, traj)
@@ -417,9 +432,8 @@ def test_stationarity_points_are_perturbed_minus_base_action():
 )
 def test_stationarity_equals_passes_over_perturbed_trajectories(seed, shape, boundary, contact, driven):
     # the oracle stores every perturbed trajectory, built by the outer
-    # product, and integrates it.  With an interaction the probe makes the
-    # same passes block by block, bit for bit; on a linear H its exact
-    # coefficients meet the oracle within the oracle's own rounding
+    # product, and integrates it; the exact coefficients meet it within the
+    # oracle's own rounding, and a linear H has no eps^3 or eps^4 term
     n_snapshots, n_points = shape
     interaction = None if contact is None else TwoBodyInteraction.contact(contact, 3)
     v1 = PotentialField.from_callable(_driven) if driven else PotentialField.harmonic()
@@ -428,17 +442,58 @@ def test_stationarity_equals_passes_over_perturbed_trajectories(seed, shape, bou
     eta = random_state(traj.grid, seed)
     epsilons = [1e-1, 1e-2, 1e-3]
     result = action_integrals(cfg, traj).stationarity(eta, epsilons)
+    for eps, delta in result.points:
+        assert_within_oracle_rounding(cfg, traj, eta, eps, delta)
     if interaction is None:
+        assert result.third_order == result.fourth_order == 0.0
         for eps, delta in result.points:
             assert delta == eps * result.first_order + eps * eps * result.second_order
-            assert_within_oracle_rounding(cfg, traj, eta, eps, delta)
-    else:
-        assert result.first_order is None and result.second_order is None
-        base = action(cfg, traj)
-        points = [(eps, action(cfg, perturbed_trajectory(traj, eta, eps)) - base) for eps in epsilons]
-        assert result.points == tuple(points)
     slope = np.polyfit(np.log(epsilons), np.log([abs(d) for _, d in result.points]), 1)[0]
     assert result.slope == float(slope)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    case=st.one_of(
+        st.tuples(st.just("contact"), trajectory_shapes()),
+        # a dense kernel on small grids; the driven draws read one row per block
+        st.tuples(st.just("kernel"), st.tuples(st.integers(3, 30), st.integers(8, 200))),
+    ),
+    strength=st.floats(-50.0, 100.0),
+    boundary=st.sampled_from(["dirichlet", "periodic"]),
+    driven=st.booleans(),
+)
+def test_quartic_expansion_meets_the_per_epsilon_passes(seed, case, strength, boundary, driven):
+    # with an interaction dS = eps S1 + eps^2 S2 + eps^3 S3 + eps^4 S4; eps runs
+    # from 1, where S4 weighs most, to 1e-3, where S1 does, and each point
+    # meets the per-epsilon oracle within the oracle's own rounding
+    kind, (n_snapshots, n_points) = case
+    traj = random_trajectory(seed, n_snapshots, n_points, boundary, 1e-2)
+    if kind == "contact":
+        interaction = TwoBodyInteraction.contact(strength, 3)
+    else:  # a random symmetric kernel, of both signs
+        a = np.random.default_rng(seed).standard_normal((n_points, n_points))
+        interaction = TwoBodyInteraction.from_kernel(strength * (a + a.T), 3)
+    v1 = PotentialField.from_callable(_driven) if driven else PotentialField.harmonic()
+    cfg = HamiltonianConfig(v1=v1, interaction=interaction)
+    eta = random_state(traj.grid, seed)
+    result = action_integrals(cfg, traj).stationarity(eta, [1.0, 1e-1, 1e-2, 1e-3])
+    coefficients = (result.first_order, result.second_order, result.third_order, result.fourth_order)
+    assert all(type(value) is float for value in coefficients)
+    for eps, delta in result.points:
+        assert_within_oracle_rounding(cfg, traj, eta, eps, delta)
+
+
+def test_stationarity_keeps_a_linear_change_finite_at_a_large_epsilon():
+    # the eps^3 and eps^4 terms are not formed on a linear H: at eps = 1e100
+    # the change is finite, where eps^4 * 0 would be NaN
+    traj = random_trajectory(7, 12, 64, "periodic", 1e-2)
+    eta = random_state(traj.grid, 7)
+    result = action_integrals(HARMONIC, traj).stationarity(eta, [1e100, 1e-3])
+    for eps, delta in result.points:
+        assert np.isfinite(delta)
+        assert delta == eps * result.first_order + eps * eps * result.second_order
 
 
 def quadrature_expansion(cfg, traj, eta):
@@ -493,9 +548,9 @@ def test_expansion_coefficients_match_the_row_quadratures(seed, shape, boundary,
 @pytest.mark.parametrize("contact", [None, 10.0], ids=["linear", "interacting"])
 @pytest.mark.parametrize("eps", [1e300, 1e308])
 def test_stationarity_rejects_a_non_finite_action_change(contact, eps):
-    # eps = 1e300 overflows the action change; with an interaction, 1e308
-    # already overflows the perturbed rows, as the envelope reaches past 1
-    # (warnings are errors here, so neither may warn)
+    # eps = 1e300 and 1e308 overflow the action change in its powers of eps,
+    # eps^2 on a linear H and up to eps^4 with an interaction; no perturbed
+    # row is formed (warnings are errors here, so neither may warn)
     interaction = None if contact is None else TwoBodyInteraction.contact(contact, 3)
     cfg = HamiltonianConfig(v1=PotentialField.harmonic(), interaction=interaction)
     traj = random_trajectory(7, 12, 64, "periodic", 1e-2)
