@@ -44,12 +44,12 @@ other solve, and every Newton step (its Jacobian is indefinite), runs the
 pivoted general routines (gttrf and gttrs, or gtsv once), z when the bands
 or the right-hand side are complex and d when both are real.  When only the
 mean field changes between single-use solves (a static H), the scaled link
-bands are formed once per run and copied for each call, since the routines
-overwrite them.  On periodic grids every solve restores the wrap link by a
-Sherman-Morrison correction.  Imaginary time iterates in float64 when H is
-real (no vector potential) and the start state is a phase times a real
-vector, since every iterate then stays real, and puts the phase back on the
-result; otherwise it iterates in complex128.
+bands are formed once per run and left as they are: each call copies them
+where LAPACK would overwrite them.  On periodic grids every solve restores
+the wrap link by a Sherman-Morrison correction.  Imaginary time iterates in
+float64 when H is real (no vector potential) and the start state is a
+phase times a real vector, since every iterate then stays real, and puts
+the phase back on the result; otherwise it iterates in complex128.
 
 On that real path, for a linear H or a contact interaction, the damped loop
 hands off to Newton steps on (H + c phi^2) phi = mu phi with ||phi|| = 1
@@ -76,6 +76,19 @@ sign change means an excited state); the first rejected step ends the
 finish, the loop resumes, and the hand-off is re-armed at a tenth of its
 last threshold.  Complex paths (a phase freedom, and no sign test) and
 kernel interactions (a dense Jacobian) keep the loop alone.
+
+A real-time system (s purely imaginary) of more than 2048 rows is first
+halved in numpy by odd-even reduction, level by level while more than 2048
+rows are left (one level at n = 4001, three at n = 16001): its odd rows are
+eliminated, LAPACK solves the system of the even rows, and the odd
+unknowns come back by one vectorized back-substitution per level.  The
+factored solver reduces its bands once and each right-hand side per solve;
+a single-use solve does both in its one call, by the same expressions, so
+the two still give the same bits.  H is Hermitian, so the Hermitian part
+of 1 + s H is the identity: every eliminated pivot has modulus at least 1,
+and elimination without pivoting is stable.  A system of at most 2048 rows
+(Dirichlet n <= 2050, periodic n <= 2048), imaginary time, Newton steps
+and every other real scale keep LAPACK alone, and their bits.
 
 The split-operator scheme is a Strang splitting with the kinetic factor
 applied by FFT.  Where the grid size n has a prime factor larger than
@@ -235,22 +248,100 @@ def _wrap_corrected(y: np.ndarray, z: np.ndarray, v_last: complex, denominator: 
     return y
 
 
+# A real-time solve eliminates the odd rows of its system while it has more
+# than this many rows.  One level's numpy passes cost about what LAPACK saves
+# on the eliminated rows near 2000 rows, and less above: microseconds per
+# solve without and with one level, on one thread, were 41.0 and 38.6
+# factored (73.6 and 75.3 single-use) at 1999 rows, and 74.3 and 66.0
+# (139.9 and 127.9) at 3999 rows.
+_REDUCTION_ROWS = 2048
+
+
+def _odd_even_reduction(dl: np.ndarray, d: np.ndarray, du: np.ndarray, scale: complex) -> tuple:
+    """The bands (dl, d, du) LAPACK solves after odd-even reduction, and the levels ``_reduced_solve`` reads.
+
+    Only a real-time matrix (scale purely imaginary) is reduced, and only
+    while it has more than _REDUCTION_ROWS rows; otherwise the bands come
+    back as they are, with no level.  A level eliminates rows 1, 3, 5, ...
+    (Buzbee, Golub & Nielson 1970) and keeps the Schur complement on rows
+    0, 2, 4, ..., a tridiagonal matrix of half the size.  Its coefficients
+    are r = -1 / d[odd], the multipliers p = dl[even] r and q = du[odd] r
+    of an odd row's two neighbours, and views of the links lower = dl[1::2]
+    and upper = du[0::2] from the odd rows into the even ones.  The
+    reduction has no pivoting, and needs none: H is Hermitian, so 1 + s H
+    has the identity as its Hermitian part, which makes every odd pivot of
+    modulus at least 1, and each Schur complement keeps a Hermitian part of
+    at least the identity (George, Ikramov & Kucherov 2002).  A periodic
+    grid's B keeps it too, since its shifted corners only add 1 and a
+    positive real part.  Imaginary time, Newton steps and every other real
+    scale keep the pivoted routines on the full bands.
+    """
+    levels = []
+    while scale.real == 0 and scale.imag != 0 and len(d) > _REDUCTION_ROWS:
+        n_odd, n_inner = len(d) // 2, (len(d) - 1) // 2
+        r = np.divide(-1.0, d[1::2])
+        p, q = dl[0::2] * r, du[1::2] * r[:n_inner]
+        lower, upper = dl[1::2], du[0::2]
+        reduced, scratch = d[0::2].copy(), upper * p  # scratch holds the next du at last
+        reduced[:n_odd] += scratch
+        reduced[1:] += np.multiply(lower, q, out=scratch[:n_inner])
+        dl, d, du = lower * p[:n_inner], reduced, np.multiply(upper[:n_inner], q, out=scratch[:n_inner])
+        levels.append((r, p, q, lower, upper))
+    return dl, d, du, tuple(levels)
+
+
+def _reduced_solve(levels: tuple, b: np.ndarray, solve: Callable) -> np.ndarray:
+    """B^-1 b in b's storage, through the levels of ``_odd_even_reduction``; solve(c) solves its bands.
+
+    b holds the rows along its last axis, one right-hand side per leading
+    index.  Each level works in place on every other row of the level
+    above: its odd rows become w = r b[odd], and its even rows, the next
+    level's, b[even] + lower w[:-1] + upper w.  solve runs in a contiguous
+    copy of the last level's rows and returns their solution x, which is
+    written back; each level's odd unknowns are then p x[even] +
+    q x[even + 1] - w.  With no level this is solve(b).
+    """
+    if not levels:
+        return solve(b)
+    work = np.empty(b.shape[:-1] + (len(levels[0][0]),), dtype=b.dtype)
+    systems = [b]
+    for r, _, _, lower, upper in levels:
+        odd, even = systems[-1][..., 1::2], systems[-1][..., 0::2]
+        np.multiply(r, odd, out=odd)
+        even[..., 1:] += np.multiply(lower, odd[..., : len(lower)], out=work[..., : len(lower)])
+        even[..., : len(upper)] += np.multiply(upper, odd, out=work[..., : len(upper)])
+        systems.append(even)
+    x = systems.pop()
+    x[...] = solve(x.copy())
+    for (_, p, q, _, _), system in zip(reversed(levels), reversed(systems)):
+        odd, even = system[..., 1::2], system[..., 0::2]
+        np.subtract(np.multiply(p, even[..., : len(p)], out=work[..., : len(p)]), odd, out=odd)
+        odd[..., : len(q)] += np.multiply(q, even[..., 1:], out=work[..., : len(q)])
+    return b
+
+
 class _CayleySolver:
     """Factors of 1 + scale * H for one assembled tridiagonal H (LAPACK gttrf), for repeated solves.
 
     ``solve`` applies (1 + scale H)^-1 with one gttrs call on the stored
     factors, run in place in one copy of the right-hand side.  The matrix
-    factored is the one ``_shifted_bands`` describes; on periodic grids the
-    wrap-link response B^-1 u is solved once, at construction.  The routines
-    follow the dtypes: real bands are factored by dgttrf, and a solve runs
-    dgttrs only when the right-hand side is real too; each solver looks up
-    its gttrs once per dtype.  A Cayley step solves for the midpoint state
-    x = (1 + scale H)^-1 psi and returns 2 x - psi (``_through_midpoint``).
+    factored is the one ``_shifted_bands`` describes, after the odd-even
+    reduction of a real-time matrix of more than _REDUCTION_ROWS rows
+    (``_odd_even_reduction``): its reduced bands are factored once, and
+    each solve reduces the right-hand side and recovers the eliminated
+    unknowns around its gttrs call (``_reduced_solve``).  On periodic grids
+    the wrap-link response B^-1 u is solved once, at construction, by the
+    same path.  The routines follow the dtypes: real bands are factored by
+    dgttrf, and a solve runs dgttrs only when the right-hand side is real
+    too; each solver looks up its gttrs once per dtype.  A Cayley step
+    solves for the midpoint state x = (1 + scale H)^-1 psi and returns
+    2 x - psi (``_through_midpoint``).
     """
 
     def __init__(self, h: TridiagonalHamiltonian, scale: complex):
         self.h = h
         dl, d, du, u, self._v_last = _shifted_bands(h, scale)
+        dl, d, du, self._levels = _odd_even_reduction(dl, d, du, scale)
         (gttrf,) = get_lapack_funcs(("gttrf",), (dl, d, du))
         dl, d, du, du2, ipiv, info = gttrf(dl, d, du, overwrite_dl=1, overwrite_d=1, overwrite_du=1)
         _check_info(gttrf.typecode + "gttrf", info, scale)
@@ -260,8 +351,8 @@ class _CayleySolver:
             self._z = self._lu_solve(u)
             self._denominator = _wrap_denominator(self._z, self._v_last, scale)
 
-    def _lu_solve(self, b: np.ndarray) -> np.ndarray:
-        """B^-1 b in b's own storage; b is contiguous and of the solve's dtype."""
+    def _gttrs_solve(self, b: np.ndarray) -> np.ndarray:
+        """The factored bands' solve of b, in b's own storage; b is contiguous and of the solve's dtype."""
         gttrs = self._gttrs.get(b.dtype)
         if gttrs is None:
             (gttrs,) = get_lapack_funcs(("gttrs",), (self._factors[1], b))
@@ -270,6 +361,10 @@ class _CayleySolver:
         if info != 0:
             raise ValueError(f"{gttrs.typecode}gttrs rejected argument {-info}")
         return x
+
+    def _lu_solve(self, b: np.ndarray) -> np.ndarray:
+        """B^-1 b in b's own storage; b is contiguous and of the solve's dtype."""
+        return _reduced_solve(self._levels, b, self._gttrs_solve)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """x with (1 + scale H) x = rhs under the grid's boundary convention; rhs is left as it is."""
@@ -286,32 +381,41 @@ def _solve_once(h: TridiagonalHamiltonian, scale: complex, rhs: np.ndarray, link
 
     rhs is one vector (n,) or a block (n, k) of k right-hand sides, which
     the one call factors the matrix for; the result has rhs's shape.  Equal
-    bit for bit to ``_CayleySolver(h, scale).solve`` of each column: gtsv
-    runs gttrf's pivoted elimination and gttrs's substitutions in one pass,
-    in place in one full-length copy of a single rhs.  On periodic grids the
-    wrap-link vector u is one more right-hand side.  dgtsv solves when the
-    bands and rhs are all real, zgtsv otherwise.  links, when given, are
-    ``_link_bands(h, scale)`` formed once for several solves; gtsv runs on
-    copies of them, which it overwrites.
+    bit for bit to ``_CayleySolver(h, scale).solve`` of each column: both
+    form the same reduced bands and run the same reduction of the
+    right-hand side (``_odd_even_reduction``, a real-time matrix above
+    _REDUCTION_ROWS rows only), and gtsv runs gttrf's pivoted elimination
+    and gttrs's substitutions in one pass, in place in one full-length copy
+    of a single rhs.  On periodic grids the wrap-link vector u is one more
+    right-hand side.  dgtsv solves when the bands and rhs are all real,
+    zgtsv otherwise.  links, when given, are ``_link_bands(h, scale)``
+    formed once for several solves; they are left as they are (gtsv runs on
+    copies of them where no level reduced them).
     """
     dl, d, du, u, v_last = _shifted_bands(h, scale, links)
-    if links is not None:
+    dl, d, du, levels = _odd_even_reduction(dl, d, du, scale)
+    if links is not None and not levels:
         dl, du = dl.copy(), du.copy()
     dtype = np.result_type(d, rhs)
     n, k = len(rhs), rhs.size // len(rhs)
     if u is None:
         out = rhs.astype(dtype, order="F")
         out[0] = out[-1] = 0.0
-        b = out[1:-1].reshape(n - 2, k, order="F")  # a view, contiguous for one column
+        b = out[1:-1]  # a view, contiguous for one vector
     else:
         b = np.empty((n, k + 1), dtype=dtype, order="F")
         b[:, :k] = rhs.reshape(n, k)
         b[:, k] = u
     (gtsv,) = get_lapack_funcs(("gtsv",), (dl, d, du, b))
-    _, _, _, x, info = gtsv(dl, d, du, b, overwrite_dl=1, overwrite_d=1, overwrite_du=1, overwrite_b=1)
-    _check_info(gtsv.typecode + "gtsv", info, scale)
+
+    def gtsv_solve(c):  # c holds its rows along the last axis, as _reduced_solve passes them
+        _, _, _, x, info = gtsv(dl, d, du, c.T, overwrite_dl=1, overwrite_d=1, overwrite_du=1, overwrite_b=1)
+        _check_info(gtsv.typecode + "gtsv", info, scale)
+        return x.T
+
+    x = _reduced_solve(levels, b.T, gtsv_solve).T
     if u is None:
-        b[...] = x  # x is b itself for one column; a block's interior is solved in gtsv's own copy
+        b[...] = x  # x is b itself for one vector or a reduced block; gtsv copies an unreduced block
         return out
     z = x[:, k]
     denominator = _wrap_denominator(z, v_last, scale)

@@ -164,7 +164,8 @@ class ActionIntegrals:
         rho + eps w r + eps^2 w^2 q, with r = 2 Re(psi* eta), q = |eta|^2 and
         w the window, so the term adds -w B(rho, r) to s1 and
         -w^2 (B(r, r) + 2 B(rho, q)) / 2 to s2, and gives s3 = -w^3 B(r, q)
-        and s4 = -w^4 B(q, q) / 2; U(q) is formed once and U(r) once per row.
+        and s4 = -w^4 B(q, q) / 2; U(q) is formed once and U(r) once per row
+        block, a kernel's by one matrix product for the block's rows.
         S1 to S4 are the trapezoid time integrals; S3 = S4 = 0 for a linear H.
         """
         traj = self.trajectory
@@ -193,7 +194,10 @@ class ActionIntegrals:
             e[lo:hi] = energy
             if interaction is not None:
                 rho, r = np.abs(rows) ** 2, 2.0 * (rows * bra).real
-                u_r = mean_field_density_values(interaction, grid, r)
+                if interaction.kind == "contact":
+                    u_r = mean_field_density_values(interaction, grid, r)
+                else:  # one product for the block, which rounds apart from U of one state; only these forms read it
+                    u_r = ((interaction.n_particles - 1) * grid.weights * r) @ interaction.kernel.T
                 forms[:2, lo:hi] = quadrature(grid, rho * u_r), quadrature(grid, r * u_r)
                 forms[2:, lo:hi] = rho @ weighted_u_q, r @ weighted_u_q
         hbar = self.cfg.constants.hbar

@@ -1,6 +1,9 @@
 """Crank-Nicolson stepping, mean-field stepping, imaginary-time relaxation."""
 
 import dataclasses
+import math
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -35,10 +38,17 @@ from waveaction import (
 )
 
 from waveaction.grids import norms
-from waveaction.hamiltonian import TridiagonalHamiltonian, energies_of, hamiltonian_matrix, mean_field_diagonal
+from waveaction.hamiltonian import (
+    TridiagonalHamiltonian,
+    energies_of,
+    hamiltonian_at,
+    hamiltonian_matrix,
+    mean_field_diagonal,
+)
 from waveaction.propagation import (
     _ATTRACTIVE_HANDOFF_ENERGY_CHANGE,
     _HANDOFF_ENERGY_CHANGE,
+    _REDUCTION_ROWS,
     _CayleySolver,
     _LDLTSolver,
     _changes_sign,
@@ -48,6 +58,9 @@ from waveaction.propagation import (
     _link_bands,
     _newton_finish,
     _newton_step,
+    _odd_even_reduction,
+    _reduced_solve,
+    _shifted_bands,
     _solve_once,
     _split_stepper,
 )
@@ -1169,6 +1182,99 @@ def test_single_use_solve_equals_the_factored_solve(n, seed, v_scale, a_scale, g
             np.testing.assert_array_equal(band, copy)
 
 
+def _hermitian_stand_in(rows, boundary, seed, kinetic, v_scale):
+    """A random Hermitian H whose system 1 + s H has `rows` rows: a sampled V and complex links.
+
+    Its grid is a stand-in with only n_points and is_periodic, so that
+    systems smaller than the smallest grid can be drawn too.
+    """
+    rng = np.random.default_rng(seed)
+    periodic = boundary == "periodic"
+    n = rows if periodic else rows + 2
+    n_links = n if periodic else n - 1
+    lower = -kinetic * rng.uniform(0.5, 1.5, n_links) * np.exp(1j * rng.uniform(-np.pi, np.pi, n_links))
+    diag = 2.0 * kinetic + v_scale * rng.uniform(0.0, 1.0, n)
+    return TridiagonalHamiltonian(SimpleNamespace(n_points=n, is_periodic=periodic), diag, np.conj(lower), lower)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    rows=st.one_of(st.integers(2, 64), st.just(_REDUCTION_ROWS + 1)),
+    threshold=st.integers(2, 64),
+    seed=st.integers(0, 2**32 - 1),
+    kinetic=st.floats(0.1, 500.0),
+    v_scale=st.floats(0.0, 100.0),
+    tau=st.floats(1e-4, 1.0),
+    boundary=st.sampled_from(["dirichlet", "periodic"]),
+)
+def test_odd_even_reduction_matches_the_pivoted_solve_of_the_same_bands(
+    rows, threshold, seed, kinetic, v_scale, tau, boundary
+):
+    # the bands of 1 + i tau H (B on periodic grids), reduced level by level
+    # while more than `threshold` rows are left (the module's own threshold
+    # for the size above it), against one pivoted gtsv of the full bands;
+    # the right-hand side is one vector, or the periodic block [rhs, u]
+    h = _hermitian_stand_in(rows, boundary, seed, kinetic, v_scale)
+    scale = 1j * tau
+    dl, d, du, u, _ = _shifted_bands(h, scale)
+    assert len(d) == rows
+    rng = np.random.default_rng(seed + 1)
+    rhs = rng.standard_normal(rows) + 1j * rng.standard_normal(rows)
+    b = rhs if u is None else np.stack((rhs, u))
+    (gtsv,) = get_lapack_funcs(("gtsv",), (d,))
+    reference = gtsv(dl.copy(), d.copy(), du.copy(), b.T.copy())[3].T
+    if rows > _REDUCTION_ROWS:
+        threshold = _REDUCTION_ROWS
+    with mock.patch("waveaction.propagation._REDUCTION_ROWS", threshold):
+        r_dl, r_d, r_du, levels = _odd_even_reduction(dl, d, du, scale)
+        assert not _odd_even_reduction(dl, d, du, tau)[3]  # a real scale is never reduced
+    assert len(levels) == max(0, math.ceil(math.log2(rows / threshold)))
+    assert len(r_d) <= max(threshold, rows) and len(r_dl) == len(r_du) == len(r_d) - 1
+
+    def solve(c):
+        return gtsv(r_dl.copy(), r_d.copy(), r_du.copy(), c.T)[3].T
+
+    x = _reduced_solve(levels, b.copy(), solve)
+    assert np.linalg.norm(x - reference) <= 1e-12 * np.linalg.norm(reference)
+
+
+@pytest.mark.parametrize("boundary", ["dirichlet", "periodic"])
+@pytest.mark.parametrize("driven", [False, True], ids=["static", "driven"])
+def test_reduced_real_time_steps_match_the_unreduced_solve(boundary, driven):
+    # n = 4001 is above the threshold: the factored (static) and single-use
+    # (driven) Cayley steps with A != 0 run through one level of odd-even
+    # reduction, against the same step by one gtsv call on the full bands
+    g = make_grid(-5.0, 5.0, 4001, boundary)
+    cfg, _ = _random_config(g, 7, 20.0, 1.0)
+    if driven:
+        cfg = HamiltonianConfig(v1=PotentialField.from_callable(_driven), a_vec=cfg.a_vec)
+    psi, t, dt = random_state(g, 7), 0.3, 1e-3
+    scale = 1j * dt / 2.0
+    h = hamiltonian_at(cfg, g)(t + dt / 2.0)
+    assert len(_odd_even_reduction(*_shifted_bands(h, scale)[:3], scale)[3]) == 1
+    stepped = step_crank_nicolson(cfg, psi, t, dt).amplitudes
+    with mock.patch("waveaction.propagation._REDUCTION_ROWS", g.n_points):
+        reference = 2.0 * _solve_once(h, scale, psi.amplitudes) - psi.amplitudes
+    assert not np.array_equal(stepped, reference)  # the reduction rounds apart
+    assert np.linalg.norm(stepped - reference) <= 1e-12 * np.linalg.norm(reference)
+
+
+@pytest.mark.parametrize("boundary", ["dirichlet", "periodic"])
+@pytest.mark.parametrize("driven", [False, True], ids=["static", "driven"])
+def test_zero_coupling_gp_step_equals_linear_step_through_the_reduction(boundary, driven):
+    # criterion 7a above the threshold: both steppers reduce the same bands,
+    # and gtsv equals gttrf + gttrs on the reduced system too
+    g = make_grid(-5.0, 5.0, 4001, boundary)
+    linear, _ = _random_config(g, 11, 20.0, 1.0)
+    if driven:
+        linear = HamiltonianConfig(v1=PotentialField.from_callable(_driven), a_vec=linear.a_vec)
+    gp = HamiltonianConfig(v1=linear.v1, a_vec=linear.a_vec, interaction=TwoBodyInteraction.contact(0.0, 3))
+    psi = random_state(g, 11)
+    np.testing.assert_array_equal(
+        step_gp(gp, psi, 0.2, 1e-3).amplitudes, step_crank_nicolson(linear, psi, 0.2, 1e-3).amplitudes
+    )
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     n=st.integers(8, 300),
@@ -1720,6 +1826,26 @@ def test_a_non_finite_step_names_its_step_whether_recorded_or_not(monkeypatch, b
 
     monkeypatch.setattr(_CayleySolver, "solve", failing)
     psi0 = gaussian_wavepacket(make_grid(-5, 5, 64))
+    with pytest.raises(RuntimeError, match=f"^step {bad_step} .*amplitudes must be finite"):
+        propagate(HARMONIC, psi0, PropagationPlan(dt=1e-3, n_steps=4, record_stride=2))
+
+
+@pytest.mark.parametrize("boundary", ["dirichlet", "periodic"])
+@pytest.mark.parametrize("bad_step", [2, 3], ids=["recorded", "unrecorded"])
+def test_a_nan_through_the_reduced_solve_names_its_step(monkeypatch, boundary, bad_step):
+    # n = 4001 solves through one level of odd-even reduction; a NaN put
+    # into the right-hand side of step k reaches the state through it
+    solve, calls = _CayleySolver.solve, []
+
+    def failing(self, rhs):
+        calls.append(None)
+        if len(calls) == bad_step:
+            rhs = rhs.copy()
+            rhs[7] = np.nan
+        return solve(self, rhs)
+
+    monkeypatch.setattr(_CayleySolver, "solve", failing)
+    psi0 = gaussian_wavepacket(make_grid(-5, 5, 4001, boundary))
     with pytest.raises(RuntimeError, match=f"^step {bad_step} .*amplitudes must be finite"):
         propagate(HARMONIC, psi0, PropagationPlan(dt=1e-3, n_steps=4, record_stride=2))
 
