@@ -267,13 +267,22 @@ class TridiagonalHamiltonian:
 
     def expectations(self, amp: np.ndarray) -> np.ndarray:
         """<psi|H|psi> of each row of amp (..., N) by grid quadrature; every imaginary part must vanish."""
-        val = quadrature(self.grid, np.conj(amp) * self.matvec(amp))
-        if (np.abs(val.imag) > 1e-8).any():
-            imag = np.ravel(val.imag)
-            raise RuntimeError(
-                f"energy has imaginary part {imag[np.abs(imag) > 1e-8][0]:.3e}; Hamiltonian assembly is not Hermitian"
-            )
-        return val.real
+        return real_energies(quadrature(self.grid, np.conj(amp) * self.matvec(amp)))
+
+
+def real_energies(values: np.ndarray) -> np.ndarray:
+    """The real parts of <psi|H|psi> values, or RuntimeError where an imaginary part exceeds 1e-8.
+
+    A Hermitian H gives real expectation values, so such a part means the
+    assembly is not Hermitian.  TridiagonalHamiltonian.expectations and the
+    action pass of variational both apply this one rule.
+    """
+    if (np.abs(values.imag) > 1e-8).any():
+        imag = np.ravel(values.imag)
+        raise RuntimeError(
+            f"energy has imaginary part {imag[np.abs(imag) > 1e-8][0]:.3e}; Hamiltonian assembly is not Hermitian"
+        )
+    return values.real
 
 
 def hamiltonian_matrix(cfg: HamiltonianConfig, grid: Grid, t: float = 0.0) -> TridiagonalHamiltonian:

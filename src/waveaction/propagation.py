@@ -31,18 +31,19 @@ by up to 1.7 at dtau = 0.5.
 
 Both implicit schemes solve tridiagonal systems 1 + s H with LAPACK.  A
 static linear H is factored once per run and every step reuses the
-factors; a matrix solved only once (the midpoint H of a time-dependent run,
-the predictor and the corrector of a mean-field step, each mean-field
-imaginary-time iteration) takes one call that factors and solves, which
-gives the same bits.  The routines are chosen once per run.  Imaginary time
-on the real path (below) with a linear H or a contact c = (N-1) g >= 0
-solves by LDL^T factors without pivots (pttrf and pttrs; a contact's
-iterations each factor their own matrix, and ptsv would cost the same) when
-one pttrf of 1 + s H succeeds: that matrix is then positive definite, and
-the mean field of c >= 0 only adds a non-negative diagonal to it.  Every
-other solve, and every Newton step (its Jacobian is indefinite), runs the
-pivoted general routines (gttrf and gttrs, or gtsv once), z when the bands
-or the right-hand side are complex and d when both are real.  When only the
+factors.  The factored solver picks its factorization from its bands:
+real bands (imaginary time on a real H) that are positive definite, on
+periodic grids with a positive Sherman-Morrison denominator too, as LDL^T
+without pivots (pttrf and pttrs); every other matrix falls back to the
+pivoted LU routines (gttrf and gttrs), z when the bands or the right-hand
+side are complex and d when both are real.  A matrix solved only once
+(the midpoint H of a time-dependent run, the predictor and the corrector
+of a mean-field step, a Newton step, whose Jacobian is indefinite) takes
+one gtsv call with the bits of the LU factors.  So does a mean-field
+imaginary-time iteration, except on the real path (below) with a contact
+c = (N-1) g >= 0 whose 1 + s H is LDL^T-factored once per run: that mean
+field only adds a non-negative diagonal, so each iteration then factors
+its own positive definite matrix (ptsv would cost the same).  When only the
 mean field changes between single-use solves (a static H), the scaled link
 bands are formed once per run and left as they are: each call copies them
 where LAPACK would overwrite them.  On periodic grids every solve restores
@@ -320,59 +321,111 @@ def _reduced_solve(levels: tuple, b: np.ndarray, solve: Callable) -> np.ndarray:
     return b
 
 
-class _CayleySolver:
-    """Factors of 1 + scale * H for one assembled tridiagonal H (LAPACK gttrf), for repeated solves.
+def _lu_bands(h: TridiagonalHamiltonian, scale: complex, links=None) -> tuple:
+    """The bands (dl, d, du) that gttrf or gtsv factor for 1 + scale H, their reduction levels, and (u, v_last).
 
-    ``solve`` applies (1 + scale H)^-1 with one gttrs call on the stored
-    factors, run in place in one copy of the right-hand side.  The matrix
-    factored is the one ``_shifted_bands`` describes, after the odd-even
-    reduction of a real-time matrix of more than _REDUCTION_ROWS rows
-    (``_odd_even_reduction``): its reduced bands are factored once, and
-    each solve reduces the right-hand side and recovers the eliminated
-    unknowns around its gttrs call (``_reduced_solve``).  On periodic grids
-    the wrap-link response B^-1 u is solved once, at construction, by the
-    same path.  The routines follow the dtypes: real bands are factored by
-    dgttrf, and a solve runs dgttrs only when the right-hand side is real
-    too; each solver looks up its gttrs once per dtype.  A Cayley step
-    solves for the midpoint state x = (1 + scale H)^-1 psi and returns
-    2 x - psi (``_through_midpoint``).
+    The bands and wrap-link terms of ``_shifted_bands``, after
+    ``_odd_even_reduction``, in arrays LAPACK may overwrite: where links
+    were given and no level reduced them, dl and du are copies of theirs.
+    """
+    dl, d, du, u, v_last = _shifted_bands(h, scale, links)
+    dl, d, du, levels = _odd_even_reduction(dl, d, du, scale)
+    if links is not None and not levels:
+        dl, du = dl.copy(), du.copy()
+    return dl, d, du, levels, u, v_last
+
+
+class _CayleySolver:
+    """Factors of 1 + scale * H for one assembled tridiagonal H, for repeated solves.
+
+    The matrix factored is the one ``_shifted_bands`` describes, by one of
+    two LAPACK factorizations chosen from its bands; definite is True for
+    LDL^T.  Real bands (imaginary time on a real H) are factored as LDL^T
+    without pivots (pttrf) where that matrix is positive definite: a real H
+    is symmetric (its links are -hbar^2 / 2 m dx^2 either way), so the pt
+    routines, which read d and one off-diagonal, solve it.  On periodic
+    grids ``_shifted_bands`` takes gamma = -A[0, 0] (-1 where A[0, 0] = 0)
+    and v = u / gamma.  So B = A + u u^T / |gamma| where A[0, 0] >= 0, and
+    B[0, 0] = 2 A[0, 0] < 0 otherwise: either way A is positive definite
+    exactly when B is and the Sherman-Morrison denominator 1 + v^T B^-1 u is
+    positive, and the LDL^T factors are kept only when both tests pass.
+    Complex bands, and real bands that fail either test, take the pivoted LU
+    factors of gttrf on bands formed anew (pttrf and the wrap-link solve
+    overwrite the first ones), after the odd-even reduction of a real-time
+    matrix of more than _REDUCTION_ROWS rows (``_odd_even_reduction``): its
+    reduced bands are factored once, and each solve reduces the right-hand
+    side and recovers the eliminated unknowns around its gttrs call
+    (``_reduced_solve``).
+
+    ``solve`` applies (1 + scale H)^-1 with one pttrs or gttrs call on the
+    stored factors, run in place in one copy of the right-hand side.  On
+    periodic grids the wrap-link response B^-1 u is solved once, at
+    construction, by the same path.  The routines follow the dtypes: a solve
+    runs the d routine only when the bands and the right-hand side are both
+    real, and each solver looks up its routine once per dtype.  links, when
+    given, are ``_link_bands(h, scale)`` formed once for several solvers;
+    they are left as they are.  A Cayley step solves for the midpoint state
+    x = (1 + scale H)^-1 psi and returns 2 x - psi (``_through_midpoint``).
     """
 
-    def __init__(self, h: TridiagonalHamiltonian, scale: complex):
+    def __init__(self, h: TridiagonalHamiltonian, scale: complex, links=None):
         self.h = h
-        dl, d, du, u, self._v_last = _shifted_bands(h, scale)
-        dl, d, du, self._levels = _odd_even_reduction(dl, d, du, scale)
+        real = np.result_type(h.diag, h.lower, scale) == np.float64
+        self.definite = real and self._factor_ldlt(h, scale, links)
+        if not self.definite:
+            self._factor_lu(h, scale, links)
+
+    def _factor_ldlt(self, h: TridiagonalHamiltonian, scale: float, links) -> bool:
+        """Whether the real 1 + scale H is positive definite; if so, its LDL^T factors are stored."""
+        dl, d, _, u, v_last = _shifted_bands(h, scale, links)
+        pttrf, pttrs = get_lapack_funcs(("pttrf", "pttrs"), (d, dl))
+        d, e, info = pttrf(d, dl, overwrite_d=1, overwrite_e=links is None)
+        if info > 0:  # a pivot that is not positive
+            return False
+        _check_info(pttrf.typecode + "pttrf", info, scale)
+        self._factors, self._levels = (d, e), ()
+        self._trs_name, self._trs = "pttrs", {d.dtype: pttrs}
+        if u is not None:
+            z = self._solve_bands(u)
+            if not 1.0 + z[0] + v_last * z[-1] > 0:
+                return False
+            self._wrap = z, v_last, _wrap_denominator(z, v_last, scale)
+        return True
+
+    def _factor_lu(self, h: TridiagonalHamiltonian, scale: complex, links) -> None:
+        """Store the LU factors of 1 + scale H, after its odd-even reduction where that applies."""
+        dl, d, du, self._levels, u, v_last = _lu_bands(h, scale, links)
         (gttrf,) = get_lapack_funcs(("gttrf",), (dl, d, du))
         dl, d, du, du2, ipiv, info = gttrf(dl, d, du, overwrite_dl=1, overwrite_d=1, overwrite_du=1)
         _check_info(gttrf.typecode + "gttrf", info, scale)
         self._factors = dl, d, du, du2, ipiv
-        self._gttrs = {}
+        self._trs_name, self._trs = "gttrs", {}
         if u is not None:
-            self._z = self._lu_solve(u)
-            self._denominator = _wrap_denominator(self._z, self._v_last, scale)
+            z = self._solve_bands(u)
+            self._wrap = z, v_last, _wrap_denominator(z, v_last, scale)
 
-    def _gttrs_solve(self, b: np.ndarray) -> np.ndarray:
-        """The factored bands' solve of b, in b's own storage; b is contiguous and of the solve's dtype."""
-        gttrs = self._gttrs.get(b.dtype)
-        if gttrs is None:
-            (gttrs,) = get_lapack_funcs(("gttrs",), (self._factors[1], b))
-            self._gttrs[b.dtype] = gttrs
-        x, info = gttrs(*self._factors, b, overwrite_b=1)
+    def _substitute(self, b: np.ndarray) -> np.ndarray:
+        """The stored factors' solve of b, in b's own storage; b is contiguous and of the solve's dtype."""
+        routine = self._trs.get(b.dtype)
+        if routine is None:
+            (routine,) = get_lapack_funcs((self._trs_name,), (self._factors[1], b))
+            self._trs[b.dtype] = routine
+        x, info = routine(*self._factors, b, overwrite_b=1)
         if info != 0:
-            raise ValueError(f"{gttrs.typecode}gttrs rejected argument {-info}")
+            raise ValueError(f"{routine.typecode}{self._trs_name} rejected argument {-info}")
         return x
 
-    def _lu_solve(self, b: np.ndarray) -> np.ndarray:
+    def _solve_bands(self, b: np.ndarray) -> np.ndarray:
         """B^-1 b in b's own storage; b is contiguous and of the solve's dtype."""
-        return _reduced_solve(self._levels, b, self._gttrs_solve)
+        return _reduced_solve(self._levels, b, self._substitute)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """x with (1 + scale H) x = rhs under the grid's boundary convention; rhs is left as it is."""
         out = rhs.astype(np.result_type(self._factors[1], rhs))
         if self.h.grid.is_periodic:
-            return _wrap_corrected(self._lu_solve(out), self._z, self._v_last, self._denominator)
+            return _wrap_corrected(self._solve_bands(out), *self._wrap)
         out[0] = out[-1] = 0.0
-        self._lu_solve(out[1:-1])
+        self._solve_bands(out[1:-1])
         return out
 
 
@@ -381,21 +434,18 @@ def _solve_once(h: TridiagonalHamiltonian, scale: complex, rhs: np.ndarray, link
 
     rhs is one vector (n,) or a block (n, k) of k right-hand sides, which
     the one call factors the matrix for; the result has rhs's shape.  Equal
-    bit for bit to ``_CayleySolver(h, scale).solve`` of each column: both
-    form the same reduced bands and run the same reduction of the
-    right-hand side (``_odd_even_reduction``, a real-time matrix above
-    _REDUCTION_ROWS rows only), and gtsv runs gttrf's pivoted elimination
-    and gttrs's substitutions in one pass, in place in one full-length copy
-    of a single rhs.  On periodic grids the wrap-link vector u is one more
-    right-hand side.  dgtsv solves when the bands and rhs are all real,
-    zgtsv otherwise.  links, when given, are ``_link_bands(h, scale)``
-    formed once for several solves; they are left as they are (gtsv runs on
-    copies of them where no level reduced them).
+    bit for bit to ``_CayleySolver(h, scale).solve`` of each column where
+    that solver is not definite (its LU branch): both form the same reduced
+    bands and run the same reduction of the right-hand side
+    (``_odd_even_reduction``, a real-time matrix above _REDUCTION_ROWS rows
+    only), and gtsv runs gttrf's pivoted elimination and gttrs's
+    substitutions in one pass, in place in one full-length copy of a single
+    rhs.  On periodic grids the wrap-link vector u is one more right-hand
+    side.  dgtsv solves when the bands and rhs are all real, zgtsv
+    otherwise.  links, when given, are ``_link_bands(h, scale)`` formed once
+    for several solves; they are left as they are (``_lu_bands``).
     """
-    dl, d, du, u, v_last = _shifted_bands(h, scale, links)
-    dl, d, du, levels = _odd_even_reduction(dl, d, du, scale)
-    if links is not None and not levels:
-        dl, du = dl.copy(), du.copy()
+    dl, d, du, levels, u, v_last = _lu_bands(h, scale, links)
     dtype = np.result_type(d, rhs)
     n, k = len(rhs), rhs.size // len(rhs)
     if u is None:
@@ -422,62 +472,6 @@ def _solve_once(h: TridiagonalHamiltonian, scale: complex, rhs: np.ndarray, link
     for j in range(k):
         _wrap_corrected(x[:, j], z, v_last, denominator)
     return x[:, 0] if rhs.ndim == 1 else x[:, :k]
-
-
-class _LDLTSolver:
-    """LDL^T factors of a positive definite 1 + scale * H (LAPACK pttrf) for a real H, for repeated solves.
-
-    A real H is symmetric (its links are -hbar^2 / 2 m dx^2 either way), so
-    the pt routines, which read d and one off-diagonal, solve it without
-    pivots.  The matrix factored is the one ``_shifted_bands`` describes.  On
-    periodic grids it takes gamma = -A[0, 0] (-1 where A[0, 0] = 0), and
-    v = u / gamma.  So B = A + u u^T / |gamma| where A[0, 0] >= 0, and
-    B[0, 0] = 2 A[0, 0] < 0 otherwise: either way A is positive definite
-    exactly when B is and the Sherman-Morrison denominator 1 + v^T B^-1 u is
-    positive.  ``factor`` returns None when either test fails; B^-1 u is
-    solved there, once.
-    ``solve`` applies (1 + scale H)^-1 with one pttrs call, run in place in
-    one copy of the real right-hand side.
-    """
-
-    def __init__(self, pttrs, d: np.ndarray, e: np.ndarray):
-        self._pttrs, self._factors, self._wrap = pttrs, (d, e), None
-
-    @classmethod
-    def factor(cls, h: TridiagonalHamiltonian, scale: float, links=None):
-        """The solver for 1 + scale H, or None where that matrix is not positive definite.
-
-        links, when given, are ``_link_bands(h, scale)`` and are left as they are.
-        """
-        dl, d, _, u, v_last = _shifted_bands(h, scale, links)
-        pttrf, pttrs = get_lapack_funcs(("pttrf", "pttrs"), (d, dl))
-        d, e, info = pttrf(d, dl, overwrite_d=1, overwrite_e=links is None)
-        if info > 0:  # a pivot that is not positive
-            return None
-        _check_info(pttrf.typecode + "pttrf", info, scale)
-        solver = cls(pttrs, d, e)
-        if u is not None:
-            z = solver._ldlt_solve(u)
-            if not 1.0 + z[0] + v_last * z[-1] > 0:
-                return None
-            solver._wrap = z, v_last, _wrap_denominator(z, v_last, scale)
-        return solver
-
-    def _ldlt_solve(self, b: np.ndarray) -> np.ndarray:
-        """B^-1 b in b's own storage; b is a contiguous float64 vector."""
-        x, info = self._pttrs(*self._factors, b, overwrite_b=1)
-        if info != 0:
-            raise ValueError(f"{self._pttrs.typecode}pttrs rejected argument {-info}")
-        return x
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """x with (1 + scale H) x = rhs under the grid's boundary convention; rhs is real and left as it is."""
-        out = rhs.astype(np.float64)
-        if self._wrap is not None:
-            return _wrap_corrected(self._ldlt_solve(out), *self._wrap)
-        out[0] = out[-1] = 0.0
-        self._ldlt_solve(out[1:-1])
-        return out
 
 
 def _through_midpoint(x: np.ndarray, amp: np.ndarray) -> np.ndarray:
@@ -802,12 +796,12 @@ def ground_state_imaginary_time(
     runs max_iter iterations.  A complex H or start, and a kernel interaction,
     keep the loop alone, bit for bit.
 
-    The loop's solves run the pt routines (``_LDLTSolver``, factored once for
-    a linear H and once per iteration for a contact, whose mean field changes
-    the diagonal) when the run is on the real path, its contact is not
-    attractive and one pttrf shows 1 + dtau H / hbar positive definite;
-    otherwise they run the gt routines, as the Newton steps always do.  A
-    contact iteration whose matrix fails the pttrf raises LinAlgError.
+    The loop picks no routine itself: a linear H is one ``_CayleySolver``
+    (LDL^T where 1 + dtau H / hbar is real and positive definite, LU
+    otherwise); a contact on the real path that is not attractive takes one
+    as its gate, and where that one is definite each iteration factors its
+    own matrix by one.  Every other mean-field iteration, and every Newton
+    step, runs one gtsv (``_solve_once``).
     """
     if not cfg.is_static:
         raise ValueError("ground-state search requires static potentials")
@@ -828,23 +822,19 @@ def ground_state_imaginary_time(
         phase, amp = real
     finish = real is not None and (cfg.interaction is None or cfg.interaction.kind == "contact")
     attractive = cfg.interaction is not None and (cfg.interaction.n_particles - 1) * cfg.interaction.g < 0
-    # c >= 0 adds a non-negative diagonal to 1 + scale H, so where that matrix
-    # is positive definite, every iteration's is
     if cfg.interaction is None:
-        ldlt = _LDLTSolver.factor(h, scale) if finish else None
-        solve = (_CayleySolver(h, scale) if ldlt is None else ldlt).solve
+        solve = _CayleySolver(h, scale).solve
     else:
         links = _link_bands(h, scale)
-        positive = finish and not attractive and _LDLTSolver.factor(h, scale, links) is not None
+        # c >= 0 adds a non-negative diagonal to 1 + scale H, so where that
+        # matrix is positive definite, every iteration's is
+        definite = finish and not attractive and _CayleySolver(h, scale, links).definite
 
         def solve(amp):
             h_now = h.plus_diagonal(mean_field_density_values(cfg.interaction, grid, np.abs(amp) ** 2))
-            if not positive:
-                return _solve_once(h_now, scale, amp, links)
-            ldlt = _LDLTSolver.factor(h_now, scale, links)
-            if ldlt is None:
-                raise np.linalg.LinAlgError(f"1 + s H is not positive definite (s = {scale:.6g})")
-            return ldlt.solve(amp)
+            if definite:
+                return _CayleySolver(h_now, scale, links).solve(amp)
+            return _solve_once(h_now, scale, amp, links)
 
     handoff = max(tol, _ATTRACTIVE_HANDOFF_ENERGY_CHANGE if attractive else _HANDOFF_ENERGY_CHANGE)
     history = [float(energies_of(cfg, h, amp))]

@@ -44,6 +44,7 @@ from .hamiltonian import (
     hamiltonian_matrix,
     mean_field_density_values,
     mean_field_diagonal,
+    real_energies,
     row_blocks,
 )
 
@@ -378,21 +379,11 @@ def action_integrals(cfg: HamiltonianConfig, traj: Trajectory) -> ActionIntegral
     for lo, hi, h, amp, damp, extra, t in _blocks(cfg, traj):
         h_psi, bra, rho = h.plus_diagonal(extra).matvec(amp), np.conj(amp), np.abs(amp) ** 2
         row_norms[lo:hi] = np.sqrt(quadrature(grid, rho))  # grids.norms
-        energies[lo:hi] = _real_energies(quadrature(grid, bra * h_psi))  # hamiltonian.energies_of
+        energies[lo:hi] = real_energies(quadrature(grid, bra * h_psi))  # hamiltonian.energies_of
         if integrable:
             simple[lo:hi] = quadrature(grid, _simple_density(cfg, h_psi, bra, damp))
             standard[lo:hi] = quadrature(grid, _standard_density(cfg, grid, amp, rho, damp, t, extra)).real
     return ActionIntegrals(cfg, traj, simple, standard, row_norms, energies)
-
-
-def _real_energies(values: np.ndarray) -> np.ndarray:
-    """The real parts of <psi|H|psi> values; raises as TridiagonalHamiltonian.expectations does on an imaginary part."""
-    if (np.abs(values.imag) > 1e-8).any():
-        imag = np.ravel(values.imag)
-        raise RuntimeError(
-            f"energy has imaginary part {imag[np.abs(imag) > 1e-8][0]:.3e}; Hamiltonian assembly is not Hermitian"
-        )
-    return values.real
 
 
 def _blocks(cfg: HamiltonianConfig, traj: Trajectory):

@@ -50,7 +50,6 @@ from waveaction.propagation import (
     _HANDOFF_ENERGY_CHANGE,
     _REDUCTION_ROWS,
     _CayleySolver,
-    _LDLTSolver,
     _changes_sign,
     _cn_stepper,
     _gp_stepper,
@@ -1299,21 +1298,26 @@ def test_real_solves_run_in_float64_and_match_the_complex_solve(n, seed, v_scale
     rhs = rng.standard_normal(n)
     reference = _solve_once(h, dtau, rhs.astype(complex))
     assert not reference.imag.any()
-    once, factored = _solve_once(real_h, dtau, rhs), _CayleySolver(real_h, dtau).solve(rhs)
-    np.testing.assert_array_equal(once, factored)
-    for x in (once, factored):
-        assert x.dtype == np.float64
-        if boundary == "dirichlet":
-            np.testing.assert_array_equal(x, reference.real)
-        else:
-            # the complex Sherman-Morrison division multiplies by the reciprocal,
-            # so the two paths round apart, and like a forward error their gap
-            # grows with the condition number of the cyclic system: the bound
-            # is 1e-13 up to a condition number of 1e3 (the worst of 6000
-            # random solves reached 0.19 of it)
-            cond = np.linalg.cond(dense_shifted_matrix(real_h, dtau))
-            gap = np.linalg.norm(x - reference.real) / np.linalg.norm(reference)
-            assert gap <= max(1e-13, 1e-16 * cond)
+    solver = _CayleySolver(real_h, dtau)
+    once, factored = _solve_once(real_h, dtau, rhs), solver.solve(rhs)
+    assert once.dtype == factored.dtype == np.float64
+    m = dense_shifted_matrix(real_h, dtau)
+    if boundary == "dirichlet":
+        m = m[1:-1, 1:-1]
+    # the complex Sherman-Morrison division multiplies by the reciprocal, and
+    # LDL^T factors round apart from the pivoted LU, so such pairs differ
+    # like a forward error, by a gap that grows with the condition number:
+    # the bound is 1e-13 up to a condition number of 1e3 (the worst of 6000
+    # random periodic solves reached 0.19 of it)
+    bound = max(1e-13, 1e-16 * np.linalg.cond(m))
+    if solver.definite:  # pttrf + pttrs against the pivoted dgtsv
+        assert np.linalg.norm(factored - once) / np.linalg.norm(once) <= bound
+    else:  # dgttrf + dgttrs, the same elimination as dgtsv
+        np.testing.assert_array_equal(once, factored)
+    if boundary == "dirichlet":
+        np.testing.assert_array_equal(once, reference.real)
+    else:
+        assert np.linalg.norm(once - reference.real) / np.linalg.norm(reference) <= bound
 
 
 @settings(max_examples=60, deadline=None)
@@ -1336,8 +1340,8 @@ def test_ldlt_solves_match_the_general_solve(n, seed, v_scale, g_scale, boundary
     rhs = rng.standard_normal(n)
     links = _link_bands(h, dtau)
     kept = rhs.copy(), links[0].copy(), links[1].copy()
-    solver = _LDLTSolver.factor(h, dtau, links)
-    assert solver is not None
+    solver = _CayleySolver(h, dtau, links)
+    assert solver.definite
     factored = solver.solve(rhs)
     for array, copy in zip((rhs, *links[:2]), kept):
         np.testing.assert_array_equal(array, copy)
@@ -1370,7 +1374,17 @@ def test_ldlt_factors_exactly_where_the_matrix_is_positive_definite(n, seed, v_s
         m = m[1:-1, 1:-1]
     lowest = np.linalg.eigvalsh(m)[0]
     assume(abs(lowest) > 1e-9 * np.abs(m).max())  # rounding decides a nearly singular matrix
-    assert (_LDLTSolver.factor(h, dtau) is not None) == (lowest > 0)
+    solver = _CayleySolver(h, dtau)
+    assert solver.definite == (lowest > 0)
+    # either branch solves the system, the pivoted LU one on bands formed again
+    rhs = rng.standard_normal(n)
+    x = solver.solve(rhs)
+    if boundary == "dirichlet":
+        assert x[0] == x[-1] == 0.0
+        x, rhs = x[1:-1], rhs[1:-1]
+    reference = np.linalg.solve(m, rhs)
+    gap = np.linalg.norm(x - reference) / np.linalg.norm(reference)
+    assert gap <= max(1e-13, 1e-16 * np.linalg.cond(m))
 
 
 @pytest.mark.parametrize("boundary", ["dirichlet", "periodic"])

@@ -685,21 +685,19 @@ def test_cli_stride_that_does_not_divide_n_steps_exits_1(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "task, where, solver",
+    "task, where",
     [
-        ({"kind": "propagate", "n_steps": 4}, "step 1 ", "_CayleySolver"),
-        # a linear relaxation whose 1 + dtau H is positive definite solves by LDL^T factors
-        ({"kind": "ground-state"}, "iteration 1 ", "_LDLTSolver"),
+        ({"kind": "propagate", "n_steps": 4}, "step 1 "),
+        # a linear relaxation factors 1 + dtau H once, by LDL^T where it is positive definite
+        ({"kind": "ground-state"}, "iteration 1 "),
     ],
     ids=["propagate", "ground-state"],
 )
-def test_cli_state_that_blows_up_exits_2(tmp_path, monkeypatch, capsys, task, where, solver):
+def test_cli_state_that_blows_up_exits_2(tmp_path, monkeypatch, capsys, task, where):
     # a solver that returns NaN makes the first stepped or relaxed state non-finite
     import waveaction.propagation as propagation
 
-    monkeypatch.setattr(
-        getattr(propagation, solver), "solve", lambda self, rhs: np.full(len(rhs), np.nan, dtype=complex)
-    )
+    monkeypatch.setattr(propagation._CayleySolver, "solve", lambda self, rhs: np.full(len(rhs), np.nan, dtype=complex))
     data = minimal_ground_state("blow-up")
     data["grid"]["n_points"] = 201
     data["task"] = task
@@ -711,20 +709,18 @@ def test_cli_state_that_blows_up_exits_2(tmp_path, monkeypatch, capsys, task, wh
 
 
 @pytest.mark.parametrize(
-    "task, where, solver",
+    "task, where",
     [
-        ({"kind": "propagate", "n_steps": 4}, "step 1 ", "_CayleySolver"),
-        # a linear relaxation whose 1 + dtau H is positive definite solves by LDL^T factors
-        ({"kind": "ground-state"}, "iteration 1 ", "_LDLTSolver"),
+        ({"kind": "propagate", "n_steps": 4}, "step 1 "),
+        # a linear relaxation factors 1 + dtau H once, by LDL^T where it is positive definite
+        ({"kind": "ground-state"}, "iteration 1 "),
     ],
     ids=["propagate", "ground-state"],
 )
-def test_state_that_blows_up_writes_a_failure_manifest(tmp_path, monkeypatch, capsys, task, where, solver):
+def test_state_that_blows_up_writes_a_failure_manifest(tmp_path, monkeypatch, capsys, task, where):
     import waveaction.propagation as propagation
 
-    monkeypatch.setattr(
-        getattr(propagation, solver), "solve", lambda self, rhs: np.full(len(rhs), np.nan, dtype=complex)
-    )
+    monkeypatch.setattr(propagation._CayleySolver, "solve", lambda self, rhs: np.full(len(rhs), np.nan, dtype=complex))
     data = minimal_ground_state("blow-up")
     data["grid"]["n_points"] = 201
     data["task"] = task
