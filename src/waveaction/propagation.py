@@ -62,8 +62,13 @@ without a sign change is the ground state, and Newton may take over early.
 The sign test on a computed state cannot tell that state from a
 self-trapped one whose other well holds 3.5e-49 of its peak: a
 repulsive condensate in a deep double well can finish there, 0.27 above
-its ground energy (the strict xfail
-test_repulsive_condensate_in_a_deep_double_well_finishes_at_its_ground_state).
+its ground energy.  So a converged run with c >= 0 is certified: by
+convexity a stationary phi is the ground state exactly when mu is the
+lowest eigenvalue of H + c phi^2 (the aufbau condition, Cances & Le Bris
+2000), which holds when H + c phi^2 - mu + delta is positive definite,
+one pttrf (delta is the residual plus rounding).  A run that fails it
+restarts once from sqrt((phi^2 + chi^2) / 2), chi the lowest eigenvector
+of H + c phi^2, and reports converged only if that run is certified.
 An attractive contact has positive stationary states above the ground
 state, so it hands off only near the minimum.  The Jacobian
 H + 3 c phi^2 - mu is tridiagonal, so each step is one single-use solve
@@ -109,7 +114,7 @@ import math
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
+from scipy.linalg import eigh_tridiagonal, get_lapack_funcs
 
 from .grids import Grid, Trajectory, Wavefunction, check_finite, norm, normalize, norms, quadrature
 from .hamiltonian import (
@@ -171,7 +176,11 @@ class GroundStateResult:
     real path; it is 0 on the complex and kernel paths and when every
     finish was rejected at its first step.  iterations counts loop
     iterations and Newton steps, and energy_history holds the start's
-    energy and one row for each.
+    energy and one row for each.  certified says whether mu is the lowest
+    eigenvalue of H plus the full-weight mean field, to the residual: it
+    is decided for converged runs on the real path with a linear H or a
+    contact c >= 0, where it is the ground-state condition, and None
+    elsewhere (not converged, c < 0, a kernel, a complex path).
     """
 
     state: Wavefunction
@@ -182,6 +191,7 @@ class GroundStateResult:
     chemical_potential: float
     residual: float
     newton_steps: int
+    certified: bool | None = None
 
 
 def _link_bands(h: TridiagonalHamiltonian, scale: complex) -> tuple:
@@ -685,6 +695,10 @@ _REAL_START_FLOOR = 16 * np.finfo(np.float64).eps
 # are of the peak's order; finished states show rounding tails (-6e-48 of the
 # peak) and partly converged ones tails of up to about -3e-11 of it.
 _SIGN_CHANGE_FLOOR = 1e-8
+# The certificate shifts mu down by the residual plus this many units of
+# rounding of the largest row sum of |H + U|, so that rounding in pttrf and
+# in mu cannot fail the ground state itself.
+_CERTIFICATE_ROUNDING = 64 * np.finfo(np.float64).eps
 
 
 def _phase_and_real_part(amp: np.ndarray):
@@ -761,6 +775,39 @@ def _newton_finish(
     return amp, steps, False
 
 
+def _lowest_eigenvalue_is(h: TridiagonalHamiltonian, mu: float, residual: float) -> bool:
+    """Whether mu is, to its residual, the lowest eigenvalue of the real tridiagonal h: h - mu + delta is positive definite.
+
+    delta is the residual, which bounds mu - lambda_0 for a state near the
+    lowest eigenvector, plus _CERTIFICATE_ROUNDING times the largest row
+    sum of |h|, the scale of the factorization's rounding.  The test is one
+    pttrf of the shifted matrix (``_CayleySolver`` with scale 1 on h - mu +
+    delta - 1), with the Sherman-Morrison denominator test on periodic grids.
+    """
+    row_sum = np.abs(h.diag).max() + np.abs(h.lower).max() + np.abs(h.upper).max()
+    delta = residual + _CERTIFICATE_ROUNDING * row_sum
+    return _CayleySolver(h.plus_diagonal(delta - mu - 1.0), 1.0).definite
+
+
+def _restart_state(h: TridiagonalHamiltonian, amp: np.ndarray) -> np.ndarray:
+    """sqrt((amp^2 + chi^2) / 2), normalized: chi is the lowest eigenvector of the real h on its open path.
+
+    The path is the Dirichlet interior, or a periodic grid without its wrap
+    link; amp is real and normalized.  The mixture carries the density of
+    both the stationary state amp and the lowest mode of its own mean-field
+    operator, so a loop restarted from it is no longer trapped where amp is.
+    """
+    grid = h.grid
+    n = grid.n_points
+    path = slice(None) if grid.is_periodic else slice(1, n - 1)
+    links = h.lower[:-1] if grid.is_periodic else h.lower[1 : n - 2]
+    _, vectors = eigh_tridiagonal(h.diag[path], links, select="i", select_range=(0, 0))
+    chi = np.zeros(n)
+    chi[path] = vectors[:, 0]
+    mixed = np.sqrt((amp**2 + chi**2 / norms(grid, chi) ** 2) / 2)
+    return mixed / norms(grid, mixed)
+
+
 def ground_state_imaginary_time(
     cfg: HamiltonianConfig,
     psi0: Wavefunction,
@@ -795,6 +842,15 @@ def ground_state_imaginary_time(
     threshold), and the loop still stops by its own rule, so tol = 0 still
     runs max_iter iterations.  A complex H or start, and a kernel interaction,
     keep the loop alone, bit for bit.
+
+    A converged run on the real path with c >= 0 is certified
+    (``_lowest_eigenvalue_is``: mu is the lowest eigenvalue of its own
+    H + c phi^2, to the residual).  Where it is not, the state is
+    stationary but self-trapped, and the run restarts once, with its
+    hand-off re-armed at the first threshold, from the mixture of that
+    state and the lowest mode of H + c phi^2 (``_restart_state``); the
+    restart adds no energy_history row, so the next row may lie above the
+    last.  That run is certified again, and converged only if it passes.
 
     The loop picks no routine itself: a linear H is one ``_CayleySolver``
     (LDL^T where 1 + dtau H / hbar is real and positive definite, LU
@@ -836,28 +892,40 @@ def ground_state_imaginary_time(
                 return _CayleySolver(h_now, scale, links).solve(amp)
             return _solve_once(h_now, scale, amp, links)
 
-    handoff = max(tol, _ATTRACTIVE_HANDOFF_ENERGY_CHANGE if attractive else _HANDOFF_ENERGY_CHANGE)
+    first_handoff = max(tol, _ATTRACTIVE_HANDOFF_ENERGY_CHANGE if attractive else _HANDOFF_ENERGY_CHANGE)
     history = [float(energies_of(cfg, h, amp))]
     iterations = newton_steps = 0
-    converged = False
-    while not converged and iterations < max_iter:
-        iterations += 1
-        amp = solve(amp)
-        n = norms(grid, amp)  # NaN or inf when an amplitude is
-        if not 0.0 < n < np.inf:
-            problem = "cannot normalize a zero wavefunction" if n == 0 else "amplitudes must be finite"
-            raise RuntimeError(f"imaginary-time iteration {iterations} failed: {problem}")
-        amp = amp / n
-        history.append(float(energies_of(cfg, h, amp)))
-        change = abs(history[-1] - history[-2])
-        if finish and change < handoff:
-            amp, steps, converged = _newton_finish(cfg, h, amp, history, tol, max_iter - iterations)
-            iterations += steps
-            newton_steps += steps
-            handoff = max(tol, handoff / 10)
-        converged = converged or change < tol
-    h_amp = h.plus_diagonal(mean_field_diagonal(cfg, grid, amp, 1.0)).matvec(amp)
-    mu = float(quadrature(grid, np.conj(amp) * h_amp).real)
+    certified = None
+    for restart in (False, True):
+        handoff = first_handoff
+        converged = False
+        while not converged and iterations < max_iter:
+            iterations += 1
+            amp = solve(amp)
+            n = norms(grid, amp)  # NaN or inf when an amplitude is
+            if not 0.0 < n < np.inf:
+                problem = "cannot normalize a zero wavefunction" if n == 0 else "amplitudes must be finite"
+                raise RuntimeError(f"imaginary-time iteration {iterations} failed: {problem}")
+            amp = amp / n
+            history.append(float(energies_of(cfg, h, amp)))
+            change = abs(history[-1] - history[-2])
+            if finish and change < handoff:
+                amp, steps, converged = _newton_finish(cfg, h, amp, history, tol, max_iter - iterations)
+                iterations += steps
+                newton_steps += steps
+                handoff = max(tol, handoff / 10)
+            converged = converged or change < tol
+        h_mf = h.plus_diagonal(mean_field_diagonal(cfg, grid, amp, 1.0))
+        h_amp = h_mf.matvec(amp)
+        mu = float(quadrature(grid, np.conj(amp) * h_amp).real)
+        residual = float(norms(grid, h_amp - mu * amp))
+        if not (converged and finish and not attractive):
+            break
+        certified = _lowest_eigenvalue_is(h_mf, mu, residual)
+        if certified or restart:
+            converged = certified
+            break
+        amp = _restart_state(h_mf, amp)
     return GroundStateResult(
         state=Wavefunction(grid, amp if phase == 1.0 else phase * amp, psi.time),
         energy=history[-1],
@@ -865,6 +933,7 @@ def ground_state_imaginary_time(
         converged=converged,
         energy_history=np.array(history),
         chemical_potential=mu,
-        residual=float(norms(grid, h_amp - mu * amp)),
+        residual=residual,
         newton_steps=newton_steps,
+        certified=certified,
     )
