@@ -38,22 +38,25 @@ without pivots (pttrf and pttrs); every other matrix falls back to the
 pivoted LU routines (gttrf and gttrs), z when the bands or the right-hand
 side are complex and d when both are real.  A matrix solved only once
 (the midpoint H of a time-dependent run, the predictor and the corrector
-of a mean-field step, a Newton step, whose Jacobian is indefinite) takes
-one gtsv call with the bits of the LU factors.  So does a mean-field
-imaginary-time iteration, except on the real path (below) with a contact
-c = (N-1) g >= 0 whose 1 + s H is LDL^T-factored once per run: that mean
-field only adds a non-negative diagonal, so each iteration then factors
-its own positive definite matrix (ptsv would cost the same).  When only the
-mean field changes between single-use solves (a static H), the scaled link
-bands are formed once per run and left as they are: each call copies them
-where LAPACK would overwrite them.  On periodic grids every solve restores
-the wrap link by a Sherman-Morrison correction.  Imaginary time iterates in
-float64 when H is real (no vector potential) and the start state is a
-phase times a real vector, since every iterate then stays real, and puts
-the phase back on the result; otherwise it iterates in complex128.
+of a mean-field step, a Newton step, whose Jacobian is indefinite, and a
+mean-field iteration on a complex H) takes one gtsv call with the bits of
+the LU factors.  Imaginary time on a real H factors every matrix its
+loop solves by the factored solver: a linear H once per run, a mean field
+once per iteration, whatever the sign of its coupling or the kind of its
+interaction, so each iteration's matrix is LDL^T-factored where it is
+positive definite.  When only the mean field changes between solves (a
+static H), the scaled link bands are formed once per run and left as they
+are: each call copies them where LAPACK would overwrite them.  On periodic
+grids every solve restores the wrap link by a Sherman-Morrison correction.
 
-On that real path, for a linear H or a contact interaction, the damped loop
-hands off to Newton steps on (H + c phi^2) phi = mu phi with ||phi|| = 1
+Imaginary time on a real H (no vector potential) iterates in float64 from
+|psi0|.  Every link of a real H is -hbar^2 / 2 m dx^2 < 0, and the
+potential and any mean field read |phi|^2 alone, so E[|phi|] <= E[phi]:
+the ground state is non-negative (Perron-Frobenius), and |psi0| overlaps
+it for every psi0 != 0.  A complex H (A != 0) iterates in complex128.
+
+On a real H, linear or with a contact interaction, the damped loop hands
+off to Newton steps on (H + c phi^2) phi = mu phi with ||phi|| = 1
 (c = (N-1) g, or 0 for a linear H) once consecutive energies differ by less
 than a threshold: 1e-2 for c >= 0, 1e-4 for c < 0, never below tol.  For
 c >= 0 the discrete energy is strictly convex in rho = phi^2 (Lieb,
@@ -80,7 +83,7 @@ does not raise the energy and has no sign change above a floor relative to
 its peak (a real H with negative links has a positive ground state, so a
 sign change means an excited state); the first rejected step ends the
 finish, the loop resumes, and the hand-off is re-armed at a tenth of its
-last threshold.  Complex paths (a phase freedom, and no sign test) and
+last threshold.  A complex H (a phase freedom, and no sign test) and
 kernel interactions (a dense Jacobian) keep the loop alone.
 
 A real-time system (s purely imaginary) of more than 2048 rows is first
@@ -172,15 +175,15 @@ class GroundStateResult:
     chemical_potential is mu = <phi|H|phi> and residual the eigenvalue
     residual ||H phi - mu phi||, both with the full-weight mean field, as
     evidence of how far the final state is from a stationary one.
-    newton_steps counts the accepted Newton steps of every finish on the
-    real path; it is 0 on the complex and kernel paths and when every
-    finish was rejected at its first step.  iterations counts loop
+    newton_steps counts the accepted Newton steps of every finish on a real
+    H; it is 0 for a complex H and a kernel and when every finish was
+    rejected at its first step.  iterations counts loop
     iterations and Newton steps, and energy_history holds the start's
     energy and one row for each.  certified says whether mu is the lowest
     eigenvalue of H plus the full-weight mean field, to the residual: it
-    is decided for converged runs on the real path with a linear H or a
-    contact c >= 0, where it is the ground-state condition, and None
-    elsewhere (not converged, c < 0, a kernel, a complex path).
+    is decided for converged runs on a real H, linear or with a contact
+    c >= 0, where it is the ground-state condition, and None elsewhere (not
+    converged, c < 0, a kernel, a complex H).
     """
 
     state: Wavefunction
@@ -678,7 +681,7 @@ def propagate(
     return Trajectory(grid, times, records, drift)
 
 
-# The real path's loop hands off to Newton once consecutive energies differ by
+# On a real H the loop hands off to Newton once consecutive energies differ by
 # less than this or tol, whichever is larger; after a finish that does not
 # converge, at a tenth of the last threshold.  With c >= 0 an exact positive
 # stationary state is the ground state, so the hand-off can come early.
@@ -687,9 +690,6 @@ _HANDOFF_ENERGY_CHANGE = 1e-2
 # ground state: handed off at 1e-2, double wells started near their barrier
 # finished at the symmetric one, up to 0.7 above the ground energy.
 _ATTRACTIVE_HANDOFF_ENERGY_CHANGE = 1e-4
-# A start is a phase times a real vector when, rotated by its peak's phase, no
-# imaginary part exceeds this fraction of the peak modulus.
-_REAL_START_FLOOR = 16 * np.finfo(np.float64).eps
 # A Newton step has a sign change when an amplitude of the sign opposite its
 # peak's exceeds this fraction of the peak modulus.  An excited state's lobes
 # are of the peak's order; finished states show rounding tails (-6e-48 of the
@@ -699,22 +699,6 @@ _SIGN_CHANGE_FLOOR = 1e-8
 # rounding of the largest row sum of |H + U|, so that rounding in pttrf and
 # in mu cannot fail the ground state itself.
 _CERTIFICATE_ROUNDING = 64 * np.finfo(np.float64).eps
-
-
-def _phase_and_real_part(amp: np.ndarray):
-    """(e^{i theta}, v) with amp = e^{i theta} v to rounding and v a float64 vector, or None.
-
-    theta is the phase of amp's largest-modulus amplitude; a start with zero
-    imaginary parts is taken as it is, with the phase 1.
-    """
-    if not amp.imag.any():
-        return 1.0, amp.real.copy()
-    peak = amp[np.argmax(np.abs(amp))]
-    phase = peak / abs(peak)
-    rotated = amp * np.conj(phase)
-    if np.abs(rotated.imag).max() > _REAL_START_FLOOR * abs(peak):
-        return None
-    return phase, rotated.real.copy()
 
 
 def _changes_sign(amp: np.ndarray) -> bool:
@@ -815,7 +799,7 @@ def ground_state_imaginary_time(
     tol: float = 1e-10,
     max_iter: int = 10**6,
 ) -> GroundStateResult:
-    """Relax to the ground state by damped imaginary-time iteration, finished by Newton on the real path.
+    """Relax to the ground state by damped imaginary-time iteration, finished by Newton on a real H.
 
     Each step solves (1 + dtau H / hbar) psi' = psi and renormalizes; for
     mean-field configurations H carries the full-weight mean field rebuilt
@@ -823,10 +807,9 @@ def ground_state_imaginary_time(
     differ by less than tol.  The start state must overlap the ground
     state (not checkable a priori).
 
-    The real path: when H is real and the normalized start is a phase times
-    a real vector (the phase of its largest-modulus amplitude), the loop
-    iterates on that real vector in float64 and the result carries the phase
-    again.  On this path, for a linear H or a contact interaction, the loop
+    A real H (no vector potential) iterates in float64 from |psi0|, whose
+    energy, energy_history's first row, is at most psi0's; the result is
+    real.  On this path, for a linear H or a contact interaction, the loop
     hands off to Newton steps on (H + c phi^2) phi = mu phi (``_newton_step``),
     which finish at the eigenvector to rounding, once consecutive energies
     differ by less than max(tol, 1e-2), or max(tol, 1e-4) for an attractive
@@ -840,10 +823,10 @@ def ground_state_imaginary_time(
     energy by less than tol; otherwise the loop resumes from the last
     accepted state, the hand-off is re-armed at max(tol, a tenth of the last
     threshold), and the loop still stops by its own rule, so tol = 0 still
-    runs max_iter iterations.  A complex H or start, and a kernel interaction,
-    keep the loop alone, bit for bit.
+    runs max_iter iterations.  A complex H (A != 0), which iterates in
+    complex128, and a kernel interaction keep the loop alone, bit for bit.
 
-    A converged run on the real path with c >= 0 is certified
+    A converged run on a real H with c >= 0 is certified
     (``_lowest_eigenvalue_is``: mu is the lowest eigenvalue of its own
     H + c phi^2, to the residual).  Where it is not, the state is
     stationary but self-trapped, and the run restarts once, with its
@@ -852,12 +835,12 @@ def ground_state_imaginary_time(
     restart adds no energy_history row, so the next row may lie above the
     last.  That run is certified again, and converged only if it passes.
 
-    The loop picks no routine itself: a linear H is one ``_CayleySolver``
-    (LDL^T where 1 + dtau H / hbar is real and positive definite, LU
-    otherwise); a contact on the real path that is not attractive takes one
-    as its gate, and where that one is definite each iteration factors its
-    own matrix by one.  Every other mean-field iteration, and every Newton
-    step, runs one gtsv (``_solve_once``).
+    The loop picks no routine itself.  On a real H every matrix it solves
+    is one ``_CayleySolver`` (LDL^T where 1 + dtau H / hbar is positive
+    definite, LU otherwise): one per run for a linear H, one per iteration
+    for a mean field.  On a complex H a linear H is one ``_CayleySolver``
+    and each mean-field iteration one gtsv (``_solve_once``), as is every
+    Newton step.
     """
     if not cfg.is_static:
         raise ValueError("ground-state search requires static potentials")
@@ -871,24 +854,21 @@ def ground_state_imaginary_time(
     grid = psi.grid
     scale = dtau / cfg.constants.hbar
     h = hamiltonian_at(cfg, grid)(0.0)
-    amp, phase = psi.amplitudes, 1.0
-    real = None if any(a.imag.any() for a in (h.diag, h.upper, h.lower)) else _phase_and_real_part(amp)
-    if real is not None:
+    real = not any(a.imag.any() for a in (h.diag, h.upper, h.lower))
+    amp = psi.amplitudes
+    if real:
         h = TridiagonalHamiltonian(grid, h.diag.real.copy(), h.upper.real.copy(), h.lower.real.copy())
-        phase, amp = real
-    finish = real is not None and (cfg.interaction is None or cfg.interaction.kind == "contact")
+        amp = np.abs(amp)
+    finish = real and (cfg.interaction is None or cfg.interaction.kind == "contact")
     attractive = cfg.interaction is not None and (cfg.interaction.n_particles - 1) * cfg.interaction.g < 0
     if cfg.interaction is None:
         solve = _CayleySolver(h, scale).solve
     else:
         links = _link_bands(h, scale)
-        # c >= 0 adds a non-negative diagonal to 1 + scale H, so where that
-        # matrix is positive definite, every iteration's is
-        definite = finish and not attractive and _CayleySolver(h, scale, links).definite
 
         def solve(amp):
             h_now = h.plus_diagonal(mean_field_density_values(cfg.interaction, grid, np.abs(amp) ** 2))
-            if definite:
+            if real:
                 return _CayleySolver(h_now, scale, links).solve(amp)
             return _solve_once(h_now, scale, amp, links)
 
@@ -927,7 +907,7 @@ def ground_state_imaginary_time(
             break
         amp = _restart_state(h_mf, amp)
     return GroundStateResult(
-        state=Wavefunction(grid, amp if phase == 1.0 else phase * amp, psi.time),
+        state=Wavefunction(grid, amp, psi.time),
         energy=history[-1],
         iterations=iterations,
         converged=converged,

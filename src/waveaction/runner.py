@@ -219,6 +219,7 @@ def _run_task(scenario: Scenario, phase: _Phase) -> tuple:
             "final_norm": norm(result.state),
             "residual": result.residual,
             "newton_steps": result.newton_steps,
+            "certified": result.certified,
         }
         if scenario.interaction is not None:
             summary["chemical_potential"] = result.chemical_potential

@@ -312,12 +312,11 @@ def build_initial_state(scenario: Scenario, grid: Grid) -> Wavefunction:
     kind, params = _split_kind(scenario.initial_state)
     if kind == "gaussian":
         return gaussian_wavepacket(grid, **params)
-    from scipy import fft as sp_fft  # loaded by random initial states alone
-
+    # numpy's FFT, not scipy.fft, so that validating a random-start scenario loads no scipy subpackage
     rng = np.random.default_rng(scenario.rng_seed)
     raw = rng.standard_normal(grid.n_points) + 1j * rng.standard_normal(grid.n_points)
-    k = 2.0 * np.pi * sp_fft.fftfreq(grid.n_points, d=grid.dx)
-    smooth = sp_fft.ifft(sp_fft.fft(raw) * np.exp(-0.5 * (k * params["smoothing"]) ** 2))
+    k = 2.0 * np.pi * np.fft.fftfreq(grid.n_points, d=grid.dx)
+    smooth = np.fft.ifft(np.fft.fft(raw) * np.exp(-0.5 * (k * params["smoothing"]) ** 2))
     return normalize(Wavefunction(grid, smooth))
 
 

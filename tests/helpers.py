@@ -6,7 +6,7 @@ products, explicit double loops, and direct tridiagonal diagonalization.
 
 import numpy as np
 from hypothesis import strategies as st
-from scipy.linalg import eigh_tridiagonal, solve_banded
+from scipy.linalg import eigh_tridiagonal, solve_banded, solve_triangular
 
 from waveaction import Trajectory, Wavefunction, lagrangian_densities, make_grid, quadrature
 from waveaction.hamiltonian import BLOCK_POINTS
@@ -88,8 +88,20 @@ def dense_shifted_matrix(h, scale):
     return m
 
 
+def _qr_solve(m, rhs):
+    """m^-1 rhs by Householder QR, which is backward stable without a growth factor.
+
+    Dense LU with partial pivoting is not, on some periodic 1 + scale H: at
+    n = 41, V = -29, dt = 0.125 (condition number 4) np.linalg.solve left a
+    relative residual of 4e-11, where the circulant FFT solve and the
+    library's step agree to 5e-16.
+    """
+    q, r = np.linalg.qr(m)
+    return solve_triangular(r, q.conj().T @ rhs)
+
+
 def dense_cayley_step(h, scale, amp):
-    """np.linalg.solve(1 + scale H, amp - scale H amp) with the dense matrix of dense_shifted_matrix.
+    """(1 + scale H)^-1 (amp - scale H amp) with the dense matrix of dense_shifted_matrix, solved by QR.
 
     H amp is summed one link at a time, as that matrix is built.  Dirichlet
     grids hold their endpoints at zero: the step solves the interior block.
@@ -104,9 +116,9 @@ def dense_cayley_step(h, scale, amp):
         h_amp[(j + 1) % n] += h.lower[j] * amp[j]
     m, rhs = dense_shifted_matrix(h, scale), amp - scale * h_amp
     if h.grid.is_periodic:
-        return np.linalg.solve(m, rhs)
+        return _qr_solve(m, rhs)
     out = np.zeros(n, dtype=complex)
-    out[1:-1] = np.linalg.solve(m[1:-1, 1:-1], rhs[1:-1])
+    out[1:-1] = _qr_solve(m[1:-1, 1:-1], rhs[1:-1])
     return out
 
 

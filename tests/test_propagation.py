@@ -47,7 +47,6 @@ from waveaction.hamiltonian import (
 )
 from waveaction.propagation import (
     _ATTRACTIVE_HANDOFF_ENERGY_CHANGE,
-    _HANDOFF_ENERGY_CHANGE,
     _REDUCTION_ROWS,
     _CayleySolver,
     _changes_sign,
@@ -75,6 +74,7 @@ from helpers import (
 )
 
 HARMONIC = HamiltonianConfig(v1=PotentialField.harmonic())
+_TRAPS = {"harmonic": PotentialField.harmonic, "quartic": PotentialField.quartic}
 
 
 def grid_and_ground(n=2001):
@@ -561,9 +561,13 @@ def test_imaginary_time_energy_history_monotone():
     g = make_grid(-10, 10, 801)
     start = random_state(g, seed=17)
     result = ground_state_imaginary_time(HARMONIC, start, dtau=0.2, tol=1e-11)
-    increases = np.diff(result.energy_history)
-    assert np.all(increases < 1e-12)
-    assert abs(result.energy_history[-1] - result.energy_history[-2]) < 1e-11
+    assert np.all(np.diff(result.energy_history) < 1e-12)
+    assert result.converged and result.residual <= 1e-9
+    # a complex H keeps the loop alone, which stops on the energy change
+    looped = ground_state_imaginary_time(_with_vector_potential(HARMONIC, g), start, dtau=0.2, tol=1e-11)
+    assert looped.converged and looped.newton_steps == 0
+    assert np.all(np.diff(looped.energy_history) < 1e-12)
+    assert abs(looped.energy_history[-1] - looped.energy_history[-2]) < 1e-11
 
 
 def test_mean_field_imaginary_time_energy_can_rise_at_large_dtau():
@@ -679,11 +683,16 @@ _LINEAR_AND_CONDENSATE = pytest.mark.parametrize(
 )
 
 
+def _with_vector_potential(cfg, grid):
+    """cfg with a static vector potential A = 0.3 sin(x), which makes H complex."""
+    return dataclasses.replace(cfg, a_vec=PotentialField.from_samples(0.3 * np.sin(grid.x)))
+
+
 @_LINEAR_AND_CONDENSATE
 @pytest.mark.parametrize("boundary", ["dirichlet", "periodic"])
 def test_a_phased_start_relaxes_to_the_real_paths_ground_state(cfg, boundary):
-    # e^{i theta} psi0 keeps the iteration complex; it must reach the state
-    # and energy the float64 iteration reaches from psi0
+    # a real H relaxes |e^{i theta} psi0| in float64: the result is real, and
+    # it is the state and energy the relaxation from psi0 reaches
     g = make_grid(-8, 8, 401, boundary)
     start = gaussian_wavepacket(g, center=0.5)
     phased = Wavefunction(g, np.exp(0.7j) * start.amplitudes)
@@ -692,9 +701,57 @@ def test_a_phased_start_relaxes_to_the_real_paths_ground_state(cfg, boundary):
     rotated = ground_state_imaginary_time(cfg, phased, dtau=0.05, tol=tol)
     assert real.converged and rotated.converged
     assert not real.state.amplitudes.imag.any()
-    assert rotated.state.amplitudes.imag.any()
+    assert not rotated.state.amplitudes.imag.any()
     assert abs(rotated.energy - real.energy) < tol
     assert 1.0 - abs(inner_product(real.state, rotated.state)) ** 2 < 1e-9
+
+
+@_LINEAR_AND_CONDENSATE
+@pytest.mark.parametrize("boundary", ["dirichlet", "periodic"])
+@pytest.mark.parametrize("kind", ["moving", "random"])
+def test_moving_and_random_starts_on_a_real_h_finish_certified(cfg, boundary, kind):
+    # a real H relaxes |psi0|, which overlaps its non-negative ground state and has
+    # no higher energy than psi0, so a start with phases or sign changes is
+    # finished by Newton and certified like a resting one
+    g = make_grid(-8, 8, 401, boundary)
+    start = gaussian_wavepacket(g, center=0.5, wavenumber=1.0) if kind == "moving" else random_state(g, seed=7)
+    result = ground_state_imaginary_time(cfg, start, dtau=0.05, tol=1e-11)
+    assert result.converged and result.newton_steps > 0
+    assert result.residual <= 1e-9 and result.certified is True
+    modulus = energy(cfg, normalize(Wavefunction(g, np.abs(start.amplitudes))))
+    assert result.energy_history[0] == pytest.approx(modulus, rel=1e-12)
+    assert modulus <= energy(cfg, normalize(start))
+    assert not result.state.amplitudes.imag.any() and not _changes_sign(result.state.amplitudes.real)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    boundary=st.sampled_from(["dirichlet", "periodic"]),
+    trap=st.sampled_from(sorted(_TRAPS)),
+    g_contact=st.one_of(st.none(), st.floats(0.0, 50.0)),
+    center=st.floats(-1.0, 1.0),
+    width=st.floats(0.6, 1.6),
+    seed=st.integers(0, 2**32 - 1),
+    theta=st.floats(0.0, 2.0 * np.pi),
+)
+def test_a_start_relaxes_as_its_modulus_does(boundary, trap, g_contact, center, width, seed, theta):
+    # |s x| = |x| exactly for a unit s in {1, -1, i, -i}, so amplitudes multiplied
+    # by such units give the same run bit for bit; a general phase e^{i theta}
+    # moves |psi0| by rounding, and the result within tol
+    g = make_grid(-8, 8, 401, boundary)
+    interaction = None if g_contact is None else TwoBodyInteraction.contact(g_contact, 2)
+    cfg = HamiltonianConfig(v1=_TRAPS[trap](), interaction=interaction)
+    start = gaussian_wavepacket(g, center, width)
+    units = np.array([1.0, -1.0, 1j, -1j])[np.random.default_rng(seed).integers(0, 4, g.n_points)]
+    tol = 1e-11
+    base = ground_state_imaginary_time(cfg, start, dtau=0.05, tol=tol)
+    flipped = ground_state_imaginary_time(cfg, Wavefunction(g, units * start.amplitudes), dtau=0.05, tol=tol)
+    assert base.converged and flipped.iterations == base.iterations
+    assert np.array_equal(flipped.energy_history, base.energy_history)
+    assert np.array_equal(flipped.state.amplitudes, base.state.amplitudes)
+    phased = ground_state_imaginary_time(cfg, Wavefunction(g, np.exp(1j * theta) * start.amplitudes), dtau=0.05, tol=tol)
+    assert phased.converged and abs(phased.energy - base.energy) < tol
+    assert 1.0 - abs(inner_product(base.state, phased.state)) ** 2 < 1e-9
 
 
 @_LINEAR_AND_CONDENSATE
@@ -712,15 +769,13 @@ def test_imaginary_time_picks_the_lapack_routines_by_dtype(monkeypatch, cfg, bou
     monkeypatch.setattr(propagation, "get_lapack_funcs", spy)
     g = make_grid(-8, 8, 201, boundary)
     start = gaussian_wavepacket(g, center=0.5)
-    ground_state_imaginary_time(cfg, start, dtau=0.05, tol=1e-10)
-    assert prefixes and set(prefixes) == {"d"}
-    prefixes.clear()
-    # a phase times a real vector iterates on the real vector
-    ground_state_imaginary_time(cfg, Wavefunction(g, 1j * start.amplitudes), dtau=0.05, tol=1e-10)
-    assert prefixes and set(prefixes) == {"d"}
-    prefixes.clear()
+    # a real H iterates on |psi0| whatever the start's phases
     moving = gaussian_wavepacket(g, center=0.5, wavenumber=1.0)
-    ground_state_imaginary_time(cfg, moving, dtau=0.05, tol=1e-10)
+    for psi0 in (start, Wavefunction(g, 1j * start.amplitudes), moving):
+        ground_state_imaginary_time(cfg, psi0, dtau=0.05, tol=1e-10)
+        assert prefixes and set(prefixes) == {"d"}
+        prefixes.clear()
+    ground_state_imaginary_time(_with_vector_potential(cfg, g), start, dtau=0.05, tol=1e-10)
     assert prefixes and set(prefixes) == {"z"}
 
 
@@ -742,10 +797,11 @@ class _RecordedRoutine:
     ["linear", "repulsive", "complex-linear", "complex-repulsive", "kernel", "attractive", "indefinite"],
 )
 def test_imaginary_time_solves_by_ldlt_only_where_the_run_stays_positive_definite(monkeypatch, case, boundary):
-    # the gate is one pttrf of 1 + dtau H per run; where it succeeds, a linear
-    # run solves by pttrs on those factors and a repulsive contact by one
-    # pttrf and pttrs per iteration, and the Newton steps keep gtsv for their
-    # indefinite Jacobian; every other run calls the gt routines alone
+    # on a real H every matrix the loop solves is factored: a linear run once,
+    # by pttrf where 1 + dtau H is positive definite and by gttrf where it is
+    # not, and a mean field of any sign or kind once per iteration; the Newton
+    # steps keep gtsv for their indefinite Jacobian.  A complex H factors a
+    # linear run by gttrf and solves each mean-field iteration by one gtsv
     import waveaction.propagation as propagation
 
     calls = []
@@ -763,36 +819,36 @@ def test_imaginary_time_solves_by_ldlt_only_where_the_run_stays_positive_definit
         "attractive": TwoBodyInteraction.contact(-5.0, 2),
     }.get(case)
     v1 = PotentialField.harmonic()
-    if case.startswith("complex"):
-        start = gaussian_wavepacket(g, center=0.5, wavenumber=1.0)
     if case == "indefinite":
         # 1 + dtau H has a negative eigenvalue, about 1 + 0.5 (0.5 - 10); a few iterations show the routines
         v1, dtau, max_iter = PotentialField.from_samples(0.5 * g.x**2 - 10.0), 0.5, 5
     cfg = HamiltonianConfig(v1=v1, interaction=interaction)
+    if case.startswith("complex"):
+        cfg = _with_vector_potential(cfg, g)
     result = ground_state_imaginary_time(cfg, start, dtau=dtau, tol=1e-10, max_iter=max_iter)
     expected = {
         "linear": {"dpttrf", "dpttrs", "dgtsv"},
         "repulsive": {"dpttrf", "dpttrs", "dgtsv"},
         "complex-linear": {"zgttrf", "zgttrs"},
         "complex-repulsive": {"zgtsv"},
-        "kernel": {"dgtsv"},
-        "attractive": {"dgtsv"},
+        "kernel": {"dpttrf", "dpttrs"},
+        "attractive": {"dpttrf", "dpttrs", "dgtsv"},
         "indefinite": {"dpttrf", "dgttrf", "dgttrs"},  # and dgtsv if a Newton step comes within 5 iterations
     }[case]
     assert set(calls) - {"dgtsv"} == expected - {"dgtsv"}
     if case != "indefinite":
         assert set(calls) == expected
-    # a converged run with c >= 0 on the real path is certified by one more pttrf, of H + U - mu + delta
+    # a converged run with c >= 0 on a real H is certified by one more pttrf, of H + U - mu + delta
     certified = case in ("linear", "repulsive") or None
     assert result.certified is certified
     certificate = certified is not None
     loop_iterations = result.iterations - result.newton_steps
     periodic = boundary == "periodic"  # each factoring solves for the wrap-link response once
-    if case == "repulsive":  # the gate, then one factoring per iteration
-        assert calls.count("dpttrf") == 1 + loop_iterations + certificate
-        assert calls.count("dpttrs") == (1 + loop_iterations + certificate) * periodic + loop_iterations
-    else:
-        assert calls.count("dpttrf") == ("dpttrf" in expected) + certificate  # the gate is decided once per run
+    if case in ("repulsive", "kernel", "attractive"):  # one factoring per iteration
+        assert calls.count("dpttrf") == loop_iterations + certificate
+        assert calls.count("dpttrs") == (loop_iterations + certificate) * periodic + loop_iterations
+    elif case in ("linear", "indefinite"):  # one factoring per run
+        assert calls.count("dpttrf") == 1 + certificate
     if case == "linear":
         assert calls.count("dpttrs") == loop_iterations + periodic * (1 + certificate)
 
@@ -805,18 +861,21 @@ def _real_hamiltonian(cfg, grid):
 def _loop_alone(cfg, psi0, dtau, tol):
     """(amplitudes, energy history) of the damped imaginary-time loop with no Newton finish.
 
-    It iterates in float64 when H and the normalized start are real, as the
-    library's loop does; the linear solve is _CayleySolver's, bit for bit.
+    A real H iterates in float64 from |psi0| and factors each iteration's
+    matrix by a _CayleySolver of its own, as the library's loop does; a
+    complex H solves each by gtsv, with the bits of the library's solver.
     """
     grid = psi0.grid
     h = hamiltonian_matrix(cfg, grid)
     amp = normalize(psi0).amplitudes
-    if not any(a.imag.any() for a in (h.diag, h.upper, h.lower, amp)):
+    real = not any(a.imag.any() for a in (h.diag, h.upper, h.lower))
+    if real:
         h = _real_hamiltonian(cfg, grid)
-        amp = amp.real.copy()
+        amp = np.abs(amp)
     history = [float(energies_of(cfg, h, amp))]
     while len(history) == 1 or abs(history[-1] - history[-2]) >= tol:
-        amp = _solve_once(h.plus_diagonal(mean_field_diagonal(cfg, grid, amp, 1.0)), dtau, amp)
+        h_now = h.plus_diagonal(mean_field_diagonal(cfg, grid, amp, 1.0))
+        amp = _CayleySolver(h_now, dtau).solve(amp) if real else _solve_once(h_now, dtau, amp)
         amp = amp / norms(grid, amp)
         history.append(float(energies_of(cfg, h, amp)))
     return amp, history
@@ -836,12 +895,12 @@ def test_complex_and_kernel_paths_keep_the_loop(case):
     g = make_grid(-6, 6, 161)
     start = gaussian_wavepacket(g, center=0.5)
     cfg = HARMONIC
-    if case.startswith("moving"):
-        start = gaussian_wavepacket(g, center=0.5, wavenumber=1.0)
     if case == "moving-contact":
         cfg = HamiltonianConfig(v1=PotentialField.harmonic(), interaction=TwoBodyInteraction.contact(20.0, 3))
+    if case.startswith("moving"):  # a complex H with a complex start
+        cfg, start = _with_vector_potential(cfg, g), gaussian_wavepacket(g, center=0.5, wavenumber=1.0)
     if case == "vector-potential":
-        cfg = HamiltonianConfig(v1=PotentialField.harmonic(), a_vec=PotentialField.from_samples(0.3 * np.sin(g.x)))
+        cfg = _with_vector_potential(cfg, g)
     if case == "kernel":
         cfg = HamiltonianConfig(v1=PotentialField.harmonic(), interaction=_kernel_interaction(g))
     result = ground_state_imaginary_time(cfg, start, dtau=0.05, tol=1e-11)
@@ -867,23 +926,39 @@ def _assert_finished(result):
     assert np.all(np.diff(result.energy_history) <= 0.0)
 
 
-def _double_well_mostly_excited():
-    """A double well and a start mostly in its first excited state."""
+def _double_well_one_well_start():
+    """A deep double well, split 1.6e-5 between its two lowest levels, and a start in its left well."""
     g = make_grid(-6, 6, 401)
-    cfg = HamiltonianConfig(v1=PotentialField.from_samples((g.x**2 - 1.5**2) ** 2))
-    left, right = (gaussian_wavepacket(g, center=c, width=0.6).amplitudes.real for c in (-1.5, 1.5))
-    return cfg, Wavefunction(g, left - 0.8 * right)
+    cfg = HamiltonianConfig(v1=PotentialField.from_samples((g.x**2 - 4.0) ** 2))
+    return cfg, gaussian_wavepacket(g, center=-2.0, width=0.4)
 
 
-def test_a_newton_step_with_a_sign_change_is_retried_after_the_loop_resumes():
-    # at the first hand-off the Rayleigh quotient lies nearer E1, so the Newton
-    # step heads for the antisymmetric state and its sign change rejects it;
-    # the loop resumes, and a re-armed hand-off finishes at the ground state
-    cfg, start = _double_well_mostly_excited()
+def _count_sign_changes(monkeypatch):
+    """A list that gets one True per Newton step the library's sign test rejects."""
+    import waveaction.propagation as propagation
+
+    rejected = []
+
+    def spy(amp):
+        changes = _changes_sign(amp)
+        if changes:
+            rejected.append(changes)
+        return changes
+
+    monkeypatch.setattr(propagation, "_changes_sign", spy)
+    return rejected
+
+
+def test_a_newton_step_with_a_sign_change_is_retried_after_the_loop_resumes(monkeypatch):
+    # a state in one well is nearly an even mixture of the two lowest levels,
+    # so a Newton step from it can head for the antisymmetric one, whose sign
+    # change rejects it; the loop resumes, and a re-armed hand-off finishes at
+    # the ground state
+    cfg, start = _double_well_one_well_start()
     e0, e1 = dense_ground_energy(start.grid, cfg.v1.evaluate(start.grid), n_states=2)
-    _, step, _ = _first_hand_off(cfg, start, 1.0, _HANDOFF_ENERGY_CHANGE)
-    assert _changes_sign(step)
+    rejected = _count_sign_changes(monkeypatch)
     result = ground_state_imaginary_time(cfg, start, dtau=1.0, tol=1e-10)
+    assert rejected
     _assert_finished(result)
     assert abs(result.energy - e0) < 1e-10 < e1 - e0
     assert not _changes_sign(result.state.amplitudes.real)
@@ -903,17 +978,19 @@ def test_a_newton_step_that_raises_the_energy_is_retried_after_the_loop_resumes(
     _assert_finished(result)
 
 
-def test_with_tol_zero_the_re_armed_hand_off_runs_max_iter_iterations():
-    # tol = 0 never converges: each finish ends on a rejected step (the first
-    # on the sign change above) or on its budget, and the loop resumes and
+def test_with_tol_zero_the_re_armed_hand_off_runs_max_iter_iterations(monkeypatch):
+    # tol = 0 never converges: each finish ends on a rejected step (some on
+    # the sign changes above) or on its budget, and the loop resumes and
     # hands off again at a tenth of the last threshold.  Cut one step into the
     # last finish of the tol = 1e-10 run, the finish's budget ends the run
     # before loop steps at the fixed point move the energy by rounding, so
     # the history is non-increasing
-    cfg, start = _double_well_mostly_excited()
+    cfg, start = _double_well_one_well_start()
     finished = ground_state_imaginary_time(cfg, start, dtau=1.0, tol=1e-10)
     assert finished.newton_steps > 1
+    rejected = _count_sign_changes(monkeypatch)
     cut = ground_state_imaginary_time(cfg, start, dtau=1.0, tol=0.0, max_iter=finished.iterations - 1)
+    assert rejected
     long = ground_state_imaginary_time(cfg, start, dtau=1.0, tol=0.0, max_iter=400)
     for result, max_iter in ((cut, finished.iterations - 1), (long, 400)):
         assert not result.converged and result.newton_steps > 0
@@ -972,9 +1049,6 @@ def test_the_sign_rule_tolerates_rounding_tails():
     above[1] = -1e-7 * peak
     assert _changes_sign(above)
     assert _changes_sign(amp * np.sign(g.x))  # the first excited state's shape
-
-
-_TRAPS = {"harmonic": PotentialField.harmonic, "quartic": PotentialField.quartic}
 
 
 @settings(max_examples=40, deadline=None)
@@ -1039,8 +1113,9 @@ def test_double_well_condensates_finish_at_the_loops_minimum(
 
 @pytest.mark.parametrize("boundary", ["dirichlet", "periodic"])
 def test_an_attractive_double_well_keeps_the_general_solves_bit_for_bit(boundary):
-    # with c < 0, 1 + dtau (H + c phi^2) can be indefinite, so the loop keeps
-    # gtsv: the result is the loop alone up to the hand-off, then the Newton finish
+    # with c < 0, 1 + dtau (H + c phi^2) can be indefinite, and each iteration's
+    # solver then falls back to LU: the result is the loop alone up to the
+    # hand-off, then the Newton finish
     g = make_grid(-6, 6, 401, boundary)
     v = PotentialField.from_samples((g.x**2 - 1.5**2) ** 2)
     cfg = HamiltonianConfig(v1=v, interaction=TwoBodyInteraction.contact(-7.0, 2))

@@ -493,11 +493,28 @@ def test_ground_state_manifest_reports_the_residual(tmp_path, interaction):
         assert summary["chemical_potential"] == result.chemical_potential
 
 
+@pytest.mark.parametrize(
+    "interaction, certified",
+    [(None, True), ({"kind": "contact", "g": 20.0, "n_particles": 3}, True), ({"kind": "contact", "g": -5.0, "n_particles": 2}, None)],
+    ids=["linear", "repulsive", "attractive"],
+)
+def test_ground_state_manifest_records_the_certificate(tmp_path, interaction, certified):
+    # true where the ground-state test ran and passed, null where it proves nothing (c < 0)
+    data = minimal_ground_state()
+    if interaction is not None:
+        data["interaction"] = interaction
+    manifest = run_scenario(parse_scenario_dict(data), tmp_path / "out", quiet=True)
+    payload = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest.converged and payload["summary"]["certified"] is manifest.summary["certified"] is certified
+
+
 def test_ground_state_manifest_says_which_path_ran(tmp_path):
-    # a moving start keeps the complex loop, with no Newton steps; a resting one is finished by Newton
+    # a complex H (a vector potential) keeps the complex loop, with no Newton steps; a real one is finished by Newton
     data = minimal_ground_state()
     data["initial_state"] = {"kind": "gaussian", "width": 1.0, "center": 0.5, "wavenumber": 1.0}
+    data["potentials"]["a"] = {"kind": "harmonic", "omega": 0.5}
     moving = run_scenario(parse_scenario_dict(data), tmp_path / "moving", quiet=True).summary
+    del data["potentials"]["a"]
     data["initial_state"]["wavenumber"] = 0.0
     resting = run_scenario(parse_scenario_dict(data), tmp_path / "resting", quiet=True).summary
     assert moving["newton_steps"] == 0 < resting["newton_steps"]
@@ -1082,15 +1099,16 @@ print(json.dumps(report))
 
 def test_scipy_optimize_and_fft_load_only_in_the_runs_that_use_them(tmp_path):
     # module sets only, in a fresh interpreter: scipy.optimize serves
-    # Rayleigh-Ritz alone, scipy.fft the split-operator scheme and random
-    # initial states alone, and scipy.special and scipy.sparse come only with
-    # them.  The split-operator run goes before Rayleigh-Ritz, since
-    # scipy.optimize itself imports scipy.fft.
+    # Rayleigh-Ritz alone, scipy.fft the split-operator scheme alone, and
+    # scipy.special and scipy.sparse come only with them.  The split-operator
+    # run goes before Rayleigh-Ritz, since scipy.optimize itself imports
+    # scipy.fft.
     unaffected = [
         "verify_harmonic.json",
         "harmonic_ground_state.json",
         "condensate_ground_state.json",
         "wavepacket_in_trap.json",
+        "random_start_ground_state.json",
     ]
     order = [*unaffected, "wavepacket_split_operator.json", "rayleigh_ritz_quartic.json"]
     scenarios = Path(__file__).resolve().parents[1] / "scenarios"
