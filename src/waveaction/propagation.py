@@ -37,17 +37,25 @@ periodic grids with a positive Sherman-Morrison denominator too, as LDL^T
 without pivots (pttrf and pttrs); every other matrix falls back to the
 pivoted LU routines (gttrf and gttrs), z when the bands or the right-hand
 side are complex and d when both are real.  A matrix solved only once
-(the midpoint H of a time-dependent run, the predictor and the corrector
-of a mean-field step, a Newton step, whose Jacobian is indefinite, and a
-mean-field iteration on a complex H) takes one gtsv call with the bits of
-the LU factors.  Imaginary time on a real H factors every matrix its
-loop solves by the factored solver: a linear H once per run, a mean field
-once per iteration, whatever the sign of its coupling or the kind of its
+(the midpoint H of a time-dependent run, a mean-field step, a Newton
+step, whose Jacobian is indefinite, and a mean-field iteration on a
+complex H) takes one gtsv call with the bits of the LU factors.
+Imaginary time on a real H factors every matrix its loop solves by the
+factored solver: a linear H once per run, a mean field once per
+iteration, whatever the sign of its coupling or the kind of its
 interaction, so each iteration's matrix is LDL^T-factored where it is
 positive definite.  When only the mean field changes between solves (a
 static H), the scaled link bands are formed once per run and left as they
 are: each call copies them where LAPACK would overwrite them.  On periodic
 grids every solve restores the wrap link by a Sherman-Morrison correction.
+
+A mean-field run steps by Besse's relaxation scheme (SIAM J. Numer. Anal.
+42, 934 (2004)): an auxiliary density phi, carried between steps, with
+phi_-1/2 = |psi_0|^2 and phi_n+1/2 = 2 |psi_n|^2 - phi_n-1/2, sets the
+mean field U(phi_n+1/2) of step n, one Cayley step with H + U(phi_n+1/2).
+That is one solve per step, second order in dt, and it conserves the
+discrete energy <psi_n|H|psi_n> + (1/2) int phi_n-1/2 U(phi_n+1/2) of a
+static H to rounding, since U is linear in the density and symmetric.
 
 Imaginary time on a real H (no vector potential) iterates in float64 from
 |psi0|.  Every link of a real H is -hbar^2 / 2 m dx^2 < 0, and the
@@ -565,19 +573,26 @@ def _split_stepper(cfg: HamiltonianConfig, grid: Grid, dt: float):
 
 
 def _gp_stepper(cfg: HamiltonianConfig, grid: Grid, dt: float):
-    """The density-averaged predictor-corrector of step_gp; a static H's link bands are formed once."""
+    """Besse's relaxation scheme: one Cayley step with H + U(phi) per step; a static H's link bands are formed once.
+
+    The stepper carries the auxiliary density phi from one call to the next,
+    so it steps one run, its calls in order.  The first call sets
+    phi_-1/2 = |psi_0|^2; step n takes phi_n+1/2 = 2 |psi_n|^2 - phi_n-1/2,
+    which is |psi_0|^2 exactly at n = 0.  U is
+    ``mean_field_density_values``, linear in the density, so phi may go
+    negative; the diagonal stays real and the step keeps the norm.
+    """
     scale = 1j * dt / (2.0 * cfg.constants.hbar)
     h_at = hamiltonian_at(cfg, grid)
     links = _link_bands(h_at(0.0), scale) if cfg.is_static else None
-
-    def substep(amp, t, rho):
-        h = h_at(t + dt / 2.0).plus_diagonal(mean_field_density_values(cfg.interaction, grid, rho))
-        return _through_midpoint(_solve_once(h, scale, amp, links), amp)
+    phi = None
 
     def advance(amp, t):
+        nonlocal phi
         rho = np.abs(amp) ** 2
-        predicted = substep(amp, t, rho)
-        return substep(amp, t, 0.5 * (np.abs(predicted) ** 2 + rho))
+        phi = rho if phi is None else 2.0 * rho - phi
+        h = h_at(t + dt / 2.0).plus_diagonal(mean_field_density_values(cfg.interaction, grid, phi))
+        return _through_midpoint(_solve_once(h, scale, amp, links), amp)
 
     return advance
 
@@ -599,10 +614,12 @@ def step_split_operator(
 
 
 def step_gp(cfg: HamiltonianConfig, psi: Wavefunction, t: float, dt: float) -> Wavefunction:
-    """One nonlinear mean-field step by the density-averaged predictor-corrector.
+    """The first step of the relaxation scheme from psi: one Cayley step with H(t + dt/2) plus U(|psi|^2).
 
-    Predict with the mean field frozen at the current state, rebuild it
-    from the average density (|phi_pred|^2 + |phi|^2)/2, then correct.
+    The scheme carries its auxiliary density between steps, which a single
+    step cannot: a loop of step_gp restarts it at |psi|^2 on every call,
+    which is first order in the nonlinearity.  ``propagate`` runs the
+    scheme.  At g = 0 the step equals step_crank_nicolson bit for bit.
     """
     if cfg.interaction is None:
         raise ValueError("step_gp requires a configured interaction")

@@ -249,11 +249,8 @@ def test_criterion_07b_thomas_fermi_chemical_potential(gp_ground_n2001):
 def test_criterion_07c_gp_ground_state_density_stationary(gp_ground_n2001):
     g, cfg, result = gp_ground_n2001
     rho0 = np.abs(result.state.amplitudes) ** 2
-    psi = result.state
-    dt = 1e-3
-    for k in range(500):
-        psi = step_gp(cfg, psi, k * dt, dt)
-    sup = float(np.max(np.abs(np.abs(psi.amplitudes) ** 2 - rho0)))
+    traj = propagate(cfg, result.state, PropagationPlan(dt=1e-3, n_steps=500, record_stride=500))
+    sup = float(np.max(np.abs(np.abs(traj.amplitudes[-1]) ** 2 - rho0)))
     ok = report("7c", sup <= 1e-5, f"GP density drift over 500 steps sup = {sup:.3e} vs 1e-5")
     assert ok
 
@@ -266,13 +263,8 @@ def test_criterion_07d_gp_energy_conservation():
     gs = ground_state_imaginary_time(cfg, gaussian_wavepacket(g), dtau=0.05, tol=1e-12)
     assert gs.converged
     e0 = energy(cfg, gs.state)
-    psi = gs.state
-    dt = 1e-3
-    worst = 0.0
-    for k in range(10_000):
-        psi = step_gp(cfg, psi, k * dt, dt)
-        if (k + 1) % 1000 == 0:
-            worst = max(worst, abs(energy(cfg, psi) - e0) / abs(e0))
+    traj = propagate(cfg, gs.state, PropagationPlan(dt=1e-3, n_steps=10_000, record_stride=1000))
+    worst = max(abs(energy(cfg, psi) - e0) / abs(e0) for _, psi in traj.snapshots[1:])
     ok = report("7d", worst < 1e-6, f"GP energy relative drift over 1e4 steps = {worst:.3e} vs 1e-6")
     assert ok
 

@@ -164,6 +164,22 @@ def test_cn_step_matches_the_dense_cayley_step(fields, driven, t, dt, seed):
     assert np.linalg.norm(stepped - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
+def dense_relaxation_steps(cfg, psi0, dt, n_steps):
+    """States 1 to n_steps of Besse's relaxation scheme from psi0 at psi0.time, a contact interaction, by dense Cayley steps.
+
+    phi_-1/2 = |psi_0|^2 and phi_n+1/2 = 2 |psi_n|^2 - phi_n-1/2; step n is
+    one dense Cayley step with H(t_n + dt/2) plus c phi_n+1/2, c = (N-1) g.
+    """
+    c = (cfg.interaction.n_particles - 1) * cfg.interaction.g
+    amp, phi, states = psi0.amplitudes, np.abs(psi0.amplitudes) ** 2, []
+    for k in range(n_steps):
+        phi = 2.0 * np.abs(amp) ** 2 - phi
+        t_mid = psi0.time + k * dt + dt / 2.0
+        amp = dense_cayley_step(hamiltonian_matrix(cfg, psi0.grid, t_mid).plus_diagonal(c * phi), 1j * dt / 2.0, amp)
+        states.append(amp)
+    return states
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     fields=_sampled_fields(),
@@ -174,18 +190,14 @@ def test_cn_step_matches_the_dense_cayley_step(fields, driven, t, dt, seed):
     dt=st.floats(1e-4, 1.0),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_gp_step_matches_the_dense_predictor_corrector(fields, driven, coupling, n_particles, t, dt, seed):
-    # two dense Cayley steps from psi: the predictor with the mean field of
-    # |psi|^2, the corrector with that of the average (|predicted|^2 + |psi|^2) / 2
+def test_gp_run_matches_the_dense_relaxation_steps(fields, driven, coupling, n_particles, t, dt, seed):
+    # three steps through propagate, each one dense Cayley step with the mean
+    # field of the relaxed density phi_n+1/2 = 2 |psi_n|^2 - phi_n-1/2
     g, cfg = _sampled_config(fields, driven, TwoBodyInteraction.contact(coupling, n_particles))
-    psi = random_state(g, seed=seed)
-    h, scale, c = hamiltonian_matrix(cfg, g, t + dt / 2.0), 1j * dt / 2.0, (n_particles - 1) * coupling
-    rho = np.abs(psi.amplitudes) ** 2
-    predicted = dense_cayley_step(h.plus_diagonal(c * rho), scale, psi.amplitudes)
-    rho_avg = 0.5 * (np.abs(predicted) ** 2 + rho)
-    expected = dense_cayley_step(h.plus_diagonal(c * rho_avg), scale, psi.amplitudes)
-    stepped = step_gp(cfg, psi, t, dt).amplitudes
-    assert np.linalg.norm(stepped - expected) <= 1e-12 * np.linalg.norm(expected)
+    psi = dataclasses.replace(random_state(g, seed=seed), time=t)
+    traj = propagate(cfg, psi, PropagationPlan(dt=dt, n_steps=3))
+    for row, expected in zip(traj.amplitudes[1:], dense_relaxation_steps(cfg, psi, dt, 3), strict=True):
+        assert np.linalg.norm(row - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
 def test_cn_free_packet_spreading():
@@ -537,6 +549,70 @@ def test_gp_quench_width_oscillation_with_tiny_norm_drift():
     widths = np.array(widths)
     assert widths.max() - widths.min() > 1e-2  # breathing mode clearly excited
     assert abs(norm(psi) - 1.0) < 1e-9
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    boundary=st.sampled_from(["dirichlet", "periodic"]),
+    kind=st.sampled_from(["contact", "kernel"]),
+    coupling=st.floats(0.5, 30.0).flatmap(lambda g: st.sampled_from([g, -g])),
+    n_particles=st.integers(2, 4),
+    n_points=st.integers(64, 600),
+    start=st.tuples(st.floats(-1.0, 1.0), st.floats(0.5, 1.2), st.floats(-3.0, 3.0)),
+    dt=st.floats(1e-3, 2e-2),
+)
+def test_the_relaxation_scheme_conserves_its_relaxed_energy(
+    boundary, kind, coupling, n_particles, n_points, start, dt
+):
+    # Besse's discrete energy <psi_n|H0|psi_n> + (1/2) int phi_n-1/2 U(phi_n+1/2)
+    # is constant on a static H for any symmetric U linear in the density
+    # (for a contact, (c/2) int phi_n-1/2 phi_n+1/2 with c = (N-1) g), its
+    # phi rebuilt from every state of the run: phi_-1/2 = |psi_0|^2 and
+    # phi_n+1/2 = 2 |psi_n|^2 - phi_n-1/2.  U is formed here, not by the library
+    g = make_grid(-8.0, 8.0, n_points, boundary)
+    if kind == "contact":
+        interaction = TwoBodyInteraction.contact(coupling, n_particles)
+        mean_field = lambda phi: (n_particles - 1) * coupling * phi
+    else:
+        kernel = coupling * np.exp(-((g.x[:, None] - g.x[None, :]) ** 2))
+        interaction = TwoBodyInteraction.from_kernel(kernel, n_particles)
+        mean_field = lambda phi: (n_particles - 1) * (kernel @ (g.weights * phi))
+    cfg = HamiltonianConfig(v1=PotentialField.harmonic(), interaction=interaction)
+    traj = propagate(cfg, gaussian_wavepacket(g, *start), PropagationPlan(dt=dt, n_steps=200))
+    phi = [np.abs(traj.amplitudes[0]) ** 2]
+    for rho in np.abs(traj.amplitudes) ** 2:
+        phi.append(2.0 * rho - phi[-1])
+    linear = hamiltonian_matrix(cfg, g).expectations(traj.amplitudes)
+    relaxed = np.array([0.5 * quadrature(g, before * mean_field(after)) for before, after in zip(phi, phi[1:])])
+    energies = linear + relaxed
+    assert np.max(np.abs(energies - energies[0])) <= 1e-12 * (abs(linear[0]) + abs(relaxed[0]))
+    assert traj.norm_drift <= 1e-13
+
+
+@pytest.mark.parametrize("boundary", ["periodic", "dirichlet"])
+def test_a_moving_bright_soliton_converges_at_second_order_in_dx(boundary):
+    # the focusing GP equation's bright soliton (Zakharov & Shabat 1972) is
+    # exact for c = (N-1) g < 0 with hbar = m = 1:
+    # psi = (sqrt|c| / 2) sech(|c| (x - v t) / 2) exp(i (v x - v^2 t / 2 + c^2 t / 8)).
+    # v = 2 pi 6 / 40 keeps exp(i v x) periodic on [-20, 20]; the Dirichlet box
+    # is the same interval, whose walls hold about 1e-15 of the peak up to t = 2
+    c, v, t_end, dt = -4.0, 2.0 * np.pi * 6 / 40, 2.0, 2e-3
+    cfg = HamiltonianConfig(interaction=TwoBodyInteraction.contact(c, 2))
+
+    def soliton(x, t):
+        envelope = 0.5 * np.sqrt(-c) / np.cosh(-c * (x - v * t) / 2.0)
+        return envelope * np.exp(1j * (v * x - v**2 * t / 2.0 + c**2 * t / 8.0))
+
+    errors, spacings = [], []
+    for n in (800, 1600):
+        g = make_grid(-20.0, 20.0, n, boundary)
+        psi0 = normalize(Wavefunction(g, soliton(g.x, 0.0)))
+        traj = propagate(cfg, psi0, PropagationPlan(dt=dt, n_steps=1000, record_stride=1000))
+        errors.append(float(norms(g, traj.amplitudes[-1] - soliton(g.x, t_end))))
+        spacings.append(g.dx)
+    order = math.log(errors[0] / errors[1]) / math.log(spacings[0] / spacings[1])
+    assert 1.8 <= order <= 2.2, errors
+    assert errors[1] <= 4e-3, errors
 
 
 def test_imaginary_time_oscillator_energy():
@@ -1581,7 +1657,7 @@ _STEPPING_CASES = {
         PropagationPlan(dt=2e-3, n_steps=12, scheme="split-operator"),
         0.3,
     ),
-    "gp-predictor-corrector": (
+    "gp-dirichlet-static": (
         "dirichlet",
         HamiltonianConfig(v1=PotentialField.harmonic(), interaction=_CONTACT),
         PropagationPlan(dt=2e-3, n_steps=12, record_stride=4),
@@ -1601,29 +1677,29 @@ def test_propagate_equals_a_loop_of_single_steps(case):
     # propagate factors (or builds phases) once for a static H and reassembles
     # at every midpoint for a driven one; either way it must reproduce the
     # public one-step functions bit for bit, starting at the initial state's
-    # time t0 and recording the state after step k at t0 + k dt
+    # time t0 and recording the state after step k at t0 + k dt.  A mean-field
+    # run carries its relaxed density from step to step, which no single step
+    # can, so it is compared with the dense relaxation steps instead
     boundary, cfg, plan, t0 = _STEPPING_CASES[case]
     g = make_grid(-8.0, 8.0, 257, boundary)
     psi0 = dataclasses.replace(gaussian_wavepacket(g, center=0.5, width=0.8, wavenumber=1.0), time=t0)
-    if cfg.interaction is not None:
-        step = lambda psi, t: step_gp(cfg, psi, t, plan.dt)
-    elif plan.scheme == "split-operator":
-        step = lambda psi, t: step_split_operator(cfg, psi, t, plan.dt)
-    else:
-        step = lambda psi, t: step_crank_nicolson(cfg, psi, t, plan.dt)
     traj = propagate(cfg, psi0, plan)
-    psi, t = psi0, t0
-    expected, expected_times = [psi0.amplitudes], [t0]
-    for k in range(1, plan.n_steps + 1):
-        psi = step(psi, t)
-        t = t0 + k * plan.dt
-        if k % plan.record_stride == 0:
-            expected.append(psi.amplitudes)
-            expected_times.append(t)
-    assert traj.times.tolist() == expected_times
+    if cfg.interaction is not None:
+        states = dense_relaxation_steps(cfg, psi0, plan.dt, plan.n_steps)
+    else:
+        step = step_split_operator if plan.scheme == "split-operator" else step_crank_nicolson
+        states, psi = [], psi0
+        for k in range(plan.n_steps):
+            psi = step(cfg, psi, t0 + k * plan.dt, plan.dt)
+            states.append(psi.amplitudes)
+    expected = [psi0.amplitudes] + states[plan.record_stride - 1 :: plan.record_stride]
+    assert traj.times.tolist() == [t0 + k * plan.dt for k in range(0, plan.n_steps + 1, plan.record_stride)]
     assert len(traj.amplitudes) == len(expected)
     for row, amp in zip(traj.amplitudes, expected):
-        np.testing.assert_array_equal(row, amp)
+        if cfg.interaction is None:
+            np.testing.assert_array_equal(row, amp)
+        else:
+            assert np.linalg.norm(row - amp) <= 1e-12 * np.linalg.norm(amp)
 
 
 @pytest.mark.parametrize(
@@ -1631,7 +1707,7 @@ def test_propagate_equals_a_loop_of_single_steps(case):
     [
         ("dirichlet", "crank-nicolson", None, 1),
         ("periodic", "split-operator", None, 1),
-        ("dirichlet", "crank-nicolson", _CONTACT, 2),  # predictor and corrector
+        ("dirichlet", "crank-nicolson", _CONTACT, 1),  # one relaxation step
     ],
 )
 def test_driven_propagation_reassembles_at_every_midpoint(boundary, scheme, interaction, per_step):
@@ -1913,9 +1989,9 @@ def test_a_finite_state_whose_squares_overflow_is_kept_and_its_drift_reads_inf(m
 @pytest.mark.parametrize("boundary", ["dirichlet", "periodic"])
 @pytest.mark.parametrize("driven", [False, True], ids=["static", "driven"])
 def test_a_static_mean_field_run_forms_its_link_bands_once(monkeypatch, boundary, driven):
-    # the predictor and corrector of every step change only the diagonal of a
-    # static H, so its scaled links are formed once per run; a driven H forms
-    # them at every solve.  Counted, not timed.
+    # the one solve of every step changes only the diagonal of a static H,
+    # so its scaled links are formed once per run; a driven H forms them at
+    # every solve.  Counted, not timed.
     import waveaction.propagation as propagation
 
     calls = []
@@ -1929,7 +2005,7 @@ def test_a_static_mean_field_run_forms_its_link_bands_once(monkeypatch, boundary
     cfg = HamiltonianConfig(v1=v1, interaction=_CONTACT)
     psi0 = gaussian_wavepacket(make_grid(-6, 6, 97, boundary), center=0.5, wavenumber=1.0)
     propagate(cfg, psi0, PropagationPlan(dt=2e-3, n_steps=6, record_stride=3))
-    assert calls == [1j * 2e-3 / 2.0] * (12 if driven else 1)
+    assert calls == [1j * 2e-3 / 2.0] * (6 if driven else 1)
 
 
 def test_a_mean_field_relaxation_forms_its_link_bands_once(monkeypatch):
