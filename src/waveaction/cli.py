@@ -12,6 +12,8 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
+import numpy as np
+
 from .runner import run_scenario
 from .scenario import ScenarioError, parse_scenario, parse_scenario_dict, serialize_scenario
 
@@ -66,12 +68,13 @@ def _run_one(path: Path, out_dir: Path, stride, quiet: bool) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
+    # LinAlgError (a singular system) subclasses ValueError, so it is caught first
+    except (RuntimeError, MemoryError, np.linalg.LinAlgError) as exc:  # includes ObserverError
+        print(f"solver error: {exc}", file=sys.stderr)
+        return EXIT_NOT_CONVERGED
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (RuntimeError, MemoryError) as exc:  # includes ObserverError
-        print(f"solver error: {exc}", file=sys.stderr)
-        return EXIT_NOT_CONVERGED
     if not quiet:
         print(manifest.line(out_dir))
     return EXIT_OK if manifest.converged else EXIT_NOT_CONVERGED

@@ -23,26 +23,35 @@ which is the same map, since (1 - s H) = 2 - (1 + s H), and needs no
 product with H.  x is psi-bar = (psi_old + psi_new) / 2, the state at which
 the midpoint action evaluates H.  Imaginary time uses the implicit (backward
 Euler) filter (1 + dtau H / hbar)^-1 with renormalization after every
-step, which damps every excited component regardless of dtau and, for a
-linear H, makes the energy sequence monotonically non-increasing.  A mean
-field rebuilt from each iterate changes H between steps, and the energy can
-then rise: a contact g = 750 on three particles in a harmonic trap raises it
-by up to 1.7 at dtau = 0.5.
+step.  Where 1 + dtau H / hbar is positive definite, that is every
+eigenvalue of H lies above -hbar / dtau, the filter damps every excited
+component and, for a linear H, makes the energy sequence monotonically
+non-increasing.  Where it is indefinite, the filter favours the level
+whose eigenvalue lies nearest -hbar / dtau, not the lowest, and the energy
+can rise: with V = x^2/2 - 10 (n = 401 on [-8, 8]) dtau = 0.05 reaches
+the ground energy -9.50005, while dtau = 0.5 raises the energy by up to
+5.8 and stops at -1.507, reported not converged, since the certificate
+below fails.  A mean field rebuilt from each iterate changes H between
+steps, and the energy can then rise on a definite filter too: a contact
+g = 750 on three particles in a harmonic trap raises it by up to 1.7 at
+dtau = 0.5.
 
-Both implicit schemes solve tridiagonal systems 1 + s H with LAPACK.  A
-static linear H is factored once per run and every step reuses the
-factors.  The factored solver picks its factorization from its bands:
-real bands (imaginary time on a real H) that are positive definite, on
-periodic grids with a positive Sherman-Morrison denominator too, as LDL^T
-without pivots (pttrf and pttrs); every other matrix falls back to the
-pivoted LU routines (gttrf and gttrs), z when the bands or the right-hand
-side are complex and d when both are real.  A matrix solved only once
-(the midpoint H of a time-dependent run, a mean-field step, a Newton
-step, whose Jacobian is indefinite, and a mean-field iteration on a
-complex H) takes one gtsv call with the bits of the LU factors.
-Imaginary time on a real H factors every matrix its loop solves by the
-factored solver: a linear H once per run, a mean field once per
-iteration, whatever the sign of its coupling or the kind of its
+Both implicit schemes solve tridiagonal systems 1 + s H with LAPACK, on
+the bands of one builder (``_shifted_bands``).  Real-time stepping has one
+Cayley stepper, linear or mean-field: a static linear H is factored once
+per run and every step reuses the factors; every other run makes one
+single-use solve per step.  The factored solver picks its factorization
+from its bands and binds one routine for its solves: real bands
+(imaginary time on a real H) that are positive definite, on periodic
+grids with a positive Sherman-Morrison denominator too, as LDL^T without
+pivots (pttrf and pttrs); every other matrix falls back to the pivoted LU
+routines (gttrf and gttrs), z for complex bands and d for real ones.  A
+matrix solved only once (the midpoint H of a time-dependent run, a
+mean-field step, a Newton step, whose Jacobian is indefinite, and a
+mean-field iteration on a complex H) takes one gtsv call with the bits of
+the LU factors.  Imaginary time on a real H factors every matrix its loop
+solves by the factored solver: a linear H once per run, a mean field once
+per iteration, whatever the sign of its coupling or the kind of its
 interaction, so each iteration's matrix is LDL^T-factored where it is
 positive definite.  When only the mean field changes between solves (a
 static H), the scaled link bands are formed once per run and left as they
@@ -219,30 +228,37 @@ def _link_bands(h: TridiagonalHamiltonian, scale: complex) -> tuple:
 
 
 def _shifted_bands(h: TridiagonalHamiltonian, scale: complex, links=None) -> tuple:
-    """The bands (dl, d, du) that LAPACK solves for 1 + scale * H, and the wrap-link terms (u, v_last).
+    """The bands (dl, d, du) LAPACK factors or solves for 1 + scale * H, their reduction levels, and (u, v_last).
 
-    links are ``_link_bands(h, scale)``, formed here when None; dl and du
-    are its arrays themselves.  Dirichlet grids give the interior block (the
+    links are ``_link_bands(h, scale)``, formed here when None and left as
+    they are when given.  Dirichlet grids give the interior block (the
     endpoints stay at zero) and no wrap link, u = v_last = None.  Periodic
     grids give every link but the wrap link with both end diagonals
     shifted, A = B + u v^T with u = (gamma, 0, ..., 0, c_lf) and
     v = (1, 0, ..., 0, v_last), so that a Sherman-Morrison correction
-    restores the wrap link.
+    restores the wrap link.  The bands come after ``_odd_even_reduction``
+    (a real-time matrix above _REDUCTION_ROWS rows only), with its levels,
+    and in arrays LAPACK may overwrite: where links were given and no level
+    reduced them, dl and du are copies of theirs.
     """
     n = h.grid.n_points
     # the diagonal first: forming the links first moved the glibc heap of the
     # ground-states workload from about 1.5k to 2.9k minor faults per pass
     d = 1.0 + scale * (h.diag if h.grid.is_periodic else h.diag[1 : n - 1])
     dl, du, c_fl, c_lf = _link_bands(h, scale) if links is None else links
-    if not h.grid.is_periodic:
-        return dl, d, du, None, None
-    gamma = -d[0] if d[0] != 0 else -1.0  # -d[0] avoids cancellation in B[0, 0]
-    d[0] -= gamma
-    d[-1] -= c_lf * c_fl / gamma
-    u = np.zeros(n, dtype=d.dtype)
-    u[0] = gamma
-    u[-1] = c_lf
-    return dl, d, du, u, c_fl / gamma
+    u = v_last = None
+    if h.grid.is_periodic:
+        gamma = -d[0] if d[0] != 0 else -1.0  # -d[0] avoids cancellation in B[0, 0]
+        d[0] -= gamma
+        d[-1] -= c_lf * c_fl / gamma
+        u = np.zeros(n, dtype=d.dtype)
+        u[0] = gamma
+        u[-1] = c_lf
+        v_last = c_fl / gamma
+    dl, d, du, levels = _odd_even_reduction(dl, d, du, scale)
+    if links is not None and not levels:
+        dl, du = dl.copy(), du.copy()
+    return dl, d, du, levels, u, v_last
 
 
 def _check_info(routine: str, info: int, scale: complex) -> None:
@@ -342,20 +358,6 @@ def _reduced_solve(levels: tuple, b: np.ndarray, solve: Callable) -> np.ndarray:
     return b
 
 
-def _lu_bands(h: TridiagonalHamiltonian, scale: complex, links=None) -> tuple:
-    """The bands (dl, d, du) that gttrf or gtsv factor for 1 + scale H, their reduction levels, and (u, v_last).
-
-    The bands and wrap-link terms of ``_shifted_bands``, after
-    ``_odd_even_reduction``, in arrays LAPACK may overwrite: where links
-    were given and no level reduced them, dl and du are copies of theirs.
-    """
-    dl, d, du, u, v_last = _shifted_bands(h, scale, links)
-    dl, d, du, levels = _odd_even_reduction(dl, d, du, scale)
-    if links is not None and not levels:
-        dl, du = dl.copy(), du.copy()
-    return dl, d, du, levels, u, v_last
-
-
 class _CayleySolver:
     """Factors of 1 + scale * H for one assembled tridiagonal H, for repeated solves.
 
@@ -381,16 +383,17 @@ class _CayleySolver:
     ``solve`` applies (1 + scale H)^-1 with one pttrs or gttrs call on the
     stored factors, run in place in one copy of the right-hand side.  On
     periodic grids the wrap-link response B^-1 u is solved once, at
-    construction, by the same path.  The routines follow the dtypes: a solve
-    runs the d routine only when the bands and the right-hand side are both
-    real, and each solver looks up its routine once per dtype.  links, when
+    construction, by the same path.  The routine is bound when the bands
+    are factored and follows their dtype, d for real bands and z for
+    complex ones; a right-hand side is cast to it, and one that cannot be
+    cast safely (complex for real bands) raises TypeError.  links, when
     given, are ``_link_bands(h, scale)`` formed once for several solvers;
     they are left as they are.  A Cayley step solves for the midpoint state
     x = (1 + scale H)^-1 psi and returns 2 x - psi (``_through_midpoint``).
     """
 
     def __init__(self, h: TridiagonalHamiltonian, scale: complex, links=None):
-        self.h = h
+        self.h, self.scale = h, scale
         real = np.result_type(h.diag, h.lower, scale) == np.float64
         self.definite = real and self._factor_ldlt(h, scale, links)
         if not self.definite:
@@ -398,14 +401,13 @@ class _CayleySolver:
 
     def _factor_ldlt(self, h: TridiagonalHamiltonian, scale: float, links) -> bool:
         """Whether the real 1 + scale H is positive definite; if so, its LDL^T factors are stored."""
-        dl, d, _, u, v_last = _shifted_bands(h, scale, links)
-        pttrf, pttrs = get_lapack_funcs(("pttrf", "pttrs"), (d, dl))
-        d, e, info = pttrf(d, dl, overwrite_d=1, overwrite_e=links is None)
+        dl, d, _, self._levels, u, v_last = _shifted_bands(h, scale, links)
+        pttrf, self._trs = get_lapack_funcs(("pttrf", "pttrs"), (d, dl))
+        d, e, info = pttrf(d, dl, overwrite_d=1, overwrite_e=1)
         if info > 0:  # a pivot that is not positive
             return False
         _check_info(pttrf.typecode + "pttrf", info, scale)
-        self._factors, self._levels = (d, e), ()
-        self._trs_name, self._trs = "pttrs", {d.dtype: pttrs}
+        self._factors = d, e
         if u is not None:
             z = self._solve_bands(u)
             if not 1.0 + z[0] + v_last * z[-1] > 0:
@@ -415,34 +417,29 @@ class _CayleySolver:
 
     def _factor_lu(self, h: TridiagonalHamiltonian, scale: complex, links) -> None:
         """Store the LU factors of 1 + scale H, after its odd-even reduction where that applies."""
-        dl, d, du, self._levels, u, v_last = _lu_bands(h, scale, links)
-        (gttrf,) = get_lapack_funcs(("gttrf",), (dl, d, du))
+        dl, d, du, self._levels, u, v_last = _shifted_bands(h, scale, links)
+        gttrf, self._trs = get_lapack_funcs(("gttrf", "gttrs"), (dl, d, du))
         dl, d, du, du2, ipiv, info = gttrf(dl, d, du, overwrite_dl=1, overwrite_d=1, overwrite_du=1)
         _check_info(gttrf.typecode + "gttrf", info, scale)
         self._factors = dl, d, du, du2, ipiv
-        self._trs_name, self._trs = "gttrs", {}
         if u is not None:
             z = self._solve_bands(u)
             self._wrap = z, v_last, _wrap_denominator(z, v_last, scale)
 
     def _substitute(self, b: np.ndarray) -> np.ndarray:
-        """The stored factors' solve of b, in b's own storage; b is contiguous and of the solve's dtype."""
-        routine = self._trs.get(b.dtype)
-        if routine is None:
-            (routine,) = get_lapack_funcs((self._trs_name,), (self._factors[1], b))
-            self._trs[b.dtype] = routine
-        x, info = routine(*self._factors, b, overwrite_b=1)
-        if info != 0:
-            raise ValueError(f"{routine.typecode}{self._trs_name} rejected argument {-info}")
+        """The stored factors' solve of b, in b's own storage; b is contiguous and of the factors' dtype."""
+        x, info = self._trs(*self._factors, b, overwrite_b=1)
+        routine = "pttrs" if len(self._factors) == 2 else "gttrs"  # the LDL^T factors are (d, e)
+        _check_info(self._trs.typecode + routine, info, self.scale)
         return x
 
     def _solve_bands(self, b: np.ndarray) -> np.ndarray:
-        """B^-1 b in b's own storage; b is contiguous and of the solve's dtype."""
+        """B^-1 b in b's own storage; b is contiguous and of the factors' dtype."""
         return _reduced_solve(self._levels, b, self._substitute)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """x with (1 + scale H) x = rhs under the grid's boundary convention; rhs is left as it is."""
-        out = rhs.astype(np.result_type(self._factors[1], rhs))
+        out = rhs.astype(self._factors[1].dtype, casting="safe")
         if self.h.grid.is_periodic:
             return _wrap_corrected(self._solve_bands(out), *self._wrap)
         out[0] = out[-1] = 0.0
@@ -456,17 +453,17 @@ def _solve_once(h: TridiagonalHamiltonian, scale: complex, rhs: np.ndarray, link
     rhs is one vector (n,) or a block (n, k) of k right-hand sides, which
     the one call factors the matrix for; the result has rhs's shape.  Equal
     bit for bit to ``_CayleySolver(h, scale).solve`` of each column where
-    that solver is not definite (its LU branch): both form the same reduced
-    bands and run the same reduction of the right-hand side
-    (``_odd_even_reduction``, a real-time matrix above _REDUCTION_ROWS rows
+    that solver is not definite (its LU branch): both take the same bands
+    from ``_shifted_bands`` and run the same reduction of the right-hand
+    side (``_reduced_solve``, a real-time matrix above _REDUCTION_ROWS rows
     only), and gtsv runs gttrf's pivoted elimination and gttrs's
     substitutions in one pass, in place in one full-length copy of a single
     rhs.  On periodic grids the wrap-link vector u is one more right-hand
     side.  dgtsv solves when the bands and rhs are all real, zgtsv
     otherwise.  links, when given, are ``_link_bands(h, scale)`` formed once
-    for several solves; they are left as they are (``_lu_bands``).
+    for several solves; they are left as they are.
     """
-    dl, d, du, levels, u, v_last = _lu_bands(h, scale, links)
+    dl, d, du, levels, u, v_last = _shifted_bands(h, scale, links)
     dtype = np.result_type(d, rhs)
     n, k = len(rhs), rhs.size // len(rhs)
     if u is None:
@@ -506,13 +503,37 @@ def _through_midpoint(x: np.ndarray, amp: np.ndarray) -> np.ndarray:
 # built once per run, so static factors and phases are built once too.
 
 
-def _cn_stepper(cfg: HamiltonianConfig, grid: Grid, dt: float):
+def _cayley_stepper(cfg: HamiltonianConfig, grid: Grid, dt: float):
+    """Cayley steps with H(t + dt/2), plus U(phi_n+1/2) by Besse's relaxation scheme when cfg has an interaction.
+
+    A static linear H is factored once for the run (``_CayleySolver``);
+    every other run makes one single-use solve per step (``_solve_once``),
+    with the link bands of a static H formed once.  The stepper carries the
+    auxiliary density phi from one call to the next, so it steps one run,
+    its calls in order.  The first call sets phi_-1/2 = |psi_0|^2; step n
+    takes phi_n+1/2 = 2 |psi_n|^2 - phi_n-1/2, which is |psi_0|^2 exactly
+    at n = 0.  U is ``mean_field_density_values``, linear in the density,
+    so phi may go negative; the diagonal stays real and the step keeps the
+    norm.
+    """
     scale = 1j * dt / (2.0 * cfg.constants.hbar)
     h_at = hamiltonian_at(cfg, grid)
-    if cfg.is_static:  # one H, so one factorization for the whole run
+    if cfg.is_static and cfg.interaction is None:  # one H, so one factorization for the whole run
         solver = _CayleySolver(h_at(0.0), scale)
         return lambda amp, t: _through_midpoint(solver.solve(amp), amp)
-    return lambda amp, t: _through_midpoint(_solve_once(h_at(t + dt / 2.0), scale, amp), amp)
+    links = _link_bands(h_at(0.0), scale) if cfg.is_static else None
+    phi = None
+
+    def advance(amp, t):
+        nonlocal phi
+        h = h_at(t + dt / 2.0)
+        if cfg.interaction is not None:
+            rho = np.abs(amp) ** 2
+            phi = rho if phi is None else 2.0 * rho - phi
+            h = h.plus_diagonal(mean_field_density_values(cfg.interaction, grid, phi))
+        return _through_midpoint(_solve_once(h, scale, amp, links), amp)
+
+    return advance
 
 
 def check_split_operator(cfg: HamiltonianConfig, grid: Grid) -> None:
@@ -572,38 +593,13 @@ def _split_stepper(cfg: HamiltonianConfig, grid: Grid, dt: float):
     return lambda amp, t: strang(half_v, amp)
 
 
-def _gp_stepper(cfg: HamiltonianConfig, grid: Grid, dt: float):
-    """Besse's relaxation scheme: one Cayley step with H + U(phi) per step; a static H's link bands are formed once.
-
-    The stepper carries the auxiliary density phi from one call to the next,
-    so it steps one run, its calls in order.  The first call sets
-    phi_-1/2 = |psi_0|^2; step n takes phi_n+1/2 = 2 |psi_n|^2 - phi_n-1/2,
-    which is |psi_0|^2 exactly at n = 0.  U is
-    ``mean_field_density_values``, linear in the density, so phi may go
-    negative; the diagonal stays real and the step keeps the norm.
-    """
-    scale = 1j * dt / (2.0 * cfg.constants.hbar)
-    h_at = hamiltonian_at(cfg, grid)
-    links = _link_bands(h_at(0.0), scale) if cfg.is_static else None
-    phi = None
-
-    def advance(amp, t):
-        nonlocal phi
-        rho = np.abs(amp) ** 2
-        phi = rho if phi is None else 2.0 * rho - phi
-        h = h_at(t + dt / 2.0).plus_diagonal(mean_field_density_values(cfg.interaction, grid, phi))
-        return _through_midpoint(_solve_once(h, scale, amp, links), amp)
-
-    return advance
-
-
 def step_crank_nicolson(
     cfg: HamiltonianConfig, psi: Wavefunction, t: float, dt: float
 ) -> Wavefunction:
     """One Cayley step of the linear Schrodinger equation; norm-preserving."""
     if cfg.interaction is not None:
         raise ValueError("step_crank_nicolson is the linear stepper; use step_gp")
-    return Wavefunction(psi.grid, _cn_stepper(cfg, psi.grid, dt)(psi.amplitudes, t), psi.time + dt)
+    return Wavefunction(psi.grid, _cayley_stepper(cfg, psi.grid, dt)(psi.amplitudes, t), psi.time + dt)
 
 
 def step_split_operator(
@@ -623,7 +619,7 @@ def step_gp(cfg: HamiltonianConfig, psi: Wavefunction, t: float, dt: float) -> W
     """
     if cfg.interaction is None:
         raise ValueError("step_gp requires a configured interaction")
-    return Wavefunction(psi.grid, _gp_stepper(cfg, psi.grid, dt)(psi.amplitudes, t), psi.time + dt)
+    return Wavefunction(psi.grid, _cayley_stepper(cfg, psi.grid, dt)(psi.amplitudes, t), psi.time + dt)
 
 
 def propagate(
@@ -659,12 +655,8 @@ def propagate(
         raise ValueError("initial state must be normalized")
 
     grid = psi0.grid
-    if plan.scheme == SPLIT_OPERATOR:
-        advance = _split_stepper(cfg, grid, plan.dt)
-    elif cfg.interaction is not None:
-        advance = _gp_stepper(cfg, grid, plan.dt)
-    else:
-        advance = _cn_stepper(cfg, grid, plan.dt)
+    stepper = _split_stepper if plan.scheme == SPLIT_OPERATOR else _cayley_stepper
+    advance = stepper(cfg, grid, plan.dt)
     amp, t = psi0.amplitudes, psi0.time
     records = np.empty((plan.n_records, grid.n_points), dtype=np.complex128)
     times = np.empty(plan.n_records)

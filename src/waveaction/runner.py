@@ -256,9 +256,10 @@ def run_scenario(scenario: Scenario, out_dir, quiet: bool = False) -> RunManifes
 
     Returns the manifest; convergence failures are flagged there (the CLI
     maps them to exit code 2), I/O errors propagate as OSError.  A solver
-    error (RuntimeError or MemoryError, also exit code 2) propagates once a
-    manifest with converged false and a summary of the error text and the
-    phase it arose in (build, propagate, analysis or write) is written.
+    error (RuntimeError, MemoryError or numpy's LinAlgError, such as a
+    singular 1 + s H; also exit code 2) propagates once a manifest with
+    converged false and a summary of the error text and the phase it arose
+    in (build, propagate, analysis or write) is written.
     Unless quiet, the manifest's line (RunManifest.line) is logged at INFO
     on this module's logger.
     """
@@ -288,7 +289,7 @@ def run_scenario(scenario: Scenario, out_dir, quiet: bool = False) -> RunManifes
         phase.name = "write"
         for name, content in outputs.items():
             _write(out_dir / name, content)
-    except (RuntimeError, MemoryError) as exc:
+    except (RuntimeError, MemoryError, np.linalg.LinAlgError) as exc:
         with contextlib.suppress(OSError):  # the solver error, not this write, sets the exit code
             write_manifest(False, {"error": str(exc), "phase": phase.name})
         raise

@@ -49,10 +49,9 @@ from waveaction.propagation import (
     _ATTRACTIVE_HANDOFF_ENERGY_CHANGE,
     _REDUCTION_ROWS,
     _CayleySolver,
+    _cayley_stepper,
     _changes_sign,
-    _cn_stepper,
     _lowest_eigenvalue_is,
-    _gp_stepper,
     _largest_prime_factor,
     _link_bands,
     _newton_finish,
@@ -1267,6 +1266,27 @@ def test_the_certificate_holds_exactly_where_mu_less_its_residual_is_below_the_s
     assert _lowest_eigenvalue_is(h, mu, residual) == (lowest > mu - residual)
 
 
+@pytest.mark.parametrize("dtau", [0.05, 0.5])
+def test_an_indefinite_filter_is_not_reported_converged(dtau):
+    # V = x^2/2 - 10 puts the lowest level near -9.5, so 1 + dtau H is positive
+    # definite for dtau = 0.05 and indefinite for dtau = 0.5, where the filter
+    # favours the level nearest -1 / dtau = -2 (-1.5), not the lowest, and
+    # the energy rises on the way there; the certificate refuses that state
+    g = make_grid(-8.0, 8.0, 401)
+    cfg = HamiltonianConfig(v1=PotentialField.from_samples(0.5 * g.x**2 - 10.0))
+    result = ground_state_imaginary_time(cfg, gaussian_wavepacket(g, center=0.5), dtau=dtau)
+    definite = _CayleySolver(_real_hamiltonian(cfg, g), dtau).definite
+    rises = np.diff(result.energy_history)
+    if dtau == 0.05:
+        assert definite and result.converged and result.certified
+        assert result.energy == pytest.approx(-9.50005, abs=1e-5)
+        assert (rises <= 0.0).all()
+    else:
+        assert not definite and not result.converged and result.certified is False
+        assert result.energy == pytest.approx(-1.507, abs=1e-3)
+        assert rises.max() == pytest.approx(5.8, abs=0.05)
+
+
 def test_imaginary_time_agrees_with_variational_route():
     # the two ground-state routes must agree on shared cases
     from waveaction import gaussian_family, rayleigh_ritz_minimize
@@ -1417,8 +1437,9 @@ def test_odd_even_reduction_matches_the_pivoted_solve_of_the_same_bands(
     # the right-hand side is one vector, or the periodic block [rhs, u]
     h = _hermitian_stand_in(rows, boundary, seed, kinetic, v_scale)
     scale = 1j * tau
-    dl, d, du, u, _ = _shifted_bands(h, scale)
-    assert len(d) == rows
+    with mock.patch("waveaction.propagation._REDUCTION_ROWS", rows):  # the unreduced bands
+        dl, d, du, levels, u, _ = _shifted_bands(h, scale)
+    assert len(d) == rows and not levels
     rng = np.random.default_rng(seed + 1)
     rhs = rng.standard_normal(rows) + 1j * rng.standard_normal(rows)
     b = rhs if u is None else np.stack((rhs, u))
@@ -1452,7 +1473,7 @@ def test_reduced_real_time_steps_match_the_unreduced_solve(boundary, driven):
     psi, t, dt = random_state(g, 7), 0.3, 1e-3
     scale = 1j * dt / 2.0
     h = hamiltonian_at(cfg, g)(t + dt / 2.0)
-    assert len(_odd_even_reduction(*_shifted_bands(h, scale)[:3], scale)[3]) == 1
+    assert len(_shifted_bands(h, scale)[3]) == 1
     stepped = step_crank_nicolson(cfg, psi, t, dt).amplitudes
     with mock.patch("waveaction.propagation._REDUCTION_ROWS", g.n_points):
         reference = 2.0 * _solve_once(h, scale, psi.amplitudes) - psi.amplitudes
@@ -1474,6 +1495,27 @@ def test_zero_coupling_gp_step_equals_linear_step_through_the_reduction(boundary
     np.testing.assert_array_equal(
         step_gp(gp, psi, 0.2, 1e-3).amplitudes, step_crank_nicolson(linear, psi, 0.2, 1e-3).amplitudes
     )
+
+
+@pytest.mark.parametrize("n", [801, 4001])
+@pytest.mark.parametrize("boundary", ["dirichlet", "periodic"])
+@pytest.mark.parametrize("driven", [False, True], ids=["static", "driven"])
+def test_zero_coupling_runs_equal_linear_runs_bit_for_bit(n, boundary, driven):
+    # criterion 7a over whole runs of the one Cayley stepper: a static linear
+    # H is factored once (gttrf + gttrs), a zero contact solves H + U(phi) by
+    # one gtsv per step, a driven H by one gtsv per step either way; n = 4001
+    # runs through one level of odd-even reduction, n = 801 through none
+    g = make_grid(-8.0, 8.0, n, boundary)
+    assert (n > _REDUCTION_ROWS) == (n == 4001)
+    v1 = PotentialField.from_callable(_driven) if driven else PotentialField.harmonic()
+    linear = HamiltonianConfig(v1=v1)
+    gp = HamiltonianConfig(v1=v1, interaction=TwoBodyInteraction.contact(0.0, 3))
+    psi0 = gaussian_wavepacket(g, center=0.5, width=0.75, wavenumber=1.0)
+    plan = PropagationPlan(dt=2e-3, n_steps=20)
+    expected, run = propagate(linear, psi0, plan), propagate(gp, psi0, plan)
+    assert run.amplitudes.tobytes() == expected.amplitudes.tobytes()
+    assert np.float64(run.norm_drift).tobytes() == np.float64(expected.norm_drift).tobytes()
+    assert not np.array_equal(run.amplitudes[-1], psi0.amplitudes)
 
 
 @settings(max_examples=60, deadline=None)
@@ -1595,7 +1637,8 @@ def test_ldlt_factors_exactly_where_the_matrix_is_positive_definite(n, seed, v_s
 @pytest.mark.parametrize("solver", ["factored", "once"])
 def test_solves_leave_their_right_hand_side_alone(boundary, rhs_dtype, real_system, solver):
     # each solve runs in place in its own copy of rhs; on a Dirichlet grid the
-    # copy's endpoints are zeroed, whatever rhs holds there
+    # copy's endpoints are zeroed, whatever rhs holds there; a factored real
+    # system takes real right-hand sides only
     g = make_grid(-5.0, 5.0, 41, boundary)
     rng = np.random.default_rng(3)
     if real_system:
@@ -1610,6 +1653,12 @@ def test_solves_leave_their_right_hand_side_alone(boundary, rhs_dtype, real_syst
         rhs += 1j * rng.standard_normal(g.n_points)
     assert rhs[0] != 0 and rhs[-1] != 0 and rhs.flags.writeable
     kept = rhs.copy()
+    if solver == "factored" and real_system and rhs_dtype is np.complex128:
+        # the factored solver binds the routine of its real bands, which a complex rhs cannot reach
+        with pytest.raises(TypeError, match="complex128.*float64"):
+            _CayleySolver(h, scale).solve(rhs)
+        np.testing.assert_array_equal(rhs, kept)
+        return
     out = _CayleySolver(h, scale).solve(rhs) if solver == "factored" else _solve_once(h, scale, rhs)
     np.testing.assert_array_equal(rhs, kept)
     assert not np.shares_memory(out, rhs)
@@ -1874,12 +1923,8 @@ def test_record_array_is_the_stack_of_the_observed_states(scheme, boundary, stri
 
 def _loop_with_a_wavefunction_per_step(cfg, psi0, plan):
     """(times, amplitudes, stepped arrays) of propagate's loop when it wrapped every state in a Wavefunction."""
-    if plan.scheme == "split-operator":
-        advance = _split_stepper(cfg, psi0.grid, plan.dt)
-    elif cfg.interaction is not None:
-        advance = _gp_stepper(cfg, psi0.grid, plan.dt)
-    else:
-        advance = _cn_stepper(cfg, psi0.grid, plan.dt)
+    stepper = _split_stepper if plan.scheme == "split-operator" else _cayley_stepper
+    advance = stepper(cfg, psi0.grid, plan.dt)
     psi, times, rows, stepped = psi0, [psi0.time], [psi0.amplitudes], []
     for k in range(1, plan.n_steps + 1):
         amp = advance(psi.amplitudes, psi.time)

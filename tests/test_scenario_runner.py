@@ -753,6 +753,32 @@ def test_state_that_blows_up_writes_a_failure_manifest(tmp_path, monkeypatch, ca
     assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
 
 
+def test_cli_singular_system_exits_2_and_writes_a_failure_manifest(tmp_path, capsys):
+    # V = -1.5 on a unit grid with dtau 1 makes 1 + dtau H singular: LDL^T
+    # finds it indefinite and gttrf meets a zero pivot.  numpy's LinAlgError
+    # subclasses ValueError, yet a singular solve is a solver error, not a
+    # usage error
+    data = {
+        "spec_version": 1,
+        "name": "singular",
+        "grid": {"x_min": 0.0, "x_max": 9.0, "n_points": 10},
+        "potentials": {"v1": {"kind": "sampled", "values": [-1.5] * 10}},
+        "task": {"kind": "ground-state", "dtau": 1.0},
+    }
+    path = write_scenario(tmp_path, data)
+    assert main(["validate", str(path)]) == 0
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out), "--quiet"]) == 2
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["converged"] is False and manifest["task"] == "ground-state"
+    assert manifest["summary"] == {
+        "error": "singular matrix: zero pivot in row 8 of 1 + s H (s = 1)",
+        "phase": "propagate",
+    }
+    assert capsys.readouterr().err == f"solver error: {manifest['summary']['error']}\n"
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+
+
 def test_runner_energy_column_keeps_the_hermiticity_check(tmp_path, monkeypatch):
     # the energy column is computed by the action pass on blocks of rows; a
     # non-Hermitian H must still raise, and the failure manifest names the
